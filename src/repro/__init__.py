@@ -77,18 +77,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def compile_minic(source, config=None, **kwargs):
-    """Compile MiniC source text; see :func:`repro.minic.driver.compile_source`.
-
-    Prefer ``compile_minic(source, config=CompileConfig(...))``; bare
-    keyword arguments are the deprecated legacy style.  Imported lazily so
-    the lightweight arithmetic API does not pull in the whole compiler
-    stack.
+def compile_minic(source, config=None):
+    """Compile MiniC source text under ``config`` (a
+    :class:`~repro.toolchain.CompileConfig`); see
+    :func:`repro.minic.driver.compile_source`.  Imported lazily so the
+    lightweight arithmetic API does not pull in the whole compiler stack.
     """
     from repro.minic.driver import compile_source
-    from repro.toolchain.config import coerce_config
+    from repro.toolchain.config import require_config
 
-    # Resolve the shim here so the DeprecationWarning points at *our*
-    # caller, not at this forwarding frame.
-    config = coerce_config(config, kwargs, "compile_minic")
-    return compile_source(source, config=config)
+    return compile_source(source, config=require_config(config, "compile_minic"))

@@ -192,8 +192,8 @@ def table3_report(
     canonical ``integer_compare`` — run it per scheme on any device
     program (on any target) and feed the results to
     :func:`reproduce_table3(reports=...) <reproduce_table3>`.  ``engine``
-    selects the trial engine (``"superblock"`` is the proven-identical
-    fast path for the full-sweep workloads).  ``max_skips`` bounds the
+    selects the trial engine (``"fork"`` or the ``"reference"``
+    oracle).  ``max_skips`` bounds the
     ``skip-sweep`` to the first N dynamic instructions — required for
     long-running programs (the bootloader retires millions of
     instructions, so an unbounded one-trial-per-instruction sweep is

@@ -16,7 +16,6 @@ from repro.backend.frame import expand_constants, hoist_constants, lower_frame
 from repro.backend.isel import select_module
 from repro.backend.machine import CfiMerge, MachineFunction
 from repro.backend.regalloc import allocate
-from repro.core.params import ProtectionParams
 from repro.core.protect import protect_module
 from repro.ir.cfg import split_critical_edges
 from repro.ir.module import Module
@@ -27,7 +26,7 @@ from repro.isa.cycles import CycleModel
 from repro.cfi.monitor import CfiMonitor
 from repro.passes.lower_select import lower_selects
 from repro.passes.lower_switch import lower_switches
-from repro.toolchain.config import CompileConfig, coerce_config
+from repro.toolchain.config import CompileConfig, require_config
 
 
 @dataclass
@@ -148,16 +147,7 @@ class CompiledProgram:
 
 
 def compile_ir(
-    module: Module,
-    scheme: Optional[str] = None,
-    params: Optional[ProtectionParams] = None,
-    cfi: Optional[bool] = None,
-    duplication_order: Optional[int] = None,
-    hw_modulo: Optional[bool] = None,
-    operand_checks: Optional[bool] = None,
-    cfi_policy: Optional[str] = None,
-    *,
-    config: Optional[CompileConfig] = None,
+    module: Module, *, config: Optional[CompileConfig] = None
 ) -> CompiledProgram:
     """Full pipeline: middle-end protection + back end + assembly.
 
@@ -168,22 +158,9 @@ def compile_ir(
     residues into the CFI state — extension), and the ``cfi_policy``
     state-justification strategy: ``merge`` (optimised; corrections only
     at joins) or ``edge`` (the paper's per-transfer updates — used for the
-    Table III comparison).  The individual keyword arguments are a
-    deprecated shim producing byte-identical output.
+    Table III comparison).
     """
-    config = coerce_config(
-        config,
-        {
-            "scheme": scheme,
-            "params": params,
-            "cfi": cfi,
-            "duplication_order": duplication_order,
-            "hw_modulo": hw_modulo,
-            "operand_checks": operand_checks,
-            "cfi_policy": cfi_policy,
-        },
-        "compile_ir",
-    )
+    config = require_config(config, "compile_ir")
     stats = protect_module(module, config=config)
 
     # Back-end legalisation for *all* functions.

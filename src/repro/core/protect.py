@@ -10,40 +10,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.params import ProtectionParams
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
-from repro.toolchain.config import CompileConfig, coerce_config
+from repro.toolchain.config import CompileConfig, require_config
 
 
 def protect_module(
-    module: Module,
-    scheme: Optional[str] = None,
-    params: Optional[ProtectionParams] = None,
-    duplication_order: Optional[int] = None,
-    operand_checks: Optional[bool] = None,
-    *,
-    config: Optional[CompileConfig] = None,
+    module: Module, *, config: Optional[CompileConfig] = None
 ) -> dict[str, object]:
     """Apply branch protection to every ``protect_branches`` function.
 
     The scheme comes from ``config`` (looked up in the
-    :mod:`repro.toolchain.registry`); the individual keyword arguments are
-    a deprecated shim.  Returns the per-pass statistics (e.g. how many
-    branches were protected).
+    :mod:`repro.toolchain.registry`).  Returns the per-pass statistics
+    (e.g. how many branches were protected).
     """
     from repro.toolchain.registry import build_pipeline
 
-    config = coerce_config(
-        config,
-        {
-            "scheme": scheme,
-            "params": params,
-            "duplication_order": duplication_order,
-            "operand_checks": operand_checks,
-        },
-        "protect_module",
-    )
+    config = require_config(config, "protect_module")
     pipeline = build_pipeline(config)
     stats = pipeline.run(module)
     verify_module(module)

@@ -160,7 +160,7 @@ def _resumed(fault: FaultModel, trace):
 def _annotate_window(pre, hooks) -> None:
     """Propagate ``fire_window`` to a composite hook — only when *every*
     component is window-annotated (one unbounded component makes the
-    whole composite unbounded; the superblock engine then deoptimises
+    whole composite unbounded; the trial CPU then deoptimises
     for the entire trial, which is always sound)."""
     windows = [getattr(hook, "fire_window", None) for hook in hooks]
     if all(window is not None for window in windows):

@@ -10,23 +10,19 @@ Engines
 -------
 Every attack entry point takes an ``engine``:
 
-* ``"fork"`` (default) — the fast path: one golden run per workload
-  (memoized on the program), trials forked from mid-run checkpoints via
-  :class:`~repro.faults.scheduler.TrialScheduler`.
-* ``"superblock"`` — checkpoint forking like ``"fork"``, but trial CPUs
-  run the exec-compiled trace dispatcher
-  (:mod:`repro.isa.superblock`), deoptimising to per-instruction
-  stepping only while a fault window is open.
-* ``"replay"`` — fresh CPU per trial on the decode-cached dispatcher
-  (isolates the scheduler when debugging a differential failure).
-* ``"reference"`` — fresh CPU per trial on the original ``isinstance``
-  interpreter; this is the pre-decode-cache engine and the baseline the
-  campaign benches measure speedups against.
+* ``"fork"`` (default) — one golden run per workload (memoized on the
+  program), trials forked from mid-run checkpoints via
+  :class:`~repro.faults.scheduler.TrialScheduler` onto trace-compiled
+  CPUs (:mod:`repro.isa.superblock`): a trial single-steps only while its
+  fault window is open and chains compiled traces either side.
+* ``"reference"`` — a fresh CPU per trial on the original ``isinstance``
+  interpreter: the independent oracle, and the baseline the campaign
+  benches measure speedups against.
 
-All four are result-identical; ``tests/test_engine_equivalence.py``
-enforces it for every device program and scheme.  ``executor`` accepts a
-:class:`~repro.toolchain.executor.CampaignExecutor` to shard trials
-across worker processes.
+Both are result-identical; ``tests/test_engine_equivalence.py`` enforces
+it for every device program and scheme.  ``executor`` accepts a
+:class:`~repro.toolchain.executor.CampaignExecutor` to shard fork-engine
+trials across worker processes.
 """
 
 from __future__ import annotations
@@ -44,18 +40,7 @@ from repro.faults.models import (
 from repro.faults.scheduler import TrialScheduler
 from repro.isa.cpu import ExecutionResult
 
-ENGINES = ("fork", "superblock", "replay", "reference")
-
-#: engines that fork trials off a TrialScheduler checkpoint ladder
-_FORKING_ENGINES = ("fork", "superblock")
-
-
-def _scheduler_kwargs(engine: str, spec) -> dict:
-    """TrialScheduler kwargs selecting the trial-CPU dispatch engine."""
-    kwargs = {} if spec is None else {"spec": spec}
-    if engine == "superblock":
-        kwargs["dispatch"] = "superblock"
-    return kwargs
+ENGINES = ("fork", "reference")
 
 
 @dataclass
@@ -117,12 +102,9 @@ def golden_trace(program: CompiledProgram, function: str, args):
 
 
 def _golden(program, function, args, engine: str) -> ExecutionResult:
-    if engine in _FORKING_ENGINES:
-        return TrialScheduler.for_program(
-            program, function, list(args), **_scheduler_kwargs(engine, None)
-        ).golden
-    dispatch = "reference" if engine == "reference" else "cached"
-    return program.run(function, args, dispatch=dispatch)
+    if engine == "fork":
+        return TrialScheduler.for_program(program, function, list(args)).golden
+    return program.run(function, args, dispatch="reference")
 
 
 def fire_index_of(model, trace) -> int:
@@ -152,9 +134,9 @@ def run_attack(
     with one ``[fire_index, outcome, exit_code]`` row per trial — the raw
     material of :mod:`repro.analysis` vulnerability maps.  The rows are
     engine-independent (fire indices resolve against the golden trace),
-    but on the replay/reference engines recording instantiates the
-    workload's :class:`~repro.faults.scheduler.TrialScheduler` for its
-    trace, so leave it off when isolating those engines.
+    but on the reference engine recording instantiates the workload's
+    :class:`~repro.faults.scheduler.TrialScheduler` for its trace, so
+    leave it off when isolating that engine.
 
     ``spec`` (a :class:`repro.spec.SpecConfig`) runs the golden execution
     and every trial on speculative CPUs; classification then compares the
@@ -162,12 +144,12 @@ def run_attack(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    spec_kwargs = _scheduler_kwargs(engine, spec)
+    spec_kwargs = {} if spec is None else {"spec": spec}
     if executor is not None:
-        if engine not in _FORKING_ENGINES:
+        if engine != "fork":
             raise ValueError(
-                f"executor trials run on the forking engines "
-                f"{_FORKING_ENGINES}; drop executor to use engine={engine!r}"
+                f"executor trials run on the fork engine; drop executor to "
+                f"use engine={engine!r}"
             )
         return executor.run_attack(
             program,
@@ -178,12 +160,11 @@ def run_attack(
             max_cycles=max_cycles,
             record_trials=record_trials,
             spec=spec,
-            engine=engine,
         )
     result = AttackResult(attack_name)
     if record_trials:
         result.records = []
-    if engine in _FORKING_ENGINES:
+    if engine == "fork":
         scheduler = TrialScheduler.for_program(
             program, function, list(args), **spec_kwargs
         )
@@ -200,8 +181,7 @@ def run_attack(
                 )
         result.simulated_cycles = scheduler.stats.simulated_cycles - cycles_before
     else:
-        dispatch = "reference" if engine == "reference" else "cached"
-        golden = program.run(function, args, dispatch=dispatch, spec=spec)
+        golden = program.run(function, args, dispatch="reference", spec=spec)
         trace = (
             TrialScheduler.for_program(
                 program, function, list(args), **spec_kwargs
@@ -211,7 +191,7 @@ def run_attack(
         )
         for model in fault_models:
             cpu = program.prepare_cpu(
-                function, args, pre_hooks=[model.hook()], dispatch=dispatch,
+                function, args, pre_hooks=[model.hook()], dispatch="reference",
                 spec=spec,
             )
             faulted = cpu.run(max_cycles)

@@ -25,8 +25,8 @@ checkpoint, which is exactly a full replay.
 
 Hooks that only act at known absolute dynamic indices additionally carry
 a ``fire_window = (lo, hi)`` attribute (1-based ``dyn_index`` bounds of
-every instruction the hook can observe or mutate).  The superblock
-engine (:mod:`repro.isa.superblock`) uses it to deoptimise to
+every instruction the hook can observe or mutate).  The trace-compiled
+trial CPUs (:mod:`repro.isa.superblock`) use it to deoptimise to
 per-instruction stepping only while the window is open; hooks without
 the attribute — occurrence counters and the ``Repeated*`` models — make
 it fall back to per-instruction stepping for the whole run, which is

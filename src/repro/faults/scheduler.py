@@ -43,6 +43,8 @@ DEFAULT_INTERVAL = 64
 #: Checkpoint-count bound; reaching it doubles the interval and thins the
 #: ladder, so memory stays O(MAX_CHECKPOINTS) for arbitrarily long runs.
 MAX_CHECKPOINTS = 96
+#: Cycle budget of the golden capture.
+GOLDEN_MAX_CYCLES = 10_000_000
 
 
 _EMPTY_INDICES = array("I")
@@ -117,9 +119,10 @@ class SchedulerStats:
     simulated_cycles: int = 0
     checkpoints: int = 0
     interval: int = 0
-    #: compiled traces entered by superblock trials (0 for other engines)
+    #: compiled traces entered by trials
     superblock_blocks: int = 0
-    #: instructions the superblock engine single-stepped (deoptimised)
+    #: instructions trials single-stepped instead of running compiled
+    #: traces (open fault windows, near-timeout tails)
     superblock_deopt_steps: int = 0
 
 
@@ -133,11 +136,8 @@ class TrialScheduler:
         args: list[int],
         interval: int = DEFAULT_INTERVAL,
         max_checkpoints: int = MAX_CHECKPOINTS,
-        golden_max_cycles: int = 10_000_000,
-        reuse_cpu: bool = True,
         record_addrs: bool = True,
         spec=None,
-        dispatch: str = "cached",
     ):
         """``record_addrs=False`` skips the per-retirement address capture
         for non-``bcc`` mnemonics (roughly half the trace memory).
@@ -151,25 +151,21 @@ class TrialScheduler:
         and transient-trace state, so a forked trial reconstructs the
         exact observable digest a full replay would produce.
 
-        ``dispatch`` selects the execution engine for *trial* CPUs
-        (``"cached"`` or ``"superblock"``).  The golden capture always
-        runs the cached engine: it needs ``stop_at_instruction`` and a
-        recording retire hook, under which the superblock engine
-        deoptimises to the identical step loop anyway."""
+        Golden capture runs the decode-cached step loop: it needs
+        ``stop_at_instruction`` and a recording retire hook.  Trials run
+        on a trace-compiled CPU (``dispatch="superblock"``) that
+        single-steps only while a fault window is open."""
         self.program = program
         self.function = function
         self.args = list(args)
         self.spec = spec
-        self.dispatch = dispatch
         self.stats = SchedulerStats()
-        #: Reuse one CPU across trials (dirty pages scrubbed back to the
+        #: One CPU reused across trials (dirty pages scrubbed back to the
         #: pristine image between trials) instead of re-allocating the
         #: 2 MiB address space per trial.  Safe for hooks that go through
         #: CPU.store()/the bundled fault models; a third-party hook that
-        #: pokes ``cpu.memory`` directly must either mark the page in
-        #: ``cpu._dirty_pages`` (as MemoryBitFlip does) or run with
-        #: ``reuse_cpu=False``.
-        self.reuse_cpu = reuse_cpu
+        #: pokes ``cpu.memory`` directly must mark the page in
+        #: ``cpu._dirty_pages`` (as MemoryBitFlip does).
         self._trial_cpu = None
         self._pristine: bytes | None = None
         #: Final ``cpu.dyn_index`` of the most recent trial — where its
@@ -178,9 +174,7 @@ class TrialScheduler:
         #: adversary layer prunes composite trials whose later faults are
         #: timed past this point: they provably cannot fire.
         self.last_trial_end: int | None = None
-        self._capture_golden(
-            interval, max_checkpoints, golden_max_cycles, record_addrs
-        )
+        self._capture_golden(interval, max_checkpoints, record_addrs)
 
     #: Workloads memoized per program; the LRU bound keeps argument sweeps
     #: (thousands of distinct (function, args) pairs, each scheduler
@@ -206,11 +200,7 @@ class TrialScheduler:
 
     # ------------------------------------------------------------------
     def _capture_golden(
-        self,
-        interval: int,
-        max_checkpoints: int,
-        golden_max_cycles: int,
-        record_addrs: bool,
+        self, interval: int, max_checkpoints: int, record_addrs: bool
     ) -> None:
         from repro.target import get_target
 
@@ -243,7 +233,7 @@ class TrialScheduler:
         checkpoints = [cpu.snapshot()]
         while True:
             result = cpu.run(
-                golden_max_cycles, stop_at_instruction=cpu.retired + interval
+                GOLDEN_MAX_CYCLES, stop_at_instruction=cpu.retired + interval
             )
             if result.status is not Status.RUNNING:
                 break
@@ -318,20 +308,13 @@ class TrialScheduler:
         return result
 
     def _fork_cpu(self, snap: CpuSnapshot):
-        """A CPU in exactly the checkpoint's state, ready for one trial."""
-        if not self.reuse_cpu:
-            cpu = self.program.prepare_cpu(
-                self.function, self.args, spec=self.spec,
-                dispatch=self.dispatch,
-            )
-            if snap.retired:
-                cpu.restore(snap)
-            return cpu
+        """The trial CPU in exactly the checkpoint's state, ready for one
+        trial."""
         cpu = self._trial_cpu
         if cpu is None:
             cpu = self.program.prepare_cpu(
                 self.function, self.args, track_pages=True, spec=self.spec,
-                dispatch=self.dispatch,
+                dispatch="superblock",
             )
             self._pristine = bytes(cpu.memory)
             self._trial_cpu = cpu

@@ -66,10 +66,10 @@ class CodeImage:
     _decode_cache: Optional[dict] = field(
         default=None, repr=False, compare=False
     )
-    #: lazily-built superblock tables (basic-block partition + exec-compiled
-    #: block functions per cycle-model/monitor/spec variant), keyed inside
-    #: repro.isa.superblock.  Like the decode cache, shared by every CPU
-    #: running this image and dropped on pickle.
+    #: lazily-built superblock tables (trace partition + trace functions
+    #: compiled one at a time per cycle-model/monitor/spec variant),
+    #: keyed inside repro.isa.superblock.  Like the decode cache, shared
+    #: by every CPU running this image and dropped on pickle.
     _superblock_cache: Optional[dict] = field(
         default=None, repr=False, compare=False
     )

@@ -19,11 +19,13 @@ Three execution paths share identical semantics:
 * ``dispatch="cached"`` (default): instructions are pre-decoded once per
   image into bound handler closures (:mod:`repro.isa.dispatch`); a step is
   a table fetch + call.  Unhooked runs additionally take a fast loop that
-  skips hook iteration entirely.
-* ``dispatch="superblock"``: basic blocks are exec-compiled into single
-  Python functions with registers/flags pinned to locals and a chaining
-  loop between them (:mod:`repro.isa.superblock`); fault-model hooks
-  deoptimise to per-instruction stepping around their fire window.
+  skips hook iteration entirely.  Golden capture and deoptimised
+  stepping run here.
+* ``dispatch="superblock"``: traces are exec-compiled, one at a time on
+  first use, into single Python functions with registers/flags pinned to
+  locals and a chaining loop between them (:mod:`repro.isa.superblock`);
+  fault-model hooks deoptimise to per-instruction stepping around their
+  fire window.  Every forked fault trial runs here.
 * ``dispatch="reference"``: the original ``isinstance``-chain interpreter
   (:meth:`CPU.execute`), kept as the differential oracle — the
   golden-equivalence suite proves all paths produce identical traces.
@@ -203,6 +205,9 @@ class CPU:
         #: compiled blocks chained / deopt single-steps taken.
         self._sb_blocks = 0
         self._sb_steps = 0
+        #: this CPU's trace table variant, looked up on the first
+        #: superblock run (see repro.isa.superblock)
+        self._sb_variant = None
         #: addr -> (handler, instr, width); shared per image.
         self._decode = image.decode_cache()
         self._dirty_pages: Optional[set[int]] = set() if track_pages else None

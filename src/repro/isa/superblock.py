@@ -1,13 +1,13 @@
 """Superblock-threaded execution: exec-compiled trace dispatch.
 
-The third engine tier.  ``dispatch="cached"`` (PR 2) replaced the
-isinstance-chain interpreter with one pre-bound handler call per
-instruction; this module removes the per-instruction loop itself.  At
-image load the decode cache is partitioned into *traces*: one per entry
+The dispatch every forking fault trial runs on.  ``dispatch="cached"``
+replaced the isinstance-chain interpreter with one pre-bound handler
+call per instruction; this module removes the per-instruction loop
+itself.  The decode cache is partitioned into *traces*: one per entry
 point (label, branch target, post-call fall-through), each following the
 fall-through path through conditional branches — a ``Bcc`` becomes a
 *side exit* rather than a trace boundary — and ending at ``B``/``Bl``/
-``BxLr``/``Udf``, anything touching r15, or a length cap.  Every trace
+``BxLr``/``Udf``, anything touching r15, or a length cap.  Each trace
 is compiled — via ``exec`` of generated Python source — into one
 function
 
@@ -40,6 +40,19 @@ The chaining loop (:func:`run_superblock`) then threads traces:
 ``regs[PC]`` is only consulted *between* traces, and a trace is entered
 only when its worst-case cycle bound cannot cross ``max_cycles`` (else
 it is single-stepped, preserving exact timeout behaviour).
+
+Lazy compilation
+----------------
+Traces are compiled one at a time, inside :func:`superblock_tables`.
+The image's partition is built at the first compile, and a trace is
+compiled the first time the chaining loop reaches its entry with no
+fault window open (phase 2 below); while a window is open (phase 1) only
+traces compiled already are entered.  Golden capture (on the cached
+step loop), and any trial that halts before its fault window closes,
+therefore build no partition and compile nothing.  Compiled traces live
+on the image, one table per *variant* (cycle model x CFI monitor x
+speculation window) shared by every CPU of that variant; the table
+never holds a CPU, and each CPU looks its variant up once.
 
 Deoptimisation contract
 -----------------------
@@ -185,11 +198,13 @@ class _Block:
 
 
 class _Partition:
-    __slots__ = ("blocks", "push_counts")
+    __slots__ = ("blocks", "entries")
 
-    def __init__(self, blocks, push_counts):
+    def __init__(self, blocks, entries):
         self.blocks = blocks
-        self.push_counts = push_counts
+        #: entry address -> block, for every block that compiles to a
+        #: trace function
+        self.entries = entries
 
 
 def partition_image(image, traces: bool = True) -> _Partition:
@@ -210,11 +225,8 @@ def partition_image(image, traces: bool = True) -> _Partition:
     items.sort(key=lambda t: t[0])
 
     leaders = set(image.labels.values())
-    push_counts: set[int] = set()
     for addr, instr, width in items:
         cls = type(instr)
-        if cls in (ins.Push, ins.Pop):
-            push_counts.add(len(instr.regs))
         if cls in _BRANCH_LEADERS:
             if instr.target is not None:
                 leaders.add(instr.target)
@@ -228,7 +240,12 @@ def partition_image(image, traces: bool = True) -> _Partition:
         blocks = _build_traces(items, leaders, member)
     else:
         blocks = _build_blocks(items, leaders)
-    return _Partition(blocks, push_counts)
+    # Traces inline their terminators; basic blocks leave them to
+    # single-stepping, so a terminator-only block compiles to nothing.
+    entries = {
+        b.addr: b for b in blocks if b.body or (traces and b.term is not None)
+    }
+    return _Partition(blocks, entries)
 
 
 def _loop_membership(blocks) -> dict:
@@ -436,8 +453,13 @@ def _div_bound(model) -> int:
     return max(12, max(model.div(a, b) for a, b in probes))
 
 
-def _cycle_key(cpu, push_counts) -> tuple:
+def _cycle_key(cpu) -> tuple:
     """Everything the generated code bakes in from the cycle model."""
+    push_counts = {
+        len(instr.regs)
+        for instr in cpu.image.instructions
+        if type(instr) in (ins.Push, ins.Pop)
+    }
     return (
         cpu._c_alu,
         cpu._c_mul,
@@ -1222,119 +1244,160 @@ def _emit_trace(block: _Block, cpu, image, monitor: bool, inline: bool,
     return e
 
 
-def _compile_variant(image, partition: _Partition, cpu, monitor: bool,
-                     inline: bool):
-    """Generate + exec one variant's trace functions.
+#: the globals every generated trace function reads
+_TRACE_GLOBALS = {
+    "_signed": _signed,
+    "_RUNNING": Status.RUNNING,
+    "_EXIT": Status.EXIT,
+    "_FAULT": Status.FAULT_DETECTED,
+    "_ND": set(),  # dirty-page sink for CPUs that do not track pages
+    # default-model div cycles by quotient bit-width (see
+    # CycleModel.div: 2-cycle setup, ~3 result bits per cycle, cap 12)
+    "_DIVC": tuple(min(12, 2 + (q + 2) // 3) for q in range(33)),
+}
 
-    ``monitor``: fold the CFI monitor state advance into the traces.
+
+def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
+                   div_bound: int) -> tuple:
+    """Generate + exec one trace function; returns ``(function, guard
+    count, worst-case cycles of one pass)``.
+
+    ``monitor``: fold the CFI monitor state advance into the trace.
     ``inline``: inline side exits and terminators (disabled when a
     SpecEngine with a non-zero window owns Bcc retirement).
     """
-    div_bound = _div_bound(cpu.cycles_model)
-    parts: list[str] = []
-    meta: list[tuple[int, str, int, int]] = []
-    for block in partition.blocks:
-        term = block.term if inline else None
-        if not block.body and term is None:
-            continue
-        loop = block.loop and inline
-        if loop:
-            # Pass A: discover the full register/flag footprint and the
-            # worst-case single-pass cost; pass B presets both so every
-            # exit publishes everything any iteration may have written.
-            probe = _emit_trace(block, cpu, image, monitor, inline,
-                                loop=True, worst_pass=0, preset=None,
-                                div_bound=div_bound)
-            worst = max(probe.worst, 1)
-            preset = (
-                probe.reads | probe.written,
-                set(probe.written),
-                probe.freads | probe.fwritten,
-                set(probe.fwritten),
-            )
-            e = _emit_trace(block, cpu, image, monitor, inline, loop=True,
-                            worst_pass=worst, preset=preset,
-                            div_bound=div_bound)
-            guard_count = UNBOUNDED
-        else:
-            e = _emit_trace(block, cpu, image, monitor, inline, loop=False,
-                            worst_pass=0, preset=None, div_bound=div_bound)
-            worst = e.worst
-            guard_count = e.count
-        name = f"_t{block.addr:x}"
-        prologue = [f"def {name}(cpu, regs, max_cycles):"]
-        for reg in sorted(e.reads):
-            prologue.append(f"    r{reg} = regs[{reg}]")
-        for flag in ("n", "z", "c", "v"):
-            if flag in e.freads:
-                prologue.append(f"    {flag} = cpu.{flag}")
-        if e.cycles_local:
-            prologue.append("    cycles = cpu.cycles")
-        if "mem" in e.needs:
-            prologue.append("    _mem = cpu.memory")
-            prologue.append("    _ml = len(_mem)")
-            prologue.append(f"    _fast = _ml if _ml <= {MMIO.BASE:#x} else 0")
-        if "fb" in e.needs:
-            prologue.append("    _fb = int.from_bytes")
-        if "dirty" in e.needs:
-            prologue.append("    _dirty = cpu._dirty_pages")
-            prologue.append("    if _dirty is None:")
-            prologue.append("        _dirty = _ND")
-        if "load" in e.needs:
-            prologue.append("    _load = cpu.load")
-        if "store" in e.needs:
-            prologue.append("    _store = cpu.store")
-        if "div" in e.needs:
-            prologue.append("    _div = cpu.cycles_model.div")
-        if "ev" in e.needs:
-            prologue.append("    _ev = cpu._cfi_events")
-        if monitor:
-            prologue.append("    _mon = cpu.monitor")
-            prologue.append("    ms = _mon.state")
-        if loop:
-            prologue.append("    _n = 0")
-            prologue.append("    while True:")
-        parts.extend(prologue)
-        parts.extend(e.lines)
-        parts.append("")
-        meta.append((block.addr, name, guard_count, worst))
-    namespace = {
-        "_signed": _signed,
-        "_RUNNING": Status.RUNNING,
-        "_EXIT": Status.EXIT,
-        "_FAULT": Status.FAULT_DETECTED,
-        "_ND": set(),  # dirty-page sink for CPUs that do not track pages
-        # default-model div cycles by quotient bit-width (see
-        # CycleModel.div: 2-cycle setup, ~3 result bits per cycle, cap 12)
-        "_DIVC": tuple(min(12, 2 + (q + 2) // 3) for q in range(33)),
-    }
-    exec(compile("\n".join(parts), "<superblock>", "exec"), namespace)
-    return {
-        addr: (namespace[name], count, worst)
-        for addr, name, count, worst in meta
-    }
-
-
-def superblock_tables(cpu):
-    """The trace table for ``cpu``'s image/cycle-model/monitor/spec
-    combination, built (and cached on the image) on first use."""
     image = cpu.image
+    loop = block.loop and inline
+    if loop:
+        # Pass A: discover the full register/flag footprint and the
+        # worst-case single-pass cost; pass B presets both so every
+        # exit publishes everything any iteration may have written.
+        probe = _emit_trace(block, cpu, image, monitor, inline,
+                            loop=True, worst_pass=0, preset=None,
+                            div_bound=div_bound)
+        worst = max(probe.worst, 1)
+        preset = (
+            probe.reads | probe.written,
+            set(probe.written),
+            probe.freads | probe.fwritten,
+            set(probe.fwritten),
+        )
+        e = _emit_trace(block, cpu, image, monitor, inline, loop=True,
+                        worst_pass=worst, preset=preset,
+                        div_bound=div_bound)
+        guard_count = UNBOUNDED
+    else:
+        e = _emit_trace(block, cpu, image, monitor, inline, loop=False,
+                        worst_pass=0, preset=None, div_bound=div_bound)
+        worst = e.worst
+        guard_count = e.count
+    name = f"_t{block.addr:x}"
+    prologue = [f"def {name}(cpu, regs, max_cycles):"]
+    for reg in sorted(e.reads):
+        prologue.append(f"    r{reg} = regs[{reg}]")
+    for flag in ("n", "z", "c", "v"):
+        if flag in e.freads:
+            prologue.append(f"    {flag} = cpu.{flag}")
+    if e.cycles_local:
+        prologue.append("    cycles = cpu.cycles")
+    if "mem" in e.needs:
+        prologue.append("    _mem = cpu.memory")
+        prologue.append("    _ml = len(_mem)")
+        prologue.append(f"    _fast = _ml if _ml <= {MMIO.BASE:#x} else 0")
+    if "fb" in e.needs:
+        prologue.append("    _fb = int.from_bytes")
+    if "dirty" in e.needs:
+        prologue.append("    _dirty = cpu._dirty_pages")
+        prologue.append("    if _dirty is None:")
+        prologue.append("        _dirty = _ND")
+    if "load" in e.needs:
+        prologue.append("    _load = cpu.load")
+    if "store" in e.needs:
+        prologue.append("    _store = cpu.store")
+    if "div" in e.needs:
+        prologue.append("    _div = cpu.cycles_model.div")
+    if "ev" in e.needs:
+        prologue.append("    _ev = cpu._cfi_events")
+    if monitor:
+        prologue.append("    _mon = cpu.monitor")
+        prologue.append("    ms = _mon.state")
+    if loop:
+        prologue.append("    _n = 0")
+        prologue.append("    while True:")
+    namespace = dict(_TRACE_GLOBALS)
+    source = "\n".join(prologue + e.lines)
+    exec(compile(source, "<superblock>", "exec"), namespace)
+    return namespace[name], guard_count, worst
+
+
+class _Variant:
+    """The traces of one image under one cycle model, CFI monitor and
+    speculation window, compiled one at a time and shared by every CPU
+    of that variant."""
+
+    __slots__ = ("inline", "monitor", "div_bound", "traces", "cold")
+
+    def __init__(self, inline: bool, monitor: bool, div_bound: int):
+        self.inline = inline
+        self.monitor = monitor
+        self.div_bound = div_bound
+        #: entry address -> (function, guard count, worst-case cycles)
+        self.traces: dict = {}
+        #: addresses the chaining loop reached that start no trace
+        self.cold: set = set()
+
+
+def _image_cache(image) -> dict:
     cache = image._superblock_cache
     if cache is None:
         cache = image._superblock_cache = {}
-    inline = cpu.spec is None or not cpu.spec.window
-    pkey = "traces" if inline else "blocks"
+    return cache
+
+
+def _variant(cpu) -> _Variant:
+    """``cpu``'s variant: its key is computed on the first call and the
+    variant kept on the CPU."""
+    variant = cpu._sb_variant
+    if variant is None:
+        cache = _image_cache(cpu.image)
+        inline = cpu.spec is None or not cpu.spec.window
+        monitor = cpu.monitor is not None
+        key = (_cycle_key(cpu), monitor, inline)
+        variant = cache.get(key)
+        if variant is None:
+            variant = cache[key] = _Variant(
+                inline, monitor, _div_bound(cpu.cycles_model)
+            )
+        cpu._sb_variant = variant
+    return variant
+
+
+def superblock_tables(cpu, entry: Optional[int] = None) -> dict:
+    """The trace table of ``cpu``'s variant: entry address ->
+    ``(function, guard count, worst-case cycles)``.
+
+    With ``entry``, first compile the trace that starts there unless it
+    is compiled already (the chaining loop's compile-on-demand); without,
+    compile every trace of the image.  The partition is built at the
+    first compile."""
+    variant = _variant(cpu)
+    cache = _image_cache(cpu.image)
+    pkey = "traces" if variant.inline else "blocks"
     partition = cache.get(pkey)
     if partition is None:
-        partition = cache[pkey] = partition_image(image, traces=inline)
-    monitor = cpu.monitor is not None
-    key = (_cycle_key(cpu, partition.push_counts), monitor, inline)
-    table = cache.get(key)
-    if table is None:
-        table = cache[key] = _compile_variant(
-            image, partition, cpu, monitor, inline
-        )
-    return table
+        partition = cache[pkey] = partition_image(cpu.image, traces=variant.inline)
+    traces = variant.traces
+    for addr in partition.entries if entry is None else (entry,):
+        if addr in traces:
+            continue
+        block = partition.entries.get(addr)
+        if block is None:
+            variant.cold.add(addr)
+        else:
+            traces[addr] = _compile_trace(
+                block, cpu, variant.monitor, variant.inline, variant.div_bound
+            )
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -1374,7 +1437,9 @@ def run_superblock(
             cpu._run_fast(max_cycles)
         return
 
-    blocks = superblock_tables(cpu)
+    variant = _variant(cpu)
+    traces = variant.traces
+    cold = variant.cold
     decode = cpu._decode
     regs = cpu.regs
     events = cpu._cfi_events
@@ -1385,15 +1450,16 @@ def run_superblock(
     try:
         if hi_max is not None:
             # Phase 1 — the fault window is still open: per-instruction
-            # stepping with hooks, identical to _run_hooked; traces are
-            # taken opportunistically while they provably stay below the
-            # window (looping traces never qualify).
+            # stepping with hooks, identical to _run_hooked; traces
+            # compiled already are taken opportunistically while they
+            # provably stay below the window (looping traces never
+            # qualify).  Nothing is compiled here.
             while cpu.status is RUNNING and cpu.dyn_index < hi_max:
                 if cpu.cycles >= max_cycles:
                     cpu.status = Status.TIMEOUT
                     return
                 pc = regs[PC]
-                blk = blocks.get(pc)
+                blk = traces.get(pc)
                 if (
                     blk is not None
                     and cpu.dyn_index + blk[1] < lo_min
@@ -1424,16 +1490,19 @@ def run_superblock(
                 if on_retire is not None:
                     on_retire(cpu, instr, list(events))
         # Phase 2 — window closed (or no hooks at all): pure trace
-        # chaining; near-timeout traces and mid-trace entry points
-        # (checkpoint restores) single-step through the decode cache,
-        # which also keeps SpecEngine-wrapped Bcc on its one shared
-        # retire path.
+        # chaining, compiling each trace the first time its entry is
+        # reached; near-timeout traces and addresses that start no trace
+        # (checkpoint restores land mid-trace) single-step through the
+        # decode cache, which also keeps SpecEngine-wrapped Bcc on its
+        # one shared retire path.
         while cpu.status is RUNNING:
             if cpu.cycles >= max_cycles:
                 cpu.status = Status.TIMEOUT
                 return
             pc = regs[PC]
-            blk = blocks.get(pc)
+            blk = traces.get(pc)
+            if blk is None and pc not in cold:
+                blk = superblock_tables(cpu, pc).get(pc)
             # Compiled traces evaluate fused branch conditions inline and
             # never consult the one-shot branch_invert latch; while it is
             # pending, fall to single-stepping (the decode-cache handlers

@@ -5,12 +5,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.backend.driver import CompiledProgram, compile_ir
-from repro.core.params import ProtectionParams
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.minic.lower import lower_program
 from repro.minic.parser import parse
-from repro.toolchain.config import CompileConfig, coerce_config
+from repro.toolchain.config import CompileConfig, require_config
 
 
 def parse_to_ir(source: str, module_name: str = "minic") -> Module:
@@ -21,37 +20,11 @@ def parse_to_ir(source: str, module_name: str = "minic") -> Module:
 
 
 def compile_source(
-    source: str,
-    scheme: Optional[str] = None,
-    params: Optional[ProtectionParams] = None,
-    cfi: Optional[bool] = None,
-    duplication_order: Optional[int] = None,
-    hw_modulo: Optional[bool] = None,
-    operand_checks: Optional[bool] = None,
-    cfi_policy: Optional[str] = None,
-    module_name: Optional[str] = None,
-    *,
-    config: Optional[CompileConfig] = None,
+    source: str, *, config: Optional[CompileConfig] = None
 ) -> CompiledProgram:
-    """Compile MiniC source through the full Figure 3 pipeline.
-
-    The configuration is one :class:`~repro.toolchain.config.CompileConfig`;
-    the individual keyword arguments are a deprecated shim kept for older
-    callers and produce byte-identical output.
-    """
-    config = coerce_config(
-        config,
-        {
-            "scheme": scheme,
-            "params": params,
-            "cfi": cfi,
-            "duplication_order": duplication_order,
-            "hw_modulo": hw_modulo,
-            "operand_checks": operand_checks,
-            "cfi_policy": cfi_policy,
-            "module_name": module_name,
-        },
-        "compile_source",
-    )
+    """Compile MiniC source through the full Figure 3 pipeline under one
+    :class:`~repro.toolchain.config.CompileConfig` (default: the
+    default-constructed config)."""
+    config = require_config(config, "compile_source")
     module = parse_to_ir(source, config.module_name)
     return compile_ir(module, config=config)

@@ -40,12 +40,12 @@ CATALOG: dict[str, tuple[str, str]] = {
     ),
     "repro_engine_superblock_blocks_total": (
         "counter",
-        "Compiled traces entered by superblock-engine trials.",
+        "Compiled traces entered by fork-engine trials.",
     ),
     "repro_engine_superblock_deopt_steps_total": (
         "counter",
-        "Instructions the superblock engine single-stepped (deoptimised "
-        "around open fault windows and near-timeout tails).",
+        "Instructions fork-engine trials single-stepped instead of running "
+        "compiled traces (open fault windows, near-timeout tails).",
     ),
     "repro_engine_batch_retries_total": (
         "counter", "Trial batches resubmitted after a worker-pool rebuild."

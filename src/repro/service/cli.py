@@ -83,9 +83,6 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.jobs import set_default_engine
-
-    set_default_engine(args.engine)
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:
@@ -98,9 +95,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.service.fleet import FleetRunner
-    from repro.service.jobs import set_default_engine
-
-    set_default_engine(args.engine)
 
     runner = FleetRunner(
         f"{args.host}:{args.port}",
@@ -366,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable span tracing and trace persistence "
         "(/metrics and /status counters stay available)",
     )
-    serve.add_argument(
-        "--engine",
-        choices=("fork", "superblock"),
-        default="fork",
-        help="trial engine for campaign execution (results are byte-identical; superblock compiles hot traces for throughput)",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     worker = sub.add_parser(
@@ -398,12 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="exit after completing N shards (default: run until ^C)",
-    )
-    worker.add_argument(
-        "--engine",
-        choices=("fork", "superblock"),
-        default="fork",
-        help="trial engine for campaign execution (results are byte-identical; superblock compiles hot traces for throughput)",
     )
     worker.set_defaults(func=_cmd_worker)
 

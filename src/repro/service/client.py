@@ -30,6 +30,7 @@ import http.client
 import json
 import random
 import time
+import uuid
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
@@ -252,8 +253,10 @@ class ServiceClient:
         self, worker: str, ttl: Optional[float] = None
     ) -> dict[str, Any]:
         """Ask the coordinator for one shard lease:
-        ``{"shard": {...} | null, "retry_after": seconds}``."""
-        payload: dict[str, Any] = {"worker": worker}
+        ``{"shard": {...} | null, "retry_after": seconds}``.  The request
+        id makes the call's retries idempotent: a retry after a lost
+        response gets the same lease back."""
+        payload: dict[str, Any] = {"worker": worker, "request": uuid.uuid4().hex}
         if ttl is not None:
             payload["ttl"] = ttl
         return self._request("POST", "/fleet/lease", payload)

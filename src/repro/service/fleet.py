@@ -96,6 +96,8 @@ class _Shard:
     state: str = "pending"  # pending | leased | done
     worker: Optional[str] = None
     token: Optional[str] = None
+    #: the lease call (client-chosen id) that holds the lease
+    request: Optional[str] = None
     expires: float = 0.0
     attempts: int = 0
     payload: Optional[dict[str, Any]] = None
@@ -203,10 +205,20 @@ class FleetCoordinator:
 
     # -- worker-facing protocol -------------------------------------------
     def lease(
-        self, worker: str, ttl: Optional[float] = None
+        self,
+        worker: str,
+        ttl: Optional[float] = None,
+        request: Optional[str] = None,
     ) -> Optional[dict[str, Any]]:
         """Hand the longest-waiting pending shard to ``worker`` (or
-        ``None`` when there is no work).  Called by ``POST /fleet/lease``."""
+        ``None`` when there is no work).  Called by ``POST /fleet/lease``.
+
+        ``request`` identifies one lease call across its transport
+        retries.  A request that already holds a lease never received
+        the response (dropped, or answered twice on a duplicated
+        request): it gets that lease back, renewed, instead of a second
+        shard while the first expires as a steal that counts against
+        ``max_shard_attempts``."""
         if not worker or worker == LOCAL_WORKER:
             raise JobError(f"invalid fleet worker id {worker!r}")
         ttl = self.lease_ttl if ttl is None else float(ttl)
@@ -215,6 +227,17 @@ class FleetCoordinator:
         with self._cond:
             self._touch_worker_locked(worker, now)
             self._sweep_locked(now)
+            for shard in self._shards.values() if request is not None else ():
+                job = self._jobs.get(shard.job_id)
+                if (
+                    shard.request == request
+                    and shard.state == "leased"
+                    and shard.worker == worker
+                    and job is not None
+                    and job.error is None
+                ):
+                    shard.expires = now + ttl
+                    return self._lease_payload(shard, job, ttl)
             for job in self._jobs.values():
                 if job.error is not None:
                     continue
@@ -225,6 +248,7 @@ class FleetCoordinator:
                     shard.state = "leased"
                     shard.worker = worker
                     shard.token = f"{worker}:{self._token_seq}"
+                    shard.request = request
                     shard.expires = now + ttl
                     self.stats.leases += 1
                     job.emit(
@@ -238,17 +262,21 @@ class FleetCoordinator:
                             "attempt": shard.attempts + 1,
                         }
                     )
-                    return {
-                        "shard_id": shard.shard_id,
-                        "job_id": shard.job_id,
-                        "attack_index": shard.index,
-                        "attack": shard.attack,
-                        "suite": shard.suite,
-                        "token": shard.token,
-                        "ttl": ttl,
-                        "job": job.envelope,
-                    }
+                    return self._lease_payload(shard, job, ttl)
         return None
+
+    @staticmethod
+    def _lease_payload(shard: _Shard, job: _FleetJob, ttl: float) -> dict[str, Any]:
+        return {
+            "shard_id": shard.shard_id,
+            "job_id": shard.job_id,
+            "attack_index": shard.index,
+            "attack": shard.attack,
+            "suite": shard.suite,
+            "token": shard.token,
+            "ttl": ttl,
+            "job": job.envelope,
+        }
 
     def heartbeat(
         self,

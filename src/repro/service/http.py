@@ -31,8 +31,9 @@ Method      Path                           Meaning
                                            finished campaigns (same workload,
                                            two schemes)
 ``POST``    ``/fleet/lease``               lease one campaign shard to a fleet
-                                           worker (``{"worker", "ttl"}`` ->
-                                           ``{"shard", "retry_after"}``)
+                                           worker (``{"worker", "ttl",
+                                           "request"}`` -> ``{"shard",
+                                           "retry_after"}``)
 ``POST``    ``/fleet/shards/<id>/``        renew a shard lease (``{"worker",
             ``heartbeat``                  "token", "ttl"}``)
 ``POST``    ``/fleet/shards/<id>/result``  post a shard's result payload (or a
@@ -325,12 +326,15 @@ class ServiceServer:
         worker = data.get("worker")
         if not isinstance(worker, str) or not worker:
             raise JobError("fleet lease needs a 'worker' id")
+        request = data.get("request")
+        if request is not None and not isinstance(request, str):
+            raise JobError("fleet lease 'request' must be a string id")
         fleet = self.scheduler.fleet
         loop = asyncio.get_running_loop()
         # Off-loop: the coordinator lock is also taken by runner threads
         # executing local shards; never let it stall the event loop.
         shard = await loop.run_in_executor(
-            None, fleet.lease, worker, data.get("ttl")
+            None, fleet.lease, worker, data.get("ttl"), request
         )
         await self._respond(
             writer,

@@ -24,7 +24,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
@@ -65,37 +64,6 @@ _RESERVED_SUITE_PARAMS = {
     "record_trials",
     "spec",
 }
-
-
-#: Trial engines a service process may run campaigns on.  Reports are
-#: engine-independent by construction (byte-identical;
-#: ``tests/test_engine_equivalence.py`` enforces it), so the choice is
-#: purely a throughput knob and never part of a job/shard id.
-SERVICE_ENGINES = ("fork", "superblock")
-
-_default_engine = os.environ.get("REPRO_SERVICE_ENGINE", "fork")
-
-
-def set_default_engine(engine: str) -> None:
-    """Select the trial engine this service process runs campaigns on
-    (service CLI: ``--engine``; env: ``REPRO_SERVICE_ENGINE``)."""
-    if engine not in SERVICE_ENGINES:
-        raise JobError(
-            f"unknown service engine {engine!r}; expected one of "
-            f"{SERVICE_ENGINES}"
-        )
-    global _default_engine
-    _default_engine = engine
-
-
-def default_engine() -> str:
-    """The trial engine campaign jobs execute on in this process."""
-    if _default_engine not in SERVICE_ENGINES:
-        raise JobError(
-            f"REPRO_SERVICE_ENGINE={_default_engine!r} is not one of "
-            f"{SERVICE_ENGINES}"
-        )
-    return _default_engine
 
 
 class JobError(ValueError):
@@ -428,11 +396,9 @@ class CampaignJob:
         ``{"shard", "attack", "index", "scheme", "result"}``.
 
         Shard execution is deterministic (fixed golden run, exhaustive
-        fault spaces, a forking engine with per-trial recording), so two
+        fault spaces, the forking engine with per-trial recording), so two
         workers running the same shard produce byte-identical payloads —
-        the property the fleet's idempotent result merge rests on; the
-        engines themselves are result-identical, so a fork worker and a
-        superblock worker can even share one campaign.
+        the property the fleet's idempotent result merge rests on.
         """
         emit = emit or (lambda payload: None)
         spec = self.attacks[index]
@@ -465,7 +431,6 @@ class CampaignJob:
                 program,
                 self.function,
                 list(self.args),
-                engine=default_engine(),
                 record_trials=True,
                 **kwargs,
             )
@@ -488,7 +453,6 @@ class CampaignJob:
                 program,
                 self.function,
                 list(self.args),
-                engine=default_engine(),
                 executor=executor,
                 record_trials=True,
                 **kwargs,

@@ -2,7 +2,7 @@
 
 All predictors share one tiny contract — :meth:`predict`, :meth:`update`,
 plus snapshot/restore for checkpoint forking — and are deterministic pure
-state machines, so every campaign engine (fork, replay, reference,
+state machines, so every campaign engine (fork, reference,
 executor-sharded) reconstructs bit-identical predictions.  ``poison`` is
 the Spectre-BHI entry point: fault models overwrite the global history
 register to alias a victim branch into an attacker-trained pattern; on

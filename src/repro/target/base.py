@@ -3,7 +3,8 @@
 One instance per machine model.  Everything here is *descriptive* — the
 simulator engines stay shared; a target parameterises them (widths,
 cycle model, branch semantics) rather than replacing them, which is what
-keeps the four result-identical engines result-identical per target.
+keeps the result-identical dispatch tiers and campaign engines
+result-identical per target.
 """
 
 from __future__ import annotations

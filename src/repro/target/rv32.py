@@ -17,7 +17,7 @@ What changes relative to ``baseline`` — and what deliberately does not:
   RV32IMC-flavoured pipeline — slower iterative multiply/divide, single
   cycle stores, a 2-cycle taken-branch bubble, cheaper ``jal``/``jr``.
 * **Shared everything else.**  The register file, memory map, MMIO,
-  snapshot schema, CFI retire protocol, and all four execution engines
+  snapshot schema, CFI retire protocol, and every dispatch tier and engine
   are target-independent; Table III therefore compares scheme rankings,
   not simulator implementations.
 """

@@ -203,40 +203,14 @@ class CompileConfig:
         return key
 
 
-def coerce_config(
-    config: Optional[CompileConfig],
-    legacy_kwargs: dict[str, Any],
-    caller: str,
-    stacklevel: int = 3,
-) -> CompileConfig:
-    """Deprecation shim shared by the compile drivers.
-
-    ``legacy_kwargs`` maps old keyword names to the values the caller
-    passed (``None`` meaning "not passed" — no legacy knob ever accepted
-    ``None``).  Passing any legacy kwarg without ``config`` warns and
-    builds an equivalent :class:`CompileConfig`, so both call styles
-    produce byte-identical output; mixing the styles is an error.
-    """
-    import warnings
-
-    supplied = {k: v for k, v in legacy_kwargs.items() if v is not None}
-    if config is not None:
-        if supplied:
-            raise TypeError(
-                f"{caller}: pass either config=CompileConfig(...) or legacy "
-                f"keyword arguments, not both (got {sorted(supplied)})"
-            )
-        if not isinstance(config, CompileConfig):
-            raise TypeError(
-                f"{caller}: config must be a CompileConfig, "
-                f"got {type(config).__name__}"
-            )
-        return config
-    if supplied:
-        warnings.warn(
-            f"{caller}({', '.join(sorted(supplied))}=...) is deprecated; "
-            f"pass config=CompileConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
+def require_config(config: Optional[CompileConfig], caller: str) -> CompileConfig:
+    """``config`` checked for type, or the default configuration when
+    None — the one argument check shared by the compile entry points."""
+    if config is None:
+        return CompileConfig()
+    if not isinstance(config, CompileConfig):
+        raise TypeError(
+            f"{caller}: config must be a CompileConfig, "
+            f"got {type(config).__name__}"
         )
-    return CompileConfig(**supplied)
+    return config

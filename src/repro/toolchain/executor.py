@@ -64,7 +64,6 @@ def _run_batch(
     record_trials=False,
     spec=None,
     collect_metrics=False,
-    engine="fork",
 ):
     from repro.faults.classify import classify
     from repro.faults.isa_campaign import fire_index_of
@@ -74,8 +73,6 @@ def _run_batch(
     # maps indices to addresses, so skip the per-retirement address
     # capture (halves the worker's golden-trace memory).
     spec_kwargs = {} if spec is None else {"spec": spec}
-    if engine == "superblock":
-        spec_kwargs["dispatch"] = "superblock"
     scheduler = TrialScheduler.for_program(
         _WORKER_PROGRAM, function, args, record_addrs=False, **spec_kwargs
     )
@@ -208,13 +205,8 @@ class CampaignExecutor:
         max_cycles: int = 2_000_000,
         record_trials: bool = False,
         spec=None,
-        engine: str = "fork",
     ) -> AttackResult:
         """Shard ``models`` into batches and merge the streamed outcomes.
-
-        ``engine`` selects the worker-side trial dispatcher: ``"fork"``
-        (decode-cached) or ``"superblock"`` (exec-compiled traces); both
-        fork trials from the worker's checkpoint ladder.
 
         ``spec`` (a :class:`repro.spec.SpecConfig` — frozen and built from
         primitives, so it pickles to workers unchanged) runs every
@@ -235,7 +227,7 @@ class CampaignExecutor:
         futures = [
             pool.submit(
                 _run_batch, function, list(args), batch, max_cycles,
-                record_trials, spec, collect_metrics, engine,
+                record_trials, spec, collect_metrics,
             )
             for batch in batches
         ]
@@ -275,7 +267,6 @@ class CampaignExecutor:
                         futures[j] = pool.submit(
                             _run_batch, function, list(args), batches[j],
                             max_cycles, record_trials, spec, collect_metrics,
-                            engine,
                         )
                     continue
                 in_flight = [batches[j] for j in failed]

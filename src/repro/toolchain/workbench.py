@@ -330,9 +330,9 @@ class CampaignBuilder:
         ``executor`` — a :class:`~repro.toolchain.executor.CampaignExecutor`
         (or a worker count, pooled for the duration of this run) to shard
         trials across processes.  ``engine`` forces a trial engine
-        (``"fork"``/``"replay"``/``"reference"``) on the attack suites that
-        support one.  Either is forwarded only to attack functions whose
-        signature accepts the corresponding keyword.
+        (``"fork"`` or ``"reference"``) on the attack suites that support
+        one.  Either is forwarded only to attack functions whose signature
+        accepts the corresponding keyword.
 
         ``service`` — run the campaign on a :mod:`repro.service` instance
         instead of in-process: a

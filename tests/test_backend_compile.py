@@ -21,6 +21,7 @@ from repro.ir import (
 )
 from repro.ir.interp import Interpreter
 from repro.isa import Status
+from repro.toolchain import CompileConfig
 
 SMALL = st.integers(min_value=0, max_value=60000)
 SCHEMES = ["none", "duplication", "ancode"]
@@ -128,7 +129,10 @@ class TestBasicCompilation:
     def test_compare_matches_interpreter(self, scheme, a, b):
         module = build_compare_module("eq")
         expected = Interpreter(module).run("cmp", [a, b]).value
-        program = compile_ir(build_compare_module("eq"), scheme=scheme)
+        program = compile_ir(
+            build_compare_module("eq"),
+            config=CompileConfig(scheme=scheme),
+        )
         result = program.run("cmp", [a, b])
         assert result.status is Status.EXIT
         assert result.exit_code == expected
@@ -136,21 +140,27 @@ class TestBasicCompilation:
     @pytest.mark.parametrize("pred", ["eq", "ne", "ult", "ule", "ugt", "uge"])
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 2), (2, 1)])
     def test_all_predicates_protected(self, pred, a, b):
-        program = compile_ir(build_compare_module(pred), scheme="ancode")
+        program = compile_ir(
+            build_compare_module(pred),
+            config=CompileConfig(scheme="ancode"),
+        )
         oracle = {"eq": a == b, "ne": a != b, "ult": a < b,
                   "ule": a <= b, "ugt": a > b, "uge": a >= b}[pred]
         assert program.run("cmp", [a, b]).exit_code == (100 if oracle else 200)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_loop_sum(self, scheme):
-        program = compile_ir(build_loop_sum_module(), scheme=scheme)
+        program = compile_ir(
+            build_loop_sum_module(),
+            config=CompileConfig(scheme=scheme),
+        )
         result = program.run("sum", [10])
         assert result.status is Status.EXIT
         assert result.exit_code == 45
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_memcmp_equal(self, scheme):
-        program = compile_ir(build_memcmp_module(), scheme=scheme)
+        program = compile_ir(build_memcmp_module(), config=CompileConfig(scheme=scheme))
         assert program.run("memcmp32", [16]).exit_code == 1
 
     def test_memcmp_differs(self):
@@ -161,22 +171,31 @@ class TestBasicCompilation:
             + b"\xff"
             + module.globals["arr_b"].initializer[5:]
         )
-        program = compile_ir(module, scheme="ancode")
+        program = compile_ir(module, config=CompileConfig(scheme="ancode"))
         assert program.run("memcmp32", [16]).exit_code == 0
 
     @pytest.mark.parametrize("cfi", [True, False])
     def test_calls(self, cfi):
-        program = compile_ir(build_call_module(), scheme="none", cfi=cfi)
+        program = compile_ir(
+            build_call_module(),
+            config=CompileConfig(scheme="none", cfi=cfi),
+        )
         assert program.run("main", [2]).exit_code == ((2 + 5) * 3 + 1) * 3
 
     def test_cfi_disabled_compiles_protected(self):
-        program = compile_ir(build_compare_module(), scheme="ancode", cfi=False)
+        program = compile_ir(
+            build_compare_module(),
+            config=CompileConfig(scheme="ancode", cfi=False),
+        )
         assert program.run("cmp", [3, 3]).exit_code == 100
 
     @given(SMALL, SMALL)
     @settings(max_examples=25, deadline=None)
     def test_random_compares_prototype(self, a, b):
-        program = compile_ir(build_compare_module("ule"), scheme="ancode")
+        program = compile_ir(
+            build_compare_module("ule"),
+            config=CompileConfig(scheme="ancode"),
+        )
         assert program.run("cmp", [a, b]).exit_code == (100 if a <= b else 200)
 
 
@@ -184,7 +203,10 @@ class TestCodeShape:
     def test_protected_relational_uses_udiv_mls(self):
         from repro.isa.disasm import instruction_histogram
 
-        program = compile_ir(build_compare_module("ult"), scheme="ancode")
+        program = compile_ir(
+            build_compare_module("ult"),
+            config=CompileConfig(scheme="ancode"),
+        )
         hist = instruction_histogram(program.image, "cmp")
         assert hist.get("udiv", 0) == 1
         assert hist.get("mls", 0) == 1
@@ -192,7 +214,10 @@ class TestCodeShape:
     def test_protected_equality_uses_two_udiv(self):
         from repro.isa.disasm import instruction_histogram
 
-        program = compile_ir(build_compare_module("eq"), scheme="ancode")
+        program = compile_ir(
+            build_compare_module("eq"),
+            config=CompileConfig(scheme="ancode"),
+        )
         hist = instruction_histogram(program.image, "cmp")
         assert hist.get("udiv", 0) == 2
         assert hist.get("mls", 0) == 2
@@ -201,25 +226,40 @@ class TestCodeShape:
         from repro.isa.disasm import instruction_histogram
 
         base = instruction_histogram(
-            compile_ir(build_compare_module(), scheme="none").image, "cmp"
+            compile_ir(
+                build_compare_module(),
+                config=CompileConfig(scheme="none"),
+            ).image, "cmp"
         )
         dup = instruction_histogram(
-            compile_ir(build_compare_module(), scheme="duplication").image, "cmp"
+            compile_ir(
+                build_compare_module(),
+                config=CompileConfig(scheme="duplication"),
+            ).image, "cmp"
         )
         assert dup.get("cmp", 0) >= base.get("cmp", 0) + 10
 
     def test_scheme_size_ordering(self):
         # CFI-only must be smallest; duplication and prototype larger.
         sizes = {
-            scheme: compile_ir(build_compare_module(), scheme=scheme).size_of("cmp")
+            scheme: compile_ir(
+                build_compare_module(),
+                config=CompileConfig(scheme=scheme),
+            ).size_of("cmp")
             for scheme in SCHEMES
         }
         assert sizes["none"] < sizes["duplication"]
         assert sizes["none"] < sizes["ancode"]
 
     def test_hw_modulo_shrinks_prototype(self):
-        normal = compile_ir(build_compare_module("ult"), scheme="ancode")
-        hw = compile_ir(build_compare_module("ult"), scheme="ancode", hw_modulo=True)
+        normal = compile_ir(
+            build_compare_module("ult"),
+            config=CompileConfig(scheme="ancode"),
+        )
+        hw = compile_ir(
+            build_compare_module("ult"),
+            config=CompileConfig(scheme="ancode", hw_modulo=True),
+        )
         assert hw.size_of("cmp") < normal.size_of("cmp")
         from repro.isa.disasm import instruction_histogram
 
@@ -230,7 +270,10 @@ class TestCodeShape:
 
 class TestCFIRuntime:
     def test_clean_run_passes_checks(self):
-        program = compile_ir(build_loop_sum_module(), scheme="ancode")
+        program = compile_ir(
+            build_loop_sum_module(),
+            config=CompileConfig(scheme="ancode"),
+        )
         cpu, result = program.run_cpu("sum", [5])
         assert result.status is Status.EXIT
         monitor = cpu.retire_hooks[0].__self__
@@ -240,18 +283,27 @@ class TestCFIRuntime:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_checks_pass_all_schemes(self, scheme, n):
-        program = compile_ir(build_loop_sum_module(), scheme=scheme)
+        program = compile_ir(
+            build_loop_sum_module(),
+            config=CompileConfig(scheme=scheme),
+        )
         result = program.run("sum", [n])
         assert result.status is Status.EXIT
         assert result.exit_code == n * (n - 1) // 2
 
     def test_memcmp_many_iterations_checks_pass(self):
-        program = compile_ir(build_memcmp_module(), scheme="ancode")
+        program = compile_ir(
+            build_memcmp_module(),
+            config=CompileConfig(scheme="ancode"),
+        )
         cpu, result = program.run_cpu("memcmp32", [16])
         assert result.status is Status.EXIT
 
     def test_calls_with_cfi(self):
-        program = compile_ir(build_call_module(), scheme="none", cfi=True)
+        program = compile_ir(
+            build_call_module(),
+            config=CompileConfig(scheme="none", cfi=True),
+        )
         cpu, result = program.run_cpu("main", [2])
         assert result.status is Status.EXIT
         monitor = cpu.retire_hooks[0].__self__

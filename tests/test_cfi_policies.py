@@ -6,6 +6,7 @@ from repro.backend import compile_ir
 from repro.cfi.gpsa import entry_state, merge, rotl, update
 from repro.isa import Status
 from repro.minic import compile_source
+from repro.toolchain import CompileConfig
 
 from tests.test_backend_compile import (
     build_call_module,
@@ -39,7 +40,8 @@ class TestPolicies:
     @pytest.mark.parametrize("scheme", ("none", "duplication", "ancode"))
     def test_loop_clean_run(self, policy, scheme):
         program = compile_ir(
-            build_loop_sum_module(), scheme=scheme, cfi_policy=policy
+            build_loop_sum_module(),
+            config=CompileConfig(scheme=scheme, cfi_policy=policy),
         )
         result = program.run("sum", [10])
         assert result.status is Status.EXIT
@@ -47,29 +49,44 @@ class TestPolicies:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_calls_clean_run(self, policy):
-        program = compile_ir(build_call_module(), scheme="none", cfi_policy=policy)
+        program = compile_ir(
+            build_call_module(),
+            config=CompileConfig(scheme="none", cfi_policy=policy),
+        )
         assert program.run("main", [2]).status is Status.EXIT
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_memcmp_clean_run(self, policy):
-        program = compile_ir(build_memcmp_module(), scheme="ancode", cfi_policy=policy)
+        program = compile_ir(
+            build_memcmp_module(),
+            config=CompileConfig(scheme="ancode", cfi_policy=policy),
+        )
         assert program.run("memcmp32", [16]).exit_code == 1
 
     def test_edge_policy_costs_more(self):
-        merge_p = compile_ir(build_loop_sum_module(), scheme="ancode", cfi_policy="merge")
-        edge_p = compile_ir(build_loop_sum_module(), scheme="ancode", cfi_policy="edge")
+        merge_p = compile_ir(
+            build_loop_sum_module(),
+            config=CompileConfig(scheme="ancode", cfi_policy="merge"),
+        )
+        edge_p = compile_ir(
+            build_loop_sum_module(),
+            config=CompileConfig(scheme="ancode", cfi_policy="edge"),
+        )
         assert edge_p.code_size > merge_p.code_size
         assert edge_p.run("sum", [10]).cycles > merge_p.run("sum", [10]).cycles
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
-            compile_ir(build_compare_module(), cfi_policy="bogus")
+            compile_ir(build_compare_module(), config=CompileConfig(cfi_policy="bogus"))
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_branch_flip_detected_under_both_policies(self, policy):
         from repro.faults.models import BranchDirectionFlip
 
-        program = compile_ir(build_compare_module("eq"), scheme="ancode", cfi_policy=policy)
+        program = compile_ir(
+            build_compare_module("eq"),
+            config=CompileConfig(scheme="ancode", cfi_policy=policy),
+        )
         cpu = program.prepare_cpu(
             "cmp", [5, 5], pre_hooks=[BranchDirectionFlip(1).hook()]
         )
@@ -83,7 +100,10 @@ class TestPolicies:
 
         module = build_compare_module("eq")
         module.get_function("cmp").attributes.discard("protect_branches")
-        program = compile_ir(module, scheme="none", cfi_policy="edge")
+        program = compile_ir(
+            module,
+            config=CompileConfig(scheme="none", cfi_policy="edge"),
+        )
         cpu = program.prepare_cpu(
             "cmp", [5, 5], pre_hooks=[BranchDirectionFlip(1).hook()]
         )
@@ -95,7 +115,7 @@ class TestPolicies:
 class TestMonitorInternals:
     def test_monitor_counts_checks(self):
         source = "protect u32 f(u32 a) { if (a > 1) { return 2; } return 3; }"
-        program = compile_source(source, scheme="ancode")
+        program = compile_source(source, config=CompileConfig(scheme="ancode"))
         cpu, result = program.run_cpu("f", [5])
         monitor = cpu.retire_hooks[0].__self__
         assert result.status is Status.EXIT
@@ -103,7 +123,7 @@ class TestMonitorInternals:
         assert monitor.violations == 0
 
     def test_monitor_shadow_stack_depth(self):
-        program = compile_ir(build_call_module(), scheme="none")
+        program = compile_ir(build_call_module(), config=CompileConfig(scheme="none"))
         cpu, result = program.run_cpu("main", [1])
         monitor = cpu.retire_hooks[0].__self__
         assert result.status is Status.EXIT
@@ -125,7 +145,7 @@ class TestBenchHarness:
         from repro.bench.harness import MeasurementError, measure
 
         source = "u32 f() { __trap(7); return 0; }"
-        program = compile_source(source, scheme="none")
+        program = compile_source(source, config=CompileConfig(scheme="none"))
         with pytest.raises(MeasurementError):
             measure(program, "f", [])
 

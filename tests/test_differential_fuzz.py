@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.minic import compile_source
+from repro.toolchain import CompileConfig
 
 MASK = 0xFFFFFFFF
 
@@ -63,7 +64,7 @@ class TestExpressionFuzz:
     def test_compiled_expression_matches_oracle(self, tree, a, b):
         text, oracle = tree
         source = f"u32 f(u32 a, u32 b) {{ return {text}; }}"
-        program = compile_source(source, scheme="none")
+        program = compile_source(source, config=CompileConfig(scheme="none"))
         expected = oracle(a, b) & MASK
         assert program.run("f", [a, b]).exit_code == expected
 
@@ -84,7 +85,7 @@ class TestExpressionFuzz:
             "protect u32 f(u32 a, u32 b) { "
             f"if ({left_text} < {right_text}) {{ return 1; }} return 0; }}"
         )
-        program = compile_source(source, scheme="ancode")
+        program = compile_source(source, config=CompileConfig(scheme="ancode"))
         env = {"a": a, "b": b}
         lv = sum(env.get(t, 0) if t in env else int(t) for t in lterms)
         rv = sum(env.get(t, 0) if t in env else int(t) for t in rterms)
@@ -105,8 +106,8 @@ class TestExpressionFuzz:
             "protect u32 f(u32 a, u32 b) { "
             "if (a - b < 100) { return 1; } return 0; }"
         )
-        protected = compile_source(source, scheme="ancode")
-        plain = compile_source(source, scheme="none")
+        protected = compile_source(source, config=CompileConfig(scheme="ancode"))
+        plain = compile_source(source, config=CompileConfig(scheme="none"))
         # a - b = -5: unsigned 0xFFFFFFFB (not < 100); signed -5 (< 100).
         assert plain.run("f", [5, 10]).exit_code == 0
         assert protected.run("f", [5, 10]).exit_code == 1
@@ -119,7 +120,7 @@ class TestExpressionFuzz:
             "protect u32 f(u32 a, u32 b) { "
             "if (a < b) { return 1; } return 0; }"
         )
-        program = compile_source(source, scheme="ancode")
+        program = compile_source(source, config=CompileConfig(scheme="ancode"))
         result = program.run("f", [70000, 0x40000000])
         assert result.status.value in ("cfi-violation", "exit")
         if result.status.value == "exit":
@@ -129,7 +130,7 @@ class TestExpressionFuzz:
     @settings(max_examples=10, deadline=None)
     def test_division_chain(self, a, b):
         source = "u32 f(u32 a, u32 b) { return (a / b) * b + a % b; }"
-        program = compile_source(source, scheme="none")
+        program = compile_source(source, config=CompileConfig(scheme="none"))
         assert program.run("f", [a, b]).exit_code == a
 
     @given(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=8))
@@ -148,17 +149,18 @@ class TestExpressionFuzz:
         """
         expected = sum(values) & MASK
         for scheme in ("none", "duplication", "ancode"):
-            program = compile_source(source, scheme=scheme)
+            program = compile_source(source, config=CompileConfig(scheme=scheme))
             assert program.run("f", []).exit_code == expected, scheme
 
 
 # ---------------------------------------------------------------------------
-# Control-flow skeleton fuzz: three-engine differential oracle
+# Control-flow skeleton fuzz: dispatch-tier and engine differential oracle
 # ---------------------------------------------------------------------------
 # Random programs made of the shapes that stress the superblock trace
 # compiler — nested ifs (side exits), bounded loops (back edges and trace
 # re-entry), early returns (mid-trace exits) — are run on every dispatch
-# tier and under a single-fault campaign on every engine.  There is no
+# tier and under a single-fault campaign on both engines (the
+# trace-compiled fork engine and the reference oracle).  There is no
 # Python oracle here: the engines *are* each other's oracle, and any
 # mismatch is a reproducible seed.
 #
@@ -179,7 +181,6 @@ import random
 
 from repro.faults.isa_campaign import run_attack
 from repro.faults.models import BranchDirectionFlip, InstructionSkip
-from repro.toolchain import CompileConfig
 
 CFG_SEEDS = range(10)
 CFG_SCHEMES = ("none", "ancode")
@@ -275,7 +276,7 @@ def _campaign_tallies(program, args):
     ]
     models += [BranchDirectionFlip(n) for n in range(1, 5)]
     tallies = {}
-    for engine in ("reference", "fork", "superblock"):
+    for engine in ("reference", "fork"):
         result = run_attack(program, "f", args, models, "fuzz", engine=engine)
         tallies[engine] = (result.outcomes, result.trials, result.wrong_codes)
     return tallies
@@ -321,9 +322,7 @@ class TestControlFlowFuzz:
         for scheme in CFG_SCHEMES:
             program = _cfg_compile(source, scheme, target)
             tallies = _campaign_tallies(program, args)
-            assert tallies["reference"] == tallies["fork"] == tallies[
-                "superblock"
-            ], (
+            assert tallies["reference"] == tallies["fork"], (
                 f"seed {seed} scheme {scheme}: campaign tallies diverge "
                 f"{tallies}; repro: reproduce_cfg_seed({seed}, "
                 f"target={target!r})\n{source}"

@@ -10,12 +10,15 @@ Three layers of equivalence, per the PR contract:
   superblock trace compiler;
 * **campaign tallies** — the stock attack suites produce identical
   ``AttackResult`` outcome tallies (and ``wrong_codes``, in order) on the
-  ``reference``, ``replay``, ``fork`` and ``superblock`` engines, and on
-  the parallel :class:`~repro.toolchain.executor.CampaignExecutor`;
+  default ``fork`` engine (checkpoint-forked, trace-compiled trials) and
+  the ``reference`` oracle, and on the parallel
+  :class:`~repro.toolchain.executor.CampaignExecutor`;
 * **individual trials** — checkpoint-forked trials return the *same
   ExecutionResult* (cycles included) as full replays, for every bundled
-  fault-model family, on both forking engines.
+  fault-model family.
 """
+
+import inspect
 
 import pytest
 
@@ -43,7 +46,12 @@ from repro.faults.scheduler import TrialScheduler
 from repro.minic import parse_to_ir
 from repro.minic.driver import compile_source
 from repro.programs import load_source
-from repro.toolchain import CompileConfig, list_schemes, table3_schemes
+from repro.toolchain import (
+    CampaignExecutor,
+    CompileConfig,
+    list_schemes,
+    table3_schemes,
+)
 
 ALL_SCHEMES = list_schemes()
 TABLE3 = table3_schemes()
@@ -187,10 +195,33 @@ class TestCampaignEquivalence:
             load_source(name), config=CompileConfig(scheme=scheme)
         )
         reference = _stock_suite(program, function, args, "reference")
-        replay = _stock_suite(program, function, args, "replay")
         fork = _stock_suite(program, function, args, "fork")
-        superblock = _stock_suite(program, function, args, "superblock")
-        assert reference == replay == fork == superblock
+        assert reference == fork
+
+    @pytest.mark.parametrize("engine", ["superblock", "replay"])
+    def test_only_fork_and_reference_engines(self, engine):
+        program = compile_source(
+            load_source("integer_compare"), config=CompileConfig(scheme="none")
+        )
+        with pytest.raises(ValueError, match=r"\('fork', 'reference'\)"):
+            run_attack(
+                program, "integer_compare", [7, 7], [InstructionSkip(1)],
+                engine=engine,
+            )
+
+    @pytest.mark.parametrize(
+        "owner,knob",
+        [
+            (TrialScheduler, "dispatch"),
+            (TrialScheduler, "reuse_cpu"),
+            (TrialScheduler, "golden_max_cycles"),
+            (CampaignExecutor.run_attack, "engine"),
+        ],
+    )
+    def test_no_engine_knob_above_the_cpu(self, owner, knob):
+        # Trial CPUs always run trace-compiled; nothing above the CPU
+        # selects how.
+        assert knob not in inspect.signature(owner).parameters
 
     def test_windowed_operand_corruption(self):
         program = compile_source(
@@ -204,14 +235,9 @@ class TestCampaignEquivalence:
                     program, "integer_compare", args, window=window, engine=engine
                 )
             )
-            for engine in ("reference", "replay", "fork", "superblock")
+            for engine in ("reference", "fork")
         }
-        assert (
-            tallies["reference"]
-            == tallies["replay"]
-            == tallies["fork"]
-            == tallies["superblock"]
-        )
+        assert tallies["reference"] == tallies["fork"]
 
     @pytest.mark.parametrize("scheme", ["none", "ancode"])
     def test_sha256_strided_campaign_all_engines(self, scheme):
@@ -228,15 +254,15 @@ class TestCampaignEquivalence:
             engine: _tally(
                 run_attack(program, "run_sha", [0], models, "skip", engine=engine)
             )
-            for engine in ("reference", "fork", "superblock")
+            for engine in ("reference", "fork")
         }
-        assert tallies["reference"] == tallies["fork"] == tallies["superblock"]
+        assert tallies["reference"] == tallies["fork"]
 
     def test_adversary_composites_all_engines(self):
         # Composite k=2 trials chain resumed hooks whose fire indices can
         # shift once the first fault diverges the run — exactly the case
-        # that forces the superblock engine to deoptimise for the whole
-        # trial.  The tallies must not move an outcome.
+        # that forces the trace-compiled trial CPU to deoptimise for the
+        # whole trial.  The tallies must not move an outcome.
         from repro.faults.adversary import adversary_sweep
 
         program = compile_source(
@@ -248,9 +274,9 @@ class TestCampaignEquivalence:
                     program, "integer_compare", [7, 7], k=2, engine=engine
                 )
             )
-            for engine in ("reference", "fork", "superblock")
+            for engine in ("reference", "fork")
         }
-        assert tallies["reference"] == tallies["fork"] == tallies["superblock"]
+        assert tallies["reference"] == tallies["fork"]
 
     def test_parallel_executor_matches_serial(self):
         from repro.toolchain import CampaignExecutor
@@ -265,17 +291,7 @@ class TestCampaignEquivalence:
             parallel = run_attack(
                 program, "run_memcmp", [16], models, "skip", executor=executor
             )
-            parallel_superblock = run_attack(
-                program,
-                "run_memcmp",
-                [16],
-                models,
-                "skip",
-                executor=executor,
-                engine="superblock",
-            )
         assert _tally(serial) == _tally(parallel)
-        assert _tally(serial) == _tally(parallel_superblock)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +330,10 @@ class TestTrialEquivalence:
         ],
     )
     def test_fork_equals_replay_per_trial(self, scheme, name, function, args):
+        # Each forked trial single-steps while its fault window is open
+        # and chains compiled traces either side, yet must return the
+        # identical ExecutionResult (cycles included) as a fresh
+        # cached-dispatch replay.
         program = compile_source(
             load_source(name), config=CompileConfig(scheme=scheme)
         )
@@ -323,33 +343,6 @@ class TestTrialEquivalence:
             cpu = program.prepare_cpu(function, args, pre_hooks=[model.hook()])
             replayed = cpu.run(2_000_000)
             assert_same_result(forked, replayed, f"{name}/{scheme}/{model}")
-
-    @pytest.mark.parametrize("scheme", TABLE3)
-    @pytest.mark.parametrize(
-        "name,function,args",
-        [
-            ("integer_compare", "integer_compare", [7, 7]),
-            ("memcmp", "run_memcmp", [8]),
-        ],
-    )
-    def test_superblock_equals_replay_per_trial(self, scheme, name, function, args):
-        # Same zoo, but trials fork onto superblock-dispatch CPUs: each
-        # trial single-steps while its fault window is open and chains
-        # compiled traces either side, yet must return the identical
-        # ExecutionResult (cycles included) as a cached-dispatch replay.
-        program = compile_source(
-            load_source(name), config=CompileConfig(scheme=scheme)
-        )
-        scheduler = TrialScheduler.for_program(
-            program, function, args, dispatch="superblock"
-        )
-        for model in _model_zoo(program, function, args):
-            forked = scheduler.run_trial(model)
-            cpu = program.prepare_cpu(function, args, pre_hooks=[model.hook()])
-            replayed = cpu.run(2_000_000)
-            assert_same_result(
-                forked, replayed, f"{name}/{scheme}/{model}/superblock"
-            )
 
     def test_forced_small_interval_and_thinning(self):
         # A tiny interval with a tight checkpoint budget exercises the
@@ -447,14 +440,9 @@ class TestSpeculativeEquivalence:
                     program, function, args, max_branches=8, engine=engine
                 )
             )
-            for engine in ("reference", "replay", "fork", "superblock")
+            for engine in ("reference", "fork")
         }
-        assert (
-            tallies["reference"]
-            == tallies["replay"]
-            == tallies["fork"]
-            == tallies["superblock"]
-        )
+        assert tallies["reference"] == tallies["fork"]
 
     @pytest.mark.parametrize("predictor", sorted(PREDICTORS))
     def test_golden_dispatch_parity_per_predictor(self, predictor):

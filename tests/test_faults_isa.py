@@ -22,12 +22,13 @@ from repro.faults.isa_campaign import (
 )
 from repro.faults.models import BranchDirectionFlip, InstructionSkip, RegisterBitFlip
 from repro.isa import Status
+from repro.toolchain import CompileConfig
 
 from tests.test_backend_compile import build_compare_module
 
 
 def compile_scheme(scheme, pred="eq"):
-    return compile_ir(build_compare_module(pred), scheme=scheme)
+    return compile_ir(build_compare_module(pred), config=CompileConfig(scheme=scheme))
 
 
 ARGS_EQUAL = [7, 7]
@@ -93,7 +94,8 @@ class TestInstructionSkips:
         # Sanity check of the threat model: without CFI some skip leads to
         # a wrong result or at least executes to completion un-flagged.
         program = compile_ir(
-            build_compare_module("eq"), scheme="none", cfi=False
+            build_compare_module("eq"),
+            config=CompileConfig(scheme="none", cfi=False),
         )
         result = skip_sweep(program, "cmp", [7, 8])
         assert result.outcomes.get(Outcome.DETECTED_CFI, 0) == 0
@@ -122,7 +124,8 @@ class TestOperandCorruption:
         from repro.faults.isa_campaign import encoded_window
 
         program = compile_ir(
-            build_compare_module("eq"), scheme="ancode", operand_checks=True
+            build_compare_module("eq"),
+            config=CompileConfig(scheme="ancode", operand_checks=True),
         )
         args = [7, 8]
         window = encoded_window(program, "cmp", args)
@@ -134,7 +137,8 @@ class TestOperandCorruption:
 
     def test_operand_checks_preserve_semantics(self):
         program = compile_ir(
-            build_compare_module("eq"), scheme="ancode", operand_checks=True
+            build_compare_module("eq"),
+            config=CompileConfig(scheme="ancode", operand_checks=True),
         )
         assert program.run("cmp", [5, 5]).exit_code == 100
         assert program.run("cmp", [5, 6]).exit_code == 200

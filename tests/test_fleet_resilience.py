@@ -154,6 +154,35 @@ class TestCoordinatorProtocol:
             workbench, "integer_compare", "integer_compare", (7, 7), "none"
         )
 
+    def test_lost_lease_response_is_handed_back(self, workbench):
+        # Retries of one lease request whose response was lost (dropped
+        # or duplicated on the wire) get the same lease back, and no
+        # steal counts against the shard; a new request is new work.
+        job = quick_job("integer_compare", "integer_compare", (4, 4), "none")
+        coordinator = FleetCoordinator(lease_ttl=30.0, max_shard_attempts=1)
+        assert coordinator.lease("w1") is None  # register before the job
+        thread, box = self._execute_async(coordinator, job, workbench)
+        lost = self._lease_soon(coordinator, "w1", request="w1-1")
+        for _ in range(3):
+            again = coordinator.lease("w1", request="w1-1")
+            assert (again["shard_id"], again["token"]) == (
+                lost["shard_id"], lost["token"]
+            )
+        other = self._lease_soon(coordinator, "w1", request="w1-2")
+        assert other["shard_id"] != lost["shard_id"]
+        for leased in (lost, other):
+            coordinator.submit_result(
+                leased["shard_id"], "w1",
+                payload=job.run_shard(workbench, leased["attack_index"]),
+                token=leased["token"],
+            )
+        thread.join(timeout=120)
+        assert coordinator.stats.steals == 0
+        assert coordinator.stats.leases == len(job.attacks)
+        assert box["payload"]["report"] == direct_report(
+            workbench, "integer_compare", "integer_compare", (4, 4), "none"
+        )
+
     def test_duplicate_shard_submission_is_noop(self, workbench):
         job = quick_job("integer_compare", "integer_compare", (1, 2), "none")
         coordinator = FleetCoordinator(lease_ttl=30.0)

@@ -8,6 +8,7 @@ from repro.ir.interp import Interpreter, TrapError
 from repro.isa import Status
 from repro.minic import LexError, ParseError, SemanticError, compile_source, parse_to_ir
 from repro.minic.lexer import tokenize
+from repro.toolchain import CompileConfig
 
 
 def interp(source, fn, args):
@@ -242,7 +243,7 @@ class TestCompiledEndToEnd:
 
     @pytest.mark.parametrize("scheme", ["none", "duplication", "ancode"])
     def test_gcd_all_schemes(self, scheme):
-        program = compile_source(self.GCD, scheme=scheme)
+        program = compile_source(self.GCD, config=CompileConfig(scheme=scheme))
         result = program.run("gcd", [12, 18])
         assert result.status is Status.EXIT
         assert result.exit_code == 6
@@ -252,7 +253,7 @@ class TestCompiledEndToEnd:
     def test_gcd_random(self, a, b):
         import math
 
-        program = compile_source(self.GCD, scheme="ancode")
+        program = compile_source(self.GCD, config=CompileConfig(scheme="ancode"))
         assert program.run("gcd", [a, b]).exit_code == math.gcd(a, b)
 
     def test_compiled_matches_interpreter(self):
@@ -273,7 +274,7 @@ class TestCompiledEndToEnd:
         """
         module = parse_to_ir(src)
         expected = Interpreter(module).run("driver", [8, 20]).value
-        program = compile_source(src, scheme="ancode")
+        program = compile_source(src, config=CompileConfig(scheme="ancode"))
         assert program.run("driver", [8, 20]).exit_code == expected == 20
-        program2 = compile_source(src, scheme="duplication")
+        program2 = compile_source(src, config=CompileConfig(scheme="duplication"))
         assert program2.run("driver", [4, 99]).exit_code == 10

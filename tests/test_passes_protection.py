@@ -30,6 +30,7 @@ from repro.passes import (
     promote_memory_to_registers,
 )
 from repro.passes.loop_decoupler import decouple_loops, find_natural_loops
+from repro.toolchain import CompileConfig
 
 SMALL = st.integers(min_value=0, max_value=1000)
 
@@ -306,7 +307,7 @@ class TestANCoder:
 
     def test_loop_protected_end_to_end(self):
         module, _ = build_loop_sum()
-        protect_module(module, scheme="ancode")
+        protect_module(module, config=CompileConfig(scheme="ancode"))
         assert Interpreter(module).run("sum", [10]).value == 45
 
     def test_unprotected_function_untouched(self):
@@ -352,7 +353,7 @@ class TestDuplication:
 
     def test_loop_duplication_semantics(self):
         module, _ = build_loop_sum()
-        protect_module(module, scheme="duplication")
+        protect_module(module, config=CompileConfig(scheme="duplication"))
         assert Interpreter(module).run("sum", [10]).value == 45
 
     def test_order_one_is_noop(self):
@@ -383,16 +384,16 @@ class TestProtectFacade:
     @pytest.mark.parametrize("scheme", ["none", "duplication", "ancode"])
     def test_all_schemes_verify(self, scheme):
         module, _ = build_loop_sum()
-        stats = protect_module(module, scheme=scheme)
+        stats = protect_module(module, config=CompileConfig(scheme=scheme))
         verify_module(module)
         assert Interpreter(module).run("sum", [5]).value == 10
 
     def test_unknown_scheme_rejected(self):
         module, _ = build_loop_sum()
         with pytest.raises(ValueError):
-            protect_module(module, scheme="tmr")
+            protect_module(module, config=CompileConfig(scheme="tmr"))
 
     def test_stats_reported(self):
         module, _ = build_compare_function("eq")
-        stats = protect_module(module, scheme="ancode")
+        stats = protect_module(module, config=CompileConfig(scheme="ancode"))
         assert stats["an-coder"] == 1

@@ -20,6 +20,7 @@ from repro.ir.interp import Interpreter
 from repro.isa import Status
 from repro.minic import parse_to_ir
 from repro.programs import load_source
+from repro.toolchain import CompileConfig
 
 SHA_DRIVER = """
 u8 msg[256];
@@ -53,7 +54,7 @@ class TestDeviceSha256:
 
     def test_compiled_matches_reference(self):
         message = b"The quick brown fox jumps over the lazy dog"
-        program = compile_ir(sha_module(message), scheme="none")
+        program = compile_ir(sha_module(message), config=CompileConfig(scheme="none"))
         expected = sha256_words(message)
         for i in (0, 7):
             assert program.run("run_sha", [i], max_cycles=5_000_000).exit_code == expected[i]
@@ -141,8 +142,7 @@ class TestBootloader:
 
         program = compile_ir(
             prepare_bootloader_module(image),
-            scheme=scheme,
-            params=bootloader_params(),
+            config=CompileConfig(scheme=scheme, params=bootloader_params()),
         )
         result = program.run("bootloader_main", [], max_cycles=30_000_000)
         assert result.status is Status.EXIT
@@ -155,8 +155,7 @@ class TestBootloader:
         evil[0] ^= 1
         program = compile_ir(
             prepare_bootloader_module(image, tamper=bytes(evil)),
-            scheme="ancode",
-            params=bootloader_params(),
+            config=CompileConfig(scheme="ancode", params=bootloader_params()),
         )
         result = program.run("bootloader_main", [], max_cycles=30_000_000)
         assert result.exit_code == BOOT_REJECT

@@ -173,39 +173,15 @@ class TestResultIdentity:
         )
         assert report_to_dict(remote) == report_to_dict(direct)
 
-    def test_service_superblock_engine_identity(self, workbench):
-        """The process-wide engine knob: a service running on the
-        superblock engine must serve reports byte-identical to a direct
-        fork-engine run (the engines are result-identical, so the knob
-        is pure throughput)."""
-        from repro.service.jobs import default_engine, set_default_engine
+    @pytest.mark.parametrize("command", ["serve", "worker"])
+    def test_no_engine_option(self, command, capsys):
+        # Campaigns run on the one fork engine; neither process takes an
+        # engine choice.
+        from repro.service.cli import build_parser
 
-        source = load_source("memcmp")
-        config = CompileConfig(scheme="ancode")
-        direct = (
-            workbench.campaign(source, "run_memcmp", [16], config)
-            .attack(branch_flip_sweep, max_branches=8)
-            .attack(repeated_branch_flip)
-            .run(engine="fork")
-        )
-        previous = default_engine()
-        set_default_engine("superblock")
-        try:
-            with BackgroundService(runners=1) as svc:
-                client = svc.client()
-                job = quick_job("memcmp", "run_memcmp", (16,), "ancode")
-                submitted = client.submit(job)
-                client.wait(submitted["job_id"])
-                result = client.results(submitted["job_id"])
-        finally:
-            set_default_engine(previous)
-        assert report_to_dict(direct) == result["report"]
-
-    def test_engine_knob_rejects_unknown_engines(self):
-        from repro.service.jobs import JobError, set_default_engine
-
-        with pytest.raises(JobError):
-            set_default_engine("warp")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--engine", "fork"])
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_identity_with_process_sharded_trials(self):
         """trial_workers>0: the executor path must merge to the same report."""

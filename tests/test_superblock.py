@@ -1,17 +1,21 @@
-"""The superblock engine's own contract: trace geometry, deoptimisation
-boundaries, and observability.
+"""The trace-compiled trial engine's own contract: trace geometry, lazy
+compilation, deoptimisation boundaries, and observability.
 
-:mod:`tests.test_engine_equivalence` proves the engine byte-identical to
-the others from the outside; this module pins the *mechanism* — that
-traces actually close loops, that a trial forks, deoptimises while its
-fault window is open, fires, and re-enters compiled dispatch, and that
-the engine's obs counters account for exactly that.
+:mod:`tests.test_engine_equivalence` proves the default engine
+byte-identical to the reference oracle from the outside; this module pins
+the *mechanism* — that traces actually close loops, that they compile
+only when a trial reaches them with no fault window open, that a trial
+forks, deoptimises while its fault window is open, fires, and re-enters
+compiled dispatch, and that the engine's obs counters account for
+exactly that.
 """
 
 import pickle
 
 import pytest
 
+import repro.isa.superblock as superblock
+from repro.faults.isa_campaign import run_attack
 from repro.faults.models import (
     FlagFlip,
     InstructionSkip,
@@ -28,6 +32,37 @@ from repro.toolchain import CompileConfig
 
 def _program(name="memcmp", scheme="ancode"):
     return compile_source(load_source(name), config=CompileConfig(scheme=scheme))
+
+
+def _replay(program, function, args, model, dispatch):
+    """A fresh full replay of one trial, no checkpoint, no traces."""
+    cpu = program.prepare_cpu(
+        function, args, pre_hooks=[model.hook()], dispatch=dispatch
+    )
+    return cpu.run(2_000_000)
+
+
+def _compiled(program):
+    """Entry addresses of every trace compiled on the image so far."""
+    cache = program.image._superblock_cache or {}
+    return {
+        addr
+        for key, value in cache.items()
+        if isinstance(value, superblock._Variant)
+        for addr in value.traces
+    }
+
+
+class _WideWindow:
+    """A fault that never fires but keeps its window open past the end
+    of any run: the trial single-steps from fork to halt."""
+
+    def hook(self):
+        def pre(cpu, instr):
+            return False
+
+        pre.fire_window = (1, 1 << 40)
+        return pre
 
 
 # ---------------------------------------------------------------------------
@@ -86,50 +121,117 @@ class TestPartition:
 
 
 # ---------------------------------------------------------------------------
+# Lazy compilation
+# ---------------------------------------------------------------------------
+class TestLazyCompile:
+    def test_golden_capture_builds_no_partition(self):
+        # Golden capture runs the cached step loop; a trial that halts
+        # while its window is still open single-steps to the end.
+        # Neither builds a partition or compiles a trace.
+        program = _program()
+        scheduler = TrialScheduler(program, "run_memcmp", [16])
+        assert program.image._superblock_cache is None
+        result = scheduler.run_trial(_WideWindow())
+        assert result == scheduler.golden
+        cache = program.image._superblock_cache
+        assert "traces" not in cache and "blocks" not in cache
+        assert not _compiled(program)
+
+    def test_phase_one_never_compiles(self, monkeypatch):
+        # Every compile happens with the trial's fault window closed.
+        program = _program()
+        scheduler = TrialScheduler(program, "run_memcmp", [16])
+        at_compile = []
+        real = superblock.superblock_tables
+
+        def spy(cpu, entry=None):
+            hi = max(hook.fire_window[1] for hook in cpu.pre_hooks)
+            at_compile.append((cpu.dyn_index, hi))
+            return real(cpu, entry)
+
+        monkeypatch.setattr(superblock, "superblock_tables", spy)
+        total = scheduler.golden.instructions
+        for index in range(1, total + 1, 5):
+            scheduler.run_trial(InstructionSkip(index))
+        assert at_compile, "no trace was ever compiled"
+        assert all(index >= hi for index, hi in at_compile), at_compile
+        # Only the traces some trial reached got compiled.
+        table = superblock.partition_image(program.image, traces=True)
+        assert 0 < len(_compiled(program)) < len(table.entries)
+
+    def test_reference_oracle_catches_a_planted_lazy_trace_bug(
+        self, monkeypatch
+    ):
+        # The oracle still covers compile-on-demand: charge one extra
+        # cycle in the first trace a campaign compiles, and the per-trial
+        # comparison against the reference interpreter must fail.
+        program = _program()
+        real = superblock._compile_trace
+        planted = []
+
+        def buggy(block, *args):
+            function, count, worst = real(block, *args)
+            if planted:
+                return function, count, worst
+            planted.append(block.addr)
+
+            def charged(cpu, regs, max_cycles):
+                pc = function(cpu, regs, max_cycles)
+                cpu.cycles += 1
+                return pc
+
+            return charged, count, worst
+
+        monkeypatch.setattr(superblock, "_compile_trace", buggy)
+        scheduler = TrialScheduler(program, "run_memcmp", [16])
+        total = scheduler.golden.instructions
+        diverged = []
+        for index in range(1, total + 1, 9):
+            model = InstructionSkip(index)
+            forked = scheduler.run_trial(model)
+            oracle = _replay(program, "run_memcmp", [16], model, "reference")
+            if forked != oracle:
+                diverged.append((index, forked.cycles - oracle.cycles))
+        assert planted, "no trace was compiled"
+        assert diverged, "the reference oracle missed the planted bug"
+
+
+# ---------------------------------------------------------------------------
 # Deoptimisation boundaries
 # ---------------------------------------------------------------------------
 class TestDeoptBoundary:
     def test_fork_deopt_fire_reenter(self):
         # The canonical trial shape: fork from a checkpoint, single-step
         # while the fault window is open, fire, then re-enter compiled
-        # dispatch for the suffix.  Both forking engines must agree on
-        # the full ExecutionResult — cycles included — and the superblock
-        # stats must show both compiled blocks *and* deopt steps.
+        # dispatch for the suffix.  The full ExecutionResult — cycles
+        # included — must equal a fresh full replay on the cached step
+        # loop and the reference engine's, and the stats must show both
+        # compiled blocks *and* deopt steps.
         program = _program()
-        fork = TrialScheduler.for_program(program, "run_memcmp", [16])
-        sblk = TrialScheduler.for_program(
-            program, "run_memcmp", [16], dispatch="superblock"
+        scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
+        model = InstructionSkip(scheduler.golden.instructions // 2)
+        blocks0 = scheduler.stats.superblock_blocks
+        steps0 = scheduler.stats.superblock_deopt_steps
+        result = scheduler.run_trial(model)
+
+        assert result == _replay(program, "run_memcmp", [16], model, "cached")
+        reference = run_attack(
+            program, "run_memcmp", [16], [model], engine="reference",
+            record_trials=True,
         )
-        total = fork.golden.instructions
-        model = InstructionSkip(total // 2)
-
-        shared = ("trials", "forked", "short_circuited",
-                  "simulated_instructions", "simulated_cycles")
-        fork0 = {f: getattr(fork.stats, f) for f in shared}
-        expected = fork.run_trial(model)
-        fork_deltas = {f: getattr(fork.stats, f) - fork0[f] for f in shared}
-
-        blocks0 = sblk.stats.superblock_blocks
-        steps0 = sblk.stats.superblock_deopt_steps
-        sblk0 = {f: getattr(sblk.stats, f) for f in shared}
-        result = sblk.run_trial(model)
-        sblk_deltas = {f: getattr(sblk.stats, f) - sblk0[f] for f in shared}
-
-        assert result == expected
-        # The engine-independent obs counters move identically...
-        assert fork_deltas == sblk_deltas
-        # ...and the superblock-specific ones show the deopt round trip.
-        assert sblk.stats.superblock_blocks > blocks0, "never re-entered traces"
-        assert sblk.stats.superblock_deopt_steps > steps0, "never deoptimised"
+        forked = run_attack(
+            program, "run_memcmp", [16], [model], record_trials=True
+        )
+        assert forked == reference and forked.records == reference.records
+        assert scheduler.stats.superblock_blocks > blocks0, "never re-entered traces"
+        assert scheduler.stats.superblock_deopt_steps > steps0, "never deoptimised"
 
     def test_windowed_trial_steps_only_near_the_window(self):
         # A one-instruction window deep in the run must not force
         # stepping for the whole trial: the deopt steps for that trial
         # stay well under the golden instruction count.
         program = _program()
-        scheduler = TrialScheduler.for_program(
-            program, "run_memcmp", [32], dispatch="superblock"
-        )
+        scheduler = TrialScheduler.for_program(program, "run_memcmp", [32])
         total = scheduler.golden.instructions
         steps0 = scheduler.stats.superblock_deopt_steps
         scheduler.run_trial(InstructionSkip(total - 5))
@@ -138,19 +240,15 @@ class TestDeoptBoundary:
 
     def test_unbounded_hook_falls_back_entirely(self):
         # RepeatedFlagFlip carries no fire window; the engine must run
-        # the whole trial on the hooked step loop (no compiled blocks, no
-        # counted deopt steps) and still match the fork engine exactly.
+        # the whole trial on the hooked step loop (no compiled blocks)
+        # and still match a fresh full replay exactly.
         program = _program()
-        fork = TrialScheduler.for_program(program, "run_memcmp", [16])
-        sblk = TrialScheduler.for_program(
-            program, "run_memcmp", [16], dispatch="superblock"
-        )
+        scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
         model = RepeatedFlagFlip("z")
-        expected = fork.run_trial(model)
-        blocks0 = sblk.stats.superblock_blocks
-        result = sblk.run_trial(model)
-        assert result == expected
-        assert sblk.stats.superblock_blocks == blocks0
+        blocks0 = scheduler.stats.superblock_blocks
+        result = scheduler.run_trial(model)
+        assert result == _replay(program, "run_memcmp", [16], model, "cached")
+        assert scheduler.stats.superblock_blocks == blocks0
 
     @pytest.mark.parametrize("scheme", ["none", "ancode", "duplication"])
     def test_cycle_exact_across_trial_zoo(self, scheme):
@@ -158,11 +256,8 @@ class TestDeoptBoundary:
         # classification depends on it): windowed and unbounded models,
         # early and late windows.
         program = _program(scheme=scheme)
-        fork = TrialScheduler.for_program(program, "run_memcmp", [16])
-        sblk = TrialScheduler.for_program(
-            program, "run_memcmp", [16], dispatch="superblock"
-        )
-        total = fork.golden.instructions
+        scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
+        total = scheduler.golden.instructions
         zoo = [
             InstructionSkip(1),
             InstructionSkip(total // 3),
@@ -172,10 +267,11 @@ class TestDeoptBoundary:
             RepeatedFlagFlip("z"),
         ]
         for model in zoo:
-            expected = fork.run_trial(model)
-            result = sblk.run_trial(model)
-            assert result == expected, f"{scheme}/{model}"
-            assert result.cycles == expected.cycles
+            result = scheduler.run_trial(model)
+            for dispatch in ("cached", "reference"):
+                expected = _replay(program, "run_memcmp", [16], model, dispatch)
+                assert result == expected, f"{scheme}/{model}/{dispatch}"
+                assert result.cycles == expected.cycles
 
     def test_timeout_boundary_sweep(self):
         # Exact timeout behaviour: for every max_cycles cutoff, the
@@ -198,9 +294,7 @@ class TestDeoptBoundary:
 class TestObsCounters:
     def test_scheduler_stats_reach_the_registry(self):
         program = _program()
-        scheduler = TrialScheduler.for_program(
-            program, "run_memcmp", [16], dispatch="superblock"
-        )
+        scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
         total = scheduler.golden.instructions
         for occurrence in (1, total // 2, total):
             scheduler.run_trial(InstructionSkip(occurrence))
@@ -214,9 +308,9 @@ class TestObsCounters:
         assert blocks == scheduler.stats.superblock_blocks > 0
         assert steps == scheduler.stats.superblock_deopt_steps > 0
 
-    def test_fork_engine_reports_no_superblock_activity(self):
+    def test_default_engine_reports_superblock_activity(self):
         program = _program()
         scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
         scheduler.run_trial(InstructionSkip(3))
-        assert scheduler.stats.superblock_blocks == 0
-        assert scheduler.stats.superblock_deopt_steps == 0
+        assert scheduler.stats.superblock_blocks > 0
+        assert scheduler.stats.superblock_deopt_steps > 0

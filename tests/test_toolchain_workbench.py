@@ -1,4 +1,4 @@
-"""Workbench caching, batch compiles, legacy shim, campaign builder."""
+"""Workbench caching, batch compiles, compile argument checks, CampaignBuilder."""
 
 import pytest
 
@@ -20,16 +20,6 @@ protect u32 gate(u32 a) {
     return 0;
 }
 """
-
-
-def image_fingerprint(program):
-    """Byte-level identity of a compiled image: full listing + data."""
-    return (
-        program.image.listing(),
-        program.image.code_size,
-        dict(program.image.function_sizes),
-        [(addr, bytes(data)) for addr, data in program.image.data_image],
-    )
 
 
 class TestCache:
@@ -126,35 +116,14 @@ class TestCache:
             unregister_scheme("test-evolving")
 
 
-class TestLegacyShim:
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="compile_source"):
+class TestCompileDrivers:
+    def test_config_must_be_a_compile_config(self):
+        with pytest.raises(TypeError, match="must be a CompileConfig"):
+            compile_source(COMPARE_SRC, config={"scheme": "ancode"})
+
+    def test_legacy_keywords_are_gone(self):
+        with pytest.raises(TypeError):
             compile_source(COMPARE_SRC, scheme="ancode")
-
-    def test_config_path_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            compile_source(COMPARE_SRC, config=CompileConfig())
-
-    def test_legacy_and_config_outputs_byte_identical(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = compile_source(
-                COMPARE_SRC,
-                scheme="ancode",
-                cfi_policy="edge",
-                duplication_order=6,
-                hw_modulo=False,
-            )
-        modern = compile_source(
-            COMPARE_SRC, config=CompileConfig(scheme="ancode", cfi_policy="edge")
-        )
-        assert image_fingerprint(legacy) == image_fingerprint(modern)
-
-    def test_mixing_styles_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            compile_source(COMPARE_SRC, scheme="ancode", config=CompileConfig())
 
     def test_compile_minic_facade(self):
         import repro
