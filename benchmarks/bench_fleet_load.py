@@ -178,11 +178,9 @@ def test_fleet_dedup_idempotence():
     one duplicate acknowledgement per duplicated shard."""
     dup_jobs = [_job(100 + n) for n in range(4)]
     workbench = Workbench()
-    # runners >= jobs: every job must be in flight at once, because the
-    # worker below deliberately holds all shards leased before answering.
-    with BackgroundService(
-        runners=len(dup_jobs), trial_workers=0, lease_ttl=30.0
-    ) as service:
+    # Every queued job's shards are leasable at once: the worker below
+    # deliberately holds all of them leased before answering.
+    with BackgroundService(runners=1, trial_workers=0, lease_ttl=30.0) as service:
         client = service.client(retry=RETRY)
         client.fleet_lease("dup-worker")  # register before the jobs start
         for job in dup_jobs:

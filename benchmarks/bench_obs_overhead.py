@@ -4,7 +4,8 @@ Two measurements:
 
 * **overhead** — fork-engine campaign throughput with the
   :class:`repro.obs.profile.EngineProfiler` sampling at every attack
-  boundary (exactly what the service's runner slots do) versus the same
+  boundary (more often than the service, which samples once per job)
+  versus the same
   campaign with no observability at all.  The gated ratio compares the
   *best* round of each arm (arm order alternates per round, so neither
   arm systematically eats host-load ramps): metrics-enabled throughput
@@ -60,8 +61,8 @@ def _campaign_once(program, profiler=None):
     """One production-shaped attack: fork engine, per-trial recording —
     and, on the metrics arm, the after-attack profiler sample.  The
     skip sweep covers every instruction, so one campaign is tens of
-    trials over ~10 ms — the sampling granularity the service's runner
-    slots actually see (one registry read per attack, not per trial)."""
+    trials over ~10 ms — one registry read per attack, not per trial, and
+    the service reads once per job."""
     result = ATTACK_SUITES["skip-sweep"](
         program,
         "integer_compare",

@@ -88,10 +88,14 @@ CATALOG: dict[str, tuple[str, str]] = {
     "repro_jobs_deduplicated_store_total": (
         "counter", "Submissions answered from the persistent result store."
     ),
-    "repro_queue_depth": ("gauge", "Jobs waiting on the scheduler queue."),
+    "repro_queue_depth": (
+        "gauge", "Jobs queued with no shard claimed or leased yet."
+    ),
     "repro_jobs_inflight": ("gauge", "Jobs queued or running right now."),
-    "repro_runners": ("gauge", "Configured runner slots."),
-    "repro_trial_workers": ("gauge", "Configured trial worker processes per slot."),
+    "repro_runners": ("gauge", "Runner threads claiming shards locally."),
+    "repro_trial_workers": (
+        "gauge", "Configured trial worker processes per runner thread."
+    ),
     "repro_store_jobs": (
         "gauge", "Jobs in the persistent ledger, by state= label."
     ),
@@ -115,7 +119,7 @@ CATALOG: dict[str, tuple[str, str]] = {
         "counter", "Expired leases returned to the pool (work-stealing)."
     ),
     "repro_fleet_local_shards_total": (
-        "counter", "Shards the coordinator degraded to local execution."
+        "counter", "Shards runner threads ran locally (no remote worker active)."
     ),
     "repro_fleet_resumed_shards_total": (
         "counter", "Shards answered from the store after a restart."

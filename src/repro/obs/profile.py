@@ -6,8 +6,8 @@ hook-free — PR 6's CI gate holds its throughput to spec.  So profiling
 already keeps cheap counters for its own purposes
 (:class:`~repro.faults.scheduler.SchedulerStats`, the Workbench cache
 hit/miss pair, :attr:`CampaignExecutor.batch_retries`), and
-:class:`EngineProfiler` reads them at natural boundaries — after an
-attack, after a batch, on a heartbeat — folding the *deltas* into a
+:class:`EngineProfiler` reads them at natural boundaries — after a
+shard or a job, after a batch, on a heartbeat — folding the *deltas* into a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Sampling at boundaries means the registry always reflects completed
@@ -35,7 +35,7 @@ ENGINE_COUNTERS: dict[str, str] = {
 class EngineProfiler:
     """Folds engine-object counters into a registry, delta-safely.
 
-    One profiler per registry owner (scheduler slot, fleet worker).
+    One profiler per registry owner (job scheduler, fleet worker).
     ``sample_*`` methods are idempotent between engine progress: sampling
     twice adds nothing, so callers can sample opportunistically.
     """
@@ -73,8 +73,8 @@ class EngineProfiler:
             self.registry.gauge("repro_engine_dirty_pages").set(len(dirty))
 
     def sample_program(self, program: Any) -> None:
-        """Sample every scheduler memoized on a compiled program — the
-        after-attack boundary for the in-process fork engine, whose fast
+        """Sample every scheduler memoized on a compiled program — at a
+        job or shard boundary for the in-process fork engine, whose fast
         loop carries no hooks at all."""
         for scheduler in dict(getattr(program, "_schedulers", {}) or {}).values():
             self.sample_scheduler(scheduler)

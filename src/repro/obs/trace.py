@@ -11,7 +11,9 @@ are assembled two ways:
 * **from the event stream**, via :class:`JobTraceRecorder` — the
   scheduler already publishes a deterministic per-job event sequence
   (``attack-started``, ``batch``, ``shard-stolen``, ...); the recorder
-  folds that stream into spans, stamping arrival times.  Nothing on the
+  folds that stream into spans at the times the events were emitted
+  (each emitter stamps its event, since the thread that folds it may
+  only get the interpreter lock much later).  Nothing on the
   engine's fast path is touched: tracing consumes events that exist
   anyway.
 
@@ -90,7 +92,10 @@ class Tracer:
         self._next_id = 1
         self.spans: list[Span] = []
 
-    def _now_ms(self) -> float:
+    def now_ms(self) -> float:
+        """The trace clock, in milliseconds since the epoch.  A thread
+        that hands an event to another for recording stamps it here, and
+        passes the stamp on as ``at_ms``."""
         return round(self._clock() * 1e3, 3)
 
     # -- manual span management (cross-thread safe) -------------------------
@@ -98,33 +103,41 @@ class Tracer:
         self,
         name: str,
         parent: Optional[Span] = None,
+        at_ms: Optional[float] = None,
         **attrs: Any,
     ) -> Span:
         """Open a span with an explicit parent (``None`` = root-level).
         Use this across threads, where the contextvar stack of
-        :meth:`span` does not follow."""
+        :meth:`span` does not follow.  ``at_ms`` (default: now) backdates
+        the start to when the event actually happened."""
         with self._lock:
             span = Span(
                 self._next_id,
                 name,
                 parent.span_id if parent is not None else None,
-                self._now_ms(),
+                self.now_ms() if at_ms is None else at_ms,
                 attrs,
             )
             self._next_id += 1
             self.spans.append(span)
         return span
 
-    def end(self, span: Span, **attrs: Any) -> None:
+    def end(self, span: Span, at_ms: Optional[float] = None, **attrs: Any) -> None:
         with self._lock:
             span.attrs.update(attrs)
             if span.end_ms is None:
-                span.end_ms = self._now_ms()
+                span.end_ms = self.now_ms() if at_ms is None else at_ms
 
-    def add_event(self, span: Span, name: str, **attrs: Any) -> None:
+    def add_event(
+        self, span: Span, name: str, at_ms: Optional[float] = None, **attrs: Any
+    ) -> None:
         with self._lock:
             span.events.append(
-                {"name": name, "at_ms": self._now_ms(), "attrs": attrs}
+                {
+                    "name": name,
+                    "at_ms": self.now_ms() if at_ms is None else at_ms,
+                    "attrs": attrs,
+                }
             )
 
     # -- inline nesting -----------------------------------------------------
@@ -168,10 +181,11 @@ class JobTraceRecorder:
 
     The scheduler feeds every published event (``on_event``) from its
     event-loop thread, so no locking subtleties arise beyond the
-    tracer's own.  The resulting tree::
+    tracer's own; each event carries the stamp its emitter took.  The
+    resulting tree::
 
         job <id>
-        ├── compile            (recorded by the runner thread, explicit parent)
+        ├── compile            (a runner thread compiling for a local shard)
         ├── attack[0] <label>  (attack-started → attack-finished)
         │     • batch ...      (point events, one per merged trial batch)
         │     • shard-stolen / shard-retried / shard-resumed
@@ -200,7 +214,9 @@ class JobTraceRecorder:
             self.tracer.end(span)
 
     # -- event-stream folding -----------------------------------------------
-    def on_event(self, payload: dict[str, Any]) -> None:
+    def on_event(self, payload: dict[str, Any], at_ms: Optional[float] = None) -> None:
+        """Fold one event; ``at_ms`` is its emission stamp
+        (:meth:`Tracer.now_ms`), defaulting to now."""
         kind = payload.get("event")
         if kind == "attack-started":
             index = int(payload.get("index", 0))
@@ -211,6 +227,7 @@ class JobTraceRecorder:
                 self._attacks[index] = self.tracer.start_span(
                     "attack",
                     parent=self.root,
+                    at_ms=at_ms,
                     index=index,
                     attack=payload.get("attack"),
                     suite=payload.get("suite"),
@@ -219,6 +236,7 @@ class JobTraceRecorder:
                 self.tracer.add_event(
                     span,
                     "re-leased",
+                    at_ms=at_ms,
                     worker=payload.get("worker"),
                     attempt=payload.get("attempt"),
                 )
@@ -226,6 +244,7 @@ class JobTraceRecorder:
                 self.tracer.add_event(
                     self._attacks[index],
                     "leased",
+                    at_ms=at_ms,
                     worker=payload.get("worker"),
                     attempt=payload.get("attempt"),
                 )
@@ -236,6 +255,7 @@ class JobTraceRecorder:
                 span = self._attacks[index] = self.tracer.start_span(
                     "attack",
                     parent=self.root,
+                    at_ms=at_ms,
                     index=index,
                     attack=payload.get("attack"),
                 )
@@ -245,13 +265,14 @@ class JobTraceRecorder:
                 for key, value in result.items()
                 if key not in _BULKY_RESULT_FIELDS
             }
-            self.tracer.end(span, worker=payload.get("worker"), **tally)
+            self.tracer.end(span, at_ms=at_ms, worker=payload.get("worker"), **tally)
         elif kind == "batch":
             span = self._attacks.get(self._open_attack_index())
             if span is not None:
                 self.tracer.add_event(
                     span,
                     "batch",
+                    at_ms=at_ms,
                     batches_done=payload.get("batches_done"),
                     trials_done=payload.get("trials_done"),
                     trial_count=payload.get("trial_count"),
@@ -262,14 +283,15 @@ class JobTraceRecorder:
             self.tracer.add_event(
                 span if span is not None else self.root,
                 kind,
+                at_ms=at_ms,
                 worker=payload.get("worker"),
                 attempts=payload.get("attempts"),
                 error=payload.get("error"),
             )
         elif kind in ("queued", "started"):
-            self.tracer.add_event(self.root, kind)
+            self.tracer.add_event(self.root, kind, at_ms=at_ms)
         elif kind in ("finished", "failed", "cancelled"):
-            self.finish(kind, error=payload.get("error"))
+            self.finish(kind, error=payload.get("error"), at_ms=at_ms)
 
     def _open_attack_index(self) -> int:
         for index in sorted(self._attacks, reverse=True):
@@ -277,17 +299,19 @@ class JobTraceRecorder:
                 return index
         return -1
 
-    def finish(self, state: str, error: Optional[str] = None) -> None:
+    def finish(
+        self, state: str, error: Optional[str] = None, at_ms: Optional[float] = None
+    ) -> None:
         if self._finished:
             return
         self._finished = True
         for span in self._attacks.values():
             if span.end_ms is None:
-                self.tracer.end(span, interrupted=True)
+                self.tracer.end(span, at_ms=at_ms, interrupted=True)
         attrs: dict[str, Any] = {"state": state}
         if error:
             attrs["error"] = error
-        self.tracer.end(self.root, **attrs)
+        self.tracer.end(self.root, at_ms=at_ms, **attrs)
 
     def export(self) -> list[dict[str, Any]]:
         return self.tracer.export()

@@ -4,11 +4,12 @@ The serving tier over the compile/attack stack (S13):
 
 * :mod:`repro.service.jobs` — frozen, serialisable job specs
   (:class:`CampaignJob` / :class:`CompileJob`) with stable content-hash
-  job ids and named attack suites;
-* :mod:`repro.service.queue` — prioritised asyncio scheduler
-  (:class:`JobScheduler`): dedup in flight / via the store / via the
-  Workbench compile cache, bounded runner concurrency, per-batch
-  progress events, cancellation;
+  job ids, named attack suites, and the one shard merge every campaign
+  result is built with;
+* :mod:`repro.service.queue` — the job scheduler (:class:`JobScheduler`):
+  dedup in flight / via the store / via the Workbench compile cache,
+  runner threads that claim shards locally, per-batch progress events,
+  cancellation;
 * :mod:`repro.service.store` — SQLite :class:`ResultStore` with schema
   versioning; finished campaigns survive restarts and are never
   re-executed;
@@ -19,9 +20,10 @@ The serving tier over the compile/attack stack (S13):
   (``submit``/``status``/``stream``/``results``) with connect/read
   timeouts and bounded retry-with-backoff (:class:`RetryPolicy`), the
   transport behind ``CampaignBuilder.run(service=...)``;
-* :mod:`repro.service.fleet` — the distributed worker fleet:
-  :class:`FleetCoordinator` (leased shards, heartbeat expiry,
-  work-stealing, idempotent content-keyed results, local degradation)
+* :mod:`repro.service.fleet` — the shard queue and the distributed
+  worker fleet: :class:`FleetCoordinator` (the only queue: shards leased
+  in priority order to remote workers or claimed by runner threads,
+  heartbeat expiry, work-stealing, idempotent content-keyed results)
   and :class:`FleetRunner` (the worker loop behind ``python -m
   repro.service worker``);
 * :mod:`repro.service.chaos` — deterministic fault injection for the

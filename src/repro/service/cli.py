@@ -44,41 +44,29 @@ DEFAULT_PORT = 8731
 # serve
 # ---------------------------------------------------------------------------
 async def _serve(args: argparse.Namespace) -> int:
-    from repro.service.http import ServiceServer
-    from repro.service.queue import JobScheduler
-    from repro.service.store import ResultStore
+    from repro.service.http import serving
 
-    store = ResultStore(args.db)
-    # Phantom-RUNNING sweep: rows a dead coordinator left 'running' go
-    # back to 'queued' before we serve (they resume below, or — with
-    # --no-resume — at least report honestly as pending).
-    recovered = store.recover_interrupted()
-    scheduler = JobScheduler(
-        store=store,
+    async with serving(
+        args.db,
+        host=args.host,
+        port=args.port,
+        resume=args.resume,
         runners=args.runners,
         trial_workers=args.trial_workers,
         lease_ttl=args.lease_ttl,
         observability=args.observability,
-    )
-    await scheduler.start()
-    resumed = scheduler.resume_from_store() if args.resume else 0
-    server = ServiceServer(scheduler, host=args.host, port=args.port)
-    host, port = await server.start()
-    print(
-        f"repro.service listening on http://{host}:{port} "
-        f"(db={args.db}, runners={args.runners}, "
-        f"trial_workers={args.trial_workers}, lease_ttl={args.lease_ttl}s, "
-        f"recovered {recovered}, resumed {resumed} job(s))",
-        flush=True,
-    )
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.close()
-        await scheduler.close()
-        store.close()
+    ) as (server, recovered, resumed):
+        print(
+            f"repro.service listening on http://{server.host}:{server.port} "
+            f"(db={args.db}, runners={args.runners}, "
+            f"trial_workers={args.trial_workers}, lease_ttl={args.lease_ttl}s, "
+            f"recovered {recovered}, resumed {resumed} job(s))",
+            flush=True,
+        )
+        try:
+            await server.serve_forever()
+        except asyncio.CancelledError:
+            pass
     return 0
 
 
@@ -337,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trial-workers",
         type=int,
         default=0,
-        help="processes per runner for trial sharding (0 = in-process)",
+        help="processes per runner thread for trial sharding (0 = in-process)",
     )
     serve.add_argument(
         "--no-resume",

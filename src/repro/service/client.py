@@ -150,27 +150,14 @@ class ServiceClient:
             connection.sock.settimeout(read_timeout)
         return connection
 
-    def _request(
+    def _open(
         self, method: str, path: str, payload: Optional[dict] = None
-    ) -> dict[str, Any]:
-        """One API call with bounded retry-with-backoff on transient
-        failures (see :class:`RetryPolicy`)."""
-        for attempt in range(self.retry.attempts):
-            try:
-                return self._request_once(method, path, payload)
-            except ServiceError as exc:
-                last = attempt == self.retry.attempts - 1
-                if last or not self.retry.should_retry(exc):
-                    raise
-                delay = self.retry.delay(attempt, self._rng)
-                if exc.retry_after is not None:
-                    delay = max(delay, exc.retry_after)
-                time.sleep(min(delay, self.retry.max_delay))
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _request_once(
-        self, method: str, path: str, payload: Optional[dict] = None
-    ) -> dict[str, Any]:
+    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request and return the open connection with its
+        response, once the status says success.  A transport failure
+        raises :class:`ServiceError` without a status; an HTTP error
+        raises it with the status, ``Retry-After`` and the decoded error
+        body.  The caller closes the connection."""
         try:
             connection = self._connect(self.timeout)
         except (ConnectionError, OSError) as exc:
@@ -183,27 +170,66 @@ class ServiceClient:
             try:
                 connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
-                raw = response.read()
+                raw = response.read() if response.status >= 400 else b""
             except (ConnectionError, OSError) as exc:
                 raise ServiceError(
                     f"cannot reach service at {self.host}:{self.port}: {exc}"
                 ) from exc
-            try:
-                data = json.loads(raw.decode() or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ServiceError(
-                    f"service returned non-JSON ({response.status}): {raw[:200]!r}"
-                ) from exc
             if response.status >= 400:
+                try:
+                    data = json.loads(raw.decode())
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    data = None
+                # Keep the whole payload: an error body can carry
+                # structured context (state, fault models) beyond the
+                # one-line "error" message.
+                error_body = data if isinstance(data, dict) else None
                 raise ServiceError(
-                    data.get("error", f"HTTP {response.status}"),
+                    (error_body or {}).get(
+                        "error", f"HTTP {response.status}: {raw[:200]!r}"
+                    ),
                     status=response.status,
                     retry_after=_retry_after(response),
-                    body=data if isinstance(data, dict) else None,
+                    body=error_body,
                 )
-            return data
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        return connection, response
+
+    def _read(self, method: str, path: str, payload: Optional[dict] = None) -> bytes:
+        """One call's full response body, with bounded retry-with-backoff
+        on transient failures (see :class:`RetryPolicy`)."""
+        for attempt in range(self.retry.attempts):
+            try:
+                connection, response = self._open(method, path, payload)
+                try:
+                    return response.read()
+                except (ConnectionError, OSError) as exc:
+                    raise ServiceError(
+                        f"cannot reach service at {self.host}:{self.port}: {exc}"
+                    ) from exc
+                finally:
+                    connection.close()
+            except ServiceError as exc:
+                last = attempt == self.retry.attempts - 1
+                if last or not self.retry.should_retry(exc):
+                    raise
+                delay = self.retry.delay(attempt, self._rng)
+                if exc.retry_after is not None:
+                    delay = max(delay, exc.retry_after)
+                time.sleep(min(delay, self.retry.max_delay))
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def _request(
+        self, method: str, path: str, payload: Optional[dict] = None
+    ) -> dict[str, Any]:
+        """One JSON API call (retried like :meth:`_read`)."""
+        raw = self._read(method, path, payload)
+        try:
+            return json.loads(raw.decode() or "{}")
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ServiceError(f"service returned non-JSON: {raw[:200]!r}") from exc
 
     # -- API ---------------------------------------------------------------
     def service_status(self) -> dict[str, Any]:
@@ -307,49 +333,9 @@ class ServiceClient:
 
     # -- observability -----------------------------------------------------
     def metrics(self) -> str:
-        """The service's Prometheus text exposition (``GET /metrics``).
-
-        Returns the raw scrape body — this endpoint serves
-        ``text/plain``, not JSON, so it bypasses :meth:`_request` (with
-        the same bounded retry on transient failures)."""
-        for attempt in range(self.retry.attempts):
-            try:
-                return self._metrics_once()
-            except ServiceError as exc:
-                last = attempt == self.retry.attempts - 1
-                if last or not self.retry.should_retry(exc):
-                    raise
-                delay = self.retry.delay(attempt, self._rng)
-                if exc.retry_after is not None:
-                    delay = max(delay, exc.retry_after)
-                time.sleep(min(delay, self.retry.max_delay))
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _metrics_once(self) -> str:
-        try:
-            connection = self._connect(self.timeout)
-        except (ConnectionError, OSError) as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.host}:{self.port}: {exc}"
-            ) from exc
-        try:
-            try:
-                connection.request("GET", "/metrics")
-                response = connection.getresponse()
-                raw = response.read()
-            except (ConnectionError, OSError) as exc:
-                raise ServiceError(
-                    f"cannot reach service at {self.host}:{self.port}: {exc}"
-                ) from exc
-            if response.status >= 400:
-                raise ServiceError(
-                    f"HTTP {response.status}: {raw[:200]!r}",
-                    status=response.status,
-                    retry_after=_retry_after(response),
-                )
-            return raw.decode()
-        finally:
-            connection.close()
+        """The service's Prometheus text exposition (``GET /metrics``):
+        the raw scrape body, since this endpoint serves ``text/plain``."""
+        return self._read("GET", "/metrics").decode()
 
     def trace(self, job_id: str) -> list[dict[str, Any]]:
         """The job's span list (``GET /jobs/<id>/trace``) — live spans
@@ -392,53 +378,24 @@ class ServiceClient:
                 )
 
     def _stream_once(self, job_id: str, skip: int = 0) -> Iterator[dict[str, Any]]:
+        connection, response = self._open("GET", f"/jobs/{job_id}/events")
         try:
-            connection = self._connect(self.timeout)
-        except (ConnectionError, OSError) as exc:
+            position = 0
+            for line in response:
+                line = line.strip()
+                if not line:
+                    continue
+                event = json.loads(line.decode())
+                position += 1
+                if position <= skip:
+                    continue  # replayed prefix from before a reconnect
+                yield event
+                if event.get("event") in TERMINAL_EVENTS:
+                    return
+        except (ConnectionError, OSError, http.client.HTTPException) as exc:
             raise ServiceError(
-                f"cannot reach service at {self.host}:{self.port}: {exc}"
+                f"event stream for {job_id} broke mid-read: {exc}"
             ) from exc
-        try:
-            try:
-                connection.request("GET", f"/jobs/{job_id}/events")
-                response = connection.getresponse()
-            except (ConnectionError, OSError) as exc:
-                raise ServiceError(
-                    f"cannot reach service at {self.host}:{self.port}: {exc}"
-                ) from exc
-            if response.status >= 400:
-                raw = response.read()
-                body = None
-                try:
-                    body = json.loads(raw.decode())
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    error = repr(raw[:200])
-                else:
-                    # Keep the whole payload: a failed job's stream error
-                    # carries structured context (state, fault models)
-                    # beyond the one-line "error" message.
-                    if isinstance(body, dict):
-                        error = body.get("error", raw.decode())
-                    else:
-                        error, body = raw.decode(), None
-                raise ServiceError(error, status=response.status, body=body)
-            try:
-                position = 0
-                for line in response:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    event = json.loads(line.decode())
-                    position += 1
-                    if position <= skip:
-                        continue  # replayed prefix from before a reconnect
-                    yield event
-                    if event.get("event") in TERMINAL_EVENTS:
-                        return
-            except (ConnectionError, OSError, http.client.HTTPException) as exc:
-                raise ServiceError(
-                    f"event stream for {job_id} broke mid-read: {exc}"
-                ) from exc
         finally:
             connection.close()
 

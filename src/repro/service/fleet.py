@@ -1,15 +1,16 @@
-"""Worker-fleet protocol: leased shards, heartbeats, work-stealing.
+"""The service's shard queue and the worker-fleet protocol.
 
 One campaign job splits into **shards** — one per attack spec — each
-identified by a content hash (:meth:`CampaignJob.shard_id`).  Remote
-runners pull shards over the existing NDJSON HTTP surface:
+identified by a content hash (:meth:`CampaignJob.shard_id`).  The
+:class:`FleetCoordinator`'s shard table is the service's only queue
+(:meth:`~FleetCoordinator.add_job`); remote :class:`FleetRunner`
+workers take its shards in ``(priority, submission order)`` over HTTP:
 
-1. ``POST /fleet/lease`` — a :class:`FleetRunner` asks for work and
-   receives a shard (the full job envelope + attack index) under a
-   time-limited lease;
-2. ``POST /fleet/shards/<id>/heartbeat`` — the runner renews the lease
-   while the attack executes;
-3. ``POST /fleet/shards/<id>/result`` — the runner posts the shard's
+1. ``POST /fleet/lease`` — a worker receives a shard (the full job
+   envelope + attack index) under a time-limited lease;
+2. ``POST /fleet/shards/<id>/heartbeat`` — it renews the lease while the
+   attack executes;
+3. ``POST /fleet/shards/<id>/result`` — it posts the shard's
    :class:`~repro.faults.isa_campaign.AttackResult` payload (or a
    structured failure naming the in-flight fault models, extending
    :class:`~repro.toolchain.executor.CampaignExecutorError` across the
@@ -28,30 +29,31 @@ Robustness invariants:
   dropped.  Completed shards are persisted *before* the ack, so a
   coordinator crash never loses acknowledged work — on restart the job
   resumes from its stored shards.
-* **Graceful degradation.**  A coordinator with no live workers executes
-  pending shards on its own runner slot (``local_shards`` counter), so
-  an empty or fully-dead fleet is never worse than the single-host
-  service of PR 3.
+* **Graceful degradation.**  While no remote worker is active, the
+  service's runner threads claim shards (:meth:`~FleetCoordinator.
+  run_local`, ``local_shards`` counter), one shard of a job at a time so
+  a locally run job emits its events in attack order: an empty or
+  fully-dead fleet is a single-host service.
 
 The merged report is byte-identical to a single-host run by
-construction: shards are merged in attack-spec order and each shard's
-payload is the same ``attack_result_to_dict`` dict the local path
-produces.
+construction: :func:`~repro.service.jobs.merge_shards` merges shards in
+attack-spec order, and each shard's payload is the same
+``attack_result_to_dict`` dict whoever ran it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry, RegistryStats, snapshot_delta
 from repro.obs.profile import EngineProfiler
-from repro.service.jobs import JobCancelled, JobError
+from repro.service.jobs import JobError, merge_shards
 
-#: Worker name the coordinator uses for shards it degrades to local
-#: execution (never a valid remote worker id).
+#: Worker name the coordinator uses for shards its runner threads claim
+#: (never a valid remote worker id).
 LOCAL_WORKER = "<local>"
 
 #: A shard that failed (worker error report or stolen lease) more than
@@ -69,8 +71,8 @@ class FleetStats(RegistryStats):
     ``duplicates`` counts duplicate shard completions dropped by the
     idempotent merge; ``retries`` worker-reported failures that were
     re-queued; ``steals`` expired leases returned to the pool;
-    ``local_shards`` shards the coordinator executed itself (empty/dead
-    fleet); ``resumed_shards`` shards answered from the store after a
+    ``local_shards`` shards a runner thread ran (no remote worker
+    active); ``resumed_shards`` shards answered from the store after a
     restart.
     """
 
@@ -110,18 +112,26 @@ class _FleetJob:
     envelope: dict[str, Any]
     shards: list[_Shard]
     emit: Callable[[dict[str, Any]], None]
+    on_done: Callable[[Optional[dict[str, Any]], Optional[BaseException]], None]
     scheme_revision: int
-    error: Optional[str] = None
-    done: int = field(default=0)
+    priority: int
+    seq: int
+    done: int = 0
+    #: a ``started`` event was emitted (first claim or lease)
+    started: bool = False
+    #: a runner thread is running one of this job's shards
+    local: bool = False
 
 
 class FleetCoordinator:
     """Owns the shard table; safe to call from the event loop (HTTP
-    handlers) and from runner threads (job execution) concurrently.
+    handlers, submissions) and from runner threads concurrently.
 
-    All state transitions happen under one condition variable; lease
-    expiry is swept lazily on every lease/heartbeat/wait tick, so the
-    coordinator needs no background task of its own.
+    All state transitions happen under one condition variable.  Lease
+    expiry is swept lazily on every lease, heartbeat and runner-thread
+    wake-up, so the coordinator needs no background task of its own.
+    Jobs leave the table when they finish, fail or are cancelled; each
+    finished or failed job is reported once through its ``on_done``.
     """
 
     def __init__(
@@ -129,30 +139,29 @@ class FleetCoordinator:
         store=None,
         *,
         lease_ttl: float = 10.0,
-        worker_ttl: Optional[float] = None,
         max_shard_attempts: int = MAX_SHARD_ATTEMPTS,
         registry: Optional[MetricsRegistry] = None,
     ):
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
         self.store = store
+        #: Also the silence after which a worker no longer counts as
+        #: *active* (the threshold for running shards locally): a live
+        #: worker talks at least that often (heartbeats run at ttl/3).
         self.lease_ttl = lease_ttl
         #: Shared metrics home: the scheduler hands its registry down so
         #: fleet counters, queue counters, and worker rollups land in one
         #: place (a standalone coordinator gets a private registry).
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: A worker silent for longer than this no longer counts as
-        #: *active* — the threshold for degrading shards to local
-        #: execution.  Defaults to the lease TTL: a live worker talks at
-        #: least that often (heartbeats run at ttl/3).
-        self.worker_ttl = worker_ttl if worker_ttl is not None else lease_ttl
         self.max_shard_attempts = max_shard_attempts
         self.stats = FleetStats(self.registry)
         self._cond = threading.Condition()
+        #: Registered jobs in lease order: ``(priority, submission order)``.
         self._jobs: dict[str, _FleetJob] = {}
         self._shards: dict[str, _Shard] = {}
         self._workers: dict[str, float] = {}
         self._token_seq = 0
+        self._job_seq = 0
 
     # -- worker bookkeeping ------------------------------------------------
     def _touch_worker_locked(self, worker: str, now: float) -> None:
@@ -163,45 +172,174 @@ class FleetCoordinator:
             for stale in sorted(self._workers, key=self._workers.get)[:256]:
                 del self._workers[stale]
 
-    def active_workers(self, now: Optional[float] = None) -> list[str]:
-        now = time.monotonic() if now is None else now
-        with self._cond:
-            return [
-                worker
-                for worker, seen in self._workers.items()
-                if now - seen <= self.worker_ttl
-            ]
-
     # -- lazy lease expiry -------------------------------------------------
     def _sweep_locked(self, now: float) -> None:
-        for shard in self._shards.values():
-            if shard.state == "leased" and shard.worker != LOCAL_WORKER and (
-                shard.expires < now
+        stolen = False
+        for shard in list(self._shards.values()):
+            if (
+                shard.state != "leased"
+                or shard.worker == LOCAL_WORKER
+                or shard.expires >= now
+                or shard.job_id not in self._jobs  # failed earlier in this sweep
             ):
-                lost_worker = shard.worker
-                shard.state = "pending"
-                shard.worker = None
-                shard.token = None
-                shard.attempts += 1
-                self.stats.steals += 1
-                job = self._jobs.get(shard.job_id)
-                if job is not None:
-                    job.emit(
+                continue
+            stolen = True
+            job = self._jobs[shard.job_id]
+            job.emit(
+                {
+                    "event": "shard-stolen",
+                    "shard": shard.shard_id,
+                    "attack": shard.attack,
+                    "index": shard.index,
+                    "worker": shard.worker,
+                    "attempts": shard.attempts + 1,
+                }
+            )
+            shard.state = "pending"
+            shard.worker = None
+            shard.token = None
+            shard.attempts += 1
+            self.stats.steals += 1
+            if shard.attempts >= self.max_shard_attempts:
+                self._fail_locked(
+                    job,
+                    JobError(
+                        f"shard {shard.shard_id} ({shard.attack}) lost "
+                        f"{shard.attempts} leases in a row; giving up"
+                    ),
+                )
+        if stolen:
+            # Only a steal makes new work claimable.  An unconditional
+            # notify would let idle runner threads wake each other forever.
+            self._cond.notify_all()
+
+    # -- the queue ---------------------------------------------------------
+    def add_job(
+        self,
+        job,
+        *,
+        emit: Optional[Callable[[dict[str, Any]], None]] = None,
+        on_done: Callable[[Optional[dict[str, Any]], Optional[BaseException]], None],
+        priority: int = 0,
+    ) -> None:
+        """Queue ``job``'s shards; lower ``priority`` numbers go first,
+        ties in submission order.  Shards a previous coordinator stored
+        are resumed, not re-executed.  ``emit`` receives the job's events
+        from whichever thread causes them; ``on_done(payload, error)`` is
+        called once, with one of the two ``None``, when the job merges or
+        fails (within this call when every shard was resumed)."""
+        from repro.service.jobs import _scheme_revision
+
+        emit = emit or (lambda payload: None)
+        job_id = job.job_id()
+        revision = _scheme_revision(job.config)
+        shards = [
+            _Shard(
+                shard_id=job.shard_id(index),
+                job_id=job_id,
+                index=index,
+                attack=spec.default_label,
+                suite=spec.suite,
+            )
+            for index, spec in enumerate(job.attacks)
+        ]
+        stored = self.store.shard_payloads(job_id) if self.store else {}
+        with self._cond:
+            if job_id in self._jobs:
+                raise JobError(f"job {job_id} is already queued on the fleet")
+            self._job_seq += 1
+            fleet_job = _FleetJob(
+                job=job,
+                job_id=job_id,
+                envelope=job.to_dict(),
+                shards=shards,
+                emit=emit,
+                on_done=on_done,
+                scheme_revision=revision,
+                priority=priority,
+                seq=self._job_seq,
+            )
+            self._jobs[job_id] = fleet_job
+            self._jobs = dict(
+                sorted(self._jobs.items(), key=lambda kv: (kv[1].priority, kv[1].seq))
+            )
+            for shard in shards:
+                self._shards[shard.shard_id] = shard
+                row = stored.get(shard.shard_id)
+                # Stale-revision rows (scheme builder replaced since the
+                # shard ran) are ignored and re-executed, mirroring the
+                # scheduler's store-dedup invalidation.
+                if row is not None and row[1] == revision:
+                    shard.payload = row[2]
+                    shard.state = "done"
+                    fleet_job.done += 1
+                    self.stats.resumed_shards += 1
+                    emit(
                         {
-                            "event": "shard-stolen",
+                            "event": "shard-resumed",
                             "shard": shard.shard_id,
                             "attack": shard.attack,
                             "index": shard.index,
-                            "worker": lost_worker,
-                            "attempts": shard.attempts,
                         }
                     )
-                    if shard.attempts >= self.max_shard_attempts:
-                        job.error = (
-                            f"shard {shard.shard_id} ({shard.attack}) lost "
-                            f"{shard.attempts} leases in a row; giving up"
-                        )
-        self._cond.notify_all()
+            if fleet_job.done == len(shards):
+                self._complete_locked(fleet_job)
+            else:
+                self._cond.notify()  # one thread: one shard of a job at a time
+
+    def cancel(self, job_id: str) -> bool:
+        """Drop a job from the queue at once; ``on_done`` is never called
+        for it, and results for its shards in flight are answered as
+        unknown.  Returns whether the job was queued."""
+        with self._cond:
+            job = self._jobs.get(job_id)
+            if job is not None:
+                self._close_locked(job)
+            return job is not None
+
+    def _close_locked(self, job: _FleetJob) -> None:
+        del self._jobs[job.job_id]
+        for shard in job.shards:
+            self._shards.pop(shard.shard_id, None)
+
+    def _complete_locked(self, job: _FleetJob) -> None:
+        self._close_locked(job)
+        self._start_locked(job)
+        try:
+            payload = merge_shards(job.job, [shard.payload for shard in job.shards])
+        except JobError as exc:
+            job.on_done(None, exc)
+        else:
+            job.on_done(payload, None)
+
+    def _fail_locked(self, job: _FleetJob, error: BaseException) -> None:
+        self._close_locked(job)
+        job.on_done(None, error)
+
+    def _start_locked(self, job: _FleetJob) -> None:
+        if not job.started:
+            job.started = True
+            job.emit({"event": "started", "job_id": job.job_id, "kind": job.job.kind})
+
+    def _hand_out_locked(
+        self, job: _FleetJob, shard: _Shard, worker: str, token: str, expires: float
+    ) -> None:
+        shard.state = "leased"
+        shard.worker = worker
+        shard.token = token
+        shard.expires = expires
+        self._start_locked(job)
+        job.emit(
+            {
+                "event": "attack-started",
+                "attack": shard.attack,
+                "suite": shard.suite,
+                "index": shard.index,
+                "of": len(job.shards),
+                "worker": worker,
+                "attempt": shard.attempts + 1,
+            }
+        )
 
     # -- worker-facing protocol -------------------------------------------
     def lease(
@@ -210,8 +348,9 @@ class FleetCoordinator:
         ttl: Optional[float] = None,
         request: Optional[str] = None,
     ) -> Optional[dict[str, Any]]:
-        """Hand the longest-waiting pending shard to ``worker`` (or
-        ``None`` when there is no work).  Called by ``POST /fleet/lease``.
+        """Hand the first pending shard, in ``(priority, submission
+        order)``, to ``worker`` (or ``None`` when there is no work).
+        Called by ``POST /fleet/lease``.
 
         ``request`` identifies one lease call across its transport
         retries.  A request that already holds a lease never received
@@ -228,39 +367,22 @@ class FleetCoordinator:
             self._touch_worker_locked(worker, now)
             self._sweep_locked(now)
             for shard in self._shards.values() if request is not None else ():
-                job = self._jobs.get(shard.job_id)
                 if (
                     shard.request == request
                     and shard.state == "leased"
                     and shard.worker == worker
-                    and job is not None
-                    and job.error is None
                 ):
                     shard.expires = now + ttl
-                    return self._lease_payload(shard, job, ttl)
+                    return self._lease_payload(shard, self._jobs[shard.job_id], ttl)
             for job in self._jobs.values():
-                if job.error is not None:
-                    continue
                 for shard in job.shards:
                     if shard.state != "pending":
                         continue
                     self._token_seq += 1
-                    shard.state = "leased"
-                    shard.worker = worker
-                    shard.token = f"{worker}:{self._token_seq}"
                     shard.request = request
-                    shard.expires = now + ttl
                     self.stats.leases += 1
-                    job.emit(
-                        {
-                            "event": "attack-started",
-                            "attack": shard.attack,
-                            "suite": shard.suite,
-                            "index": shard.index,
-                            "of": len(job.shards),
-                            "worker": worker,
-                            "attempt": shard.attempts + 1,
-                        }
+                    self._hand_out_locked(
+                        job, shard, worker, f"{worker}:{self._token_seq}", now + ttl
                     )
                     return self._lease_payload(shard, job, ttl)
         return None
@@ -321,14 +443,15 @@ class FleetCoordinator:
     ) -> dict[str, Any]:
         """Record a shard completion (idempotently) or a worker-reported
         failure (re-queues the shard and names the in-flight fault
-        models in the job's event stream)."""
+        models in the job's event stream).  The job's last shard merges
+        the result and reports it through ``on_done``."""
         now = time.monotonic()
         with self._cond:
             self._touch_worker_locked(worker, now)
             shard = self._shards.get(shard_id)
             if shard is None:
                 return {"accepted": False, "unknown": True}
-            job = self._jobs.get(shard.job_id)
+            job = self._jobs[shard.job_id]
             if error is not None:
                 return self._record_failure_locked(
                     shard, job, worker, token, error, fault_models
@@ -342,7 +465,7 @@ class FleetCoordinator:
         # store write must not stall lease/heartbeat traffic): a worker
         # whose ack is lost will retry, and the retry lands on the
         # duplicate path above.
-        if self.store is not None and job is not None:
+        if self.store is not None:
             self.store.store_shard(
                 shard_id,
                 shard.job_id,
@@ -361,22 +484,25 @@ class FleetCoordinator:
             shard.state = "done"
             shard.worker = worker
             self.stats.completed += 1
-            job = self._jobs.get(shard.job_id)
-            if job is not None:
-                job.done += 1
-                event_result = dict(payload.get("result") or {})
-                event_result.pop("records", None)
-                job.emit(
-                    {
-                        "event": "attack-finished",
-                        "attack": shard.attack,
-                        "index": shard.index,
-                        "of": len(job.shards),
-                        "result": event_result,
-                        "worker": worker,
-                    }
-                )
-            self._cond.notify_all()
+            job = self._jobs[shard.job_id]
+            job.done += 1
+            # Progress consumers only need the tallies; the per-trial
+            # records stay out of the event stream and the persisted
+            # event log — they live once, in the result.
+            event_result = dict(payload.get("result") or {})
+            event_result.pop("records", None)
+            job.emit(
+                {
+                    "event": "attack-finished",
+                    "attack": shard.attack,
+                    "index": shard.index,
+                    "of": len(job.shards),
+                    "result": event_result,
+                    "worker": worker,
+                }
+            )
+            if job.done == len(job.shards):
+                self._complete_locked(job)
             return {"accepted": True, "duplicate": False}
 
     def _record_failure_locked(
@@ -391,176 +517,92 @@ class FleetCoordinator:
         shard.token = None
         shard.attempts += 1
         self.stats.retries += 1
-        if job is not None:
-            job.emit(
-                {
-                    "event": "shard-retried",
-                    "shard": shard.shard_id,
-                    "attack": shard.attack,
-                    "index": shard.index,
-                    "worker": worker,
-                    "error": error,
-                    "fault_models": list(fault_models or []),
-                    "attempts": shard.attempts,
-                }
-            )
-            if shard.attempts >= self.max_shard_attempts:
-                job.error = (
+        job.emit(
+            {
+                "event": "shard-retried",
+                "shard": shard.shard_id,
+                "attack": shard.attack,
+                "index": shard.index,
+                "worker": worker,
+                "error": error,
+                "fault_models": list(fault_models or []),
+                "attempts": shard.attempts,
+            }
+        )
+        if shard.attempts >= self.max_shard_attempts:
+            self._fail_locked(
+                job,
+                JobError(
                     f"shard {shard.shard_id} ({shard.attack}) failed "
                     f"{shard.attempts} times; last error: {error}"
-                )
-        self._cond.notify_all()
+                ),
+            )
+        else:
+            self._cond.notify()
         return {"accepted": True, "requeued": True}
 
-    # -- coordinator-side job execution -----------------------------------
-    def execute_job(
+    # -- runner threads ----------------------------------------------------
+    def run_local(
         self,
-        job,
-        *,
-        local_run: Callable[[Any, int], dict[str, Any]],
-        emit: Optional[Callable[[dict[str, Any]], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-        poll_interval: float = 0.05,
-    ) -> dict[str, Any]:
-        """Shard ``job``, feed the fleet, and block until every shard is
-        done; returns the merged result payload.
-
-        Runs on a scheduler runner thread.  ``local_run(job, index)``
-        executes one shard in-process (compile + workload lock + attack)
-        — the degradation path used whenever no worker is active.
-        Partial results stored by a previous coordinator incarnation are
-        consumed instead of re-executed.
-        """
-        from repro.service.jobs import _scheme_revision
-
-        emit = emit or (lambda payload: None)
-        should_stop = should_stop or (lambda: False)
-        job_id = job.job_id()
-        revision = _scheme_revision(job.config)
-        shards = [
-            _Shard(
-                shard_id=job.shard_id(index),
-                job_id=job_id,
-                index=index,
-                attack=spec.default_label,
-                suite=spec.suite,
-            )
-            for index, spec in enumerate(job.attacks)
-        ]
-        fleet_job = _FleetJob(
-            job=job,
-            job_id=job_id,
-            envelope=job.to_dict(),
-            shards=shards,
-            emit=emit,
-            scheme_revision=revision,
-        )
-        stored = self.store.shard_payloads(job_id) if self.store else {}
-        with self._cond:
-            if job_id in self._jobs:
-                raise JobError(f"job {job_id} is already executing on the fleet")
-            self._jobs[job_id] = fleet_job
-            for shard in shards:
-                self._shards[shard.shard_id] = shard
-                row = stored.get(shard.shard_id)
-                # Stale-revision rows (scheme builder replaced since the
-                # shard ran) are ignored and re-executed, mirroring the
-                # scheduler's store-dedup invalidation.
-                if row is not None and row[1] == revision:
-                    shard.payload = row[2]
-                    shard.state = "done"
-                    fleet_job.done += 1
-                    self.stats.resumed_shards += 1
-                    emit(
-                        {
-                            "event": "shard-resumed",
-                            "shard": shard.shard_id,
-                            "attack": shard.attack,
-                            "index": shard.index,
-                        }
-                    )
-            self._cond.notify_all()
-        try:
-            while True:
-                claimed = None
-                with self._cond:
-                    now = time.monotonic()
-                    self._sweep_locked(now)
-                    if fleet_job.error is not None:
-                        raise JobError(fleet_job.error)
-                    if should_stop():
-                        raise JobCancelled(
-                            f"cancelled with {fleet_job.done} of "
-                            f"{len(shards)} shards done"
-                        )
-                    if fleet_job.done == len(shards):
-                        break
-                    if not any(
-                        now - seen <= self.worker_ttl
-                        for seen in self._workers.values()
-                    ):
-                        # Degradation: nobody to steal the work, so this
-                        # runner slot does it.  One shard per claim keeps
-                        # the event stream in attack order and lets a
-                        # late-joining worker pick up the rest.
-                        for shard in shards:
-                            if shard.state == "pending":
-                                shard.state = "leased"
-                                shard.worker = LOCAL_WORKER
-                                shard.token = LOCAL_WORKER
-                                shard.expires = float("inf")
-                                emit(
-                                    {
-                                        "event": "attack-started",
-                                        "attack": shard.attack,
-                                        "suite": shard.suite,
-                                        "index": shard.index,
-                                        "of": len(shards),
-                                        "worker": LOCAL_WORKER,
-                                        "attempt": shard.attempts + 1,
-                                    }
-                                )
-                                claimed = shard
-                                break
-                    if claimed is None:
-                        self._cond.wait(poll_interval)
-                        continue
-                payload = local_run(job, claimed.index)
-                self.stats.local_shards += 1
-                self.submit_result(
-                    claimed.shard_id,
-                    LOCAL_WORKER,
-                    payload=payload,
-                    token=LOCAL_WORKER,
-                )
-            return self._merge(fleet_job)
-        finally:
+        execute: Callable[[Any, int, Callable[[dict[str, Any]], None]], dict[str, Any]],
+        stop: threading.Event,
+    ) -> None:
+        """A runner thread's loop: while no remote worker is active,
+        claim pending shards in queue order — never two of one job at
+        once — and run each with ``execute(job, index, emit)``, until
+        ``stop`` is set (then :meth:`wake`).  An exception from
+        ``execute``, or from persisting its result, fails the job."""
+        while True:
             with self._cond:
-                self._jobs.pop(job_id, None)
-                for shard in shards:
-                    self._shards.pop(shard.shard_id, None)
-                self._cond.notify_all()
+                # Checked under the lock that wake() notifies under, so a
+                # stop between this test and the wait cannot be missed.
+                if stop.is_set():
+                    return
+                now = time.monotonic()
+                self._sweep_locked(now)
+                claimed = self._claim_locked(now)
+                if claimed is None:
+                    # New work notifies; lease expiry and a fleet falling
+                    # silent do not, so poll for them while shards exist.
+                    self._cond.wait(self.lease_ttl / 4 if self._shards else None)
+                    continue
+            job, shard = claimed
+            try:
+                payload = execute(job.job, shard.index, job.emit)
+                with self._cond:  # `+=` on a stats counter is read-modify-write
+                    self.stats.local_shards += 1
+                self.submit_result(
+                    shard.shard_id, LOCAL_WORKER, payload=payload, token=shard.token
+                )
+            except Exception as exc:  # noqa: BLE001 — fails the job, not the thread
+                with self._cond:
+                    if self._jobs.get(job.job_id) is job:
+                        self._fail_locked(job, exc)
+            finally:
+                # No notify: this thread claims the job's next shard itself,
+                # and idle threads had nothing else to claim.
+                with self._cond:
+                    job.local = False
 
-    def _merge(self, fleet_job: _FleetJob) -> dict[str, Any]:
-        """Merged result payload, byte-identical to ``CampaignJob.execute``:
-        shards land in attack-spec order regardless of completion order."""
-        payloads = [shard.payload for shard in fleet_job.shards]
-        schemes = {p["scheme"] for p in payloads}
-        if len(schemes) != 1:
-            raise JobError(
-                f"fleet shards disagree on the compiled scheme: "
-                f"{sorted(schemes)} — are all workers running the same "
-                f"scheme registry?"
-            )
-        return {
-            "kind": fleet_job.job.kind,
-            "job_id": fleet_job.job_id,
-            "scheme_revision": fleet_job.scheme_revision,
-            "report": {
-                "scheme": payloads[0]["scheme"],
-                "attacks": {p["attack"]: p["result"] for p in payloads},
-            },
-        }
+    def wake(self) -> None:
+        """Wake every idle :meth:`run_local` thread (to see its ``stop``)."""
+        with self._cond:
+            self._cond.notify_all()
+
+    def _claim_locked(self, now: float) -> Optional[tuple[_FleetJob, _Shard]]:
+        if any(now - seen <= self.lease_ttl for seen in self._workers.values()):
+            return None  # remote workers lease the queue
+        for job in self._jobs.values():
+            if job.local:
+                continue
+            for shard in job.shards:
+                if shard.state == "pending":
+                    job.local = True
+                    self._hand_out_locked(
+                        job, shard, LOCAL_WORKER, LOCAL_WORKER, float("inf")
+                    )
+                    return job, shard
+        return None
 
     # -- introspection -----------------------------------------------------
     def status(self) -> dict[str, Any]:
@@ -573,7 +615,7 @@ class FleetCoordinator:
                 "workers": sorted(
                     worker
                     for worker, seen in self._workers.items()
-                    if now - seen <= self.worker_ttl
+                    if now - seen <= self.lease_ttl
                 ),
                 "lease_ttl": self.lease_ttl,
                 "jobs": len(self._jobs),
@@ -585,19 +627,6 @@ class FleetCoordinator:
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-def _compile_job(workbench, job):
-    """Compile a campaign job the way :meth:`CampaignJob.run_shard` would
-    (same cache key), so the runner holds the program object and can
-    sample its trial schedulers after the shard."""
-    from repro.service.jobs import _decode_initializers
-
-    return workbench.compile(
-        job.source,
-        job.config,
-        initializers=_decode_initializers(job.initializers) or None,
-    )
-
-
 class FleetRunner:
     """A worker-fleet runner: lease, execute, heartbeat, report, repeat.
 
@@ -737,7 +766,7 @@ class FleetRunner:
         try:
             try:
                 job = job_from_dict(shard["job"])
-                program = _compile_job(self.workbench, job)
+                program = job.compile(self.workbench)
                 payload = job.run_shard(
                     self.workbench,
                     shard["attack_index"],

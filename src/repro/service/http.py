@@ -13,8 +13,8 @@ Method      Path                           Meaning
                                            "priority": N}``) -> 202
 ``GET``     ``/jobs``                      recent jobs (``?state=`` filter)
 ``GET``     ``/jobs/<id>``                 one job's status
-``DELETE``  ``/jobs/<id>``                 cancel (queued: immediate; running:
-                                           next attack boundary)
+``DELETE``  ``/jobs/<id>``                 cancel a queued or running job
+                                           (takes effect at once)
 ``GET``     ``/jobs/<id>/events``          **NDJSON stream** — replay of past
                                            events, then live per-attack and
                                            per-batch progress until terminal
@@ -53,7 +53,8 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Optional
+from contextlib import AsyncExitStack, asynccontextmanager
+from typing import Any, AsyncIterator, Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
 import repro
@@ -280,7 +281,7 @@ class ServiceServer:
         text = await loop.run_in_executor(
             None, lambda: scheduler.collect().render_prometheus()
         )
-        await self._respond_text(writer, 200, text)
+        await self._respond(writer, 200, text, headers={"Cache-Control": "no-store"})
 
     async def _trace(self, writer: asyncio.StreamWriter, job_id: str) -> None:
         spans = self.scheduler.trace(job_id)  # raises 404 if unknown
@@ -495,42 +496,61 @@ class ServiceServer:
                 await writer.drain()
 
     @staticmethod
-    async def _respond_text(
-        writer: asyncio.StreamWriter, status: int, text: str
-    ) -> None:
-        """Plain-text response (the Prometheus exposition format is
-        ``text/plain``, not JSON)."""
-        body = text.encode()
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Cache-Control: no-store\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode() + body)
-        await writer.drain()
-
-    @staticmethod
     async def _respond(
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict[str, Any],
+        payload: Union[dict[str, Any], str],
         headers: Optional[dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload).encode()
+        """A JSON response, or plain text for a ``str`` payload (the
+        Prometheus exposition format is ``text/plain``)."""
+        if isinstance(payload, str):
+            body = payload.encode()
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            body = json.dumps(payload).encode()
+            content_type = "application/json"
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in (headers or {}).items()
         )
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
+            f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"{extra}"
             f"Connection: close\r\n\r\n"
         )
         writer.write(head.encode() + body)
         await writer.drain()
+
+
+@asynccontextmanager
+async def serving(
+    db_path: str,
+    *,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    resume: bool = True,
+    **scheduler_options: Any,
+) -> AsyncIterator[tuple[ServiceServer, int, int]]:
+    """Run a whole service for the body of the ``async with``: open the
+    store, sweep phantom ``running`` rows, start the scheduler, resume
+    unfinished jobs and start the HTTP server, then undo each step in
+    reverse.  Yields ``(server, rows swept, jobs resumed)``."""
+    async with AsyncExitStack() as stack:
+        store = stack.enter_context(ResultStore(db_path))
+        # Startup sweep *before* serving: a coordinator killed between
+        # the ledger insert and its first event leaves phantom 'running'
+        # rows — reset them to 'queued' so they resume as PENDING (and
+        # never surface as running work nobody is doing).
+        recovered = store.recover_interrupted()
+        scheduler = await JobScheduler(store=store, **scheduler_options).start()
+        stack.push_async_callback(scheduler.close)
+        resumed = scheduler.resume_from_store() if resume else 0
+        server = ServiceServer(scheduler, host=host, port=port)
+        await server.start()
+        stack.push_async_callback(server.close)
+        yield server, recovered, resumed
 
 
 class BackgroundService:
@@ -624,28 +644,17 @@ class BackgroundService:
     async def _amain(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        store = ResultStore(self.db_path)
-        # Startup sweep *before* serving: a coordinator killed between
-        # the ledger insert and its first event leaves phantom 'running'
-        # rows — reset them to 'queued' so they resume as PENDING (and
-        # never surface as running work nobody is doing).
-        self.recovered_jobs = store.recover_interrupted()
-        self.scheduler = JobScheduler(
-            store=store,
+        async with serving(
+            self.db_path,
+            host=self.host,
+            port=self.port,
+            resume=self.resume,
             runners=self.runners,
             trial_workers=self.trial_workers,
             lease_ttl=self.lease_ttl,
             observability=self.observability,
-        )
-        await self.scheduler.start()
-        if self.resume:
-            self.resumed_jobs = self.scheduler.resume_from_store()
-        server = ServiceServer(self.scheduler, host=self.host, port=self.port)
-        self.host, self.port = await server.start()
-        self._ready.set()
-        try:
+        ) as (server, self.recovered_jobs, self.resumed_jobs):
+            self.scheduler = server.scheduler
+            self.host, self.port = server.host, server.port
+            self._ready.set()
             await self._stop.wait()
-        finally:
-            await server.close()
-            await self.scheduler.close()
-            store.close()

@@ -70,10 +70,6 @@ class JobError(ValueError):
     """A job spec that cannot be built, parsed, or executed."""
 
 
-class JobCancelled(RuntimeError):
-    """Raised inside ``execute`` when the scheduler requests cancellation."""
-
-
 def suite_name_for(attack_fn: Callable) -> str:
     """The wire name of a stock attack suite (reverse registry lookup)."""
     for name, fn in ATTACK_SUITES.items():
@@ -200,8 +196,22 @@ def _freeze_initializers(pairs: Any) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(frozen))
 
 
+class _SourceJob:
+    """What both job kinds share: MiniC source to compile."""
+
+    def compile(self, workbench):
+        """Compile the job's program through ``workbench``.  Every caller
+        (runner threads, fleet workers, vulnerability maps) uses this one
+        cache key, so they share the Workbench's compiled program."""
+        return workbench.compile(
+            self.source,
+            self.config,
+            initializers=_decode_initializers(self.initializers) or None,
+        )
+
+
 @dataclass(frozen=True)
-class CampaignJob:
+class CampaignJob(_SourceJob):
     """A full compile-and-attack campaign as one frozen, serialisable value."""
 
     kind = "campaign"
@@ -318,70 +328,23 @@ class CampaignJob:
         )
 
     # -- execution --------------------------------------------------------
-    def execute(
-        self,
-        workbench,
-        executor=None,
-        emit: Optional[Callable[[dict], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-        program=None,
-    ) -> dict[str, Any]:
-        """Run the campaign synchronously; returns the result payload.
+    def execute(self, workbench, executor=None) -> dict[str, Any]:
+        """Run the campaign synchronously; returns the result payload —
+        every shard in attack order, merged exactly as the service's
+        fleet coordinator merges them.
 
         ``executor`` — an optional
-        :class:`~repro.toolchain.executor.CampaignExecutor` owned
-        exclusively by the calling runner slot (its ``on_batch`` hook is
-        borrowed for the duration of each attack).  ``emit`` receives
-        progress-event dicts; ``should_stop`` is polled between attacks
-        and raises :class:`JobCancelled` when true.  ``program`` lets a
-        caller that already compiled (e.g. to key a workload lock on the
-        exact program object) pin the execution target; re-consulting the
-        cache here could return a *different* object for the same job.
+        :class:`~repro.toolchain.executor.CampaignExecutor` to shard each
+        attack's trials across processes.
         """
-        emit = emit or (lambda payload: None)
-        if program is None:
-            program = workbench.compile(
-                self.source,
-                self.config,
-                initializers=_decode_initializers(self.initializers) or None,
-            )
-        report = CampaignReport(scheme=program.scheme)
-        for index, spec in enumerate(self.attacks):
-            if should_stop is not None and should_stop():
-                raise JobCancelled(f"cancelled before attack {spec.suite!r}")
-            emit(
-                {
-                    "event": "attack-started",
-                    "attack": spec.default_label,
-                    "suite": spec.suite,
-                    "index": index,
-                    "of": len(self.attacks),
-                }
-            )
-            result = self._run_attack(program, spec, executor, emit)
-            if spec.label and spec.label != result.attack:
-                result = dataclasses.replace(result, attack=spec.label)
-            report.attacks[result.attack] = result
-            # Progress consumers only need the tallies; the per-trial
-            # records (one row per trial) stay out of the event stream and
-            # the persisted event log — they live once, in the result.
-            event_result = attack_result_to_dict(result)
-            event_result.pop("records", None)
-            emit(
-                {
-                    "event": "attack-finished",
-                    "attack": result.attack,
-                    "index": index,
-                    "of": len(self.attacks),
-                    "result": event_result,
-                }
-            )
-        return {
-            "kind": self.kind,
-            "job_id": self.job_id(),
-            "scheme_revision": _scheme_revision(self.config),
-            "report": report_to_dict(report),
-        }
+        program = self.compile(workbench)
+        return merge_shards(
+            self,
+            [
+                self.run_shard(workbench, index, executor=executor, program=program)
+                for index in range(len(self.attacks))
+            ],
+        )
 
     def run_shard(
         self,
@@ -399,15 +362,19 @@ class CampaignJob:
         fault spaces, the forking engine with per-trial recording), so two
         workers running the same shard produce byte-identical payloads —
         the property the fleet's idempotent result merge rests on.
+
+        ``executor`` — an optional
+        :class:`~repro.toolchain.executor.CampaignExecutor` owned by the
+        caller (its ``on_batch`` hook is borrowed for the attack, feeding
+        ``emit`` per-batch progress events).  ``program`` pins the
+        execution target for a caller that already compiled (e.g. to key
+        a workload lock on the exact program object); re-consulting the
+        cache here could return a *different* object for the same job.
         """
         emit = emit or (lambda payload: None)
         spec = self.attacks[index]
         if program is None:
-            program = workbench.compile(
-                self.source,
-                self.config,
-                initializers=_decode_initializers(self.initializers) or None,
-            )
+            program = self.compile(workbench)
         result = self._run_attack(program, spec, executor, emit)
         if spec.label and spec.label != result.attack:
             result = dataclasses.replace(result, attack=spec.label)
@@ -461,8 +428,30 @@ class CampaignJob:
             executor.on_batch = None
 
 
+def merge_shards(job: CampaignJob, payloads: list[dict[str, Any]]) -> dict[str, Any]:
+    """A campaign's result payload from its shard payloads, given in
+    attack-spec order — so the report is the same bytes however, where
+    and in whatever order the shards ran."""
+    schemes = {payload["scheme"] for payload in payloads}
+    if len(schemes) != 1:
+        raise JobError(
+            f"fleet shards disagree on the compiled scheme: "
+            f"{sorted(schemes)} — are all workers running the same "
+            f"scheme registry?"
+        )
+    return {
+        "kind": job.kind,
+        "job_id": job.job_id(),
+        "scheme_revision": _scheme_revision(job.config),
+        "report": {
+            "scheme": payloads[0]["scheme"],
+            "attacks": {payload["attack"]: payload["result"] for payload in payloads},
+        },
+    }
+
+
 @dataclass(frozen=True)
-class CompileJob:
+class CompileJob(_SourceJob):
     """Compile-only job: warm the service cache / inspect code metrics."""
 
     kind = "compile"
@@ -528,18 +517,8 @@ class CompileJob:
             title=data.get("title", ""),
         )
 
-    def execute(
-        self,
-        workbench,
-        executor=None,
-        emit: Optional[Callable[[dict], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> dict[str, Any]:
-        program = workbench.compile(
-            self.source,
-            self.config,
-            initializers=_decode_initializers(self.initializers) or None,
-        )
+    def execute(self, workbench) -> dict[str, Any]:
+        program = self.compile(workbench)
         return {
             "kind": self.kind,
             "job_id": self.job_id(),

@@ -1,4 +1,4 @@
-"""Prioritised asyncio job scheduler for the campaign service.
+"""The campaign service's job scheduler.
 
 The scheduler owns three layers of deduplication (cheapest first):
 
@@ -10,22 +10,21 @@ The scheduler owns three layers of deduplication (cheapest first):
    share one compilation through the
    :class:`~repro.toolchain.workbench.Workbench` LRU.
 
-Execution: ``runners`` asyncio runner tasks pop jobs by ``(priority,
-submission order)`` and run them on worker threads via
-``loop.run_in_executor`` so the event loop (and the HTTP tier on top of
-it) stays responsive.  Each runner slot owns a private
+Execution: a campaign is queued as shards on the
+:class:`~repro.service.fleet.FleetCoordinator`, whose shard table is the
+only queue.  Remote fleet workers lease shards of every queued job over
+HTTP, in ``(priority, submission order)``; while no worker is active,
+``runners`` dedicated threads claim them through
+:meth:`~repro.service.fleet.FleetCoordinator.run_local`, so the event
+loop (and the HTTP tier on top of it) stays responsive.  A fleet of zero
+is the single-host service.  Each runner thread owns a private
 :class:`~repro.toolchain.executor.CampaignExecutor` (``trial_workers``
 processes) to shard trials; with ``trial_workers=0`` trials run on the
-in-process fork engine.  Identical workloads hitting two slots at once
-are serialised by a per-(program, workload) lock — the checkpoint-forked
+in-process fork engine.  Two runner threads attacking one workload are
+serialised by a per-(program, workload) lock — the checkpoint-forked
 trial scheduler reuses one trial CPU per workload and is not
-re-entrant.
-
-Campaign jobs execute through the :class:`~repro.service.fleet.
-FleetCoordinator`: each attack becomes a leased shard that remote
-workers pull over HTTP, and when no worker is active the runner slot
-runs the shards itself — a fleet of zero degrades to exactly the
-pre-fleet single-host behaviour, same events, same bytes.
+re-entrant.  Compile jobs have no shards: they run on the loop's
+default executor as soon as they are submitted.
 
 Progress events stream to any number of subscribers per job (asyncio
 queues feeding the NDJSON HTTP endpoint); lifecycle events are also
@@ -47,7 +46,7 @@ from typing import Any, AsyncIterator, Optional
 from repro.obs.metrics import MetricsRegistry, RegistryStats
 from repro.obs.profile import ENGINE_COUNTERS, EngineProfiler
 from repro.obs.trace import JobTraceRecorder
-from repro.service.jobs import JobCancelled, JobError, job_from_dict
+from repro.service.jobs import JobError, job_from_dict
 from repro.service.store import ResultStore
 
 #: Default submission priority (lower number = served earlier).
@@ -102,10 +101,16 @@ class JobHandle:
         self.job = job
         self.job_id = job_id
         self.state = "queued"
-        self.cancelled = False
         #: Optional :class:`repro.obs.trace.JobTraceRecorder` following
         #: this job's lifecycle (None with observability disabled).
         self.trace: Optional[JobTraceRecorder] = None
+        #: The program a runner thread compiled for this job's local
+        #: shards: every shard reuses it (one workload lock), and the
+        #: engine counters are sampled from it when the job completes.
+        self.program = None
+        #: ``time.perf_counter()`` when the job started (first claim or
+        #: lease; ``repro_job_seconds`` runs from here).
+        self.started = 0.0
         self.future: asyncio.Future = asyncio.get_running_loop().create_future()
         # Swallow "exception was never retrieved" for fire-and-forget
         # submissions that only ever poll /status.
@@ -154,7 +159,8 @@ def _workload_lock(program, function: str, args: tuple) -> threading.Lock:
 
 
 class JobScheduler:
-    """Owns the queue, the runner tasks, the workbench, and the store."""
+    """Owns the job handles, the runner threads, the workbench, and the
+    store; the fleet coordinator owns the shard queue."""
 
     def __init__(
         self,
@@ -163,10 +169,11 @@ class JobScheduler:
         runners: int = 2,
         trial_workers: int = 0,
         cache_size: int = 64,
-        fleet=None,
         lease_ttl: float = 10.0,
         observability: bool = True,
     ):
+        from repro.service.fleet import FleetCoordinator
+
         if runners < 1:
             raise ValueError(f"runners must be >= 1, got {runners}")
         if trial_workers < 0:
@@ -182,31 +189,23 @@ class JobScheduler:
         #: ``observability=False`` turns off span recording and trace
         #: persistence (metrics counters stay — they back /status).
         self.observability = bool(observability)
-        if fleet is None:
-            from repro.service.fleet import FleetCoordinator
-
-            #: One registry backs the scheduler, the coordinator, and
-            #: ``GET /metrics``: the fleet adopts ours (or we adopt the
-            #: injected fleet's below), so /status counters and the
-            #: Prometheus scrape read the same storage.
-            self.registry = MetricsRegistry()
-            fleet = FleetCoordinator(
-                store=self.store, lease_ttl=lease_ttl, registry=self.registry
-            )
-        else:
-            registry = getattr(fleet, "registry", None)
-            self.registry = registry if registry is not None else MetricsRegistry()
-        #: Every campaign executes through the fleet coordinator: remote
-        #: workers lease its shards over HTTP, and with no worker active
-        #: the runner slot degrades to executing shards locally — so a
-        #: fleet of zero behaves exactly like the pre-fleet service.
-        self.fleet = fleet
+        #: One registry backs the scheduler, the coordinator, and
+        #: ``GET /metrics``, so /status counters and the Prometheus
+        #: scrape read the same storage.
+        self.registry = MetricsRegistry()
+        #: Every campaign queues its shards on the fleet coordinator:
+        #: remote workers lease them over HTTP, and with no worker active
+        #: the runner threads claim them — so a fleet of zero behaves
+        #: exactly like a single-host service.
+        self.fleet = FleetCoordinator(
+            store=self.store, lease_ttl=lease_ttl, registry=self.registry
+        )
         self.stats = SchedulerStats(self.registry)
         self._profiler = EngineProfiler(self.registry)
-        self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue()
         self._inflight: dict[str, JobHandle] = {}
-        self._runner_tasks: list[asyncio.Task] = []
-        self._seq = 0
+        self._threads: list[threading.Thread] = []
+        self._stop = threading.Event()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
         # All job-lifecycle store *writes* funnel through this one thread:
         # SQLite write contention (another process holding the WAL lock)
@@ -228,12 +227,17 @@ class JobScheduler:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "JobScheduler":
-        if self._runner_tasks:
+        if self._threads:
             raise RuntimeError("scheduler already started")
-        self._runner_tasks = [
-            asyncio.create_task(self._runner(), name=f"repro-service-runner-{i}")
+        self._loop = asyncio.get_running_loop()
+        self._threads = [
+            threading.Thread(
+                target=self._claim_loop, name=f"repro-service-runner-{i}", daemon=True
+            )
             for i in range(self.runners)
         ]
+        for thread in self._threads:
+            thread.start()
         return self
 
     @property
@@ -243,15 +247,15 @@ class JobScheduler:
         return self._closed
 
     async def close(self) -> None:
+        """Stop the runner threads after their current shards and drain
+        the store thread.  Jobs still queued or leased keep their ledger
+        rows (and stored shards) and resume on the next start."""
         self._closed = True
-        for task in self._runner_tasks:
-            task.cancel()
-        for task in self._runner_tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._runner_tasks = []
+        self._stop.set()
+        self.fleet.wake()
+        for thread in self._threads:
+            await asyncio.to_thread(thread.join)
+        self._threads = []
         self._store_pool.shutdown(wait=True)
 
     def resume_from_store(self) -> int:
@@ -344,8 +348,6 @@ class JobScheduler:
             handle.trace = JobTraceRecorder(job_id)
             self._recent_traces.pop(job_id, None)
         self._inflight[job_id] = handle
-        self._seq += 1
-        self._queue.put_nowait((priority, self._seq, job_id))
         self.stats.submitted += 1
         self._publish(
             handle,
@@ -357,6 +359,20 @@ class JobScheduler:
                 "resumed": requeue,
             },
         )
+        if job.kind != "campaign":
+            self._run_compile(handle)
+            return
+        try:
+            self.fleet.add_job(
+                job,
+                emit=self._emitter(handle),
+                on_done=lambda payload, error: self._loop.call_soon_threadsafe(
+                    self._commit, handle, payload, error
+                ),
+                priority=priority,
+            )
+        except Exception as exc:  # noqa: BLE001 — e.g. the shard store unreadable
+            self._fail(handle, exc)
 
     # -- queries -----------------------------------------------------------
     def status(self, job_id: str) -> dict[str, Any]:
@@ -464,7 +480,9 @@ class JobScheduler:
         always current (they are the live storage for stats objects and
         executor merges); only gauges need a poll."""
         registry = self.registry
-        registry.gauge("repro_queue_depth").set(self._queue.qsize())
+        registry.gauge("repro_queue_depth").set(
+            sum(handle.state == "queued" for handle in self._inflight.values())
+        )
         registry.gauge("repro_jobs_inflight").set(len(self._inflight))
         registry.gauge("repro_runners").set(self.runners)
         registry.gauge("repro_trial_workers").set(self.trial_workers)
@@ -538,163 +556,143 @@ class JobScheduler:
     def _locked_map(self, job_id: str):
         """Map a stored job under its workload lock — the golden-trace
         scheduler reuses one trial CPU per workload and must not be
-        touched while a runner slot attacks the same workload.  The map
+        touched while a runner thread attacks the same workload.  The map
         is built from the exact program object the lock is keyed on
         (re-consulting the LRU could return a different one)."""
         from repro.analysis.vulnmap import map_from_store
 
         job = self._campaign_job(job_id)
-        program = self.workbench.compile(
-            job.source,
-            job.config,
-            initializers=_initializers_of(job) or None,
-        )
+        program = job.compile(self.workbench)
         with _workload_lock(program, job.function, tuple(job.args)):
             return map_from_store(self.store, job_id, program=program)
 
     def cancel(self, job_id: str) -> dict[str, Any]:
-        """Cancel a job: immediately when still queued, at the next
-        attack boundary when running.  Done jobs are left alone."""
+        """Cancel a queued or running job at once: its shards leave the
+        queue, and a shard result still in flight is dropped as unknown.
+        Done jobs are left alone."""
         handle = self._inflight.get(job_id)
         if handle is None:
             record = self.store.get_job(job_id)
             if record is None:
                 raise UnknownJobError(job_id)
             return {"job_id": job_id, "state": record.state, "cancelled": False}
-        handle.cancelled = True
-        if handle.state == "queued":
-            self._finalize_cancel(handle)
-            return {"job_id": job_id, "state": "cancelled", "cancelled": True}
-        return {"job_id": job_id, "state": handle.state, "cancelled": True}
+        self.fleet.cancel(job_id)
+        self._finalize_cancel(handle)
+        return {"job_id": job_id, "state": "cancelled", "cancelled": True}
 
     # -- execution ---------------------------------------------------------
-    async def _runner(self) -> None:
+    def _claim_loop(self) -> None:
+        """A runner thread: claim and run shards until :meth:`close`."""
         executor = None
-        try:
-            while True:
-                _, _, job_id = await self._queue.get()
-                handle = self._inflight.get(job_id)
-                if handle is None or handle.future.done():
-                    continue  # cancelled while queued
-                if self.trial_workers and executor is None:
-                    from repro.toolchain.executor import CampaignExecutor
+        if self.trial_workers:
+            from repro.toolchain.executor import CampaignExecutor
 
-                    executor = CampaignExecutor(
-                        max_workers=self.trial_workers,
-                        metrics=self.registry if self.observability else None,
-                    )
-                try:
-                    await self._execute(handle, executor)
-                except asyncio.CancelledError:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 — keep the slot alive
-                    self._fail(handle, exc)
+            executor = CampaignExecutor(
+                max_workers=self.trial_workers,
+                metrics=self.registry if self.observability else None,
+            )
+        try:
+            self.fleet.run_local(
+                lambda job, index, emit: self._run_shard(job, index, emit, executor),
+                self._stop,
+            )
         finally:
             if executor is not None:
-                # Runner teardown happens on the event loop (task
-                # cancellation at shutdown): never block it draining
-                # workers mid-campaign.  The interrupted job stays
-                # 'running' in the ledger and is resumed on next start.
-                executor.close(wait=False)
+                executor.close()
 
-    async def _execute(self, handle: JobHandle, executor) -> None:
-        loop = asyncio.get_running_loop()
-        handle.state = "running"
-        await loop.run_in_executor(
-            self._store_pool, self.store.set_state, handle.job_id, "running"
-        )
-        self._publish(
+    def _run_shard(self, job, index: int, emit, executor) -> dict[str, Any]:
+        """One locally claimed shard, under the workload lock keyed on the
+        exact compiled object (see :func:`_workload_lock`)."""
+        # The loop owns the handles; a lookup is atomic, and a cancelled
+        # job's handle may be gone (its result is dropped anyway).
+        handle = self._inflight.get(job.job_id())
+        program = handle.program if handle is not None else None
+        if program is None:
+            # Wall-clock lands only in the histogram and the trace span —
+            # never in the compiled program or any compared artifact.
+            started = time.perf_counter()
+            if handle is not None and handle.trace is not None:
+                with handle.trace.span("compile", kind=job.kind):
+                    program = job.compile(self.workbench)
+            else:
+                program = job.compile(self.workbench)
+            self.registry.histogram("repro_compile_seconds").observe(
+                time.perf_counter() - started
+            )
+            if handle is not None:
+                handle.program = program
+        with _workload_lock(program, job.function, job.args):
+            payload = job.run_shard(
+                self.workbench, index, executor=executor, emit=emit, program=program
+            )
+        if executor is not None:
+            self._profiler.sample_executor(executor)
+        return payload
+
+    def _run_compile(self, handle: JobHandle) -> None:
+        self._on_event(
             handle,
             {"event": "started", "job_id": handle.job_id, "kind": handle.job.kind},
         )
-
-        def emit(payload: dict[str, Any]) -> None:
-            # Called from the worker thread (and, with trial_workers, from
-            # executor merge loops): hop onto the loop for publication.
-            loop.call_soon_threadsafe(self._publish, handle, payload)
-
-        def compile_program(job):
-            # Wall-clock lands only in the histogram and the trace span —
-            # never in the compiled program or any compared artifact.
-            compile_started = time.perf_counter()
-            program = self.workbench.compile(
-                job.source,
-                job.config,
-                initializers=_initializers_of(job) or None,
-            )
-            elapsed = time.perf_counter() - compile_started
-            self.registry.histogram("repro_compile_seconds").observe(elapsed)
-            return program
-
-        def run() -> dict[str, Any]:
-            job = handle.job
-            recorder = handle.trace
-            if job.kind == "campaign":
-                if recorder is not None:
-                    with recorder.span("compile", kind=job.kind):
-                        program = compile_program(job)
-                else:
-                    program = compile_program(job)
-
-                def local_run(job_, index: int) -> dict[str, Any]:
-                    # Degradation path: this runner slot executes one
-                    # shard itself, under the workload lock keyed on the
-                    # exact compiled object (see _workload_lock).
-                    lock = _workload_lock(program, job_.function, job_.args)
-                    with lock:
-                        return job_.run_shard(
-                            self.workbench,
-                            index,
-                            executor=executor,
-                            emit=emit,
-                            program=program,
-                        )
-
-                try:
-                    return self.fleet.execute_job(
-                        job,
-                        local_run=local_run,
-                        emit=emit,
-                        should_stop=lambda: handle.cancelled,
-                    )
-                finally:
-                    # After-attack engine boundary: fold the trial
-                    # schedulers' own counters into the shared registry
-                    # (sampled, so the no-hook fast loop stays untouched).
-                    self._profiler.sample_program(program)
-                    self._profiler.sample_workbench(self.workbench)
-                    if executor is not None:
-                        self._profiler.sample_executor(executor)
-            try:
-                return job.execute(self.workbench, emit=emit)
-            finally:
-                self._profiler.sample_workbench(self.workbench)
-
-        job_started = time.perf_counter()
-        try:
-            payload = await loop.run_in_executor(None, run)
-            self.stats.executed += 1
-            self.registry.histogram("repro_job_seconds").observe(
-                time.perf_counter() - job_started
-            )
-            # Result durability before the 'finished' event: a client that
-            # sees the stream end must find the result in the store.
-            await loop.run_in_executor(
-                self._store_pool, self.store.store_result, handle.job_id, payload
-            )
-        except JobCancelled:
-            self._finalize_cancel(handle)
-        except Exception as exc:  # noqa: BLE001 — jobs must not kill runners
-            self._fail(handle, exc)
-        else:
-            handle.state = "done"
-            self._publish(
+        run = self._loop.run_in_executor(None, handle.job.execute, self.workbench)
+        run.add_done_callback(
+            lambda done: self._commit(
                 handle,
-                {"event": "finished", "job_id": handle.job_id, "kind": handle.job.kind},
+                None if done.exception() else done.result(),
+                done.exception(),
             )
-            handle.future.set_result(payload)
-            self._persist_trace(handle)
-            self._close_stream(handle)
+        )
+
+    def _commit(
+        self,
+        handle: JobHandle,
+        payload: Optional[dict[str, Any]],
+        error: Optional[BaseException],
+    ) -> None:
+        """The loop-side end of a job: store the result, then publish
+        ``finished`` (or ``failed``)."""
+        if handle.future.done() or self._closed:
+            # Cancelled; or shutting down, when the ledger row and any
+            # stored shards resume the job on the next start.
+            return
+        # The job-completion engine boundary: fold the trial schedulers'
+        # own counters into the shared registry (sampled once per job, so
+        # the no-hook fast loop stays untouched).
+        if handle.program is not None:
+            self._profiler.sample_program(handle.program)
+        self._profiler.sample_workbench(self.workbench)
+        if error is not None:
+            self._fail(handle, error)
+            return
+        # Result durability before the 'finished' event: a client that
+        # sees the stream end must find the result in the store.
+        write = self._loop.run_in_executor(
+            self._store_pool, self.store.store_result, handle.job_id, payload
+        )
+        write.add_done_callback(
+            lambda done: self._finish(handle, payload, done.exception())
+        )
+
+    def _finish(
+        self, handle: JobHandle, payload: dict[str, Any], error: Optional[BaseException]
+    ) -> None:
+        if handle.future.done():
+            return  # cancelled while the result was stored
+        if error is not None:
+            self._fail(handle, error)
+            return
+        self.stats.executed += 1
+        self.registry.histogram("repro_job_seconds").observe(
+            time.perf_counter() - handle.started
+        )
+        handle.state = "done"
+        self._publish(
+            handle,
+            {"event": "finished", "job_id": handle.job_id, "kind": handle.job.kind},
+        )
+        handle.future.set_result(payload)
+        self._persist_trace(handle)
+        self._close_stream(handle)
 
     def _fail(self, handle: JobHandle, exc: BaseException) -> None:
         error = f"{type(exc).__name__}: {exc}"
@@ -731,13 +729,44 @@ class JobScheduler:
         self._close_stream(handle)
 
     # -- event plumbing ----------------------------------------------------
-    def _publish(self, handle: JobHandle, payload: dict[str, Any]) -> None:
+    def _emitter(self, handle: JobHandle):
+        """The job's ``emit`` for the coordinator, runner threads and
+        executor merge loops: stamp the event on the emitting thread,
+        then hop onto the loop for publication."""
+        recorder = handle.trace
+
+        def emit(payload: dict[str, Any]) -> None:
+            at_ms = recorder.tracer.now_ms() if recorder is not None else None
+            self._loop.call_soon_threadsafe(self._on_event, handle, payload, at_ms)
+
+        return emit
+
+    def _on_event(
+        self,
+        handle: JobHandle,
+        payload: dict[str, Any],
+        at_ms: Optional[float] = None,
+    ) -> None:
+        if handle.future.done():
+            return  # a cancelled job's late shard events
+        if payload["event"] == "started":
+            handle.state = "running"
+            handle.started = time.perf_counter()
+            self._store_write(self.store.set_state, handle.job_id, "running")
+        self._publish(handle, payload, at_ms)
+
+    def _publish(
+        self,
+        handle: JobHandle,
+        payload: dict[str, Any],
+        at_ms: Optional[float] = None,
+    ) -> None:
         handle.events.append(payload)
         if handle.trace is not None:
             # The recorder folds the event stream into spans.  _publish
             # always runs on the event loop, so per-handle calls are
             # serialised without any extra locking.
-            handle.trace.on_event(payload)
+            handle.trace.on_event(payload, at_ms=at_ms)
         if payload.get("event") in PERSISTED_EVENTS:
             self._store_write(self.store.append_event, handle.job_id, payload)
         for queue in handle.subscribers:
@@ -791,9 +820,3 @@ class JobScheduler:
         while len(self._recent_events) > 256:
             self._recent_events.popitem(last=False)
         self._inflight.pop(handle.job_id, None)
-
-
-def _initializers_of(job) -> dict[str, bytes]:
-    from repro.service.jobs import _decode_initializers
-
-    return _decode_initializers(job.initializers)

@@ -357,17 +357,6 @@ class ResultStore:
         return row is not None
 
     # -- analysis ----------------------------------------------------------
-    def get_report(self, job_id: str):
-        """The stored campaign result as a live
-        :class:`~repro.faults.isa_campaign.CampaignReport` (None when the
-        job has no stored result)."""
-        payload = self.get_result(job_id)
-        if payload is None or "report" not in payload:
-            return None
-        from repro.service.jobs import report_from_dict
-
-        return report_from_dict(payload["report"])
-
     def vulnerability_map(self, job_id: str, workbench=None):
         """Build the job's per-instruction
         :class:`~repro.analysis.vulnmap.VulnerabilityMap` from its stored
@@ -442,12 +431,6 @@ class ResultStore:
             )
             for row in rows
         }
-
-    def clear_shards(self, job_id: str) -> None:
-        with self._lock:
-            self._conn.execute(
-                "DELETE FROM shards WHERE job_id = ?", (job_id,)
-            )
 
     # -- traces ------------------------------------------------------------
     def store_trace(self, job_id: str, spans: list[dict[str, Any]]) -> None:

@@ -90,7 +90,7 @@ def render_top(
             )
             or "(empty)"
         ),
-        f"runners   {status.get('runners', '?')} slots × "
+        f"runners   {status.get('runners', '?')} threads × "
         f"{status.get('trial_workers', 0)} trial worker(s)",
         f"compile   hits {cache.get('hits', 0)}   misses {cache.get('misses', 0)}   "
         f"cached {cache.get('programs', 0)}",

@@ -17,8 +17,10 @@ The acceptance contract:
 """
 
 import socket
+import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -38,6 +40,7 @@ from repro.service.jobs import (
     AttackSpec,
     CampaignJob,
     JobError,
+    merge_shards,
     report_to_dict,
 )
 from repro.service.store import ResultStore
@@ -95,6 +98,43 @@ def wait_for_worker(service, worker_id, timeout=10.0):
     raise AssertionError(f"worker {worker_id!r} never registered")
 
 
+def queue_job(coordinator, job, emit=None):
+    """``add_job`` with an ``on_done`` that fills the returned box with
+    ``payload`` or ``error`` and then sets its ``done`` event."""
+    box = {"done": threading.Event()}
+
+    def on_done(payload, error):
+        assert not box["done"].is_set(), "on_done fired twice"
+        if error is None:
+            box["payload"] = payload
+        else:
+            box["error"] = error
+        box["done"].set()
+
+    coordinator.add_job(job, emit=emit, on_done=on_done)
+    return box
+
+
+@contextmanager
+def local_runner(coordinator, workbench):
+    """One runner thread claiming shards whenever the fleet is silent
+    (the service's runner-thread role)."""
+    stop = threading.Event()
+    thread = threading.Thread(
+        target=coordinator.run_local,
+        args=(lambda job, index, emit: job.run_shard(workbench, index), stop),
+        daemon=True,
+    )
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        coordinator.wake()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
 @pytest.fixture(scope="module")
 def workbench():
     return Workbench()
@@ -104,49 +144,20 @@ def workbench():
 # Coordinator protocol: lease, steal, duplicate, retry, give-up
 # ---------------------------------------------------------------------------
 class TestCoordinatorProtocol:
-    def _execute_async(self, coordinator, job, workbench, emit=None):
-        """Run ``execute_job`` on a thread (the runner-slot role); the
-        returned box collects the merged payload or the raised error."""
-        box = {}
-
-        def local_run(job_, index):
-            return job_.run_shard(workbench, index)
-
-        def run():
-            try:
-                box["payload"] = coordinator.execute_job(
-                    job, local_run=local_run, emit=emit
-                )
-            except BaseException as exc:  # noqa: BLE001 — inspected by the test
-                box["error"] = exc
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        return thread, box
-
-    def _lease_soon(self, coordinator, worker, **kwargs):
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            leased = coordinator.lease(worker, **kwargs)
-            if leased is not None:
-                return leased
-            time.sleep(0.01)
-        raise AssertionError("no shard became leasable")
-
     def test_silent_worker_loses_lease_and_job_still_completes(self, workbench):
         job = quick_job("integer_compare", "integer_compare", (7, 7), "none")
         coordinator = FleetCoordinator(lease_ttl=0.15)
         # Register the worker first: otherwise the coordinator sees an
         # empty fleet and races our lease with local execution.
         assert coordinator.lease("doomed") is None
-        thread, box = self._execute_async(coordinator, job, workbench)
-        leased = self._lease_soon(coordinator, "doomed")
-        assert leased["job_id"] == job.job_id()
-        # ... and then the worker says nothing ever again.  The lease
-        # expires, the shard is stolen, and — with the fleet now empty —
-        # the coordinator degrades both shards to local execution.
-        thread.join(timeout=120)
-        assert not thread.is_alive()
+        with local_runner(coordinator, workbench):
+            box = queue_job(coordinator, job)
+            leased = coordinator.lease("doomed")
+            assert leased["job_id"] == job.job_id()
+            # ... and then the worker says nothing ever again.  The lease
+            # expires, the shard is stolen, and — with the fleet now
+            # empty — the runner thread runs both shards locally.
+            assert box["done"].wait(timeout=120)
         assert "error" not in box, box.get("error")
         assert coordinator.stats.steals >= 1
         assert coordinator.stats.local_shards == len(job.attacks)
@@ -161,14 +172,14 @@ class TestCoordinatorProtocol:
         job = quick_job("integer_compare", "integer_compare", (4, 4), "none")
         coordinator = FleetCoordinator(lease_ttl=30.0, max_shard_attempts=1)
         assert coordinator.lease("w1") is None  # register before the job
-        thread, box = self._execute_async(coordinator, job, workbench)
-        lost = self._lease_soon(coordinator, "w1", request="w1-1")
+        box = queue_job(coordinator, job)
+        lost = coordinator.lease("w1", request="w1-1")
         for _ in range(3):
             again = coordinator.lease("w1", request="w1-1")
             assert (again["shard_id"], again["token"]) == (
                 lost["shard_id"], lost["token"]
             )
-        other = self._lease_soon(coordinator, "w1", request="w1-2")
+        other = coordinator.lease("w1", request="w1-2")
         assert other["shard_id"] != lost["shard_id"]
         for leased in (lost, other):
             coordinator.submit_result(
@@ -176,7 +187,7 @@ class TestCoordinatorProtocol:
                 payload=job.run_shard(workbench, leased["attack_index"]),
                 token=leased["token"],
             )
-        thread.join(timeout=120)
+        assert box["done"].is_set()
         assert coordinator.stats.steals == 0
         assert coordinator.stats.leases == len(job.attacks)
         assert box["payload"]["report"] == direct_report(
@@ -186,12 +197,10 @@ class TestCoordinatorProtocol:
     def test_duplicate_shard_submission_is_noop(self, workbench):
         job = quick_job("integer_compare", "integer_compare", (1, 2), "none")
         coordinator = FleetCoordinator(lease_ttl=30.0)
-        # Register the worker first so the coordinator counts an active
-        # fleet and never degrades shards to local execution mid-test.
-        assert coordinator.lease("w1") is None
-        thread, box = self._execute_async(coordinator, job, workbench)
+        assert coordinator.lease("w1") is None  # register before the job
+        box = queue_job(coordinator, job)
 
-        first_lease = self._lease_soon(coordinator, "w1")
+        first_lease = coordinator.lease("w1")
         payload = job.run_shard(workbench, first_lease["attack_index"])
         ack = coordinator.submit_result(
             first_lease["shard_id"], "w1", payload=payload,
@@ -208,13 +217,12 @@ class TestCoordinatorProtocol:
         assert coordinator.stats.duplicates == 1
         assert coordinator.stats.completed == 1
 
-        second_lease = self._lease_soon(coordinator, "w1")
+        second_lease = coordinator.lease("w1")
         coordinator.submit_result(
             second_lease["shard_id"], "w1",
             payload=job.run_shard(workbench, second_lease["attack_index"]),
             token=second_lease["token"],
         )
-        thread.join(timeout=120)
         assert box["payload"]["report"] == direct_report(
             workbench, "integer_compare", "integer_compare", (1, 2), "none"
         )
@@ -224,10 +232,8 @@ class TestCoordinatorProtocol:
         coordinator = FleetCoordinator(lease_ttl=30.0)
         assert coordinator.lease("w1") is None  # register before the job
         events = []
-        thread, box = self._execute_async(
-            coordinator, job, workbench, emit=events.append
-        )
-        leased = self._lease_soon(coordinator, "w1")
+        box = queue_job(coordinator, job, emit=events.append)
+        leased = coordinator.lease("w1")
         ack = coordinator.submit_result(
             leased["shard_id"],
             "w1",
@@ -238,13 +244,12 @@ class TestCoordinatorProtocol:
         assert ack == {"accepted": True, "requeued": True}
         # The shard went straight back to the pool; drain both shards.
         for _ in range(len(job.attacks)):
-            again = self._lease_soon(coordinator, "w1")
+            again = coordinator.lease("w1")
             coordinator.submit_result(
                 again["shard_id"], "w1",
                 payload=job.run_shard(workbench, again["attack_index"]),
                 token=again["token"],
             )
-        thread.join(timeout=120)
         assert coordinator.stats.retries == 1
         retried = [e for e in events if e["event"] == "shard-retried"]
         assert retried and retried[0]["fault_models"] == [
@@ -259,23 +264,24 @@ class TestCoordinatorProtocol:
         job = quick_job("integer_compare", "integer_compare", (5, 6), "none")
         coordinator = FleetCoordinator(lease_ttl=30.0, max_shard_attempts=3)
         assert coordinator.lease("w1") is None  # register before the job
-        thread, box = self._execute_async(coordinator, job, workbench)
+        box = queue_job(coordinator, job)
         for _ in range(3):
-            leased = self._lease_soon(coordinator, "w1")
+            leased = coordinator.lease("w1")
             coordinator.submit_result(
                 leased["shard_id"], "w1", token=leased["token"],
                 error="deterministic poison",
             )
-        thread.join(timeout=120)
         assert isinstance(box.get("error"), JobError)
         assert "deterministic poison" in str(box["error"])
+        # The failed job left the queue: nothing more to lease.
+        assert coordinator.lease("w1") is None
 
     def test_stale_failure_report_cannot_requeue_done_shard(self, workbench):
         job = quick_job("integer_compare", "integer_compare", (2, 2), "none")
         coordinator = FleetCoordinator(lease_ttl=30.0)
         assert coordinator.lease("w1") is None  # register before the job
-        thread, box = self._execute_async(coordinator, job, workbench)
-        leased = self._lease_soon(coordinator, "w1")
+        box = queue_job(coordinator, job)
+        leased = coordinator.lease("w1")
         coordinator.submit_result(
             leased["shard_id"], "w1",
             payload=job.run_shard(workbench, leased["attack_index"]),
@@ -286,14 +292,93 @@ class TestCoordinatorProtocol:
             leased["shard_id"], "w1", token=leased["token"], error="too late"
         )
         assert stale == {"accepted": False, "stale": True, "state": "done"}
-        leased2 = self._lease_soon(coordinator, "w1")
+        leased2 = coordinator.lease("w1")
         coordinator.submit_result(
             leased2["shard_id"], "w1",
             payload=job.run_shard(workbench, leased2["attack_index"]),
             token=leased2["token"],
         )
-        thread.join(timeout=120)
         assert "payload" in box
+
+    def test_runner_threads_share_the_queue_under_stress(self, workbench):
+        """More runner threads than cores, switching every few bytecodes:
+        every shard runs exactly once, never two of one job at a time,
+        and every counter and merge survives the interleaving."""
+        jobs = [
+            quick_job("integer_compare", "integer_compare", (n, n % 3), "none")
+            for n in range(12)
+        ]
+        payloads = {
+            job.shard_id(index): job.run_shard(workbench, index)
+            for job in jobs
+            for index in range(len(job.attacks))
+        }
+        coordinator = FleetCoordinator(lease_ttl=30.0)
+        guard, running, overlaps, runs = threading.Lock(), {}, [], []
+
+        def execute(job, index, emit):
+            with guard:
+                running[job.job_id()] = running.get(job.job_id(), 0) + 1
+                if running[job.job_id()] > 1:
+                    overlaps.append(job.job_id())
+                runs.append(job.shard_id(index))
+            time.sleep(0.001)
+            with guard:
+                running[job.job_id()] -= 1
+            return payloads[job.shard_id(index)]
+
+        stop = threading.Event()
+        threads = [
+            threading.Thread(
+                target=coordinator.run_local, args=(execute, stop), daemon=True
+            )
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            boxes = [queue_job(coordinator, job) for job in jobs]
+            for box in boxes:
+                assert box["done"].wait(timeout=60)
+        finally:
+            stop.set()
+            coordinator.wake()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not overlaps
+        assert sorted(runs) == sorted(payloads)
+        assert coordinator.stats.local_shards == len(payloads)
+        assert coordinator.stats.completed == len(payloads)
+        for job, box in zip(jobs, boxes):
+            assert box["payload"] == merge_shards(
+                job, [payloads[job.shard_id(i)] for i in range(len(job.attacks))]
+            )
+
+    def test_remote_worker_leases_every_queued_job(self):
+        # The coordinator's shard table is the only queue: a worker can
+        # lease the shards of every queued job, not only of as many jobs
+        # as the service has runner threads.
+        jobs = [
+            quick_job("integer_compare", "integer_compare", (n, n + 1), "none")
+            for n in range(20, 24)
+        ]
+        with BackgroundService(runners=1, lease_ttl=30.0) as svc:
+            client = svc.client(retry=TEST_RETRY)
+            client.fleet_lease("w1")  # register: runner threads stay idle
+            for job in jobs:
+                client.submit(job)
+            leases = [client.fleet_lease("w1")["shard"] for _ in range(8)]
+            assert client.fleet_lease("w1")["shard"] is None
+            assert svc.fleet.stats.local_shards == 0
+        assert None not in leases
+        assert {shard["job_id"] for shard in leases} == {
+            job.job_id() for job in jobs
+        }
+        assert len({shard["shard_id"] for shard in leases}) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +499,20 @@ class TestFleetEndToEnd:
 class TestNetworkChaos:
     def test_chaotic_network_still_converges_byte_identically(self, workbench):
         job = quick_job("memcmp", "run_memcmp", (16,), "ancode")
-        schedule = ChaosSchedule(
-            seed=7, drop=0.25, delay=0.15, duplicate=0.2, delay_seconds=0.02
+        # One proxy and seeded schedule per client: each client's fault
+        # sequence then depends only on its own requests, not on how its
+        # requests interleave with the other client's.
+        worker_weather, client_weather = (
+            ChaosSchedule(
+                seed=seed, drop=0.25, delay=0.15, duplicate=0.2, delay_seconds=0.02
+            )
+            for seed in (7, 8)
         )
         with BackgroundService(runners=1, lease_ttl=0.5) as svc:
-            with ChaosProxy(svc.host, svc.port, schedule) as proxy:
+            with ChaosProxy(svc.host, svc.port, worker_weather) as worker_proxy, \
+                    ChaosProxy(svc.host, svc.port, client_weather) as client_proxy:
                 with FleetRunner(
-                    proxy.address,
+                    worker_proxy.address,
                     worker_id="storm-rider",
                     ttl=0.5,
                     poll=0.05,
@@ -431,10 +523,11 @@ class TestNetworkChaos:
                         "timeout": 15.0,
                     },
                 ):
-                    # The submitting client rides the same bad weather.
+                    # The submitting client rides bad weather too: its
+                    # first submission's response is dropped.
                     client = ServiceClient(
-                        proxy.host,
-                        proxy.port,
+                        client_proxy.host,
+                        client_proxy.port,
                         timeout=15.0,
                         retry=RetryPolicy(
                             attempts=8, base_delay=0.02, max_delay=0.3, seed=12
@@ -443,8 +536,9 @@ class TestNetworkChaos:
                     client.submit(job)
                     client.wait(job.job_id())
                     result = client.results(job.job_id())
-        # The schedule must actually have misbehaved for this to mean much.
-        assert schedule.counts["drop"] + schedule.counts["duplicate"] > 0
+        # The schedules must actually have misbehaved for this to mean much.
+        for weather in (worker_weather, client_weather):
+            assert weather.counts["drop"] + weather.counts["duplicate"] > 0
         assert result["report"] == direct_report(
             workbench, "memcmp", "run_memcmp", (16,), "ancode"
         )
@@ -460,14 +554,13 @@ class TestStoreRecovery:
         db = tmp_path / "chaos.sqlite"
         job = quick_job("integer_compare", "integer_compare", (8, 8), "duplication")
 
-        def local_run(job_, index):
-            return job_.run_shard(workbench, index)
-
         # Incarnation 1: the store dies before the second shard commits.
         crashing = CrashingStore(db, crash_after=1)
         coordinator = FleetCoordinator(store=crashing, lease_ttl=5.0)
-        with pytest.raises(SimulatedCrash):
-            coordinator.execute_job(job, local_run=local_run)
+        with local_runner(coordinator, workbench):
+            box = queue_job(coordinator, job)
+            assert box["done"].wait(timeout=120)
+        assert isinstance(box.get("error"), SimulatedCrash)
         assert crashing.crashed
 
         # Incarnation 2: a fresh store handle on the same file resumes
@@ -475,10 +568,12 @@ class TestStoreRecovery:
         store = ResultStore(db)
         assert len(store.shard_payloads(job.job_id())) == 1
         coordinator2 = FleetCoordinator(store=store, lease_ttl=5.0)
-        payload = coordinator2.execute_job(job, local_run=local_run)
+        with local_runner(coordinator2, workbench):
+            box = queue_job(coordinator2, job)
+            assert box["done"].wait(timeout=120)
         assert coordinator2.stats.resumed_shards == 1
         assert coordinator2.stats.local_shards == len(job.attacks) - 1
-        assert payload["report"] == direct_report(
+        assert box["payload"]["report"] == direct_report(
             workbench, "integer_compare", "integer_compare", (8, 8), "duplication"
         )
         store.close()
@@ -492,12 +587,12 @@ class TestStoreRecovery:
         bogus = job.run_shard(workbench, 0)
         store.store_shard(job.shard_id(0), job.job_id(), 0, -1, bogus)
         coordinator = FleetCoordinator(store=store, lease_ttl=5.0)
-        payload = coordinator.execute_job(
-            job, local_run=lambda j, i: j.run_shard(workbench, i)
-        )
+        with local_runner(coordinator, workbench):
+            box = queue_job(coordinator, job)
+            assert box["done"].wait(timeout=120)
         assert coordinator.stats.resumed_shards == 0
         assert coordinator.stats.local_shards == len(job.attacks)
-        assert payload["report"] == direct_report(
+        assert box["payload"]["report"] == direct_report(
             workbench, "integer_compare", "integer_compare", (4, 2), "none"
         )
         store.close()
@@ -508,11 +603,11 @@ class TestStoreRecovery:
         store = ResultStore(db)
         store.record_job(job.job_id(), job.kind, job.to_dict())
         coordinator = FleetCoordinator(store=store, lease_ttl=5.0)
-        payload = coordinator.execute_job(
-            job, local_run=lambda j, i: j.run_shard(workbench, i)
-        )
+        with local_runner(coordinator, workbench):
+            box = queue_job(coordinator, job)
+            assert box["done"].wait(timeout=120)
         assert len(store.shard_payloads(job.job_id())) == len(job.attacks)
-        store.store_result(job.job_id(), payload)
+        store.store_result(job.job_id(), box["payload"])
         # Resume points are not archives: the merged result supersedes them.
         assert store.shard_payloads(job.job_id()) == {}
         store.close()

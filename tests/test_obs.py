@@ -20,7 +20,9 @@ import json
 import pickle
 import re
 import sqlite3
+import sys
 import threading
+import time
 from io import StringIO
 
 import numpy as np
@@ -542,6 +544,38 @@ class TestServiceObservability:
         assert json.dumps(plain, sort_keys=True) == json.dumps(
             traced, sort_keys=True
         )
+
+    def test_attack_span_covers_a_shard_that_holds_the_interpreter(
+        self, monkeypatch
+    ):
+        """Events are stamped on the thread that emits them: a runner
+        thread that keeps the interpreter lock for its whole shard still
+        gets an attack span covering that time, although the loop thread
+        only folds the events into the trace afterwards."""
+        busy_s = 0.2
+        real = CampaignJob.run_shard
+
+        def greedy(self, workbench, index, **kwargs):
+            deadline = time.perf_counter() + busy_s
+            while time.perf_counter() < deadline:  # never yields the lock
+                pass
+            return real(self, workbench, index, **kwargs)
+
+        monkeypatch.setattr(CampaignJob, "run_shard", greedy)
+        job = obs_job(scheme="none")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5.0)  # no forced switch during a shard
+        try:
+            with BackgroundService(runners=1) as svc:
+                client = svc.client()
+                client.run(job)
+                spans = client.trace(job.job_id())
+        finally:
+            sys.setswitchinterval(interval)
+        attacks = [s for s in spans if s["name"] == "attack"]
+        assert len(attacks) == 2
+        for span in attacks:
+            assert span["end_ms"] - span["start_ms"] >= busy_s * 1e3
 
 
 # ---------------------------------------------------------------------------

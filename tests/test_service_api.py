@@ -11,6 +11,8 @@ The acceptance contract (ISSUE 3):
   service restart.
 """
 
+import time
+
 import pytest
 
 import repro
@@ -351,3 +353,66 @@ class TestCancellation:
             with pytest.raises(ServiceError, match="cancelled"):
                 client.wait(submitted["job_id"])
             assert client.status(submitted["job_id"])["state"] == "cancelled"
+
+    def test_cancel_running_job_takes_effect_at_once(self):
+        job = quick_job("integer_compare", "integer_compare", (6, 6), "none")
+        with BackgroundService(runners=1, lease_ttl=30.0) as svc:
+            client = svc.client()
+            client.fleet_lease("w1")  # an active worker: runner threads idle
+            client.submit(job)
+            shard = client.fleet_lease("w1")["shard"]
+            assert client.status(job.job_id())["state"] == "running"
+            assert client.cancel(job.job_id()) == {
+                "job_id": job.job_id(), "state": "cancelled", "cancelled": True
+            }
+            # The worker finishes its shard after the cancel: dropped.
+            late = client.fleet_result(
+                shard["shard_id"], "w1", token=shard["token"],
+                result=job.run_shard(Workbench(), shard["attack_index"]),
+            )
+            assert late == {"accepted": False, "unknown": True}
+            with pytest.raises(ServiceError, match="cancelled"):
+                client.wait(job.job_id())
+            store = svc.scheduler.store
+            assert store.shard_payloads(job.job_id()) == {}
+            deadline = time.monotonic() + 10
+            while store.get_job(job.job_id()).state != "cancelled":
+                assert time.monotonic() < deadline, "ledger never said cancelled"
+                time.sleep(0.01)
+
+
+class TestPriority:
+    """Lower ``priority`` numbers are served first; ties in submission
+    order."""
+
+    def test_lower_number_leases_first(self):
+        low, high = (
+            quick_job("integer_compare", "integer_compare", (n, n), "none")
+            for n in (30, 31)
+        )
+        with BackgroundService(runners=1, lease_ttl=30.0) as svc:
+            client = svc.client()
+            client.fleet_lease("w1")  # an active worker: runner threads idle
+            client.submit(low, priority=10)
+            client.submit(high, priority=1)
+            order = [client.fleet_lease("w1")["shard"]["job_id"] for _ in range(4)]
+        assert order == [high.job_id()] * 2 + [low.job_id()] * 2
+
+    def test_lower_number_runs_first_locally(self):
+        low, high = (
+            quick_job("integer_compare", "integer_compare", (n, n + 2), "none")
+            for n in (32, 33)
+        )
+        with BackgroundService(runners=1, lease_ttl=0.5) as svc:
+            client = svc.client()
+            # A worker that falls silent holds the runner thread back
+            # until both jobs are queued.
+            client.fleet_lease("w1")
+            client.submit(low, priority=10)
+            client.submit(high, priority=1)
+            for job in (low, high):
+                client.wait(job.job_id())
+            started = {
+                job: client.status(job.job_id())["started_at"] for job in (low, high)
+            }
+        assert started[high] < started[low]
