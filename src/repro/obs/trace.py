@@ -180,8 +180,8 @@ class JobTraceRecorder:
     """Folds one job's scheduler event stream into a span tree.
 
     The scheduler feeds every published event (``on_event``) from its
-    event-loop thread, so no locking subtleties arise beyond the
-    tracer's own; each event carries the stamp its emitter took.  The
+    commit thread, one at a time, so no locking subtleties arise beyond
+    the tracer's own; each event carries the stamp its emitter took.  The
     resulting tree::
 
         job <id>

@@ -1,4 +1,4 @@
-"""Campaign-as-a-service: async job queue, persistent results, HTTP API.
+"""Campaign-as-a-service: threaded job queue, persistent results, HTTP API.
 
 The serving tier over the compile/attack stack (S13):
 
@@ -8,14 +8,14 @@ The serving tier over the compile/attack stack (S13):
   result is built with;
 * :mod:`repro.service.queue` — the job scheduler (:class:`JobScheduler`):
   dedup in flight / via the store / via the Workbench compile cache,
-  runner threads that claim shards locally, per-batch progress events,
-  cancellation;
+  runner threads that claim shards locally, one commit thread that
+  stores and then publishes every job event, cancellation;
 * :mod:`repro.service.store` — SQLite :class:`ResultStore` with schema
   versioning; finished campaigns survive restarts and are never
   re-executed;
 * :mod:`repro.service.http` — streaming stdlib HTTP API
-  (:class:`ServiceServer`, NDJSON progress) plus the
-  :class:`BackgroundService` thread harness;
+  (:class:`ServiceServer`, a thread per connection, NDJSON progress)
+  plus the :class:`BackgroundService` thread harness;
 * :mod:`repro.service.client` — blocking :class:`ServiceClient`
   (``submit``/``status``/``stream``/``results``) with connect/read
   timeouts and bounded retry-with-backoff (:class:`RetryPolicy`), the

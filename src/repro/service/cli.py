@@ -2,7 +2,7 @@
 
 Commands
 --------
-``serve``    run the service (store + scheduler + HTTP API) until ^C
+``serve``    run the service (store + scheduler + HTTP API) until ^C/kill
 ``worker``   run a fleet worker that leases campaign shards from a
              running service (``--host/--port``) until ^C
 ``submit``   build a campaign job from a bundled program or source file
@@ -29,8 +29,8 @@ Quickstart::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
+import signal
 import sys
 from typing import Any, Optional
 
@@ -43,39 +43,33 @@ DEFAULT_PORT = 8731
 # ---------------------------------------------------------------------------
 # serve
 # ---------------------------------------------------------------------------
-async def _serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.http import serving
 
-    async with serving(
-        args.db,
-        host=args.host,
-        port=args.port,
-        resume=args.resume,
-        runners=args.runners,
-        trial_workers=args.trial_workers,
-        lease_ttl=args.lease_ttl,
-        observability=args.observability,
-    ) as (server, recovered, resumed):
-        print(
-            f"repro.service listening on http://{server.host}:{server.port} "
-            f"(db={args.db}, runners={args.runners}, "
-            f"trial_workers={args.trial_workers}, lease_ttl={args.lease_ttl}s, "
-            f"recovered {recovered}, resumed {resumed} job(s))",
-            flush=True,
-        )
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
+    # SIGTERM (``kill``) stops the service like ^C: cleanly, exit 0.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        return asyncio.run(_serve(args))
+        with serving(
+            args.db,
+            host=args.host,
+            port=args.port,
+            resume=args.resume,
+            runners=args.runners,
+            trial_workers=args.trial_workers,
+            lease_ttl=args.lease_ttl,
+            observability=args.observability,
+        ) as (server, recovered, resumed):
+            print(
+                f"repro.service listening on http://{server.host}:{server.port} "
+                f"(db={args.db}, runners={args.runners}, "
+                f"trial_workers={args.trial_workers}, lease_ttl={args.lease_ttl}s, "
+                f"recovered {recovered}, resumed {resumed} job(s))",
+                flush=True,
+            )
+            server.serve_forever()
     except KeyboardInterrupt:
         print("\nrepro.service stopped", flush=True)
-        return 0
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +115,6 @@ def parse_attack(spec: str) -> AttackSpec:
     for commas inside lists so the option splitter stays simple), with a
     bare-string fallback.
     """
-    import json as _json
-
     suite, _, rest = spec.partition(":")
     kwargs: dict[str, Any] = {}
     if rest:
@@ -133,8 +125,8 @@ def parse_attack(spec: str) -> AttackSpec:
                     f"bad attack option {item!r} in {spec!r}; expected key=value"
                 )
             try:
-                kwargs[key.strip()] = _json.loads(value.strip().replace(";", ","))
-            except _json.JSONDecodeError:
+                kwargs[key.strip()] = json.loads(value.strip().replace(";", ","))
+            except json.JSONDecodeError:
                 kwargs[key.strip()] = value.strip()
     return AttackSpec.make(suite.strip(), **kwargs)
 

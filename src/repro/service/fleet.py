@@ -124,14 +124,16 @@ class _FleetJob:
 
 
 class FleetCoordinator:
-    """Owns the shard table; safe to call from the event loop (HTTP
-    handlers, submissions) and from runner threads concurrently.
+    """Owns the shard table; safe to call from HTTP handler threads,
+    submissions and runner threads concurrently.
 
     All state transitions happen under one condition variable.  Lease
     expiry is swept lazily on every lease, heartbeat and runner-thread
     wake-up, so the coordinator needs no background task of its own.
     Jobs leave the table when they finish, fail or are cancelled; each
     finished or failed job is reported once through its ``on_done``.
+    ``emit`` and ``on_done`` are called under the condition, so they
+    must not block.
     """
 
     def __init__(

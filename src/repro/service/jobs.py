@@ -113,7 +113,7 @@ class AttackSpec:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.suite not in ATTACK_SUITES:
+        if not isinstance(self.suite, str) or self.suite not in ATTACK_SUITES:
             raise JobError(
                 f"unknown attack suite {self.suite!r}; known: "
                 f"{sorted(ATTACK_SUITES)}"
@@ -308,16 +308,13 @@ class CampaignJob(_SourceJob):
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignJob":
+        """Parse an envelope (:func:`job_from_dict` makes errors JobErrors)."""
         data = _check_envelope(data, cls.kind)
-        try:
-            config = CompileConfig.from_dict(data.get("config") or {})
-        except ValueError as exc:
-            raise JobError(f"bad config: {exc}") from exc
         return cls(
             source=data.get("source", ""),
             function=data.get("function", ""),
             args=tuple(data.get("args") or ()),
-            config=config,
+            config=CompileConfig.from_dict(data.get("config") or {}),
             attacks=tuple(
                 AttackSpec.from_dict(spec) for spec in data.get("attacks") or ()
             ),
@@ -503,14 +500,11 @@ class CompileJob(_SourceJob):
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CompileJob":
+        """Parse an envelope (:func:`job_from_dict` makes errors JobErrors)."""
         data = _check_envelope(data, cls.kind)
-        try:
-            config = CompileConfig.from_dict(data.get("config") or {})
-        except ValueError as exc:
-            raise JobError(f"bad config: {exc}") from exc
         return cls(
             source=data.get("source", ""),
-            config=config,
+            config=CompileConfig.from_dict(data.get("config") or {}),
             initializers=tuple(
                 tuple(pair) for pair in data.get("initializers") or ()
             ),
@@ -547,9 +541,22 @@ def _scheme_revision(config: CompileConfig) -> int:
     return get_scheme(config.scheme).revision
 
 
+#: The JSON type of each job-envelope field.
+_ENVELOPE_TYPES = {
+    **dict.fromkeys(("kind", "title", "source", "function"), (str, "string")),
+    **dict.fromkeys(("args", "attacks", "initializers"), (list, "array")),
+    "config": (dict, "object"),
+    "version": (int, "integer"),
+}
+
+
 def _check_envelope(data: Any, kind: str) -> dict[str, Any]:
     if not isinstance(data, dict):
         raise JobError(f"job spec must be a JSON object, got {type(data).__name__}")
+    for name, (expected, json_type) in _ENVELOPE_TYPES.items():
+        value = data.get(name)
+        if name in data and (not isinstance(value, expected) or isinstance(value, bool)):
+            raise JobError(f"job field {name!r} must be a JSON {json_type}, got {value!r}")
     version = data.get("version", JOB_SCHEMA_VERSION)
     if version != JOB_SCHEMA_VERSION:
         raise JobError(
@@ -565,14 +572,22 @@ _JOB_KINDS = {CampaignJob.kind: CampaignJob, CompileJob.kind: CompileJob}
 
 
 def job_from_dict(data: dict[str, Any]):
-    """Parse a job envelope into the right job class by ``kind``."""
+    """Parse a job envelope into the right job class by ``kind``; a
+    malformed envelope raises :class:`JobError`."""
     if not isinstance(data, dict):
         raise JobError(f"job spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind", CampaignJob.kind)
-    job_cls = _JOB_KINDS.get(kind)
+    job_cls = _JOB_KINDS.get(kind) if isinstance(kind, str) else None
     if job_cls is None:
         raise JobError(f"unknown job kind {kind!r}; known: {sorted(_JOB_KINDS)}")
-    return job_cls.from_dict(data)
+    try:
+        return job_cls.from_dict(data)
+    except JobError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # A well-typed envelope with malformed contents: args that are
+        # not ints, attack kwargs that are not an object, ...
+        raise JobError(f"malformed {kind} job: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

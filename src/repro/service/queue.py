@@ -15,33 +15,38 @@ Execution: a campaign is queued as shards on the
 only queue.  Remote fleet workers lease shards of every queued job over
 HTTP, in ``(priority, submission order)``; while no worker is active,
 ``runners`` dedicated threads claim them through
-:meth:`~repro.service.fleet.FleetCoordinator.run_local`, so the event
-loop (and the HTTP tier on top of it) stays responsive.  A fleet of zero
-is the single-host service.  Each runner thread owns a private
+:meth:`~repro.service.fleet.FleetCoordinator.run_local`.  A fleet of
+zero is the single-host service.  Each runner thread owns a private
 :class:`~repro.toolchain.executor.CampaignExecutor` (``trial_workers``
 processes) to shard trials; with ``trial_workers=0`` trials run on the
 in-process fork engine.  Two runner threads attacking one workload are
 serialised by a per-(program, workload) lock — the checkpoint-forked
 trial scheduler reuses one trial CPU per workload and is not
-re-entrant.  Compile jobs have no shards: they run on the loop's
-default executor as soon as they are submitted.
+re-entrant.  Compile jobs have no shards: each runs on a thread of its
+own as soon as it is submitted.
 
-Progress events stream to any number of subscribers per job (asyncio
-queues feeding the NDJSON HTTP endpoint); lifecycle events are also
-persisted for replay after the job — or the process — is gone.
+Publication: the submitting thread publishes a job's first events,
+before anything else can emit for it; every later event, the completion
+and a cancellation go through one **commit thread**, in order.  Each
+writes the store first — the persisted event, and before a terminal
+event the result, the state and the trace — and then publishes the
+event to the job's handle, an event list plus a condition that event
+streams, ``result(wait=True)`` and shutdown wait on.  The coordinator
+calls ``emit`` and ``on_done`` under its own lock, so both only enqueue.
+Lifecycle events persist for replay after the job — or the process — is
+gone.
 """
 
 from __future__ import annotations
 
-import asyncio
 import sys
 import threading
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from queue import SimpleQueue
 import weakref
-from typing import Any, AsyncIterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry, RegistryStats
 from repro.obs.profile import ENGINE_COUNTERS, EngineProfiler
@@ -76,13 +81,9 @@ class UnknownJobError(KeyError):
 
 
 class SchedulerStats(RegistryStats):
-    """Counters the /status endpoint exposes (and tests assert on).
-
-    Attribute-compatible with the old dataclass (``stats.executed += 1``
-    still works), but the storage is :class:`~repro.obs.metrics.
-    MetricsRegistry` counters — the same series ``GET /metrics`` renders,
-    so the two surfaces cannot disagree.
-    """
+    """Counters the /status endpoint exposes (and tests assert on),
+    stored as the :class:`~repro.obs.metrics.MetricsRegistry` series
+    ``GET /metrics`` renders, so the two surfaces cannot disagree."""
 
     _FIELDS = {
         "submitted": "repro_jobs_submitted_total",
@@ -95,7 +96,8 @@ class SchedulerStats(RegistryStats):
 
 
 class JobHandle:
-    """Live state of one queued/running job."""
+    """Live state of one queued/running job: the events published so
+    far, and the condition every reader of them waits on."""
 
     def __init__(self, job, job_id: str):
         self.job = job
@@ -111,14 +113,22 @@ class JobHandle:
         #: ``time.perf_counter()`` when the job started (first claim or
         #: lease; ``repro_job_seconds`` runs from here).
         self.started = 0.0
-        self.future: asyncio.Future = asyncio.get_running_loop().create_future()
-        # Swallow "exception was never retrieved" for fire-and-forget
-        # submissions that only ever poll /status.
-        self.future.add_done_callback(
-            lambda f: f.exception() if not f.cancelled() else None
-        )
         self.events: list[dict[str, Any]] = []
-        self.subscribers: list[asyncio.Queue] = []
+        #: Notified when an event is published and at shutdown; guards
+        #: ``events`` and ``state``.
+        self.changed = threading.Condition()
+
+    @property
+    def ended(self) -> bool:
+        return self.state in ("done", "failed", "cancelled")
+
+    def publish(self, payload: dict[str, Any], state: Optional[str] = None) -> None:
+        """Append an event (and set a new ``state``); wake every reader."""
+        with self.changed:
+            if state is not None:
+                self.state = state
+            self.events.append(payload)
+            self.changed.notify_all()
 
 
 #: Per-(program, workload) locks: the memoized TrialScheduler reuses one
@@ -159,8 +169,9 @@ def _workload_lock(program, function: str, args: tuple) -> threading.Lock:
 
 
 class JobScheduler:
-    """Owns the job handles, the runner threads, the workbench, and the
-    store; the fleet coordinator owns the shard queue."""
+    """Owns the job handles, the runner threads, the commit thread, the
+    workbench, and the store; the fleet coordinator owns the shard
+    queue.  Threads start on construction and stop at :meth:`close`."""
 
     def __init__(
         self,
@@ -193,87 +204,71 @@ class JobScheduler:
         #: ``GET /metrics``, so /status counters and the Prometheus
         #: scrape read the same storage.
         self.registry = MetricsRegistry()
-        #: Every campaign queues its shards on the fleet coordinator:
-        #: remote workers lease them over HTTP, and with no worker active
-        #: the runner threads claim them — so a fleet of zero behaves
-        #: exactly like a single-host service.
         self.fleet = FleetCoordinator(
             store=self.store, lease_ttl=lease_ttl, registry=self.registry
         )
         self.stats = SchedulerStats(self.registry)
         self._profiler = EngineProfiler(self.registry)
         self._inflight: dict[str, JobHandle] = {}
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._closed = False
-        # All job-lifecycle store *writes* funnel through this one thread:
-        # SQLite write contention (another process holding the WAL lock)
-        # must stall this worker, never the event loop — and a single
-        # thread keeps writes in submission order.  WAL readers never
-        # block on writers, so reads stay inline.
-        self._store_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service-store"
-        )
-        # Terminal states and full event logs are written to the store
-        # asynchronously (via the pool above); these bounded overlays
-        # answer status()/events() consistently in the window before the
-        # writes land (and keep recent replays cheap).
-        self._terminal: OrderedDict[str, tuple[str, Optional[str]]] = OrderedDict()
+        #: Full event logs (batch events included) of recently ended
+        #: jobs, for cheap replays.
         self._recent_events: OrderedDict[str, list[dict[str, Any]]] = OrderedDict()
-        # Traces ride the same async store thread as events; this overlay
-        # answers trace() in the window before the write lands.
-        self._recent_traces: OrderedDict[str, list[dict[str, Any]]] = OrderedDict()
-
-    # -- lifecycle ---------------------------------------------------------
-    async def start(self) -> "JobScheduler":
-        if self._threads:
-            raise RuntimeError("scheduler already started")
-        self._loop = asyncio.get_running_loop()
+        #: Guards the two tables above: submit's check-and-insert, and
+        #: the commit thread retiring a handle from one into the other.
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        self._closed = False
+        #: The commit thread's work, in order: ``(fn, args)``, or ``None``
+        #: to stop.
+        self._commits: SimpleQueue = SimpleQueue()
+        self._committer = threading.Thread(
+            target=self._commit_loop, name="repro-service-commit", daemon=True
+        )
+        self._committer.start()
+        #: Runner threads and running compile jobs; close() joins them.
         self._threads = [
             threading.Thread(
                 target=self._claim_loop, name=f"repro-service-runner-{i}", daemon=True
             )
-            for i in range(self.runners)
+            for i in range(runners)
         ]
         for thread in self._threads:
             thread.start()
-        return self
 
+    # -- lifecycle ---------------------------------------------------------
     @property
     def closed(self) -> bool:
         """True once shutdown began — the HTTP tier answers 503 with a
         ``Retry-After`` hint instead of queueing doomed work."""
         return self._closed
 
-    async def close(self) -> None:
-        """Stop the runner threads after their current shards and drain
-        the store thread.  Jobs still queued or leased keep their ledger
-        rows (and stored shards) and resume on the next start."""
-        self._closed = True
+    def close(self) -> None:
+        """Stop the runner threads after their current shards, drain the
+        commit thread, then wake every event stream and result waiter.
+        Jobs still queued or leased keep their ledger rows (and stored
+        shards) and resume on the next start."""
+        with self._lock:
+            self._closed = True
         self._stop.set()
         self.fleet.wake()
         for thread in self._threads:
-            await asyncio.to_thread(thread.join)
-        self._threads = []
-        self._store_pool.shutdown(wait=True)
+            thread.join()
+        self._commits.put(None)
+        self._committer.join()
+        for handle in list(self._inflight.values()):
+            with handle.changed:
+                handle.changed.notify_all()
 
     def resume_from_store(self) -> int:
         """Re-enqueue jobs left ``queued``/``running`` by a dead process.
 
-        Returns the number of jobs resumed.  Must be called on the event
-        loop after :meth:`start`.
+        Returns the number of jobs resumed.
         """
         resumed = 0
         for record in self.store.resumable_jobs():
-            if record.job_id in self._inflight:
-                continue
             try:
                 job = job_from_dict(record.spec)
             except JobError as exc:
-                self._remember_terminal(
-                    record.job_id, "failed", f"unresumable spec: {exc}"
-                )
                 self._store_write(
                     self.store.set_state,
                     record.job_id,
@@ -281,7 +276,10 @@ class JobScheduler:
                     f"unresumable spec: {exc}",
                 )
                 continue
-            self._enqueue(job, record.job_id, PRIORITY_DEFAULT, requeue=True)
+            with self._lock:
+                if record.job_id in self._inflight:
+                    continue
+                self._enqueue(job, record.job_id, PRIORITY_DEFAULT, requeue=True)
             resumed += 1
         return resumed
 
@@ -289,24 +287,26 @@ class JobScheduler:
     def submit(self, job, priority: int = PRIORITY_DEFAULT) -> tuple[str, bool]:
         """Queue a job (idempotently); returns ``(job_id, deduplicated)``.
 
-        Must be called on the event loop.  ``deduplicated`` is true when
-        the id was already in flight or already has a stored result.
+        ``deduplicated`` is true when the id was already in flight or
+        already has a stored result.
         """
-        if self._closed:
-            raise RuntimeError("scheduler is shut down")
         job_id = job.job_id()
-        if job_id in self._inflight:
-            self.stats.deduplicated_inflight += 1
-            return job_id, True
-        record = self.store.get_job(job_id)
-        if record is not None and record.state == "done":
-            if self._stored_result_current(job_id, job):
-                self.stats.deduplicated_store += 1
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("scheduler is shut down")
+            if job_id in self._inflight:
+                self.stats.deduplicated_inflight += 1
                 return job_id, True
-            # The scheme builder was replaced since this result was
-            # computed (register_scheme(replace=True) bumps the revision,
-            # exactly like the Workbench compile cache): re-execute.
-        self._enqueue(job, job_id, priority, requeue=False)
+            record = self.store.get_job(job_id)
+            if record is not None and record.state == "done":
+                if self._stored_result_current(job_id, job):
+                    self.stats.deduplicated_store += 1
+                    return job_id, True
+                # The scheme builder was replaced since this result was
+                # computed (register_scheme(replace=True) bumps the
+                # revision, exactly like the Workbench compile cache):
+                # re-execute.
+            self._enqueue(job, job_id, priority, requeue=False)
         return job_id, False
 
     def _stored_result_current(self, job_id: str, job) -> bool:
@@ -329,26 +329,23 @@ class JobScheduler:
         return True
 
     def _enqueue(self, job, job_id: str, priority: int, requeue: bool) -> None:
-        # A resubmission supersedes a failed/cancelled attempt's overlays
-        # AND its persisted event log — a replay must never end at a stale
-        # terminal event from the previous attempt.
-        self._terminal.pop(job_id, None)
+        """Record the job, publish ``queued`` and hand the job on — to the
+        coordinator, or to a compile thread.  Runs under ``_lock``."""
+        # A resubmission supersedes a failed/cancelled attempt's replay
+        # log AND its persisted event log — a replay must never end at a
+        # stale terminal event from the previous attempt.
         self._recent_events.pop(job_id, None)
         self._store_write(self.store.clear_events, [job_id])
-        # The durable ledger write rides the ordered store thread like
-        # every other write (SQLite contention must never stall the event
-        # loop); the ack therefore slightly precedes durability — a crash
-        # in that window loses only the queued entry, and job ids are
-        # deterministic so clients can simply resubmit.
         self._store_write(
             self.store.record_job, job_id, job.kind, job.to_dict(), True
         )
         handle = JobHandle(job, job_id)
         if self.observability:
             handle.trace = JobTraceRecorder(job_id)
-            self._recent_traces.pop(job_id, None)
         self._inflight[job_id] = handle
         self.stats.submitted += 1
+        # Published here, before the job reaches anything that emits, so
+        # ``queued`` is its first event.
         self._publish(
             handle,
             {
@@ -360,58 +357,56 @@ class JobScheduler:
             },
         )
         if job.kind != "campaign":
-            self._run_compile(handle)
+            # A compile job starts at once, on a thread of its own.
+            self._on_event(
+                handle, {"event": "started", "job_id": job_id, "kind": job.kind}, None
+            )
+            thread = threading.Thread(
+                target=self._run_compile,
+                args=(handle,),
+                name="repro-service-compile",
+                daemon=True,
+            )
+            self._threads = [t for t in self._threads if t.is_alive()] + [thread]
+            thread.start()
             return
         try:
             self.fleet.add_job(
                 job,
                 emit=self._emitter(handle),
-                on_done=lambda payload, error: self._loop.call_soon_threadsafe(
-                    self._commit, handle, payload, error
+                on_done=lambda payload, error: self._commit(
+                    self._finish, handle, payload, error
                 ),
                 priority=priority,
             )
         except Exception as exc:  # noqa: BLE001 — e.g. the shard store unreadable
-            self._fail(handle, exc)
+            self._commit(self._finish, handle, None, exc)
 
     # -- queries -----------------------------------------------------------
     def status(self, job_id: str) -> dict[str, Any]:
         handle = self._inflight.get(job_id)
         record = self.store.get_job(job_id)
-        if record is not None:
-            status = record.to_dict()
-        elif handle is not None:
-            # Submitted moments ago: the ledger write is still queued on
-            # the store thread; answer from the live handle.
-            status = {
-                "job_id": job_id,
-                "kind": handle.job.kind,
-                "title": handle.job.title,
-                "error": None,
-                "submitted_at": None,
-                "started_at": None,
-                "finished_at": None,
-            }
-        else:
+        if record is None:
             raise UnknownJobError(job_id)
+        status = record.to_dict()
         if handle is not None:
             status["state"] = handle.state
-        elif job_id in self._terminal:
-            status["state"], status["error"] = self._terminal[job_id]
         return status
 
-    async def result(self, job_id: str) -> dict[str, Any]:
-        """The job's result payload, waiting for completion if needed."""
+    def result(self, job_id: str, wait: bool = False) -> Optional[dict[str, Any]]:
+        """The job's stored result payload, or ``None`` while it has none.
+
+        ``wait`` first blocks until the job ends: then a job that failed
+        or was cancelled raises :class:`JobError`, and ``None`` means the
+        scheduler closed before the job ended."""
         handle = self._inflight.get(job_id)
-        if handle is not None:
-            try:
-                return await asyncio.shield(handle.future)
-            except asyncio.CancelledError:
-                if handle.future.cancelled():
-                    raise JobError(f"job {job_id} was cancelled") from None
-                raise
+        if wait and handle is not None:
+            with handle.changed:
+                handle.changed.wait_for(lambda: self._quiet(handle))
+            if not handle.ended:
+                return None
         payload = self.store.get_result(job_id)
-        if payload is not None:
+        if payload is not None or not wait:
             return payload
         record = self.store.get_job(job_id)
         if record is None:
@@ -421,39 +416,37 @@ class JobScheduler:
             + (f": {record.error}" if record.error else "")
         )
 
-    async def events(self, job_id: str) -> AsyncIterator[dict[str, Any]]:
-        """Stream the job's events: full replay of what already happened,
-        then live events until the job reaches a terminal state."""
-        handle = self._inflight.get(job_id)
-        if handle is None:
+    def events(self, job_id: str) -> Iterator[dict[str, Any]]:
+        """The job's events: a full replay of what already happened, then
+        live events until the job ends.  A plain function, so an unknown
+        job raises :class:`UnknownJobError` here, not at the first
+        ``next()``."""
+        with self._lock:
+            handle = self._inflight.get(job_id)
             recent = self._recent_events.get(job_id)
-            if recent is not None:  # full in-memory log, incl. batch events
-                for event in list(recent):
-                    yield event
-                return
-            if self.store.get_job(job_id) is None:
-                raise UnknownJobError(job_id)
-            for event in self.store.events(job_id):
-                yield event
-            return
-        queue: asyncio.Queue = asyncio.Queue()
-        # No await between the replay snapshot and subscribing, so no
-        # event can slip between the two.
-        for event in handle.events:
-            queue.put_nowait(event)
-        if handle.future.done():
-            queue.put_nowait(None)
-        else:
-            handle.subscribers.append(queue)
-        try:
-            while True:
-                event = await queue.get()
-                if event is None:
-                    return
-                yield event
-        finally:
-            if queue in handle.subscribers:
-                handle.subscribers.remove(queue)
+        if handle is not None:
+            return self._follow(handle)
+        if recent is not None:  # full in-memory log, incl. batch events
+            return iter(recent)
+        if self.store.get_job(job_id) is None:
+            raise UnknownJobError(job_id)
+        return iter(self.store.events(job_id))
+
+    def _follow(self, handle: JobHandle) -> Iterator[dict[str, Any]]:
+        seen, last = 0, False
+        while not last:
+            with handle.changed:
+                handle.changed.wait_for(
+                    lambda: len(handle.events) > seen or self._quiet(handle)
+                )
+                new, last = handle.events[seen:], self._quiet(handle)
+            yield from new
+            seen += len(new)
+
+    def _quiet(self, handle: JobHandle) -> bool:
+        """True once nothing more can be published on ``handle``: it
+        ended, or the commit thread has stopped."""
+        return handle.ended or not self._committer.is_alive()
 
     # -- observability -----------------------------------------------------
     def trace(self, job_id: str) -> Optional[list[dict[str, Any]]]:
@@ -464,9 +457,6 @@ class JobScheduler:
         handle = self._inflight.get(job_id)
         if handle is not None and handle.trace is not None:
             return handle.trace.export()
-        recent = self._recent_traces.get(job_id)
-        if recent is not None:
-            return list(recent)
         stored = self.store.get_trace(job_id)
         if stored is not None:
             return stored
@@ -480,10 +470,12 @@ class JobScheduler:
         always current (they are the live storage for stats objects and
         executor merges); only gauges need a poll."""
         registry = self.registry
+        with self._lock:
+            handles = list(self._inflight.values())
         registry.gauge("repro_queue_depth").set(
-            sum(handle.state == "queued" for handle in self._inflight.values())
+            sum(handle.state == "queued" for handle in handles)
         )
-        registry.gauge("repro_jobs_inflight").set(len(self._inflight))
+        registry.gauge("repro_jobs_inflight").set(len(handles))
         registry.gauge("repro_runners").set(self.runners)
         registry.gauge("repro_trial_workers").set(self.trial_workers)
         self._profiler.sample_workbench(self.workbench)
@@ -512,15 +504,14 @@ class JobScheduler:
         }
 
     # -- analysis ----------------------------------------------------------
-    async def vulnerability_map(self, job_id: str) -> dict[str, Any]:
+    def vulnerability_map(self, job_id: str) -> dict[str, Any]:
         """The stored campaign's per-instruction vulnerability map, as a
-        JSON payload.  Built off-loop (compile is a cache hit for jobs
-        this process ran; the golden run is memoized per program)."""
-        loop = asyncio.get_running_loop()
-        vmap = await loop.run_in_executor(None, self._locked_map, job_id)
+        JSON payload (compile is a cache hit for jobs this process ran;
+        the golden run is memoized per program)."""
+        vmap = self._locked_map(job_id)
         return {"job_id": job_id, "kind": "vulnerability-map", "map": vmap.to_dict()}
 
-    async def scheme_diff(self, job_a: str, job_b: str) -> dict[str, Any]:
+    def scheme_diff(self, job_a: str, job_b: str) -> dict[str, Any]:
         """Residual-vulnerability diff of two stored campaigns.
 
         The two jobs must attack the *same program input* — identical
@@ -529,18 +520,16 @@ class JobScheduler:
         from repro.analysis.diff import SchemeDiff, require_same_program_input
 
         require_same_program_input(self.store, job_a, job_b)
-        loop = asyncio.get_running_loop()
-        # Independent builds (different schemes -> different programs and
-        # workload locks): overlap their executor slots.
-        map_a, map_b = await asyncio.gather(
-            loop.run_in_executor(None, self._locked_map, job_a),
-            loop.run_in_executor(None, self._locked_map, job_b),
-        )
-        diff = SchemeDiff.build(map_a, map_b)
+        diff = SchemeDiff.build(self._locked_map(job_a), self._locked_map(job_b))
         return {"a": job_a, "b": job_b, "kind": "scheme-diff", "diff": diff.to_dict()}
 
-    def _campaign_job(self, job_id: str):
-        from repro.service.jobs import job_from_dict
+    def _locked_map(self, job_id: str):
+        """Map a stored job under its workload lock — the golden-trace
+        scheduler reuses one trial CPU per workload and must not be
+        touched while a runner thread attacks the same workload.  The map
+        is built from the exact program object the lock is keyed on
+        (re-consulting the LRU could return a different one)."""
+        from repro.analysis.vulnmap import map_from_store
 
         record = self.store.get_job(job_id)
         if record is None:
@@ -551,34 +540,35 @@ class JobScheduler:
             raise JobError(f"job {job_id} has an unparsable spec: {exc}") from exc
         if job.kind != "campaign":
             raise JobError(f"job {job_id} is a {job.kind!r} job; maps need a campaign")
-        return job
-
-    def _locked_map(self, job_id: str):
-        """Map a stored job under its workload lock — the golden-trace
-        scheduler reuses one trial CPU per workload and must not be
-        touched while a runner thread attacks the same workload.  The map
-        is built from the exact program object the lock is keyed on
-        (re-consulting the LRU could return a different one)."""
-        from repro.analysis.vulnmap import map_from_store
-
-        job = self._campaign_job(job_id)
         program = job.compile(self.workbench)
         with _workload_lock(program, job.function, tuple(job.args)):
             return map_from_store(self.store, job_id, program=program)
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         """Cancel a queued or running job at once: its shards leave the
-        queue, and a shard result still in flight is dropped as unknown.
-        Done jobs are left alone."""
-        handle = self._inflight.get(job_id)
+        queue, a shard result still in flight is dropped as unknown, and
+        ``cancelled`` is the job's last event.  Done jobs are left
+        alone."""
+        with self._lock:
+            handle = self._inflight.get(job_id)
+            # Once closed, the commit thread may be gone: the job stays
+            # queued and resumes on the next start.
+            if handle is not None and not self._closed:
+                self.fleet.cancel(job_id)
+                self._commit(self._cancel, handle)
         if handle is None:
             record = self.store.get_job(job_id)
             if record is None:
                 raise UnknownJobError(job_id)
             return {"job_id": job_id, "state": record.state, "cancelled": False}
-        self.fleet.cancel(job_id)
-        self._finalize_cancel(handle)
-        return {"job_id": job_id, "state": "cancelled", "cancelled": True}
+        # A completion committed before the cancel wins: then the job is
+        # done, not cancelled.
+        self.sync()
+        return {
+            "job_id": job_id,
+            "state": handle.state,
+            "cancelled": handle.state == "cancelled",
+        }
 
     # -- execution ---------------------------------------------------------
     def _claim_loop(self) -> None:
@@ -603,8 +593,8 @@ class JobScheduler:
     def _run_shard(self, job, index: int, emit, executor) -> dict[str, Any]:
         """One locally claimed shard, under the workload lock keyed on the
         exact compiled object (see :func:`_workload_lock`)."""
-        # The loop owns the handles; a lookup is atomic, and a cancelled
-        # job's handle may be gone (its result is dropped anyway).
+        # A cancelled job's handle may be gone (its result is dropped
+        # anyway).
         handle = self._inflight.get(job.job_id())
         program = handle.program if handle is not None else None
         if program is None:
@@ -630,193 +620,158 @@ class JobScheduler:
         return payload
 
     def _run_compile(self, handle: JobHandle) -> None:
-        self._on_event(
-            handle,
-            {"event": "started", "job_id": handle.job_id, "kind": handle.job.kind},
-        )
-        run = self._loop.run_in_executor(None, handle.job.execute, self.workbench)
-        run.add_done_callback(
-            lambda done: self._commit(
-                handle,
-                None if done.exception() else done.result(),
-                done.exception(),
-            )
-        )
+        """A compile job's own thread: it commits like a campaign."""
+        try:
+            payload, error = handle.job.execute(self.workbench), None
+        except Exception as exc:  # noqa: BLE001 — fails the job, not the thread
+            payload, error = None, exc
+        self._commit(self._finish, handle, payload, error)
 
-    def _commit(
+    # -- the commit thread -------------------------------------------------
+    def sync(self) -> None:
+        """Block until the commit thread has committed everything queued
+        so far: an HTTP call that caused events answers after they are
+        stored and published."""
+        committed = threading.Event()
+        with self._lock:
+            closing = self._closed
+            if not closing:
+                self._commit(committed.set)
+        if closing:
+            self._committer.join()  # close() drains the queue, then stops it
+        else:
+            committed.wait()
+
+    def _commit(self, fn, *args) -> None:
+        """Queue ``fn(*args)`` for the commit thread (never blocks)."""
+        self._commits.put((fn, args))
+
+    def _commit_loop(self) -> None:
+        while (task := self._commits.get()) is not None:
+            fn, args = task
+            try:
+                fn(*args)
+            except Exception:  # noqa: BLE001 — one bad commit must not stop the rest
+                traceback.print_exc()
+
+    def _emitter(self, handle: JobHandle):
+        """The job's ``emit`` for the coordinator, runner threads and
+        executor merge loops: stamp the event on the emitting thread,
+        then queue it for the commit thread."""
+        recorder = handle.trace
+
+        def emit(payload: dict[str, Any]) -> None:
+            at_ms = recorder.tracer.now_ms() if recorder is not None else None
+            self._commit(self._on_event, handle, payload, at_ms)
+
+        return emit
+
+    def _on_event(
+        self, handle: JobHandle, payload: dict[str, Any], at_ms: Optional[float]
+    ) -> None:
+        if handle.ended:
+            return  # a cancelled job's late shard events
+        state = None
+        if payload["event"] == "started":
+            state = "running"
+            handle.started = time.perf_counter()
+            self._store_write(self.store.set_state, handle.job_id, "running")
+        self._publish(handle, payload, at_ms, state)
+
+    def _finish(
         self,
         handle: JobHandle,
         payload: Optional[dict[str, Any]],
         error: Optional[BaseException],
     ) -> None:
-        """The loop-side end of a job: store the result, then publish
-        ``finished`` (or ``failed``)."""
-        if handle.future.done() or self._closed:
-            # Cancelled; or shutting down, when the ledger row and any
-            # stored shards resume the job on the next start.
-            return
+        """A job's end: store the result, then publish ``finished`` — or
+        record the failure, then publish ``failed``."""
+        if handle.ended:
+            return  # cancelled first
         # The job-completion engine boundary: fold the trial schedulers'
         # own counters into the shared registry (sampled once per job, so
         # the no-hook fast loop stays untouched).
         if handle.program is not None:
             self._profiler.sample_program(handle.program)
         self._profiler.sample_workbench(self.workbench)
-        if error is not None:
-            self._fail(handle, error)
+        if error is None:
+            try:
+                self.store.store_result(handle.job_id, payload)
+            except Exception as exc:  # noqa: BLE001 — an unstored result fails the job
+                error = exc
+        if error is None:
+            self.stats.executed += 1
+            self.registry.histogram("repro_job_seconds").observe(
+                time.perf_counter() - handle.started
+            )
+            self._end(
+                handle,
+                "done",
+                {"event": "finished", "job_id": handle.job_id, "kind": handle.job.kind},
+            )
             return
-        # Result durability before the 'finished' event: a client that
-        # sees the stream end must find the result in the store.
-        write = self._loop.run_in_executor(
-            self._store_pool, self.store.store_result, handle.job_id, payload
-        )
-        write.add_done_callback(
-            lambda done: self._finish(handle, payload, done.exception())
-        )
-
-    def _finish(
-        self, handle: JobHandle, payload: dict[str, Any], error: Optional[BaseException]
-    ) -> None:
-        if handle.future.done():
-            return  # cancelled while the result was stored
-        if error is not None:
-            self._fail(handle, error)
-            return
-        self.stats.executed += 1
-        self.registry.histogram("repro_job_seconds").observe(
-            time.perf_counter() - handle.started
-        )
-        handle.state = "done"
-        self._publish(
-            handle,
-            {"event": "finished", "job_id": handle.job_id, "kind": handle.job.kind},
-        )
-        handle.future.set_result(payload)
-        self._persist_trace(handle)
-        self._close_stream(handle)
-
-    def _fail(self, handle: JobHandle, exc: BaseException) -> None:
-        error = f"{type(exc).__name__}: {exc}"
+        message = f"{type(error).__name__}: {error}"
         self.stats.failed += 1
-        handle.state = "failed"
-        self._remember_terminal(handle.job_id, "failed", error)
-        self._store_write(self.store.set_state, handle.job_id, "failed", error)
-        self._publish(
+        self._store_write(self.store.set_state, handle.job_id, "failed", message)
+        self._end(
             handle,
+            "failed",
             {
                 "event": "failed",
                 "job_id": handle.job_id,
-                "error": error,
-                "traceback": "".join(
-                    traceback.format_exception(exc, limit=8)
-                ),
+                "error": message,
+                "traceback": "".join(traceback.format_exception(error, limit=8)),
             },
         )
-        if not handle.future.done():
-            handle.future.set_exception(JobError(error))
-        self._persist_trace(handle)
-        self._close_stream(handle)
 
-    def _finalize_cancel(self, handle: JobHandle) -> None:
+    def _cancel(self, handle: JobHandle) -> None:
+        if handle.ended:
+            return  # finished or failed first
         self.stats.cancelled += 1
-        handle.state = "cancelled"
-        self._remember_terminal(handle.job_id, "cancelled")
         self._store_write(self.store.set_state, handle.job_id, "cancelled")
-        self._publish(
-            handle, {"event": "cancelled", "job_id": handle.job_id}
-        )
-        handle.future.cancel()
-        self._persist_trace(handle)
-        self._close_stream(handle)
-
-    # -- event plumbing ----------------------------------------------------
-    def _emitter(self, handle: JobHandle):
-        """The job's ``emit`` for the coordinator, runner threads and
-        executor merge loops: stamp the event on the emitting thread,
-        then hop onto the loop for publication."""
-        recorder = handle.trace
-
-        def emit(payload: dict[str, Any]) -> None:
-            at_ms = recorder.tracer.now_ms() if recorder is not None else None
-            self._loop.call_soon_threadsafe(self._on_event, handle, payload, at_ms)
-
-        return emit
-
-    def _on_event(
-        self,
-        handle: JobHandle,
-        payload: dict[str, Any],
-        at_ms: Optional[float] = None,
-    ) -> None:
-        if handle.future.done():
-            return  # a cancelled job's late shard events
-        if payload["event"] == "started":
-            handle.state = "running"
-            handle.started = time.perf_counter()
-            self._store_write(self.store.set_state, handle.job_id, "running")
-        self._publish(handle, payload, at_ms)
+        self._end(handle, "cancelled", {"event": "cancelled", "job_id": handle.job_id})
 
     def _publish(
         self,
         handle: JobHandle,
         payload: dict[str, Any],
         at_ms: Optional[float] = None,
+        state: Optional[str] = None,
     ) -> None:
-        handle.events.append(payload)
+        """Fold the event into the trace and persist it, then publish it
+        (with the job's new ``state``, if any)."""
         if handle.trace is not None:
-            # The recorder folds the event stream into spans.  _publish
-            # always runs on the event loop, so per-handle calls are
-            # serialised without any extra locking.
             handle.trace.on_event(payload, at_ms=at_ms)
-        if payload.get("event") in PERSISTED_EVENTS:
+        if payload["event"] in PERSISTED_EVENTS:
             self._store_write(self.store.append_event, handle.job_id, payload)
-        for queue in handle.subscribers:
-            queue.put_nowait(payload)
+        handle.publish(payload, state)
 
-    def _persist_trace(self, handle: JobHandle) -> None:
-        recorder = handle.trace
-        if recorder is None:
-            return
-        spans = recorder.export()
-        self.registry.counter("repro_traces_total").inc()
-        self._recent_traces[handle.job_id] = spans
-        self._recent_traces.move_to_end(handle.job_id)
-        while len(self._recent_traces) > 256:
-            self._recent_traces.popitem(last=False)
-        self._store_write(self.store.store_trace, handle.job_id, spans)
-
-    def _remember_terminal(
-        self, job_id: str, state: str, error: Optional[str] = None
-    ) -> None:
-        self._terminal[job_id] = (state, error)
-        self._terminal.move_to_end(job_id)
-        while len(self._terminal) > 1024:
-            self._terminal.popitem(last=False)
+    def _end(self, handle: JobHandle, state: str, payload: dict[str, Any]) -> None:
+        """Publish a terminal event and retire the handle.  The trace is
+        stored first.  The log moves to the replay table in the same step
+        as the handle leaves the in-flight table, so a reader finds one
+        or the other."""
+        if handle.trace is not None:
+            handle.trace.on_event(payload)
+            self.registry.counter("repro_traces_total").inc()
+            self._store_write(self.store.store_trace, handle.job_id, handle.trace.export())
+        self._store_write(self.store.append_event, handle.job_id, payload)
+        with self._lock:
+            handle.publish(payload, state)
+            self._recent_events[handle.job_id] = handle.events
+            self._recent_events.move_to_end(handle.job_id)
+            while len(self._recent_events) > 256:
+                self._recent_events.popitem(last=False)
+            self._inflight.pop(handle.job_id, None)
 
     def _store_write(self, fn, *args) -> None:
-        """Fire-and-forget store write on the (ordered) store thread;
-        durability failures are reported, never fatal to the service."""
-
-        def write() -> None:
-            try:
-                fn(*args)
-            except Exception as exc:  # noqa: BLE001
-                print(
-                    f"repro.service: store write {fn.__name__}{args[:1]} "
-                    f"failed: {exc}",
-                    file=sys.stderr,
-                )
-
+        """One store write; a durability failure is reported, never
+        fatal to the service."""
         try:
-            self._store_pool.submit(write)
-        except RuntimeError:  # pool shut down mid-flight
-            write()
-
-    def _close_stream(self, handle: JobHandle) -> None:
-        for queue in handle.subscribers:
-            queue.put_nowait(None)
-        handle.subscribers = []
-        self._recent_events[handle.job_id] = handle.events
-        self._recent_events.move_to_end(handle.job_id)
-        while len(self._recent_events) > 256:
-            self._recent_events.popitem(last=False)
-        self._inflight.pop(handle.job_id, None)
+            fn(*args)
+        except Exception as exc:  # noqa: BLE001
+            print(
+                f"repro.service: store write {fn.__name__}{args[:1]} "
+                f"failed: {exc}",
+                file=sys.stderr,
+            )

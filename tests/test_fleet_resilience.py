@@ -523,6 +523,10 @@ class TestNetworkChaos:
                         "timeout": 15.0,
                     },
                 ):
+                    # Submitted before the worker registers, the job runs
+                    # on the runner thread and the worker's weather goes
+                    # unexercised.
+                    wait_for_worker(svc, "storm-rider")
                     # The submitting client rides bad weather too: its
                     # first submission's response is dropped.
                     client = ServiceClient(
