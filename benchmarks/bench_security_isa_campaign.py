@@ -151,7 +151,12 @@ def test_campaign_engine_speedup(benchmark, engine_programs):
     """Checkpoint forking onto trace-compiled trial CPUs is >= 3x the
     reference interpreter in trials/sec on the mixed quick workload,
     single-process, with golden capture and every trace compile charged
-    to the fork engine."""
+    to the fork engine.
+
+    ``cycles_simulated_per_sec`` counts the cycles each engine actually
+    simulated.  A fork trial that rejoins the golden run stops at its
+    probe, so the fork figure measures work done and is not comparable
+    with the reference engine's, which runs every trial to its end."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     memcmp_models = _memcmp_models(engine_programs["memcmp-ancode"])
     measurements = {}
@@ -194,6 +199,10 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
     inside the timed region.  The cold compile of *every* trace of the
     image, from a freshly compiled image, is reported separately as
     ``trace_compile_seconds``.
+
+    ``rejoined`` counts the fork engine's trials that were decided from
+    the golden run at their rejoin probe: a timing-free check that the
+    shortcut stays on (the bench fails when it is 0).
     """
     from repro.isa.superblock import superblock_tables
     from repro.minic.driver import compile_source
@@ -224,6 +233,7 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
             "seconds": round(seconds, 3),
             "trials_per_sec": round(result.trials / seconds, 1),
         }
+    rejoined = memcmp.trial_scheduler("run_memcmp", args).stats.rejoined
     speedup = (
         measurements["fork"]["trials_per_sec"]
         / measurements["reference"]["trials_per_sec"]
@@ -233,6 +243,7 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
         "workload": f"memcmp[{args[0]}] strided-skip x {len(models)} trials",
         "trace_compile_seconds": round(compile_seconds, 3),
         "traces": len(traces),
+        "rejoined": rejoined,
         "speedup_vs_reference": round(speedup, 2),
     }
     record_bench_json("campaign_memcmp_strided", payload)
@@ -241,6 +252,7 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
         f"fork engine only {speedup:.1f}x the reference engine "
         f"({measurements})"
     )
+    assert rejoined > 0, "no trial of the strided memcmp sweep rejoined the golden run"
 
 
 def _parallel_measurement(engine_programs):

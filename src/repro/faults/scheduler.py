@@ -16,6 +16,30 @@ then forks each trial from the nearest checkpoint strictly before its
 fault's first possible firing index.  A trial is therefore roughly
 O(window + faulted suffix) instead of O(program).
 
+Golden rejoin
+-------------
+Most faulted trials stop diverging soon after the fault: the
+architecture matches the golden run again, and only the CFI monitor
+remembers the fault.  GPSA updates are XOR-linear (``rotl(state) ^ sig``,
+merges ``^ value``), so with equal architecture a trial retraces the
+golden path, and each live call frame carries a fixed, merely rotating
+signature difference δ: a frame with δ ≠ 0 fails its next ``CFI_CHECK``,
+a frame with δ = 0 passes every check, and a frame the trial opens later
+starts from the callee's entry state (δ = 0).
+
+So after a hook's ``fire_window`` closes, the trial single-steps on to
+the next ladder checkpoint (the *probe*) and compares its state with the
+golden checkpoint there.  If only the monitor differs, the trial has
+*rejoined*, and its exact result comes from a table of the golden run's
+CFI checks: ``CFI_VIOLATION`` at the first later check in a frame that
+was live at the probe and carries δ ≠ 0, or else the golden result — in
+both cases shifted by the cycles and instructions the trial gained or
+lost before the probe.  A verdict that would reach the trial's cycle
+budget is not given; the trial simulates on, so timeouts stay exact.
+The probe is skipped when stepping to it would cost more than
+simulating the rest (``PROBE_STEP_COST``), for hooks without a window,
+under speculation, and when the golden run did not exit.
+
 Fault models participate through two optional methods (see
 :mod:`repro.faults.models`):
 
@@ -33,10 +57,11 @@ checkpoint, which is exactly the legacy full replay.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
 
 from repro.isa.cpu import PAGE_BITS, PAGE_SIZE, CpuSnapshot, ExecutionResult, Status
+from repro.isa.mmio import MMIO
 
 #: Default spacing (retired instructions) between checkpoints.
 DEFAULT_INTERVAL = 64
@@ -45,6 +70,13 @@ DEFAULT_INTERVAL = 64
 MAX_CHECKPOINTS = 96
 #: Cycle budget of the golden capture.
 GOLDEN_MAX_CYCLES = 10_000_000
+#: Cost of one single step relative to one instruction of a compiled
+#: trace (2.3-2.8 µs against 0.32-0.34 µs on memcmp/ancode, 2-vCPU Xeon
+#: container, CPython 3.11).  A trial probes for a golden rejoin only
+#: when single-stepping from the end of its fault window to the probe
+#: costs no more than simulating the golden run's remaining
+#: instructions on traces would.
+PROBE_STEP_COST = 8
 
 
 _EMPTY_INDICES = array("I")
@@ -122,8 +154,30 @@ class SchedulerStats:
     #: compiled traces entered by trials
     superblock_blocks: int = 0
     #: instructions trials single-stepped instead of running compiled
-    #: traces (open fault windows, near-timeout tails)
+    #: traces (open fault windows, steps to a probe, near-timeout tails)
     superblock_deopt_steps: int = 0
+    #: trials whose result was read off the golden run after they
+    #: rejoined it at a probe (they count as simulated up to the probe)
+    rejoined: int = 0
+    #: instructions rejoined trials would have simulated after the probe
+    saved_instructions: int = 0
+
+
+@dataclass
+class _CheckTable:
+    """The golden run's CFI checks, one row per checking instruction."""
+
+    #: dynamic index of the instruction (= golden retired count after it)
+    index: array
+    #: golden cycle count after it
+    cycles: array
+    #: golden console length after it
+    console: array
+    #: dynamic index of the ``bl`` that opened the checking frame (0 for
+    #: the entry frame)
+    birth: array = field(default_factory=lambda: array("I"))
+    #: monitor call-stack depth of the checking frame
+    depth: array = field(default_factory=lambda: array("I"))
 
 
 class TrialScheduler:
@@ -154,7 +208,8 @@ class TrialScheduler:
         Golden capture runs the decode-cached step loop: it needs
         ``stop_at_instruction`` and a recording retire hook.  Trials run
         on a trace-compiled CPU (``dispatch="superblock"``) that
-        single-steps only while a fault window is open."""
+        single-steps only while a fault window is open, and on to the
+        rejoin probe (see the module docstring)."""
         self.program = program
         self.function = function
         self.args = list(args)
@@ -214,6 +269,9 @@ class TrialScheduler:
             getattr(self.program.image, "target", "baseline")
         ).branch_mnemonic
 
+        checks = _CheckTable(array("I"), array("Q"), array("I"))
+        CFI_CHECK = MMIO.CFI_CHECK
+
         def record(cpu, instr, events):
             mnemonic = instr.mnemonic
             hits = mnemonic_indices.get(mnemonic)
@@ -225,6 +283,13 @@ class TrialScheduler:
             addrs = mnemonic_addrs.get(mnemonic)
             if addrs is not None:
                 addrs.append(addr_of[id(instr)])
+            if events:
+                for event in events:
+                    if event.addr == CFI_CHECK:
+                        checks.index.append(cpu.dyn_index)
+                        checks.cycles.append(cpu.cycles)
+                        checks.console.append(len(cpu.console_chars))
+                        break
 
         cpu = self.program.prepare_cpu(
             self.function, self.args, track_pages=True, spec=self.spec
@@ -255,6 +320,12 @@ class TrialScheduler:
         self._checkpoint_retired = [snap.retired for snap in checkpoints]
         self.stats.checkpoints = len(checkpoints)
         self.stats.interval = interval
+        #: the golden CFI checks a rejoined trial's verdict is read from,
+        #: or None when no trial may rejoin
+        self._checks = None
+        if self.spec is None and result.status is Status.EXIT:
+            _frame_births(checks, self.trace)
+            self._checks = checks
 
     # ------------------------------------------------------------------
     def _fork_point(self, first_fire: int, max_cycles: int) -> CpuSnapshot:
@@ -298,14 +369,109 @@ class TrialScheduler:
         cpu = self._fork_cpu(snap)
         cpu.pre_hooks.append(hook)
         blocks0, steps0 = cpu._sb_blocks, cpu._sb_steps
-        result = cpu.run(max_cycles)
-        self.last_trial_end = cpu.dyn_index
-        self.stats.forked += 1
-        self.stats.simulated_instructions += result.instructions - snap.retired
-        self.stats.simulated_cycles += result.cycles - snap.cycles
-        self.stats.superblock_blocks += cpu._sb_blocks - blocks0
-        self.stats.superblock_deopt_steps += cpu._sb_steps - steps0
+        probe = self._probe(hook)
+        stats = self.stats
+        if probe is None:
+            result = cpu.run(max_cycles)
+        else:
+            result = cpu.run(max_cycles, stop_at_instruction=probe.dyn_index)
+        end = cpu.dyn_index
+        if result.status is Status.RUNNING:  # paused at the probe
+            verdict = self._rejoin_verdict(cpu, probe, max_cycles)
+            if verdict is None:
+                result = cpu.run(max_cycles)
+                end = cpu.dyn_index
+            else:
+                result, end = verdict
+                stats.rejoined += 1
+                stats.saved_instructions += result.instructions - cpu.retired
+        self.last_trial_end = end
+        stats.forked += 1
+        stats.simulated_instructions += cpu.retired - snap.retired
+        stats.simulated_cycles += cpu.cycles - snap.cycles
+        stats.superblock_blocks += cpu._sb_blocks - blocks0
+        stats.superblock_deopt_steps += cpu._sb_steps - steps0
         return result
+
+    def _probe(self, hook) -> CpuSnapshot | None:
+        """The ladder checkpoint a trial with ``hook`` is compared at: the
+        first at or after its fire window's end, when stepping there is
+        cheaper than simulating the rest of the run (else None)."""
+        window = getattr(hook, "fire_window", None)
+        if window is None or self._checks is None:
+            return None
+        pos = bisect_left(self._checkpoint_retired, window[1])
+        if pos == len(self.checkpoints):
+            return None
+        probe = self.checkpoints[pos]
+        remaining = self.golden.instructions - probe.dyn_index
+        if (probe.dyn_index - window[1]) * PROBE_STEP_COST > remaining:
+            return None
+        return probe
+
+    def _rejoin_verdict(
+        self, cpu, probe: CpuSnapshot, max_cycles: int
+    ) -> tuple[ExecutionResult, int] | None:
+        """``(result, last_trial_end)`` of a trial paused at ``probe``
+        whose state equals the golden checkpoint's except for the CFI
+        monitor's state and stacked values; None when anything else
+        differs or the verdict would reach ``max_cycles``."""
+        if (
+            cpu.regs != probe.regs
+            or cpu.n != probe.n
+            or cpu.z != probe.z
+            or cpu.c != probe.c
+            or cpu.v != probe.v
+            or cpu.status is not probe.status
+            or cpu.exit_code != probe.exit_code
+            or cpu.detect_code != probe.detect_code
+            or cpu.branch_invert
+            or cpu.console_chars != probe.console
+        ):
+            return None
+        memory, pristine, pages = cpu.memory, self._pristine, probe.pages
+        for page in cpu._dirty_pages | pages.keys():
+            offset = page << PAGE_BITS
+            expected = pages.get(page)
+            if expected is None:
+                expected = pristine[offset : offset + PAGE_SIZE]
+            if memory[offset : offset + PAGE_SIZE] != expected:
+                return None
+        deltas = []
+        monitor = cpu.monitor
+        if monitor is not None:
+            state, stack = probe.monitor[0], probe.monitor[1]
+            if len(monitor.call_stack) != len(stack):
+                return None
+            deltas = [a ^ b for a, b in zip(monitor.call_stack, stack)]
+            deltas.append(monitor.state ^ state)
+        cycles = cpu.cycles - probe.cycles
+        retired = cpu.retired - probe.retired
+        if any(deltas):
+            checks = self._checks
+            births, depths = checks.birth, checks.depth
+            for k in range(bisect_right(checks.index, probe.dyn_index), len(births)):
+                if births[k] <= probe.dyn_index and deltas[depths[k]]:
+                    end_cycles = checks.cycles[k] + cycles
+                    if end_cycles >= max_cycles:
+                        return None
+                    index = checks.index[k]
+                    return ExecutionResult(
+                        status=Status.CFI_VIOLATION,
+                        exit_code=cpu.exit_code,
+                        cycles=end_cycles,
+                        instructions=index + retired,
+                        detect_code=cpu.detect_code,
+                        console=self.golden.console[: checks.console[k]],
+                    ), index
+        golden = self.golden
+        if golden.cycles + cycles >= max_cycles:
+            return None
+        return replace(
+            golden,
+            cycles=golden.cycles + cycles,
+            instructions=golden.instructions + retired,
+        ), golden.instructions
 
     def _fork_cpu(self, snap: CpuSnapshot):
         """The trial CPU in exactly the checkpoint's state, ready for one
@@ -333,3 +499,27 @@ class TrialScheduler:
             cpu.pre_hooks.clear()
         cpu.restore(snap)
         return cpu
+
+
+def _frame_births(checks: _CheckTable, trace: GoldenTrace) -> None:
+    """Fill ``checks.birth``/``checks.depth`` by replaying the golden
+    run's calls and returns: the monitor pushes a frame at every ``bl``
+    and pops one at a ``bx`` while a caller is stacked."""
+    calls, returns = trace.indices("bl"), trace.indices("bx")
+    frames = [0]  # birth of each live frame; the entry frame's is 0
+    c = r = 0
+    for index in checks.index:
+        while True:
+            call = calls[c] if c < len(calls) else index
+            ret = returns[r] if r < len(returns) else index
+            if call < ret and call < index:
+                frames.append(call)
+                c += 1
+            elif ret < index:
+                if len(frames) > 1:
+                    frames.pop()
+                r += 1
+            else:
+                break
+        checks.birth.append(frames[-1])
+        checks.depth.append(len(frames) - 1)

@@ -259,8 +259,11 @@ class CPU:
         """Run until halt/timeout.
 
         ``stop_at_instruction`` pauses the loop (status stays RUNNING) once
-        ``retired`` reaches the given count — the checkpoint scheduler uses
-        this to slice the golden run into snapshot intervals.
+        ``dyn_index`` reaches the given count: dynamic slots, skipped
+        instructions included, so without a skipping hook it equals
+        ``retired``.  The checkpoint scheduler uses this to slice the
+        golden run into snapshot intervals, and to pause a trial at the
+        ladder checkpoint it compares against the golden run.
         """
         if self.dispatch == "reference":
             while self.status is Status.RUNNING:
@@ -269,7 +272,7 @@ class CPU:
                     break
                 if (
                     stop_at_instruction is not None
-                    and self.retired >= stop_at_instruction
+                    and self.dyn_index >= stop_at_instruction
                 ):
                     break
                 self.step()
@@ -328,7 +331,7 @@ class CPU:
                 return
             if (
                 stop_at_instruction is not None
-                and self.retired >= stop_at_instruction
+                and self.dyn_index >= stop_at_instruction
             ):
                 return
             pc = regs[PC]

@@ -69,8 +69,10 @@ deoptimises around them:
 * a pre-hook *without* a window (unbounded models such as
   ``RepeatedFlagFlip``) falls back to the hooked per-instruction loop
   for the whole run,
-* ``stop_at_instruction`` (checkpoint capture) and non-monitor retire
-  hooks (golden-trace recording) likewise fall back — the scheduler's
+* ``stop_at_instruction`` (counted in ``dyn_index``) ends the stepping
+  phase of a windowed run: the loop single-steps to the stop and pauses
+  there, even past ``hi``.  Without a window it falls back, like
+  non-monitor retire hooks (golden-trace recording) — the scheduler's
   golden run is engine-independent by construction.
 
 With speculation enabled (``SpecEngine`` window > 0), ``Bcc`` must
@@ -1428,7 +1430,11 @@ def run_superblock(
             break
         lo_min = window[0] if lo_min is None else min(lo_min, window[0])
         hi_max = window[1] if hi_max is None else max(hi_max, window[1])
-    if stop_at_instruction is not None or not supported_retire or not bounded:
+    if (
+        not supported_retire
+        or not bounded
+        or (stop_at_instruction is not None and hi_max is None)
+    ):
         # Full deoptimisation: checkpoint capture, golden-trace recording
         # and unbounded fault models run the reference step loops.
         if pre_hooks or retire_hooks or stop_at_instruction is not None:
@@ -1453,16 +1459,23 @@ def run_superblock(
             # stepping with hooks, identical to _run_hooked; traces
             # compiled already are taken opportunistically while they
             # provably stay below the window (looping traces never
-            # qualify).  Nothing is compiled here.
-            while cpu.status is RUNNING and cpu.dyn_index < hi_max:
+            # qualify).  Nothing is compiled here.  A stop, when given,
+            # replaces ``hi`` as the end of the stepping: the trial
+            # scheduler steps on to the ladder checkpoint it compares
+            # against, and the loop pauses there.
+            limit = hi_max if stop_at_instruction is None else stop_at_instruction
+            below = min(lo_min, limit)
+            while cpu.status is RUNNING:
                 if cpu.cycles >= max_cycles:
                     cpu.status = Status.TIMEOUT
                     return
+                if cpu.dyn_index >= limit:
+                    break
                 pc = regs[PC]
                 blk = traces.get(pc)
                 if (
                     blk is not None
-                    and cpu.dyn_index + blk[1] < lo_min
+                    and cpu.dyn_index + blk[1] < below
                     and cpu.cycles + blk[2] < max_cycles
                     and not cpu.branch_invert
                 ):
@@ -1489,6 +1502,8 @@ def run_superblock(
                 nstep += 1
                 if on_retire is not None:
                     on_retire(cpu, instr, list(events))
+            if stop_at_instruction is not None:
+                return
         # Phase 2 — window closed (or no hooks at all): pure trace
         # chaining, compiling each trace the first time its entry is
         # reached; near-timeout traces and addresses that start no trace

@@ -45,7 +45,18 @@ CATALOG: dict[str, tuple[str, str]] = {
     "repro_engine_superblock_deopt_steps_total": (
         "counter",
         "Instructions fork-engine trials single-stepped instead of running "
-        "compiled traces (open fault windows, near-timeout tails).",
+        "compiled traces (open fault windows, steps to a rejoin probe, "
+        "near-timeout tails).",
+    ),
+    "repro_engine_trials_rejoined_total": (
+        "counter",
+        "Trials whose state matched the golden run's except for the CFI "
+        "monitor at their probe checkpoint, decided from the golden run.",
+    ),
+    "repro_engine_instructions_saved_total": (
+        "counter",
+        "Instructions rejoined trials were decided for without simulating "
+        "(projected end minus the probe).",
     ),
     "repro_engine_batch_retries_total": (
         "counter", "Trial batches resubmitted after a worker-pool rebuild."

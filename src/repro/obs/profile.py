@@ -29,6 +29,8 @@ ENGINE_COUNTERS: dict[str, str] = {
     "simulated_cycles": "repro_engine_cycles_total",
     "superblock_blocks": "repro_engine_superblock_blocks_total",
     "superblock_deopt_steps": "repro_engine_superblock_deopt_steps_total",
+    "rejoined": "repro_engine_trials_rejoined_total",
+    "saved_instructions": "repro_engine_instructions_saved_total",
 }
 
 

@@ -309,7 +309,9 @@ class FleetCoordinator:
         self._start_locked(job)
         try:
             payload = merge_shards(job.job, [shard.payload for shard in job.shards])
-        except JobError as exc:
+        except (JobError, KeyError, TypeError) as exc:
+            # A malformed shard payload: the job is closed already, so
+            # on_done is the only way left to end it.
             job.on_done(None, exc)
         else:
             job.on_done(payload, None)

@@ -217,9 +217,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- fleet endpoints ---------------------------------------------------
     def _fleet_lease(self, body: bytes) -> None:
         data = self._json_body(body)
-        worker = data.get("worker")
-        if not isinstance(worker, str) or not worker:
-            raise JobError("fleet lease needs a 'worker' id")
+        worker = _worker(data)
         request = data.get("request")
         if request is not None and not isinstance(request, str):
             raise JobError("fleet lease 'request' must be a string id")
@@ -243,7 +241,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise JobError("heartbeat 'metrics' must be an object")
         payload = self.server.scheduler.fleet.heartbeat(
             shard_id,
-            str(data.get("worker") or ""),
+            _worker(data),
             str(data.get("token") or ""),
             _ttl(data),
             metrics=metrics,
@@ -253,18 +251,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _fleet_result(self, shard_id: str, body: bytes) -> None:
         data = self._json_body(body)
+        worker = _worker(data)
         result = data.get("result")
         error = data.get("error")
         if result is None and error is None:
             raise JobError("shard result needs 'result' or 'error'")
-        if result is not None and not isinstance(result, dict):
-            raise JobError("shard 'result' must be an object")
+        if result is not None:
+            _check_shard_payload(result)
         fault_models = data.get("fault_models")
         if fault_models is not None and not isinstance(fault_models, list):
             raise JobError("shard 'fault_models' must be a list")
         ack = self.server.scheduler.fleet.submit_result(
             shard_id,
-            str(data.get("worker") or ""),
+            worker,
             payload=result,
             token=data.get("token"),
             error=error,
@@ -362,6 +361,35 @@ class _Handler(BaseHTTPRequestHandler):
             status, content_type, {"Content-Length": str(len(body)), **(headers or {})}
         )
         self.wfile.write(body)
+
+
+def _worker(data: dict[str, Any]) -> str:
+    """A fleet request's ``worker`` id: a non-empty string (an empty one
+    would register as an active worker and pause local execution)."""
+    worker = data.get("worker")
+    if not isinstance(worker, str) or not worker:
+        raise JobError("fleet requests need a non-empty string 'worker' id")
+    return worker
+
+
+#: The fields of a shard payload (``CampaignJob.run_shard``) and their
+#: JSON types: the coordinator merges a job's last shard from them.
+_SHARD_FIELDS = {
+    "shard": (str, "a string"),
+    "attack": (str, "a string"),
+    "index": (int, "an integer"),
+    "scheme": (str, "a string"),
+    "result": (dict, "an object"),
+}
+
+
+def _check_shard_payload(result: Any) -> None:
+    if not isinstance(result, dict):
+        raise JobError("shard 'result' must be an object")
+    for name, (kind, label) in _SHARD_FIELDS.items():
+        value = result.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise JobError(f"shard 'result' needs {name!r} as {label}, got {value!r}")
 
 
 def _ttl(data: dict[str, Any]) -> Optional[float]:

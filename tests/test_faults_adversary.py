@@ -92,7 +92,11 @@ class TestCompositeOfOne:
             [CompositeFault((model,)) for model in models],
             "single",
         )
-        assert _tally(plain) == _tally(composed)
+        assert _tally(plain)[:3] == _tally(composed)[:3]
+        # A plain fault may rejoin the golden run at its probe and stop
+        # simulating; a composite resumes counting hooks without a fire
+        # window, which never probe, so it simulates at least as much.
+        assert plain.simulated_cycles <= composed.simulated_cycles
 
     @pytest.mark.parametrize("scheme", TABLE3)
     def test_sha256_trials_identical(self, scheme):

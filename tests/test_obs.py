@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.bench import latency_summary
-from repro.faults.isa_campaign import branch_flip_sweep
+from repro.faults.isa_campaign import branch_flip_sweep, skip_sweep
 from repro.obs import (
     CATALOG,
     EngineProfiler,
@@ -255,6 +255,56 @@ class TestWorkerMetricsMerge:
         # Idempotent between engine progress: re-sampling adds nothing.
         profiler.sample_program(program)
         assert profiler.registry.counter("repro_engine_trials_total").value == first
+
+
+# ---------------------------------------------------------------------------
+# Golden-rejoin counters
+# ---------------------------------------------------------------------------
+REJOIN_SERIES = (
+    "repro_engine_trials_rejoined_total",
+    "repro_engine_instructions_saved_total",
+)
+
+
+def _scraped(scrape: str, name: str) -> float:
+    match = re.search(rf"^{name} (\S+)$", scrape, re.MULTILINE)
+    assert match, f"{name} missing from /metrics"
+    return float(match.group(1))
+
+
+class TestRejoinCounters:
+    @pytest.fixture(scope="class")
+    def memcmp(self):
+        return Workbench().compile(load_source("memcmp"), CompileConfig(scheme="ancode"))
+
+    def test_served_skip_job_reports_rejoins(self):
+        job = CampaignJob(
+            source=load_source("memcmp"),
+            function="run_memcmp",
+            args=(8,),
+            config=CompileConfig(scheme="ancode"),
+            attacks=(AttackSpec.make("skip-sweep"),),
+        )
+        with BackgroundService(runners=1, trial_workers=0) as svc:
+            client = svc.client()
+            client.run(job)
+            scrape = client.metrics()
+        for name in REJOIN_SERIES:
+            assert _scraped(scrape, name) > 0, name
+
+    def test_executor_merged_totals_equal_serial(self, memcmp):
+        # Whether a trial rejoins, and what it saves, depends on the
+        # trial alone: workers' merged deltas add up to the serial run's.
+        skip_sweep(memcmp, "run_memcmp", [8])
+        profiler = EngineProfiler()
+        profiler.sample_program(memcmp)
+        registry = MetricsRegistry()
+        with CampaignExecutor(max_workers=2, metrics=registry) as executor:
+            skip_sweep(memcmp, "run_memcmp", [8], executor=executor)
+        for name in REJOIN_SERIES + ("repro_engine_trials_total",):
+            serial = profiler.registry.counter(name).value
+            assert serial > 0, name
+            assert registry.counter(name).value == serial, name
 
 
 # ---------------------------------------------------------------------------

@@ -127,12 +127,80 @@ MALFORMED = {
     "unparsable-request-line": b"NONSENSE\r\n\r\n",
 }
 
+#: A shard payload as ``CampaignJob.run_shard`` returns it.
+SHARD_PAYLOAD = {
+    "shard": "sh-none", "attack": "branch-flip", "index": 0, "scheme": "none",
+    "result": {},
+}
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("request_bytes", MALFORMED.values(), ids=MALFORMED)
     def test_answers_structured_400(self, service, request_bytes):
         assert assert_json_4xx(raw_exchange(service.address, request_bytes)) == 400
         assert service.client().service_status()["service"] == "repro.service"
+
+
+# ---------------------------------------------------------------------------
+# Fleet input: worker ids and shard payloads
+# ---------------------------------------------------------------------------
+class TestFleetInput:
+    @pytest.mark.parametrize("route", ["heartbeat", "result"])
+    @pytest.mark.parametrize("worker", ["missing", "", 7, None, ["w"]])
+    def test_worker_must_be_a_nonempty_string(self, service, route, worker):
+        # An empty id used to register as an active worker, which pauses
+        # the local runner threads for a lease TTL.
+        body = {"token": "t", "error": "boom"}
+        if worker != "missing":
+            body["worker"] = worker
+        request = post(f"/fleet/shards/sh-none/{route}", body)
+        assert assert_json_4xx(raw_exchange(service.address, request)) == 400
+        assert service.fleet.status()["workers"] == []
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [(name, None) for name in SHARD_PAYLOAD]
+        + [("shard", 5), ("attack", []), ("index", "0"), ("index", True),
+           ("scheme", {}), ("result", [])],
+    )
+    def test_shard_payload_fields_are_checked(self, service, field, value):
+        payload = dict(SHARD_PAYLOAD)
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        request = post(
+            "/fleet/shards/sh-none/result", {"worker": "w", "result": payload}
+        )
+        assert assert_json_4xx(raw_exchange(service.address, request)) == 400
+
+    def test_unmergeable_last_shard_fails_the_job(self):
+        # A payload the HTTP boundary would refuse, handed straight to the
+        # coordinator: the merge error must fail the job through on_done,
+        # not escape with the job closed and never reported.
+        from repro.service.fleet import FleetCoordinator
+        from repro.toolchain import Workbench
+
+        job = CampaignJob(
+            source=load_source("integer_compare"),
+            function="integer_compare",
+            args=(1, 2),
+            config=CompileConfig(scheme="none"),
+            attacks=(AttackSpec.make("branch-flip", max_branches=1),),
+        )
+        coordinator = FleetCoordinator(lease_ttl=30.0)
+        assert coordinator.lease("w1") is None  # register before the job
+        done = []
+        coordinator.add_job(job, on_done=lambda payload, error: done.append(error))
+        leased = coordinator.lease("w1")
+        payload = job.run_shard(Workbench(), leased["attack_index"])
+        del payload["scheme"]
+        ack = coordinator.submit_result(
+            leased["shard_id"], "w1", payload=payload, token=leased["token"]
+        )
+        assert ack == {"accepted": True, "duplicate": False}
+        assert len(done) == 1 and isinstance(done[0], KeyError)
+        assert coordinator.status()["jobs"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +216,8 @@ JSON_TYPES = {
 }
 
 #: route -> (a valid body, {field: the JSON types the field accepts}).
-#: Fields that accept any type (the fleet's worker and token ids) are
-#: left out: no replacement can make them invalid.
+#: Fields that accept any type (the fleet's token ids) are left out: no
+#: replacement can make them invalid.
 ROUTES = {
     "/jobs": (
         ENVELOPE,
@@ -171,11 +239,11 @@ ROUTES = {
     ),
     "/fleet/shards/sh-fuzz/heartbeat": (
         {"worker": "fuzz", "token": "t", "ttl": 1.0, "metrics": {}},
-        {"ttl": {"number", "null"}, "metrics": {"object", "null"}},
+        {"worker": {"string"}, "ttl": {"number", "null"}, "metrics": {"object", "null"}},
     ),
     "/fleet/shards/sh-fuzz/result": (
-        {"worker": "fuzz", "token": "t", "result": {}, "fault_models": []},
-        {"result": {"object"}, "fault_models": {"array", "null"}},
+        {"worker": "fuzz", "token": "t", "result": SHARD_PAYLOAD, "fault_models": []},
+        {"worker": {"string"}, "result": {"object"}, "fault_models": {"array", "null"}},
     ),
 }
 

@@ -19,9 +19,11 @@ from repro.faults.isa_campaign import run_attack
 from repro.faults.models import (
     FlagFlip,
     InstructionSkip,
+    MemoryBitFlip,
     RepeatedFlagFlip,
 )
 from repro.faults.scheduler import TrialScheduler
+from repro.isa.cpu import Status
 from repro.isa.superblock import UNBOUNDED, partition_image, superblock_tables
 from repro.minic.driver import compile_source
 from repro.obs.metrics import MetricsRegistry
@@ -51,6 +53,13 @@ def _compiled(program):
         if isinstance(value, superblock._Variant)
         for addr in value.traces
     }
+
+
+def _unrejoinable(program, occurrence):
+    """A fault that can never rejoin the golden run: a flipped bit in
+    the last compared byte of a buffer memcmp only reads stays flipped
+    (and changes the comparison's result)."""
+    return MemoryBitFlip(program.image.data_addrs["cmp_b"] + 15, 0, occurrence)
 
 
 class _WideWindow:
@@ -206,12 +215,15 @@ class TestDeoptBoundary:
         # dispatch for the suffix.  The full ExecutionResult — cycles
         # included — must equal a fresh full replay on the cached step
         # loop and the reference engine's, and the stats must show both
-        # compiled blocks *and* deopt steps.
+        # compiled blocks *and* deopt steps.  The fault cannot rejoin
+        # the golden run, so the trial simulates its whole suffix.
         program = _program()
         scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
-        model = InstructionSkip(scheduler.golden.instructions // 2)
-        blocks0 = scheduler.stats.superblock_blocks
-        steps0 = scheduler.stats.superblock_deopt_steps
+        stats = scheduler.stats
+        model = _unrejoinable(program, scheduler.golden.instructions // 2)
+        blocks0 = stats.superblock_blocks
+        steps0 = stats.superblock_deopt_steps
+        rejoined0 = stats.rejoined
         result = scheduler.run_trial(model)
 
         assert result == _replay(program, "run_memcmp", [16], model, "cached")
@@ -223,8 +235,48 @@ class TestDeoptBoundary:
             program, "run_memcmp", [16], [model], record_trials=True
         )
         assert forked == reference and forked.records == reference.records
-        assert scheduler.stats.superblock_blocks > blocks0, "never re-entered traces"
-        assert scheduler.stats.superblock_deopt_steps > steps0, "never deoptimised"
+        assert stats.superblock_blocks > blocks0, "never re-entered traces"
+        assert stats.superblock_deopt_steps > steps0, "never deoptimised"
+        assert stats.rejoined == rejoined0
+
+        # A mid-run skip rejoins: it single-steps to its probe and takes
+        # the golden run's verdict, still equal to a full replay.
+        skip = InstructionSkip(scheduler.golden.instructions // 2)
+        assert scheduler.run_trial(skip) == _replay(
+            program, "run_memcmp", [16], skip, "reference"
+        )
+        assert stats.rejoined == rejoined0 + 1
+
+    def test_stop_past_the_window_pauses_like_the_step_loops(self):
+        # The rejoin probe stops a windowed run past its window.  Every
+        # dispatch pauses at the same dynamic slot (skipped ones count)
+        # in the same state, and a budget reached exactly at the stop
+        # times out on every one.
+        program = _program()
+
+        def run(dispatch, skip, stop, budget):
+            cpu = program.prepare_cpu(
+                "run_memcmp", [16], pre_hooks=[InstructionSkip(skip).hook()],
+                dispatch=dispatch,
+            )
+            result = cpu.run(budget, stop_at_instruction=stop)
+            return result, cpu.dyn_index, list(cpu.regs)
+
+        paused_runs = 0
+        for skip in (3, 40, 100, 473):
+            for stop in (skip, skip + 1, skip + 30):
+                paused, _, _ = run("cached", skip, stop, 2_000_000)
+                budgets = [2_000_000]
+                if paused.status is Status.RUNNING:  # not halted by the stop
+                    paused_runs += 1
+                    budgets += [paused.cycles, paused.cycles + 1]
+                for budget in budgets:
+                    runs = [
+                        run(dispatch, skip, stop, budget)
+                        for dispatch in ("reference", "cached", "superblock")
+                    ]
+                    assert runs[0] == runs[1] == runs[2], (skip, stop, budget)
+        assert paused_runs
 
     def test_windowed_trial_steps_only_near_the_window(self):
         # A one-instruction window deep in the run must not force
@@ -309,8 +361,16 @@ class TestObsCounters:
         assert steps == scheduler.stats.superblock_deopt_steps > 0
 
     def test_default_engine_reports_superblock_activity(self):
+        # A fault that cannot rejoin runs its suffix on compiled traces;
+        # a skip that rejoins single-steps to its probe and reports the
+        # rejoin instead.
         program = _program()
         scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
-        scheduler.run_trial(InstructionSkip(3))
+        scheduler.run_trial(_unrejoinable(program, 3))
         assert scheduler.stats.superblock_blocks > 0
         assert scheduler.stats.superblock_deopt_steps > 0
+        assert scheduler.stats.rejoined == 0
+        steps = scheduler.stats.superblock_deopt_steps
+        scheduler.run_trial(InstructionSkip(3))
+        assert scheduler.stats.rejoined == 1
+        assert scheduler.stats.superblock_deopt_steps > steps
