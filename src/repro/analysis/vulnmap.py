@@ -301,6 +301,29 @@ class CampaignAnalysis:
         return SchemeDiff.build(self.map, other.map)
 
 
+def stored_campaign(store, job_id: str):
+    """A persisted campaign job and its stored report, each parsed once:
+    ``(CampaignJob, CampaignReport)``.  ``store`` is a
+    :class:`~repro.service.store.ResultStore`; the job must be ``done``
+    with a stored result."""
+    from repro.service.jobs import job_from_dict, report_from_dict
+
+    record = store.get_job(job_id)
+    if record is None:
+        raise AnalysisError(f"unknown job {job_id!r}")
+    job = job_from_dict(record.spec)
+    if job.kind != "campaign":
+        raise AnalysisError(
+            f"job {job_id!r} is a {job.kind!r} job; maps need a campaign"
+        )
+    payload = store.get_result(job_id)
+    if payload is None:
+        raise AnalysisError(
+            f"job {job_id!r} is {record.state} and has no stored result"
+        )
+    return job, report_from_dict(payload["report"])
+
+
 def map_from_store(store, job_id: str, workbench=None, program=None) -> VulnerabilityMap:
     """Build a :class:`VulnerabilityMap` from a persisted campaign job.
 
@@ -316,38 +339,11 @@ def map_from_store(store, job_id: str, workbench=None, program=None) -> Vulnerab
     build the map from *that* object — an LRU-evicted-and-recompiled
     lookup here could return a different one.
     """
-    from repro.service.jobs import (
-        JobError,
-        _decode_initializers,
-        job_from_dict,
-        report_from_dict,
-    )
-
-    record = store.get_job(job_id)
-    if record is None:
-        raise AnalysisError(f"unknown job {job_id!r}")
-    job = job_from_dict(record.spec)
-    if job.kind != "campaign":
-        raise AnalysisError(
-            f"job {job_id!r} is a {job.kind!r} job; maps need a campaign"
-        )
-    payload = store.get_result(job_id)
-    if payload is None:
-        raise AnalysisError(
-            f"job {job_id!r} is {record.state} and has no stored result"
-        )
-    report = report_from_dict(payload["report"])
+    job, report = stored_campaign(store, job_id)
     if program is None:
         if workbench is None:
             from repro.toolchain.workbench import Workbench
 
             workbench = Workbench()
-        try:
-            program = workbench.compile(
-                job.source,
-                job.config,
-                initializers=_decode_initializers(job.initializers) or None,
-            )
-        except JobError as exc:  # pragma: no cover - defensive
-            raise AnalysisError(f"cannot recompile job {job_id!r}: {exc}") from exc
+        program = job.compile(workbench)
     return VulnerabilityMap.build(program, job.function, list(job.args), report)

@@ -16,6 +16,7 @@ work (no torn reads mid-trial) and costs nothing while trials run.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -44,12 +45,12 @@ class EngineProfiler:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: Last-seen stats per scheduler, keyed by object id.  Schedulers
-        #: are memoized for the life of their program, so ids are stable
-        #: exactly as long as the entry matters; deltas are clamped at 0
-        #: in case an id is ever reused by a fresh scheduler.
-        self._seen: dict[int, dict[str, int]] = {}
-        self._executor_retries: dict[int, int] = {}
+        #: Last-sampled counts per scheduler and per executor.  Weak keys:
+        #: a program's scheduler memo evicts old schedulers, and an entry
+        #: keyed by ``id()`` would outlive its object and hand a fresh
+        #: scheduler at the same address its predecessor's baseline.
+        self._seen: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._executor_retries: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- trial schedulers ---------------------------------------------------
     def sample_scheduler(self, scheduler: Any) -> None:
@@ -57,7 +58,7 @@ class EngineProfiler:
         stats into the registry (counters as deltas, ladder shape as
         gauges)."""
         stats = scheduler.stats
-        previous = self._seen.get(id(scheduler), {})
+        previous = self._seen.get(scheduler, {})
         current: dict[str, int] = {}
         for field, series in ENGINE_COUNTERS.items():
             value = int(getattr(stats, field, 0))
@@ -65,7 +66,7 @@ class EngineProfiler:
             delta = value - previous.get(field, 0)
             if delta > 0:
                 self.registry.counter(series).inc(delta)
-        self._seen[id(scheduler)] = current
+        self._seen[scheduler] = current
         self.registry.gauge("repro_engine_checkpoints").set(stats.checkpoints)
         self.registry.gauge("repro_engine_checkpoint_interval").set(stats.interval)
         dirty = getattr(
@@ -95,9 +96,9 @@ class EngineProfiler:
         pool-rebuild counter in (its per-batch engine counters arrive via
         the worker snapshot merge, not here)."""
         retries = int(getattr(executor, "batch_retries", 0))
-        previous = self._executor_retries.get(id(executor), 0)
+        previous = self._executor_retries.get(executor, 0)
         if retries > previous:
             self.registry.counter("repro_engine_batch_retries_total").inc(
                 retries - previous
             )
-        self._executor_retries[id(executor)] = retries
+        self._executor_retries[executor] = retries

@@ -31,8 +31,9 @@ import random
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.store import ResultStore
@@ -134,7 +135,9 @@ class ChaosProxy:
     """A faulty network between an HTTP client and the service.
 
     Listens on its own port and forwards each connection's single HTTP
-    exchange to ``(upstream_host, upstream_port)``.  Chaos applies only
+    exchange to ``(upstream_host, upstream_port)``, asking the upstream
+    to close after its response (the proxy relays it up to that close;
+    a kept-alive upstream connection would never end).  Chaos applies only
     to **POST** exchanges (the mutating fleet/submit calls whose
     idempotence is under test); GETs — including the long-lived NDJSON
     event streams — pass through untouched, so the proxy never has to
@@ -205,6 +208,7 @@ class ChaosProxy:
                 request = _read_http_message(client)
                 if request is None:
                     return
+                request = _closing(request)
                 action, delay = ("pass", 0.0)
                 if request.split(b" ", 1)[0] == b"POST":
                     action, delay = self.schedule.next_action()
@@ -249,6 +253,19 @@ def _read_http_message(sock: socket.socket) -> Optional[bytes]:
     return head + b"\r\n\r\n" + rest
 
 
+def _closing(request: bytes) -> bytes:
+    """The request with ``Connection: close`` in place of any
+    ``Connection`` header it carried."""
+    head, _, body = request.partition(b"\r\n\r\n")
+    request_line, *headers = head.split(b"\r\n")
+    headers = [
+        line for line in headers
+        if line.partition(b":")[0].strip().lower() != b"connection"
+    ]
+    head = b"\r\n".join([request_line, *headers, b"Connection: close"])
+    return head + b"\r\n\r\n" + body
+
+
 def _relay(source: socket.socket, sink: socket.socket) -> None:
     while True:
         chunk = source.recv(65536)
@@ -276,17 +293,19 @@ class CrashingStore(ResultStore):
 
     The crash fires *before* the fatal write commits — the classic
     killed-between-WAL-commits window.  Once crashed, every further
-    write raises too (the process is "dead"); reads keep working so the
-    test can inspect what made it to disk.  Recovery is exercised by
+    write raises too (the process is "dead"), and a
+    :meth:`~ResultStore.transaction` the crash happened in rolls back
+    whole, as a killed process never commits it.  Reads keep working so
+    the test can inspect what made it to disk.  Recovery is exercised by
     opening a fresh :class:`ResultStore` on the same ``path``.
     """
 
     def __init__(self, path, crash_after: int, **kwargs: Any):
-        super().__init__(path, **kwargs)
         self.crash_after = crash_after
         self.writes = 0
         self.crashed = False
         self._chaos_lock = threading.Lock()
+        super().__init__(path, **kwargs)
 
     def _maybe_crash(self, op: str) -> None:
         with self._chaos_lock:
@@ -297,6 +316,13 @@ class CrashingStore(ResultStore):
                     f"committed"
                 )
             self.writes += 1
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        with super().transaction():
+            yield
+            if self.crashed:
+                raise SimulatedCrash("store killed before the transaction committed")
 
     def record_job(self, *args: Any, **kwargs: Any):
         self._maybe_crash("record_job")

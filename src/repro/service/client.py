@@ -3,9 +3,15 @@
 The client is deliberately synchronous — it serves the CLI, the test
 suite, :meth:`repro.toolchain.workbench.CampaignBuilder.run`
 (``service=...``), and the fleet's :class:`~repro.service.fleet.
-FleetRunner`, all of which want a plain call-and-return API.  Each
-request uses a fresh connection (the server closes after every
-response).
+FleetRunner`, all of which want a plain call-and-return API.
+
+Connections: each thread that calls the client keeps one HTTP/1.1
+connection open and sends all its requests on it; an event stream reads
+on a connection of its own.  :meth:`ServiceClient.close` (or leaving a
+``with`` block) closes them all.  A request on a kept-alive connection
+that the server has meanwhile closed (idle timeout, restart) fails
+before any status line arrives; it is resent once on a fresh
+connection, outside the retry policy below.
 
 Failure handling is explicit and bounded:
 
@@ -29,6 +35,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
 import uuid
 from dataclasses import dataclass
@@ -121,6 +128,11 @@ class ServiceClient:
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self._rng = random.Random(self.retry.seed)
+        #: Each calling thread's kept-alive connection, and the open
+        #: event-stream connections; both guarded by the lock.
+        self._kept: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._streams: set[http.client.HTTPConnection] = set()
+        self._lock = threading.Lock()
 
     @classmethod
     def parse(cls, address: Union[str, "ServiceClient"], **kwargs) -> "ServiceClient":
@@ -138,79 +150,97 @@ class ServiceClient:
     def __repr__(self) -> str:
         return f"ServiceClient({self.host}:{self.port})"
 
+    def close(self) -> None:
+        """Close every connection the client has open.  The client stays
+        usable: the next call opens a fresh connection."""
+        with self._lock:
+            connections = [*self._kept.values(), *self._streams]
+            self._kept.clear()
+            self._streams.clear()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- plumbing ----------------------------------------------------------
-    def _connect(self, read_timeout: float) -> http.client.HTTPConnection:
+    def _connect(self) -> http.client.HTTPConnection:
         """Open a connection with the short connect timeout, then widen
-        the socket to the (long) read timeout for the exchange itself."""
+        the socket to the (long) read timeout for the exchanges."""
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.connect_timeout
         )
-        connection.connect()
-        if connection.sock is not None:
-            connection.sock.settimeout(read_timeout)
+        try:
+            connection.connect()
+        except (ConnectionError, OSError) as exc:
+            raise self._unreachable(exc) from exc
+        connection.sock.settimeout(self.timeout)
         return connection
 
-    def _open(
+    def _kept_connection(self) -> tuple[http.client.HTTPConnection, bool]:
+        """The calling thread's connection, and whether it was already
+        open (a reused connection may have been closed by the server)."""
+        thread = threading.current_thread()
+        connection = self._kept.get(thread)
+        if connection is not None:
+            return connection, True
+        connection = self._connect()
+        with self._lock:
+            # Threads that have ended (a runner's heartbeat threads, say)
+            # leave their connections behind: close them here.
+            for ended in [t for t in self._kept if not t.is_alive()]:
+                self._kept.pop(ended).close()
+            self._kept[thread] = connection
+        return connection, False
+
+    def _drop_kept(self) -> None:
+        with self._lock:
+            connection = self._kept.pop(threading.current_thread(), None)
+        if connection is not None:
+            connection.close()
+
+    def _unreachable(self, exc: BaseException) -> ServiceError:
+        return ServiceError(f"cannot reach service at {self.host}:{self.port}: {exc}")
+
+    def _exchange(
         self, method: str, path: str, payload: Optional[dict] = None
-    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
-        """Send one request and return the open connection with its
-        response, once the status says success.  A transport failure
+    ) -> bytes:
+        """One request on the thread's kept-alive connection; returns the
+        response body once the status says success.  A transport failure
         raises :class:`ServiceError` without a status; an HTTP error
         raises it with the status, ``Retry-After`` and the decoded error
-        body.  The caller closes the connection."""
-        try:
-            connection = self._connect(self.timeout)
-        except (ConnectionError, OSError) as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.host}:{self.port}: {exc}"
-            ) from exc
-        try:
-            body = json.dumps(payload).encode() if payload is not None else None
-            headers = {"Content-Type": "application/json"} if body else {}
+        body."""
+        body = json.dumps(payload).encode() if payload is not None else None
+        headers = {"Content-Type": "application/json"} if body else {}
+        while True:
+            connection, reused = self._kept_connection()
             try:
                 connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
-                raw = response.read() if response.status >= 400 else b""
-            except (ConnectionError, OSError) as exc:
-                raise ServiceError(
-                    f"cannot reach service at {self.host}:{self.port}: {exc}"
-                ) from exc
-            if response.status >= 400:
-                try:
-                    data = json.loads(raw.decode())
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    data = None
-                # Keep the whole payload: an error body can carry
-                # structured context (state, fault models) beyond the
-                # one-line "error" message.
-                error_body = data if isinstance(data, dict) else None
-                raise ServiceError(
-                    (error_body or {}).get(
-                        "error", f"HTTP {response.status}: {raw[:200]!r}"
-                    ),
-                    status=response.status,
-                    retry_after=_retry_after(response),
-                    body=error_body,
-                )
-        except BaseException:
-            connection.close()
-            raise
-        return connection, response
+            except (OSError, http.client.HTTPException) as exc:
+                self._drop_kept()
+                if reused and not isinstance(exc, TimeoutError):
+                    continue  # the server closed it while idle: resend once
+                raise self._unreachable(exc) from exc
+            try:
+                raw = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self._drop_kept()
+                raise self._unreachable(exc) from exc
+            if response.will_close:
+                self._drop_kept()
+            _raise_for_status(response, raw)
+            return raw
 
     def _read(self, method: str, path: str, payload: Optional[dict] = None) -> bytes:
         """One call's full response body, with bounded retry-with-backoff
         on transient failures (see :class:`RetryPolicy`)."""
         for attempt in range(self.retry.attempts):
             try:
-                connection, response = self._open(method, path, payload)
-                try:
-                    return response.read()
-                except (ConnectionError, OSError) as exc:
-                    raise ServiceError(
-                        f"cannot reach service at {self.host}:{self.port}: {exc}"
-                    ) from exc
-                finally:
-                    connection.close()
+                return self._exchange(method, path, payload)
             except ServiceError as exc:
                 last = attempt == self.retry.attempts - 1
                 if last or not self.retry.should_retry(exc):
@@ -378,8 +408,14 @@ class ServiceClient:
                 )
 
     def _stream_once(self, job_id: str, skip: int = 0) -> Iterator[dict[str, Any]]:
-        connection, response = self._open("GET", f"/jobs/{job_id}/events")
+        connection = self._connect()
+        with self._lock:
+            self._streams.add(connection)
         try:
+            connection.request("GET", f"/jobs/{job_id}/events")
+            response = connection.getresponse()
+            if response.status >= 400:
+                _raise_for_status(response, response.read())
             position = 0
             for line in response:
                 line = line.strip()
@@ -392,19 +428,19 @@ class ServiceClient:
                 yield event
                 if event.get("event") in TERMINAL_EVENTS:
                     return
-        except (ConnectionError, OSError, http.client.HTTPException) as exc:
-            raise ServiceError(
-                f"event stream for {job_id} broke mid-read: {exc}"
-            ) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServiceError(f"event stream for {job_id} broke: {exc}") from exc
         finally:
+            with self._lock:
+                self._streams.discard(connection)
             connection.close()
 
     def wait(self, job_id: str) -> dict[str, Any]:
-        """Block until the job terminates; returns its final status.
-        Raises :class:`ServiceError` if it failed or was cancelled."""
-        for _ in self.stream(job_id):
-            pass
-        status = self.status(job_id)
+        """Block until the job terminates (one request that the server
+        answers when the job ends); returns its final status.  Raises
+        :class:`ServiceError` if it failed or was cancelled, and with
+        status 503 if the service stopped first."""
+        status = self._request("GET", f"/jobs/{job_id}?wait=1")
         if status["state"] in ("failed", "cancelled"):
             raise ServiceError(
                 f"job {job_id} {status['state']}"
@@ -413,11 +449,30 @@ class ServiceClient:
         return status
 
     def run(self, job, priority: Optional[int] = None) -> dict[str, Any]:
-        """Submit, wait, and fetch the result payload in one call."""
+        """Submit, wait, and fetch the result payload in two requests.
+        Raises :class:`ServiceError` if the job failed or was cancelled."""
         submitted = self.submit(job, priority=priority)
-        job_id = submitted["job_id"]
-        self.wait(job_id)
-        return self.results(job_id, wait=True)
+        return self.results(submitted["job_id"], wait=True)
+
+
+def _raise_for_status(response: http.client.HTTPResponse, raw: bytes) -> None:
+    """Raise :class:`ServiceError` for an HTTP error response, with its
+    status, ``Retry-After`` and decoded JSON error body."""
+    if response.status < 400:
+        return
+    try:
+        data = json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        data = None
+    # Keep the whole payload: an error body can carry structured context
+    # (state, fault models) beyond the one-line "error" message.
+    error_body = data if isinstance(data, dict) else None
+    raise ServiceError(
+        (error_body or {}).get("error", f"HTTP {response.status}: {raw[:200]!r}"),
+        status=response.status,
+        retry_after=_retry_after(response),
+        body=error_body,
+    )
 
 
 def _retry_after(response: http.client.HTTPResponse) -> Optional[float]:

@@ -5,25 +5,35 @@ thread, so a request that blocks holds up only its own connection.
 
 The routes are the cases of ``_Handler._route``; ``docs/service-api.md``
 documents each one: ``/status``, ``/metrics``, ``/jobs`` (submit, list),
-``/jobs/<id>`` (status, cancel) with ``/events`` (an **NDJSON stream**:
-past events, then live ones until the job ends), ``/result``
-(``?wait=1`` blocks), ``/map`` and ``/trace``, ``/diff?a=<id>&b=<id>``,
-and the fleet protocol: ``/fleet/lease`` and
+``/jobs/<id>`` (status, ``?wait=1`` blocks until the job ends, cancel)
+with ``/events`` (an **NDJSON stream**: past events, then live ones until
+the job ends), ``/result`` (``?wait=1`` blocks), ``/map`` and ``/trace``,
+``/diff?a=<id>&b=<id>``, and the fleet protocol: ``/fleet/lease`` and
 ``/fleet/shards/<id>/heartbeat`` and ``/result``.
 
-A shutting-down scheduler answers mutating requests with ``503`` and a
-``Retry-After`` header instead of accepting doomed work.  A malformed
-request answers ``400``; every error body is JSON ``{"error": ...}``.
+A shutting-down scheduler answers mutating requests (and waits it cannot
+finish) with ``503`` and a ``Retry-After`` header instead of accepting
+doomed work.  A malformed request answers ``400``; every error body is
+JSON ``{"error": ...}``.
 
-Every response carries ``Connection: close``; the event stream has no
+Connections are HTTP/1.1 keep-alive: a success with a
+``Content-Length`` leaves the connection open for the client's next
+request, and a connection idle for :data:`IDLE_TIMEOUT_S` is closed.
+The server closes after the event stream (it has no
 ``Content-Length`` and simply ends when the job does, which lets any
-line-oriented client (``curl``, ``http.client``) consume it.
+line-oriented client such as ``curl`` consume it), after every 4xx/5xx
+(the request body may be unread), after an HTTP/1.0 request or one
+sending ``Connection: close``, and after a request with a
+``Transfer-Encoding`` (answered 400: bodies are read by
+``Content-Length`` only).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import socket
 import sys
 import threading
 import traceback
@@ -41,6 +51,10 @@ from repro.service.store import ResultStore
 #: Largest accepted request body (sources + device images are small).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Seconds a kept-alive connection may wait for its next request before
+#: the server closes it.
+IDLE_TIMEOUT_S = 60.0
+
 
 class ServiceServer(ThreadingHTTPServer):
     """The HTTP front end over one :class:`JobScheduler`."""
@@ -52,9 +66,33 @@ class ServiceServer(ThreadingHTTPServer):
         self, scheduler: JobScheduler, host: str = "127.0.0.1", port: int = 0
     ):
         self.scheduler = scheduler
+        #: Accepted connections not yet closed (guarded by the lock).
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__((host, port), _Handler)
         #: The address actually bound (``port=0`` picks a free one).
         self.host, self.port = self.server_address[:2]
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def close_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+            super().close_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening, and end every open connection's reading side:
+        an idle handler sees the end of its input and exits, while one
+        still answering (a waiter the scheduler's shutdown releases) can
+        write its response."""
+        super().server_close()
+        with self._connections_lock:
+            for connection in self._connections:
+                with contextlib.suppress(OSError):
+                    connection.shutdown(socket.SHUT_RD)
 
     def handle_error(self, request, client_address) -> None:
         # A client that hung up mid-response is not a server error.
@@ -80,6 +118,18 @@ class _Handler(BaseHTTPRequestHandler):
             return self._route
         raise AttributeError(name)
 
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+
+    def handle_one_request(self) -> None:
+        try:
+            self.rfile.peek(1)  # wait for the next request, or the end
+        except TimeoutError:
+            self.close_connection = True  # idle too long: a routine close
+            return
+        super().handle_one_request()
+
     def send_error(self, code, message=None, explain=None) -> None:
         """The stdlib's own errors (bad request line, oversized headers)
         in the JSON error shape."""
@@ -93,6 +143,11 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}
         try:
+            if "Transfer-Encoding" in self.headers:
+                raise JobError(
+                    "Transfer-Encoding is not supported; send the body with "
+                    "a Content-Length"
+                )
             body = self._body()
             match [method, *parts]:
                 case ["GET", "status"]:
@@ -117,7 +172,10 @@ class _Handler(BaseHTTPRequestHandler):
                     jobs = scheduler.store.list_jobs(state=query.get("state"))
                     self._respond(200, {"jobs": [r.to_dict() for r in jobs]})
                 case ["GET", "jobs", job_id]:
-                    self._respond(200, scheduler.status(job_id))
+                    if "wait" in query and not scheduler.wait(job_id):
+                        self._unavailable()  # the service closed first
+                    else:
+                        self._respond(200, scheduler.status(job_id))
                 case ["DELETE", "jobs", job_id]:
                     self._respond(200, scheduler.cancel(job_id))
                 case ["GET", "jobs", job_id, "events"]:
@@ -142,8 +200,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(404, {"error": f"unknown job {exc.args[0]}"})
         except (JobError, AnalysisError) as exc:
             self._respond(400, {"error": str(exc)})
-        except ConnectionError:
-            raise  # the client hung up: nobody to answer
+        except (ConnectionError, TimeoutError):
+            raise  # the client hung up or stalled: nobody to answer
         except Exception as exc:  # noqa: BLE001 — a bad request must not kill the server
             traceback.print_exc()
             self._respond(500, {"error": f"{type(exc).__name__}: {exc}"})
@@ -336,11 +394,21 @@ class _Handler(BaseHTTPRequestHandler):
     def _head(
         self, status: int, content_type: str, headers: dict[str, str]
     ) -> None:
+        """The status line and headers.  The connection stays open for
+        the next request only after a success with a ``Content-Length``,
+        and only for an HTTP/1.1 client that did not ask to close."""
         self.send_response_only(status)
         self.send_header("Content-Type", content_type)
         for name, value in headers.items():
             self.send_header(name, value)
-        self.send_header("Connection", "close")
+        keep_alive = (
+            status < 400
+            and "Content-Length" in headers
+            and self.request_version == "HTTP/1.1"
+            and not self.close_connection
+        )
+        if not keep_alive:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
 
     def _respond(

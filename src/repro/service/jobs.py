@@ -124,13 +124,12 @@ class AttackSpec:
             raise JobError(f"attack kwargs are not valid JSON: {exc}") from exc
         if not isinstance(kwargs, dict):
             raise JobError(f"attack kwargs must be an object, got {kwargs!r}")
-        accepted = inspect.signature(ATTACK_SUITES[self.suite]).parameters
-        unknown = set(kwargs) - (set(accepted) - _RESERVED_SUITE_PARAMS)
+        accepted = _SUITE_KWARGS[self.suite]
+        unknown = set(kwargs) - accepted
         if unknown:
             raise JobError(
                 f"suite {self.suite!r} does not accept kwargs "
-                f"{sorted(unknown)}; accepted: "
-                f"{sorted(set(accepted) - _RESERVED_SUITE_PARAMS)}"
+                f"{sorted(unknown)}; accepted: {sorted(accepted)}"
             )
 
     @classmethod
@@ -167,6 +166,13 @@ class AttackSpec:
             data["suite"], label=data.get("label"), **(data.get("kwargs") or {})
         )
 
+
+#: The keyword arguments each suite accepts from a job, read once off
+#: the suite signatures (a spec is validated on every parse).
+_SUITE_KWARGS = {
+    name: frozenset(inspect.signature(fn).parameters) - _RESERVED_SUITE_PARAMS
+    for name, fn in ATTACK_SUITES.items()
+}
 
 #: Label each suite's AttackResult carries, read off the suite functions
 #: themselves (``fn.attack_label``) so the wire layer cannot drift from

@@ -31,10 +31,13 @@ and a cancellation go through one **commit thread**, in order.  Each
 writes the store first — the persisted event, and before a terminal
 event the result, the state and the trace — and then publishes the
 event to the job's handle, an event list plus a condition that event
-streams, ``result(wait=True)`` and shutdown wait on.  The coordinator
-calls ``emit`` and ``on_done`` under its own lock, so both only enqueue.
-Lifecycle events persist for replay after the job — or the process — is
-gone.
+streams, :meth:`JobScheduler.wait` and shutdown wait on.  Each lifecycle
+step is one store transaction, committed before anything is published:
+enqueue (the job record and ``queued``), start (``running`` and
+``started``) and the end (the result or final state, the trace and the
+terminal event).  The coordinator calls ``emit`` and ``on_done`` under
+its own lock, so both only enqueue.  Lifecycle events persist for replay
+after the job — or the process — is gone.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ import sys
 import threading
 import time
 import traceback
-from collections import OrderedDict
-from queue import SimpleQueue
 import weakref
+from collections import OrderedDict
+from contextlib import contextmanager
+from queue import SimpleQueue
 from typing import Any, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry, RegistryStats
@@ -335,27 +339,27 @@ class JobScheduler:
         # log AND its persisted event log — a replay must never end at a
         # stale terminal event from the previous attempt.
         self._recent_events.pop(job_id, None)
-        self._store_write(self.store.clear_events, [job_id])
-        self._store_write(
-            self.store.record_job, job_id, job.kind, job.to_dict(), True
-        )
         handle = JobHandle(job, job_id)
         if self.observability:
             handle.trace = JobTraceRecorder(job_id)
+        queued = {
+            "event": "queued",
+            "job_id": job_id,
+            "kind": job.kind,
+            "title": job.title,
+            "resumed": requeue,
+        }
+        with self._step("enqueue", job_id):
+            self._store_write(self.store.clear_events, [job_id])
+            self._store_write(
+                self.store.record_job, job_id, job.kind, job.to_dict(), True
+            )
+            self._persist(handle, queued)
         self._inflight[job_id] = handle
         self.stats.submitted += 1
         # Published here, before the job reaches anything that emits, so
         # ``queued`` is its first event.
-        self._publish(
-            handle,
-            {
-                "event": "queued",
-                "job_id": job_id,
-                "kind": job.kind,
-                "title": job.title,
-                "resumed": requeue,
-            },
-        )
+        handle.publish(queued)
         if job.kind != "campaign":
             # A compile job starts at once, on a thread of its own.
             self._on_event(
@@ -393,18 +397,24 @@ class JobScheduler:
             status["state"] = handle.state
         return status
 
+    def wait(self, job_id: str) -> bool:
+        """Block until the job ends; ``False`` when the scheduler closed
+        first.  A job not in flight (ended, or unknown) returns at once."""
+        handle = self._inflight.get(job_id)
+        if handle is None:
+            return True
+        with handle.changed:
+            handle.changed.wait_for(lambda: self._quiet(handle))
+        return handle.ended
+
     def result(self, job_id: str, wait: bool = False) -> Optional[dict[str, Any]]:
         """The job's stored result payload, or ``None`` while it has none.
 
         ``wait`` first blocks until the job ends: then a job that failed
         or was cancelled raises :class:`JobError`, and ``None`` means the
         scheduler closed before the job ended."""
-        handle = self._inflight.get(job_id)
-        if wait and handle is not None:
-            with handle.changed:
-                handle.changed.wait_for(lambda: self._quiet(handle))
-            if not handle.ended:
-                return None
+        if wait and not self.wait(job_id):
+            return None
         payload = self.store.get_result(job_id)
         if payload is not None or not wait:
             return payload
@@ -529,20 +539,12 @@ class JobScheduler:
         touched while a runner thread attacks the same workload.  The map
         is built from the exact program object the lock is keyed on
         (re-consulting the LRU could return a different one)."""
-        from repro.analysis.vulnmap import map_from_store
+        from repro.analysis.vulnmap import VulnerabilityMap, stored_campaign
 
-        record = self.store.get_job(job_id)
-        if record is None:
-            raise UnknownJobError(job_id)
-        try:
-            job = job_from_dict(record.spec)
-        except JobError as exc:
-            raise JobError(f"job {job_id} has an unparsable spec: {exc}") from exc
-        if job.kind != "campaign":
-            raise JobError(f"job {job_id} is a {job.kind!r} job; maps need a campaign")
+        job, report = stored_campaign(self.store, job_id)
         program = job.compile(self.workbench)
         with _workload_lock(program, job.function, tuple(job.args)):
-            return map_from_store(self.store, job_id, program=program)
+            return VulnerabilityMap.build(program, job.function, list(job.args), report)
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         """Cancel a queued or running job at once: its shards leave the
@@ -671,12 +673,15 @@ class JobScheduler:
     ) -> None:
         if handle.ended:
             return  # a cancelled job's late shard events
-        state = None
-        if payload["event"] == "started":
-            state = "running"
-            handle.started = time.perf_counter()
+        if payload["event"] != "started":
+            self._persist(handle, payload, at_ms)
+            handle.publish(payload)
+            return
+        handle.started = time.perf_counter()
+        with self._step("start", handle.job_id):
             self._store_write(self.store.set_state, handle.job_id, "running")
-        self._publish(handle, payload, at_ms, state)
+            self._persist(handle, payload, at_ms)
+        handle.publish(payload, "running")
 
     def _finish(
         self,
@@ -695,67 +700,66 @@ class JobScheduler:
             self._profiler.sample_program(handle.program)
         self._profiler.sample_workbench(self.workbench)
         if error is None:
+            finished = {
+                "event": "finished", "job_id": handle.job_id, "kind": handle.job.kind
+            }
             try:
-                self.store.store_result(handle.job_id, payload)
+                with self.store.transaction():
+                    self.store.store_result(handle.job_id, payload)
+                    self._persist_end(handle, finished)
             except Exception as exc:  # noqa: BLE001 — an unstored result fails the job
                 error = exc
-        if error is None:
-            self.stats.executed += 1
-            self.registry.histogram("repro_job_seconds").observe(
-                time.perf_counter() - handle.started
-            )
-            self._end(
-                handle,
-                "done",
-                {"event": "finished", "job_id": handle.job_id, "kind": handle.job.kind},
-            )
-            return
+            else:
+                self.stats.executed += 1
+                self.registry.histogram("repro_job_seconds").observe(
+                    time.perf_counter() - handle.started
+                )
+                self._retire(handle, "done", finished)
+                return
         message = f"{type(error).__name__}: {error}"
         self.stats.failed += 1
-        self._store_write(self.store.set_state, handle.job_id, "failed", message)
-        self._end(
-            handle,
-            "failed",
-            {
-                "event": "failed",
-                "job_id": handle.job_id,
-                "error": message,
-                "traceback": "".join(traceback.format_exception(error, limit=8)),
-            },
-        )
+        failed = {
+            "event": "failed",
+            "job_id": handle.job_id,
+            "error": message,
+            "traceback": "".join(traceback.format_exception(error, limit=8)),
+        }
+        with self._step("fail", handle.job_id):
+            self._store_write(self.store.set_state, handle.job_id, "failed", message)
+            self._persist_end(handle, failed)
+        self._retire(handle, "failed", failed)
 
     def _cancel(self, handle: JobHandle) -> None:
         if handle.ended:
             return  # finished or failed first
         self.stats.cancelled += 1
-        self._store_write(self.store.set_state, handle.job_id, "cancelled")
-        self._end(handle, "cancelled", {"event": "cancelled", "job_id": handle.job_id})
+        cancelled = {"event": "cancelled", "job_id": handle.job_id}
+        with self._step("cancel", handle.job_id):
+            self._store_write(self.store.set_state, handle.job_id, "cancelled")
+            self._persist_end(handle, cancelled)
+        self._retire(handle, "cancelled", cancelled)
 
-    def _publish(
-        self,
-        handle: JobHandle,
-        payload: dict[str, Any],
-        at_ms: Optional[float] = None,
-        state: Optional[str] = None,
+    def _persist(
+        self, handle: JobHandle, payload: dict[str, Any], at_ms: Optional[float] = None
     ) -> None:
-        """Fold the event into the trace and persist it, then publish it
-        (with the job's new ``state``, if any)."""
+        """Fold the event into the trace and store it.  The caller
+        publishes it once the store has committed."""
         if handle.trace is not None:
             handle.trace.on_event(payload, at_ms=at_ms)
         if payload["event"] in PERSISTED_EVENTS:
             self._store_write(self.store.append_event, handle.job_id, payload)
-        handle.publish(payload, state)
 
-    def _end(self, handle: JobHandle, state: str, payload: dict[str, Any]) -> None:
-        """Publish a terminal event and retire the handle.  The trace is
-        stored first.  The log moves to the replay table in the same step
-        as the handle leaves the in-flight table, so a reader finds one
-        or the other."""
+    def _persist_end(self, handle: JobHandle, payload: dict[str, Any]) -> None:
+        """Store a terminal event, with the trace it closes."""
+        self._persist(handle, payload)
         if handle.trace is not None:
-            handle.trace.on_event(payload)
             self.registry.counter("repro_traces_total").inc()
             self._store_write(self.store.store_trace, handle.job_id, handle.trace.export())
-        self._store_write(self.store.append_event, handle.job_id, payload)
+
+    def _retire(self, handle: JobHandle, state: str, payload: dict[str, Any]) -> None:
+        """Publish a terminal event and retire the handle.  The log moves
+        to the replay table in the same step as the handle leaves the
+        in-flight table, so a reader finds one or the other."""
         with self._lock:
             handle.publish(payload, state)
             self._recent_events[handle.job_id] = handle.events
@@ -764,14 +768,25 @@ class JobScheduler:
                 self._recent_events.popitem(last=False)
             self._inflight.pop(handle.job_id, None)
 
+    @contextmanager
+    def _step(self, step: str, job_id: str) -> Iterator[None]:
+        """One store transaction around a lifecycle step's writes.  Each
+        write reports its own failure; a failed commit is reported the
+        same way, never fatal to the service."""
+        try:
+            with self.store.transaction():
+                yield
+        except Exception as exc:  # noqa: BLE001
+            _report_store_failure(f"{step}('{job_id}')", exc)
+
     def _store_write(self, fn, *args) -> None:
         """One store write; a durability failure is reported, never
         fatal to the service."""
         try:
             fn(*args)
         except Exception as exc:  # noqa: BLE001
-            print(
-                f"repro.service: store write {fn.__name__}{args[:1]} "
-                f"failed: {exc}",
-                file=sys.stderr,
-            )
+            _report_store_failure(f"{fn.__name__}{args[:1]}", exc)
+
+
+def _report_store_failure(what: str, exc: Exception) -> None:
+    print(f"repro.service: store write {what} failed: {exc}", file=sys.stderr)

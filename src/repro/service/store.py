@@ -12,6 +12,11 @@ Concurrency: WAL journaling plus a per-connection lock make one
 (even in different processes) safe to point at the same file — SQLite
 serialises the writers, ``busy_timeout`` absorbs the contention.
 
+Transactions: every write commits as one transaction of its own, unless
+it runs inside :meth:`ResultStore.transaction`, which it then joins —
+the scheduler writes each step of a job's lifecycle (enqueue, start,
+finish) as one transaction.
+
 Schema changes bump :data:`SCHEMA_VERSION` (kept in ``PRAGMA
 user_version``); opening a store written by a different schema fails
 loudly instead of corrupting it.
@@ -23,9 +28,10 @@ import json
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
 #: Bump on incompatible schema changes (stored in ``PRAGMA user_version``).
 #: v2 added the ``shards`` table (partial fleet results); v3 added the
@@ -137,7 +143,7 @@ class ResultStore:
             self.path,
             timeout=timeout,
             check_same_thread=False,
-            isolation_level=None,  # autocommit; explicit BEGINs below
+            isolation_level=None,  # explicit transactions: see transaction()
         )
         self._conn.row_factory = sqlite3.Row
         self._init_schema()
@@ -148,8 +154,7 @@ class ResultStore:
             if self.path != ":memory:":
                 self._conn.execute("PRAGMA journal_mode=WAL")
                 self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
+            with self.transaction():
                 version = self._conn.execute("PRAGMA user_version").fetchone()[0]
                 if version in (0, 1, 2):
                     # No executescript here: it would implicitly commit the
@@ -166,9 +171,33 @@ class ResultStore:
                         f"build speaks v{SCHEMA_VERSION}; migrate or use a "
                         f"fresh database file"
                     )
-                self._conn.execute("COMMIT")
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """One write transaction: the block's writes commit together when
+        it ends, or none of them do if it raises.  Other threads' store
+        calls wait until it ends.
+
+        A transaction opened inside another one is a savepoint of it: a
+        write that fails inside the outer transaction rolls back only its
+        own statements, and the outer one can still commit."""
+        with self._lock:
+            if self._conn.in_transaction:
+                begin, commit = "SAVEPOINT write", ("RELEASE write",)
+                rollback = ("ROLLBACK TO write", "RELEASE write")
+            else:
+                begin, commit, rollback = "BEGIN IMMEDIATE", ("COMMIT",), ("ROLLBACK",)
+            self._conn.execute(begin)
+            try:
+                yield
+                for statement in commit:
+                    self._conn.execute(statement)
             except BaseException:
-                self._conn.execute("ROLLBACK")
+                # Some SQLite errors (disk full, I/O) end the transaction
+                # themselves: then there is nothing left to roll back.
+                if self._conn.in_transaction:
+                    for statement in rollback:
+                        self._conn.execute(statement)
                 raise
 
     def close(self) -> None:
@@ -194,7 +223,7 @@ class ResultStore:
         """
         now = time.time()
         guard = "" if force else "WHERE jobs.state != 'done'"
-        with self._lock:
+        with self.transaction():
             self._conn.execute(
                 f"""
                 INSERT INTO jobs (job_id, kind, spec, state, submitted_at)
@@ -216,7 +245,7 @@ class ResultStore:
         now = time.time()
         started = now if state == "running" else None
         finished = now if state in ("done", "failed", "cancelled") else None
-        with self._lock:
+        with self.transaction():
             cursor = self._conn.execute(
                 """
                 UPDATE jobs SET state = ?, error = ?,
@@ -276,7 +305,7 @@ class ResultStore:
         other process's genuinely-running jobs (harmless — results are
         content-keyed and idempotent — but wasteful).
         """
-        with self._lock:
+        with self.transaction():
             cursor = self._conn.execute(
                 "UPDATE jobs SET state = 'queued', error = NULL, "
                 "started_at = NULL WHERE state = 'running'"
@@ -312,33 +341,25 @@ class ResultStore:
             sum(a.get("simulated_cycles", 0) for a in attacks.values()) or None
         )
         now = time.time()
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    """
-                    INSERT OR REPLACE INTO results
-                        (job_id, payload, trials, simulated_cycles, created_at)
-                    VALUES (?, ?, ?, ?, ?)
-                    """,
-                    (job_id, json.dumps(payload), trials, cycles, now),
-                )
-                cursor = self._conn.execute(
-                    "UPDATE jobs SET state = 'done', error = NULL, "
-                    "finished_at = ? WHERE job_id = ?",
-                    (now, job_id),
-                )
-                if cursor.rowcount == 0:
-                    raise StoreError(f"unknown job {job_id!r}")
-                # Partial fleet results are resume points, not archives:
-                # once the merged result is durable they are dead weight.
-                self._conn.execute(
-                    "DELETE FROM shards WHERE job_id = ?", (job_id,)
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+        with self.transaction():
+            self._conn.execute(
+                """
+                INSERT OR REPLACE INTO results
+                    (job_id, payload, trials, simulated_cycles, created_at)
+                VALUES (?, ?, ?, ?, ?)
+                """,
+                (job_id, json.dumps(payload), trials, cycles, now),
+            )
+            cursor = self._conn.execute(
+                "UPDATE jobs SET state = 'done', error = NULL, "
+                "finished_at = ? WHERE job_id = ?",
+                (now, job_id),
+            )
+            if cursor.rowcount == 0:
+                raise StoreError(f"unknown job {job_id!r}")
+            # Partial fleet results are resume points, not archives: once
+            # the merged result is durable they are dead weight.
+            self._conn.execute("DELETE FROM shards WHERE job_id = ?", (job_id,))
 
     def get_result(self, job_id: str) -> Optional[dict[str, Any]]:
         with self._lock:
@@ -387,7 +408,7 @@ class ResultStore:
         refreshed either way — shard ids are content hashes, so two
         honest writers carry byte-identical payloads and a stale row
         from a superseded scheme revision is safely replaced)."""
-        with self._lock:
+        with self.transaction():
             existed = (
                 self._conn.execute(
                     "SELECT 1 FROM shards WHERE shard_id = ?", (shard_id,)
@@ -437,23 +458,15 @@ class ResultStore:
         """Persist a job's observability trace (one row per span),
         replacing any trace from an earlier attempt — a resubmitted job's
         trace must not interleave with its predecessor's."""
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "DELETE FROM traces WHERE job_id = ?", (job_id,)
-                )
-                self._conn.executemany(
-                    "INSERT INTO traces (job_id, seq, span) VALUES (?, ?, ?)",
-                    [
-                        (job_id, seq, json.dumps(span, sort_keys=True))
-                        for seq, span in enumerate(spans)
-                    ],
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+        with self.transaction():
+            self._conn.execute("DELETE FROM traces WHERE job_id = ?", (job_id,))
+            self._conn.executemany(
+                "INSERT INTO traces (job_id, seq, span) VALUES (?, ?, ?)",
+                [
+                    (job_id, seq, json.dumps(span, sort_keys=True))
+                    for seq, span in enumerate(spans)
+                ],
+            )
 
     def get_trace(self, job_id: str) -> Optional[list[dict[str, Any]]]:
         """The job's stored trace spans in order (``None`` when the job
@@ -470,22 +483,15 @@ class ResultStore:
     # -- events ------------------------------------------------------------
     def append_event(self, job_id: str, payload: dict[str, Any]) -> int:
         """Append one lifecycle event; returns its sequence number."""
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                seq = self._conn.execute(
-                    "SELECT 1 + COALESCE(MAX(seq), 0) FROM events "
-                    "WHERE job_id = ?",
-                    (job_id,),
-                ).fetchone()[0]
-                self._conn.execute(
-                    "INSERT INTO events (job_id, seq, payload) VALUES (?, ?, ?)",
-                    (job_id, seq, json.dumps(payload)),
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+        with self.transaction():
+            seq = self._conn.execute(
+                "SELECT 1 + COALESCE(MAX(seq), 0) FROM events WHERE job_id = ?",
+                (job_id,),
+            ).fetchone()[0]
+            self._conn.execute(
+                "INSERT INTO events (job_id, seq, payload) VALUES (?, ?, ?)",
+                (job_id, seq, json.dumps(payload)),
+            )
         return seq
 
     def events(self, job_id: str) -> list[dict[str, Any]]:
@@ -500,7 +506,7 @@ class ResultStore:
         ids = list(job_ids)
         if not ids:
             return
-        with self._lock:
+        with self.transaction():
             self._conn.executemany(
                 "DELETE FROM events WHERE job_id = ?", [(i,) for i in ids]
             )

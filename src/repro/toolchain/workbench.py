@@ -436,12 +436,11 @@ class CampaignBuilder:
         from repro.service.client import ServiceClient
         from repro.service.jobs import report_from_dict
 
-        client = (
-            service
-            if isinstance(service, ServiceClient)
-            else ServiceClient.parse(service)
-        )
-        payload = client.run(self.to_job())
+        if isinstance(service, ServiceClient):
+            payload = service.run(self.to_job())
+        else:
+            with ServiceClient.parse(service) as client:
+                payload = client.run(self.to_job())
         return report_from_dict(payload["report"])
 
     def _run(self, executor, engine: Optional[str]) -> CampaignReport:

@@ -24,6 +24,7 @@ import sys
 import threading
 import time
 from io import StringIO
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,6 +256,64 @@ class TestWorkerMetricsMerge:
         # Idempotent between engine progress: re-sampling adds nothing.
         profiler.sample_program(program)
         assert profiler.registry.counter("repro_engine_trials_total").value == first
+
+
+class _FakeScheduler:
+    """What the profiler reads off a trial scheduler: its stats."""
+
+    def __init__(self, trials: int):
+        self.stats = SimpleNamespace(trials=trials, checkpoints=0, interval=0)
+
+
+class TestProfilerBaselines:
+    def test_a_scheduler_at_a_dropped_ones_address_counts_in_full(self):
+        profiler = EngineProfiler()
+        trials = profiler.registry.counter("repro_engine_trials_total")
+        dropped = _FakeScheduler(trials=10)
+        profiler.sample_scheduler(dropped)
+        address = id(dropped)
+        del dropped
+        held = []  # keeps every miss alive, so its address is not reused
+        for _ in range(100_000):
+            fresh = _FakeScheduler(trials=4)
+            if id(fresh) == address:
+                break
+            held.append(fresh)
+        assert id(fresh) == address, "the allocator never reused the address"
+        profiler.sample_scheduler(fresh)
+        assert trials.value == 14
+
+    def test_served_trials_total_counts_every_job(self):
+        import gc
+
+        from repro.faults.scheduler import TrialScheduler
+
+        # Past TrialScheduler.MEMO_SIZE workloads per program, the memo
+        # drops its oldest scheduler, and a fresh one may take its
+        # address.
+        schemes = ("none", "ancode", "duplication")
+        jobs = len(schemes) * TrialScheduler.MEMO_SIZE + 3
+        total = 0
+        with BackgroundService(runners=1) as svc, svc.client() as client:
+            for n in range(jobs):
+                job = CampaignJob(
+                    source=load_source("integer_compare"),
+                    function="integer_compare",
+                    args=(n, 2 * n + 1),
+                    config=CompileConfig(scheme=schemes[n % len(schemes)]),
+                    attacks=(
+                        AttackSpec.make("branch-flip", max_branches=2),
+                        AttackSpec.make("repeated-branch-flip"),
+                    ),
+                )
+                report = client.run(job)["report"]
+                total += sum(attack["trials"] for attack in report["attacks"].values())
+            scrape = client.metrics()
+            gc.collect()
+            # Baselines are kept for live schedulers only.
+            baselines = len(svc.scheduler._profiler._seen)
+        assert _scraped(scrape, "repro_engine_trials_total") == total
+        assert baselines <= len(schemes) * TrialScheduler.MEMO_SIZE < jobs
 
 
 # ---------------------------------------------------------------------------

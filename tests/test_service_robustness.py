@@ -1,7 +1,8 @@
 """Robustness of the service over raw sockets: malformed input answers a
-structured 4xx, never a 500 or silence, and the commit thread keeps
-every job's stream, status and persisted event log in agreement under
-concurrent load, cancellation and shutdown.
+structured 4xx, never a 500 or silence, connections stay open between
+requests only when both sides can tell where each message ends, and the
+commit thread keeps every job's stream, status and persisted event log
+in agreement under concurrent load, cancellation and shutdown.
 """
 
 import contextlib
@@ -17,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.service.http
 from repro.programs import load_source
 from repro.service import BackgroundService, ServiceError
 from repro.service.client import NO_RETRY
+from repro.service.http import ServiceServer
 from repro.service.jobs import AttackSpec, CampaignJob
 from repro.service.queue import PERSISTED_EVENTS
 from repro.toolchain import CompileConfig
@@ -40,14 +43,50 @@ def quick_job(args, scheme="none"):
     )
 
 
-def raw_exchange(address, request: bytes, timeout=30.0):
+#: A request every service answers 200 with a ``Content-Length``.
+STATUS_REQUEST = b"GET /status HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+def parse_head(head: bytes):
+    """``(status line, {lower-case header name: value})``."""
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status_line, headers
+
+
+def read_reply(sock):
+    """One response with a ``Content-Length`` off ``sock``, read without
+    consuming anything after it: ``(status line, headers, body)``."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        byte = sock.recv(1)
+        assert byte, f"connection closed after {head!r}"
+        head += byte
+    status_line, headers = parse_head(head[:-4])
+    body = b""
+    while len(body) < int(headers.get("content-length", 0)):
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    return status_line, headers, body
+
+
+def raw_exchange(address, request: bytes, timeout=30.0, second=False):
     """Send ``request`` as is, close our sending side (so a short body
     reads as EOF), and parse the reply: ``(status line, headers, body)``.
     A server that answers before reading a body longer than declared
     closes with bytes unread, which resets the connection once the reply
-    is out."""
+    is out.  With ``second``, ``request`` is the second request on its
+    connection, after a ``GET /status`` that left it open."""
     chunks = []
     with socket.create_connection(address, timeout=timeout) as sock:
+        if second:
+            sock.sendall(STATUS_REQUEST)
+            status_line, headers, _ = read_reply(sock)
+            assert status_line.split()[1] == "200" and "connection" not in headers
         sock.sendall(request)
         with contextlib.suppress(OSError):  # reset already; the reply is queued
             sock.shutdown(socket.SHUT_WR)
@@ -55,12 +94,7 @@ def raw_exchange(address, request: bytes, timeout=30.0):
             while chunk := sock.recv(65536):
                 chunks.append(chunk)
     head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
-    status_line, *lines = head.decode("latin-1").split("\r\n")
-    headers = {}
-    for line in lines:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status_line, headers, body
+    return (*parse_head(head), body)
 
 
 def post(path, body, length=None):
@@ -292,8 +326,112 @@ class TestGeneratedBodies:
         )
     )
     def test_every_malformed_body_gets_a_structured_4xx(self, service, request_bytes):
-        assert_json_4xx(raw_exchange(service.address, request_bytes))
+        for second in (False, True):
+            assert_json_4xx(raw_exchange(service.address, request_bytes, second=second))
         assert service.client().service_status()["service"] == "repro.service"
+
+
+# ---------------------------------------------------------------------------
+# Keep-alive: one connection per client thread
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def accepts(monkeypatch):
+    """The client address of every connection the service accepts."""
+    accepted = []
+    original = ServiceServer.process_request
+
+    def counting(server, request, client_address):
+        accepted.append(client_address)
+        original(server, request, client_address)
+
+    monkeypatch.setattr(ServiceServer, "process_request", counting)
+    return accepted
+
+
+class TestKeepAlive:
+    def test_one_client_opens_one_connection(self, accepts):
+        with BackgroundService(runners=1) as svc, svc.client(retry=NO_RETRY) as client:
+            for n in range(10):
+                job = quick_job((n, 100 + n))
+                client.submit(job)
+                client.wait(job.job_id())
+                assert client.results(job.job_id())["job_id"] == job.job_id()
+                assert client.map(job.job_id())["job_id"] == job.job_id()
+        assert len(accepts) == 1
+
+    @pytest.mark.parametrize("trial_workers", [0, 2])
+    def test_a_request_after_the_idle_close_goes_out_again(
+        self, monkeypatch, capsys, accepts, trial_workers
+    ):
+        # Trial workers fork while the connection is open, so each holds
+        # a duplicate of both of its ends.
+        monkeypatch.setattr(repro.service.http, "IDLE_TIMEOUT_S", 0.3)
+        job = quick_job((7, 8))
+        with BackgroundService(runners=1, trial_workers=trial_workers) as svc:
+            with svc.client(timeout=20.0, retry=NO_RETRY) as client:
+                client.submit(job)
+                client.wait(job.job_id())
+                time.sleep(1.0)  # the server closes the idle connection
+                start = time.monotonic()
+                assert client.results(job.job_id())["job_id"] == job.job_id()
+                assert time.monotonic() - start < 5.0
+        assert len(accepts) == 2
+        assert "timed out" not in capsys.readouterr().err  # a routine close
+
+    def test_a_success_leaves_the_connection_open(self, service):
+        with socket.create_connection(service.address, timeout=10) as sock:
+            for _ in range(3):
+                sock.sendall(STATUS_REQUEST)
+                status_line, headers, body = read_reply(sock)
+                assert status_line.split()[1] == "200"
+                assert "connection" not in headers
+                assert json.loads(body)["service"] == "repro.service"
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /status HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+            b"GET /status HTTP/1.0\r\n\r\n",
+            b"GET /status HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0", "http-1.0-keep-alive"],
+    )
+    def test_a_client_that_closes_gets_a_closed_connection(
+        self, service, request_bytes
+    ):
+        with socket.create_connection(service.address, timeout=10) as sock:
+            sock.sendall(request_bytes)
+            status_line, headers, _ = read_reply(sock)
+            assert status_line.split()[1] == "200"
+            assert headers["connection"] == "close"
+            assert sock.recv(1) == b""  # closed by the server, not timed out
+
+    def test_a_chunked_body_gets_a_json_4xx_and_a_closed_connection(self, service):
+        request = (
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n"
+            b"\r\n5\r\nhello\r\n0\r\n\r\n"
+        )
+        for second in (False, True):
+            reply = raw_exchange(service.address, request, second=second)
+            assert assert_json_4xx(reply) == 400
+            assert "Transfer-Encoding" in json.loads(reply[2])["error"]
+
+    def test_the_event_stream_closes_its_connection(self, service):
+        job = quick_job((9, 9))
+        with service.client() as client:
+            client.run(job)
+        request = f"GET /jobs/{job.job_id()}/events HTTP/1.1\r\nHost: test\r\n\r\n"
+        with socket.create_connection(service.address, timeout=10) as sock:
+            sock.sendall(request.encode())
+            chunks = []
+            while chunk := sock.recv(65536):  # ends: the server closed
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        status_line, headers = parse_head(head)
+        assert status_line.split()[1] == "200"
+        assert headers["connection"] == "close"
+        assert "content-length" not in headers
+        assert json.loads(body.splitlines()[-1])["event"] == "finished"
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +559,19 @@ class TestCommitThread:
                 try:
                     client.results(job.job_id(), wait=True)
                 except ServiceError as exc:
+                    outcome["result"] = exc.status
+
+            def wait_status():
+                try:
+                    client.wait(job.job_id())
+                except ServiceError as exc:
                     outcome["wait"] = exc.status
 
-            readers = [threading.Thread(target=wait_result), threading.Thread(target=stream)]
+            readers = [
+                threading.Thread(target=wait_result),
+                threading.Thread(target=wait_status),
+                threading.Thread(target=stream),
+            ]
             for reader in readers:
                 reader.start()
             deadline = time.monotonic() + 30
@@ -434,5 +582,5 @@ class TestCommitThread:
             reader.join(timeout=30)
         assert not [reader for reader in readers if reader.is_alive()]
         assert streamed == ["queued"]
-        assert outcome["wait"] == 503
+        assert outcome == {"result": 503, "wait": 503}
         assert_threads_end(before)

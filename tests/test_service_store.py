@@ -219,3 +219,115 @@ class TestConcurrentWriters:
         assert json.loads(raw["payload"]) == RESULT
         assert raw["trials"] == 4
         assert raw["simulated_cycles"] == 1234
+
+
+class TestTransactions:
+    def test_a_transaction_commits_all_of_its_writes_or_none(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            with pytest.raises(RuntimeError, match="before the commit"):
+                with store.transaction():
+                    store.record_job("cj-t", "campaign", SPEC)
+                    store.append_event("cj-t", {"event": "queued"})
+                    raise RuntimeError("dies before the commit")
+            assert store.get_job("cj-t") is None
+            assert store.events("cj-t") == []
+            with store.transaction():
+                store.record_job("cj-t", "campaign", SPEC)
+                store.append_event("cj-t", {"event": "queued"})
+            assert store.get_job("cj-t").state == "queued"
+            assert store.events("cj-t") == [{"event": "queued"}]
+
+    def test_a_failed_write_inside_rolls_back_only_its_own_statements(
+        self, tmp_path
+    ):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.record_job("cj-t", "campaign", SPEC)
+            store.store_trace("cj-t", [{"name": "job"}])
+            with store.transaction():
+                store.store_result("cj-t", RESULT)
+                # Deletes the stored trace, then fails to encode the new
+                # one: only the delete is undone.
+                with pytest.raises(TypeError):
+                    store.store_trace("cj-t", [{"name": object()}])
+                with pytest.raises(StoreError, match="unknown job"):
+                    store.set_state("cj-missing", "running")
+                store.append_event("cj-t", {"event": "finished"})
+            assert store.get_result("cj-t") == RESULT
+            assert store.get_trace("cj-t") == [{"name": "job"}]
+            assert store.events("cj-t") == [{"event": "finished"}]
+
+
+def lifecycle_job(attacks):
+    from repro.programs import load_source
+    from repro.service.jobs import AttackSpec, CampaignJob
+    from repro.toolchain import CompileConfig
+
+    return CampaignJob(
+        source=load_source("integer_compare"),
+        function="integer_compare",
+        args=(5, 6),
+        config=CompileConfig(scheme="ancode"),
+        attacks=tuple(
+            AttackSpec.make(suite, label=label, **kwargs)
+            for label, suite, kwargs in attacks
+        ),
+    )
+
+
+class TestLifecycleTransactions:
+    def test_a_served_job_commits_nine_transactions(self, tmp_path):
+        from repro.analysis.table3 import TABLE3_ATTACKS
+        from repro.service import BackgroundService
+
+        job = lifecycle_job(TABLE3_ATTACKS)
+        commits = []
+        with BackgroundService(db_path=str(tmp_path / "s.sqlite"), runners=1) as svc:
+            connection = svc.scheduler.store._conn
+            connection.set_trace_callback(
+                lambda sql: commits.append(sql) if sql == "COMMIT" else None
+            )
+            with svc.client() as client:
+                client.submit(job)
+                client.wait(job.job_id())
+                client.results(job.job_id())
+                client.map(job.job_id())
+            connection.set_trace_callback(None)
+        # Enqueue, start and finish one each; per attack, its shard row
+        # and its attack-finished event.
+        assert len(commits) == 3 + 2 * len(job.attacks) == 9
+
+    @pytest.mark.parametrize("crash_after", range(11))
+    def test_a_crash_inside_a_step_leaves_none_of_its_rows(
+        self, tmp_path, crash_after
+    ):
+        from repro.service.chaos import CrashingStore
+        from repro.service.queue import JobScheduler
+
+        db = tmp_path / "crash.sqlite"
+        job = lifecycle_job(
+            [("flip", "branch-flip", {"max_branches": 2}),
+             ("repeat", "repeated-branch-flip", {})]
+        )
+        store = CrashingStore(db, crash_after=crash_after)
+        scheduler = JobScheduler(store=store, runners=1)
+        try:
+            job_id, _ = scheduler.submit(job)
+            assert scheduler.wait(job_id)
+        finally:
+            scheduler.close()
+            store.close()
+        with ResultStore(db) as disk:
+            record = disk.get_job(job_id)
+            events = [event["event"] for event in disk.events(job_id)]
+            # enqueue: the ledger row and its 'queued' event
+            assert (record is not None) == ("queued" in events)
+            # start: the 'running' state and its 'started' event
+            started = record is not None and record.started_at is not None
+            assert started == ("started" in events)
+            # finish: the result, the trace and the 'finished' event
+            assert (
+                (disk.get_result(job_id) is not None)
+                == (disk.get_trace(job_id) is not None)
+                == ("finished" in events)
+            )
+            assert ("finished" in events) == (crash_after >= 10)
