@@ -33,6 +33,9 @@ from repro.toolchain import CampaignBuilder, CompileConfig, table3_schemes
 
 SCHEMES = table3_schemes()
 ARGS = [7, 7]
+#: Gate on single steps per fork trial of the strided memcmp sweep: a
+#: skip trial steps its window and the walk to the next trace entry.
+MAX_DEOPT_STEPS_PER_TRIAL = 12
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,12 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
     ``rejoined`` counts the fork engine's trials that were decided from
     the golden run at their rejoin probe: a timing-free check that the
     shortcut stays on (the bench fails when it is 0).
+
+    ``deopt_steps_per_trial`` counts the instructions each fork trial
+    single-stepped instead of running on compiled traces.  The count is
+    exact, so it gates without timing noise: above
+    ``MAX_DEOPT_STEPS_PER_TRIAL`` traces stopped pausing where trials
+    need them (before the fault window and at the probe).
     """
     from repro.isa.superblock import superblock_tables
     from repro.minic.driver import compile_source
@@ -233,7 +242,9 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
             "seconds": round(seconds, 3),
             "trials_per_sec": round(result.trials / seconds, 1),
         }
-    rejoined = memcmp.trial_scheduler("run_memcmp", args).stats.rejoined
+    stats = memcmp.trial_scheduler("run_memcmp", args).stats
+    rejoined = stats.rejoined
+    deopt_per_trial = stats.superblock_deopt_steps / stats.trials
     speedup = (
         measurements["fork"]["trials_per_sec"]
         / measurements["reference"]["trials_per_sec"]
@@ -244,6 +255,7 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
         "trace_compile_seconds": round(compile_seconds, 3),
         "traces": len(traces),
         "rejoined": rejoined,
+        "deopt_steps_per_trial": round(deopt_per_trial, 2),
         "speedup_vs_reference": round(speedup, 2),
     }
     record_bench_json("campaign_memcmp_strided", payload)
@@ -253,6 +265,10 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
         f"({measurements})"
     )
     assert rejoined > 0, "no trial of the strided memcmp sweep rejoined the golden run"
+    assert deopt_per_trial <= MAX_DEOPT_STEPS_PER_TRIAL, (
+        f"fork trials single-stepped {deopt_per_trial:.1f} instructions each "
+        f"(gate: {MAX_DEOPT_STEPS_PER_TRIAL})"
+    )
 
 
 def _parallel_measurement(engine_programs):

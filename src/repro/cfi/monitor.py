@@ -22,7 +22,8 @@ from repro.isa.mmio import MMIO
 
 class CfiMonitor:
     def __init__(self, cpu: CPU, entry_function: str):
-        self.cpu = cpu
+        # No reference back to ``cpu``: the CPU holds the monitor, and a
+        # cycle would leave each CPU's 2 MiB memory to the cyclic GC.
         self.image = cpu.image
         self.state = entry_state(entry_function)
         self.call_stack: list[int] = []

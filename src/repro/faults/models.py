@@ -26,11 +26,11 @@ checkpoint, which is exactly a full replay.
 Hooks that only act at known absolute dynamic indices additionally carry
 a ``fire_window = (lo, hi)`` attribute (1-based ``dyn_index`` bounds of
 every instruction the hook can observe or mutate).  The trace-compiled
-trial CPUs (:mod:`repro.isa.superblock`) use it to deoptimise to
-per-instruction stepping only while the window is open; hooks without
-the attribute — occurrence counters and the ``Repeated*`` models — make
-it fall back to per-instruction stepping for the whole run, which is
-always sound.
+trial CPUs (:mod:`repro.isa.superblock`) call such a hook only inside its
+window, which they single-step, and run compiled traces before and after
+it; hooks without the attribute — occurrence counters and the
+``Repeated*`` models — make them fall back to per-instruction stepping
+for the whole run, which is always sound.
 
 Multi-fault composition (:mod:`repro.faults.adversary`) adds a third
 method, ``resumed_hook(trace)``: a hook valid when execution resumes from

@@ -27,18 +27,24 @@ signature difference δ: a frame with δ ≠ 0 fails its next ``CFI_CHECK``,
 a frame with δ = 0 passes every check, and a frame the trial opens later
 starts from the callee's entry state (δ = 0).
 
-So after a hook's ``fire_window`` closes, the trial single-steps on to
-the next ladder checkpoint (the *probe*) and compares its state with the
-golden checkpoint there.  If only the monitor differs, the trial has
-*rejoined*, and its exact result comes from a table of the golden run's
-CFI checks: ``CFI_VIOLATION`` at the first later check in a frame that
-was live at the probe and carries δ ≠ 0, or else the golden result — in
-both cases shifted by the cycles and instructions the trial gained or
-lost before the probe.  A verdict that would reach the trial's cycle
-budget is not given; the trial simulates on, so timeouts stay exact.
-The probe is skipped when stepping to it would cost more than
-simulating the rest (``PROBE_STEP_COST``), for hooks without a window,
-under speculation, and when the golden run did not exit.
+So after a hook's ``fire_window`` closes, the trial runs on compiled
+traces to the next ladder checkpoint (the *probe*), pauses there, and
+compares its state with the golden checkpoint.  If only the monitor
+differs, the trial has *rejoined*, and its exact result comes from a
+table of the golden run's CFI checks: ``CFI_VIOLATION`` at the first
+later check in a frame that was live at the probe and carries δ ≠ 0, or
+else the golden result — in both cases shifted by the cycles and
+instructions the trial gained or lost before the probe.  A verdict that
+would reach the trial's cycle budget is not given; the trial simulates
+on, so timeouts stay exact.  There is no probe for hooks without a
+window, under speculation, or when the golden run did not exit.
+
+Ladder checkpoints sit on trace entries: golden capture takes each one
+at the first entry of a compiled trace (:func:`repro.isa.superblock.
+trace_entries`) at or after its interval mark.  A trial therefore forks
+onto a trace, and one that follows the golden path reaches its probe on
+a trace; it single-steps only its fault window and the walk from where
+the fault leaves it to the next trace entry.
 
 Fault models participate through two optional methods (see
 :mod:`repro.faults.models`):
@@ -62,6 +68,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.isa.cpu import PAGE_BITS, PAGE_SIZE, CpuSnapshot, ExecutionResult, Status
 from repro.isa.mmio import MMIO
+from repro.isa.registers import PC
+from repro.isa.superblock import trace_entries
 
 #: Default spacing (retired instructions) between checkpoints.
 DEFAULT_INTERVAL = 64
@@ -70,13 +78,6 @@ DEFAULT_INTERVAL = 64
 MAX_CHECKPOINTS = 96
 #: Cycle budget of the golden capture.
 GOLDEN_MAX_CYCLES = 10_000_000
-#: Cost of one single step relative to one instruction of a compiled
-#: trace (2.3-2.8 µs against 0.32-0.34 µs on memcmp/ancode, 2-vCPU Xeon
-#: container, CPython 3.11).  A trial probes for a golden rejoin only
-#: when single-stepping from the end of its fault window to the probe
-#: costs no more than simulating the golden run's remaining
-#: instructions on traces would.
-PROBE_STEP_COST = 8
 
 
 _EMPTY_INDICES = array("I")
@@ -154,7 +155,8 @@ class SchedulerStats:
     #: compiled traces entered by trials
     superblock_blocks: int = 0
     #: instructions trials single-stepped instead of running compiled
-    #: traces (open fault windows, steps to a probe, near-timeout tails)
+    #: traces (open fault windows, walks to the next trace entry,
+    #: near-timeout tails)
     superblock_deopt_steps: int = 0
     #: trials whose result was read off the golden run after they
     #: rejoined it at a probe (they count as simulated up to the probe)
@@ -205,11 +207,11 @@ class TrialScheduler:
         and transient-trace state, so a forked trial reconstructs the
         exact observable digest a full replay would produce.
 
-        Golden capture runs the decode-cached step loop: it needs
-        ``stop_at_instruction`` and a recording retire hook.  Trials run
-        on a trace-compiled CPU (``dispatch="superblock"``) that
-        single-steps only while a fault window is open, and on to the
-        rejoin probe (see the module docstring)."""
+        Golden capture runs the decode-cached step loop: it needs a
+        recording retire hook.  Trials run on a trace-compiled CPU
+        (``dispatch="superblock"``) that single-steps only while a fault
+        window is open and from where the fault leaves it to the next
+        trace entry (see the module docstring)."""
         self.program = program
         self.function = function
         self.args = list(args)
@@ -295,18 +297,27 @@ class TrialScheduler:
             self.function, self.args, track_pages=True, spec=self.spec
         )
         cpu.retire_hooks.append(record)
+        entries = trace_entries(cpu)
+        regs = cpu.regs
         checkpoints = [cpu.snapshot()]
+        marks = [0]  # the interval mark each checkpoint was taken for
         while True:
-            result = cpu.run(
-                GOLDEN_MAX_CYCLES, stop_at_instruction=cpu.retired + interval
-            )
+            mark = cpu.retired + interval
+            result = cpu.run(GOLDEN_MAX_CYCLES, stop_at_instruction=mark)
+            # Walk on to the next trace entry: trials fork and probe here.
+            while result.status is Status.RUNNING and regs[PC] not in entries:
+                result = cpu.run(
+                    GOLDEN_MAX_CYCLES, stop_at_instruction=cpu.retired + 1
+                )
             if result.status is not Status.RUNNING:
                 break
             checkpoints.append(cpu.snapshot())
+            marks.append(mark)
             if len(checkpoints) > max_checkpoints:
                 # Thin every other checkpoint; future ones come at twice
                 # the spacing.  Keeps the ladder bounded for long runs.
                 checkpoints = checkpoints[::2]
+                marks = marks[::2]
                 interval *= 2
         self.golden = result
         self.trace = GoldenTrace(
@@ -318,6 +329,7 @@ class TrialScheduler:
         )
         self.checkpoints = checkpoints
         self._checkpoint_retired = [snap.retired for snap in checkpoints]
+        self._checkpoint_marks = marks
         self.stats.checkpoints = len(checkpoints)
         self.stats.interval = interval
         #: the golden CFI checks a rejoined trial's verdict is read from,
@@ -395,19 +407,16 @@ class TrialScheduler:
 
     def _probe(self, hook) -> CpuSnapshot | None:
         """The ladder checkpoint a trial with ``hook`` is compared at: the
-        first at or after its fire window's end, when stepping there is
-        cheaper than simulating the rest of the run (else None)."""
+        first whose interval mark is at or after its fire window's end
+        (None when there is none, or no trial may rejoin).  Choosing by
+        mark rather than by position keeps a fault that lands in the walk
+        from a mark to its checkpoint from being compared a few
+        instructions later, before its effects could die out."""
         window = getattr(hook, "fire_window", None)
         if window is None or self._checks is None:
             return None
-        pos = bisect_left(self._checkpoint_retired, window[1])
-        if pos == len(self.checkpoints):
-            return None
-        probe = self.checkpoints[pos]
-        remaining = self.golden.instructions - probe.dyn_index
-        if (probe.dyn_index - window[1]) * PROBE_STEP_COST > remaining:
-            return None
-        return probe
+        pos = bisect_left(self._checkpoint_marks, window[1])
+        return self.checkpoints[pos] if pos < len(self.checkpoints) else None
 
     def _rejoin_verdict(
         self, cpu, probe: CpuSnapshot, max_cycles: int

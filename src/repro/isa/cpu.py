@@ -21,11 +21,13 @@ Three execution paths share identical semantics:
   a table fetch + call.  Unhooked runs additionally take a fast loop that
   skips hook iteration entirely.  Golden capture and deoptimised
   stepping run here.
-* ``dispatch="superblock"``: traces are exec-compiled, one at a time on
-  first use, into single Python functions with registers/flags pinned to
-  locals and a chaining loop between them (:mod:`repro.isa.superblock`);
-  fault-model hooks deoptimise to per-instruction stepping around their
-  fire window.  Every forked fault trial runs here.
+* ``dispatch="superblock"``: traces are exec-compiled, one at a time as
+  runs reach them, into single Python functions with registers/flags
+  pinned to locals and a chaining loop between them
+  (:mod:`repro.isa.superblock`);
+  fault-model hooks deoptimise to per-instruction stepping inside their
+  fire window, and ``stop_at_instruction`` pauses inside a trace.  Every
+  forked fault trial runs here.
 * ``dispatch="reference"``: the original ``isinstance``-chain interpreter
   (:meth:`CPU.execute`), kept as the differential oracle — the
   golden-equivalence suite proves all paths produce identical traces.

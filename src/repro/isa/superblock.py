@@ -11,7 +11,7 @@ fall-through path through conditional branches — a ``Bcc`` becomes a
 is compiled — via ``exec`` of generated Python source — into one
 function
 
-    def _t<addr>(cpu, regs, max_cycles) -> next_pc
+    def _t<addr>(cpu, regs, max_cycles, stop) -> next_pc
 
 whose body inlines the semantics of each instruction with
 
@@ -36,6 +36,19 @@ whose body inlines the semantics of each instruction with
   against the trace's precomputed worst-case single-pass cost, which
   keeps timeout behaviour exact.
 
+**Exact stops.**  Every trace pauses when ``cpu.dyn_index`` reaches
+its ``stop`` argument.  Its prologue turns the stop into an offset
+``_s`` from the entry, one integer compare before each instruction
+breaks out of the body's ``while True:`` at that offset, and a loop
+trace's back edges rebase ``_s`` onto the next pass (or leave at the
+loop head when the stop is exactly there).  One shared exit then
+publishes the registers and flags bound by that offset, and its static
+cycles, instruction count and pending monitor segment from a per-offset
+table.  Halts (a memory access falls through, so a halt's state is the
+next offset's) and a loop's budget exit leave through the same exit:
+they are rare, and one shared epilogue compiles much faster than one per
+memory access.
+
 The chaining loop (:func:`run_superblock`) then threads traces:
 ``regs[PC]`` is only consulted *between* traces, and a trace is entered
 only when its worst-case cycle bound cannot cross ``max_cycles`` (else
@@ -43,16 +56,18 @@ it is single-stepped, preserving exact timeout behaviour).
 
 Lazy compilation
 ----------------
-Traces are compiled one at a time, inside :func:`superblock_tables`.
-The image's partition is built at the first compile, and a trace is
-compiled the first time the chaining loop reaches its entry with no
-fault window open (phase 2 below); while a window is open (phase 1) only
-traces compiled already are entered.  Golden capture (on the cached
-step loop), and any trial that halts before its fault window closes,
-therefore build no partition and compile nothing.  Compiled traces live
-on the image, one table per *variant* (cycle model x CFI monitor x
-speculation window) shared by every CPU of that variant; the table
-never holds a CPU, and each CPU looks its variant up once.
+Traces are compiled one at a time, inside :func:`superblock_tables`,
+the second time a run reaches their entry; the first time, the run
+single-steps on, so a run that passes a stretch of code once (a warm-up
+trial) does not pay milliseconds of compile for a few dozen
+instructions.  The image's partition is
+built at the first compile, or earlier by :func:`trace_entries`: golden
+capture builds it to place its ladder checkpoints on trace entries, and
+compiles nothing.  Nothing is compiled while a fault window is open, so
+a trial that halts inside its window compiles nothing either.  Compiled traces live on the image, one
+table per *variant* (cycle model x CFI monitor x speculation window)
+shared by every CPU of that variant; the table never holds a CPU, and
+each CPU looks its variant up once.
 
 Deoptimisation contract
 -----------------------
@@ -60,20 +75,24 @@ Fault-model hooks cannot fire inside a compiled trace, so the loop
 deoptimises around them:
 
 * a pre-hook carrying a ``fire_window = (lo, hi)`` attribute (1-based
-  ``dyn_index`` bounds of every instruction it can observe or mutate)
-  forces per-instruction stepping — hooks called exactly like
-  ``CPU._run_hooked`` — until ``dyn_index`` passes ``hi``, after which
-  trace chaining resumes; before ``lo`` a trace is still taken when it
-  provably stays below the window (looping traces publish an unbounded
-  instruction count, so they are never entered while a window is open),
+  ``dyn_index`` bounds of every instruction it can observe or mutate) is
+  consulted only inside its window: traces run up to ``dyn_index``
+  ``lo - 1`` and pause there, the window is single-stepped with the hooks
+  called exactly like ``CPU._run_hooked``, and trace chaining resumes after
+  ``hi`` (several windowed hooks share the span of their windows),
 * a pre-hook *without* a window (unbounded models such as
   ``RepeatedFlagFlip``) falls back to the hooked per-instruction loop
-  for the whole run,
-* ``stop_at_instruction`` (counted in ``dyn_index``) ends the stepping
-  phase of a windowed run: the loop single-steps to the stop and pauses
-  there, even past ``hi``.  Without a window it falls back, like
-  non-monitor retire hooks (golden-trace recording) — the scheduler's
-  golden run is engine-independent by construction.
+  for the whole run, as do retire hooks other than the CFI monitor's
+  (golden-trace recording),
+* ``stop_at_instruction`` (counted in ``dyn_index``, skipped slots
+  included) pauses the run exactly there, on traces, with or without a
+  window.
+
+Otherwise a run single-steps only the window itself, a pending
+``branch_invert`` (traces evaluate fused branches inline), near-timeout
+tails, speculative ``Bcc`` (below), and the walk from a PC that starts
+no trace — a fault or a stop can leave it mid-trace — to the next trace
+entry.
 
 With speculation enabled (``SpecEngine`` window > 0), ``Bcc`` must
 retire through the (wrapped) decode cache, so the speculative variant
@@ -106,10 +125,9 @@ MAX_TRACE = 256
 #: cap on basic-block length for the speculative (non-inline) variant.
 MAX_BLOCK = 64
 
-#: guard-count published for looping traces: never entered while a
-#: fault window is open (phase 1), since their retirement count is
-#: unbounded.
-UNBOUNDED = 1 << 60
+#: the stop of a chaining run that has none: no ``dyn_index`` ever
+#: reaches it.
+NO_STOP = 1 << 62
 
 #: control transfers that end a trace (``Bcc`` deliberately absent: it
 #: is a side exit inside traces, a block end only for the speculative
@@ -492,27 +510,39 @@ class _Emitter:
     writes back everything any iteration may have touched (a side exit
     taken on iteration 2 must publish registers written after that exit
     on iteration 1).
+
     """
 
     def __init__(self, monitor: bool, cycles_local: bool, loop: bool = False,
-                 indent: int = 1, preset=None):
+                 preset=None):
         self.monitor = monitor
         self.loop = loop
         self.cycles_local = cycles_local or loop
         self.lines: list[str] = []
-        self.indent = indent
+        # The body sits in a ``while True:``: a loop trace continues it,
+        # and every exit through the shared exit breaks out of it.
+        self.indent = 2
         self.reads: set[int] = set()  # registers loaded in the prologue
         self.local: set[int] = set()  # registers with a live local
         self.written: set[int] = set()
         self.freads: set[str] = set()
         self.flocal: set[str] = set()
         self.fwritten: set[str] = set()
+        #: register/flag -> offset of the instruction that first binds its
+        #: local, for locals the prologue does not load
+        self.born: dict = {}
+        self.offset = 0  # offset of the instruction being emitted
         self.needs: set[str] = set()  # prologue helpers (mem/load/...)
         self.k = 0  # static cycles accumulated since entry/back edge
         self.count = 0  # instructions accumulated since entry/back edge
         self.seg_rot = 0  # monitor segment length since last flush
         self.seg_const = 0  # folded signature constant of the segment
         self.worst = 0  # worst-case cycle bound of one pass
+        #: offset in the pass -> (address, static cycles, pending monitor
+        #: rotation, pending monitor constant) before that instruction:
+        #: what the shared exit publishes for it
+        self.stops: dict[int, tuple] = {}
+        self.shared = False  # some exit breaks out to the shared exit
         if preset is not None:
             touched, written, ftouched, fwritten = preset
             self.reads = set(touched)
@@ -535,7 +565,9 @@ class _Emitter:
 
     def w(self, reg) -> str:
         reg = int(reg)
-        self.local.add(reg)
+        if reg not in self.local:
+            self.local.add(reg)
+            self.born[reg] = self.offset
         self.written.add(reg)
         return f"r{reg}"
 
@@ -546,9 +578,39 @@ class _Emitter:
         return flag
 
     def wf(self, flag: str) -> str:
-        self.flocal.add(flag)
+        if flag not in self.flocal:
+            self.flocal.add(flag)
+            self.born[flag] = self.offset
         self.fwritten.add(flag)
         return flag
+
+    # -- the shared exit -------------------------------------------------
+    def mark(self, addr: int) -> None:
+        """Record the :attr:`stops` row of offset :attr:`count`: the next
+        instruction is at ``addr``."""
+        row = (addr, self.k, self.seg_rot % 32, self.seg_const)
+        recorded = self.stops.setdefault(self.count, row)
+        assert recorded == row, (recorded, row)  # a halt records its fall-through
+
+    def emit_break(self, offset, extra: int = 0) -> None:
+        """Leave through the shared exit with the state before the
+        instruction at ``offset`` of the pass."""
+        if offset is not None:
+            self.emit(f"_s = {offset}", extra)
+        self.emit("break", extra)
+        self.shared = True
+
+    def emit_stop_check(self, addr: int) -> None:
+        """A pause point before the instruction at ``addr``: when the
+        stop falls here the trace breaks out to the shared exit.  Offset 0
+        needs no compare: the chaining loop never enters a trace at its
+        stop, and a loop trace's back edges check the next pass's offset 0
+        themselves."""
+        self.offset = self.count
+        if self.count:
+            self.emit(f"if _s == {self.count}:")
+            self.emit_break(None, 1)
+        self.mark(addr)
 
     # -- monitor segment folding ----------------------------------------
     def fold(self, instr) -> None:
@@ -577,38 +639,28 @@ class _Emitter:
         self.seg_const = 0
 
     # -- exits -----------------------------------------------------------
-    def emit_epilogue(self, extra_cycles: int = 0, extra: int = 0,
-                      accumulated: bool = False) -> None:
-        """Write locals back to the CPU (used at every trace exit).
-
-        ``accumulated``: the static cycle/count accumulators were already
-        folded into the ``cycles``/``_n`` locals (back-edge budget exits).
-        """
+    def emit_epilogue(self, extra_cycles: int = 0, extra: int = 0) -> None:
+        """Write locals back to the CPU (side exits and terminators)."""
         for reg in sorted(self.written):
             self.emit(f"regs[{reg}] = r{reg}", extra)
         for flag in ("n", "z", "c", "v"):
             if flag in self.fwritten:
                 self.emit(f"cpu.{flag} = {flag}", extra)
-        if accumulated:
-            self.emit("cpu.cycles = cycles", extra)
-            self.emit("cpu.retired += _n", extra)
-            self.emit("cpu.dyn_index += _n", extra)
-        else:
-            total = self.k + extra_cycles
-            if self.cycles_local:
-                if total:
-                    self.emit(f"cpu.cycles = cycles + {total}", extra)
-                else:
-                    self.emit("cpu.cycles = cycles", extra)
-            elif total:
-                self.emit(f"cpu.cycles += {total}", extra)
-            if self.loop:
-                n = f"_n + {self.count}" if self.count else "_n"
-                self.emit(f"cpu.retired += {n}", extra)
-                self.emit(f"cpu.dyn_index += {n}", extra)
-            elif self.count:
-                self.emit(f"cpu.retired += {self.count}", extra)
-                self.emit(f"cpu.dyn_index += {self.count}", extra)
+        total = self.k + extra_cycles
+        if self.cycles_local:
+            if total:
+                self.emit(f"cpu.cycles = cycles + {total}", extra)
+            else:
+                self.emit("cpu.cycles = cycles", extra)
+        elif total:
+            self.emit(f"cpu.cycles += {total}", extra)
+        if self.loop:
+            n = f"_n + {self.count}" if self.count else "_n"
+            self.emit(f"cpu.retired += {n}", extra)
+            self.emit(f"cpu.dyn_index += {n}", extra)
+        elif self.count:
+            self.emit(f"cpu.retired += {self.count}", extra)
+            self.emit(f"cpu.dyn_index += {self.count}", extra)
         if self.monitor:
             for line in self._flush_src():  # non-destructive: side exits
                 self.emit(line, extra)
@@ -616,10 +668,14 @@ class _Emitter:
 
     def emit_halt_check(self, fall: int, extra: int = 0) -> None:
         """Exit the trace where a per-instruction loop would observe a
-        halting status (memory error, MMIO exit/detect, CFI violation)."""
+        halting status (memory error, MMIO exit/detect, CFI violation).
+        Only memory accesses halt, and they fall through, so the state
+        to publish is the one before the next offset: the exit is the
+        shared one.  Halts are rare, and one shared epilogue compiles
+        much faster than one per memory access."""
+        self.mark(fall)
         self.emit("if cpu.status is not _RUNNING:", extra)
-        self.emit_epilogue(extra=extra + 1)
-        self.emit(f"return {fall:#x}", extra + 1)
+        self.emit_break(self.count, extra + 1)
 
 
 def _emit_event_drain(e: _Emitter, extra: int = 0) -> None:
@@ -627,22 +683,27 @@ def _emit_event_drain(e: _Emitter, extra: int = 0) -> None:
     MERGE/CHECK against the (already segment-flushed) ``ms``; without a
     monitor the list is just cleared, mirroring ``_run_fast``."""
     e.needs.add("ev")
-    if e.monitor:
-        e.emit("if _ev:", extra)
-        e.emit("for _e in _ev:", extra + 1)
-        e.emit("_ea = _e.addr", extra + 2)
-        e.emit(f"if _ea == {int(MMIO.CFI_MERGE):#x}:", extra + 2)
-        e.emit("ms = (ms ^ _e.value) & 0xFFFFFFFF", extra + 3)
-        e.emit(f"elif _ea == {int(MMIO.CFI_CHECK):#x}:", extra + 2)
-        e.emit("if _e.value != ms:", extra + 3)
-        e.emit("_mon.violations += 1", extra + 4)
-        e.emit("cpu.cfi_violation()", extra + 4)
-        e.emit("else:", extra + 3)
-        e.emit("_mon.checks_passed += 1", extra + 4)
-        e.emit("del _ev[:]", extra + 1)
-    else:
-        e.emit("if _ev:", extra)
-        e.emit("del _ev[:]", extra + 1)
+    e.emit("if _ev:", extra)
+    e.emit("ms = _drain(cpu, ms)" if e.monitor else "del _ev[:]", extra + 1)
+
+
+def _drain(cpu, ms: int) -> int:
+    """Apply the CFI events a slow-path store raised to the monitor
+    state ``ms`` as the monitor's retire hook would, clear them, and
+    return the new state."""
+    monitor = cpu.monitor
+    events = cpu._cfi_events
+    for event in events:
+        if event.addr == MMIO.CFI_MERGE:
+            ms = (ms ^ event.value) & WORD
+        elif event.addr == MMIO.CFI_CHECK:
+            if event.value != ms:
+                monitor.violations += 1
+                cpu.cfi_violation()
+            else:
+                monitor.checks_passed += 1
+    del events[:]
+    return ms
 
 
 def _emit_adc(e: _Emitter, dest: str, a_expr: str, b_expr: str, carry: str) -> None:
@@ -1080,22 +1141,24 @@ def _emit_body_instr(e: _Emitter, cpu, addr: int, instr, width: int) -> None:
     e.count += 1
 
 
-def _emit_back_edge(e: _Emitter, taken_cost: int, start: int, worst_pass: int,
+def _emit_back_edge(e: _Emitter, taken_cost: int, worst_pass: int,
                     extra: int = 0) -> None:
     """A branch back to the trace entry: fold the static accumulators
-    into the dynamic ``cycles``/``_n`` locals and ``continue`` when the
-    budget provably admits one more worst-case pass; otherwise exit with
-    the loop head as the next PC (the outer loop single-steps the near-
-    timeout tail exactly)."""
+    into the dynamic ``cycles``/``_n`` locals, rebase the stop countdown
+    ``_s`` onto the next pass, and ``continue`` unless the stop is that
+    pass's first instruction or the budget does not provably admit one
+    more worst-case pass; then exit with the loop head as the next PC
+    (the outer loop pauses there, or single-steps the near-timeout tail
+    exactly)."""
     total = e.k + taken_cost
     if total:
         e.emit(f"cycles += {total}", extra)
     if e.count:
         e.emit(f"_n += {e.count}", extra)
-    e.emit(f"if cycles + {worst_pass} < max_cycles:", extra)
+    e.emit(f"_s -= {e.count}", extra)
+    e.emit(f"if _s and cycles + {worst_pass} < max_cycles:", extra)
     e.emit("continue", extra + 1)
-    e.emit_epilogue(extra=extra, accumulated=True)
-    e.emit(f"return {start:#x}", extra)
+    e.emit_break(0, extra)
 
 
 def _emit_side_exit(e: _Emitter, cpu, addr: int, instr, width: int,
@@ -1134,7 +1197,7 @@ def _emit_side_exit(e: _Emitter, cpu, addr: int, instr, width: int,
         cond = _fused_cond_expr(e, instr, instr.cond)
     e.emit(f"if {cond}:")
     if e.loop and instr.target == start:
-        _emit_back_edge(e, taken, start, worst_pass, extra=1)
+        _emit_back_edge(e, taken, worst_pass, extra=1)
     else:
         e.emit_epilogue(extra_cycles=taken, extra=1)
         e.emit(f"return {instr.target:#x}", 1)
@@ -1154,7 +1217,7 @@ def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
         e.worst += cost
         e.emit_flush()
         if e.loop and instr.target == start:
-            _emit_back_edge(e, cost, start, worst_pass)
+            _emit_back_edge(e, cost, worst_pass)
         else:
             e.k += cost
             e.emit_epilogue()
@@ -1214,17 +1277,12 @@ def _emit_trace(block: _Block, cpu, image, monitor: bool, inline: bool,
                 loop: bool, worst_pass: int, preset, div_bound: int) -> _Emitter:
     """Emit one trace/block body into a fresh emitter."""
     has_div = any(type(i) in (ins.Udiv, ins.Sdiv) for _, i, _ in block.body)
-    e = _Emitter(
-        monitor,
-        cycles_local=has_div,
-        loop=loop,
-        indent=2 if loop else 1,
-        preset=preset,
-    )
+    e = _Emitter(monitor, cycles_local=has_div, loop=loop, preset=preset)
     e.div_bound = div_bound
     e.div_inline = type(cpu.cycles_model).div is CycleModel.div
     start = block.addr
     for addr, instr, width in block.body:
+        e.emit_stop_check(addr)
         if type(instr) in ins.BCC_CLASSES:
             _emit_side_exit(e, cpu, addr, instr, width, start, worst_pass,
                             follow_taken=addr in block.taken)
@@ -1232,13 +1290,14 @@ def _emit_trace(block: _Block, cpu, image, monitor: bool, inline: bool,
             _emit_body_instr(e, cpu, addr, instr, width)
     term = block.term if inline else None
     if term is not None:
+        e.emit_stop_check(term[0])
         _emit_terminator(e, cpu, image, *term, start=start,
                          worst_pass=worst_pass)
     elif block.fall_loop:
         # The walk wrapped around into its own entry point: the trace
         # falls through into the next iteration.
         e.emit_flush()
-        _emit_back_edge(e, 0, start, worst_pass)
+        _emit_back_edge(e, 0, worst_pass)
     else:
         e.emit_flush()
         e.emit_epilogue()
@@ -1256,13 +1315,53 @@ _TRACE_GLOBALS = {
     # default-model div cycles by quotient bit-width (see
     # CycleModel.div: 2-cycle setup, ~3 result bits per cycle, cap 12)
     "_DIVC": tuple(min(12, 2 + (q + 2) // 3) for q in range(33)),
+    "_drain": _drain,
 }
+
+
+def _shared_exit(e: _Emitter) -> list[str]:
+    """The shared exit after the body's ``while True:``, which a stop, a
+    halt and a loop's budget exit break out to with ``_s`` set to an
+    offset in the pass.  It publishes the state before the instruction at
+    that offset: every register and flag local bound by then (a local
+    the prologue does not load is bound once the instruction that first
+    writes it has run), the static cycles and the pending monitor segment
+    from that offset's ``_STOPS`` row, and ``_s`` instructions (plus the
+    ``_n`` of earlier passes)."""
+    lines = ["_row = _STOPS[_s]"]
+    published = [(f"r{reg}", f"regs[{reg}]", reg) for reg in sorted(e.written)]
+    published += [(flag, f"cpu.{flag}", flag)
+                  for flag in ("n", "z", "c", "v") if flag in e.fwritten]
+    for local, target, key in published:
+        born = e.born.get(key)
+        if born is None:
+            lines.append(f"{target} = {local}")
+        else:
+            lines.append(f"if _s > {born}: {target} = {local}")
+    if e.cycles_local:
+        lines.append("cpu.cycles = cycles + _row[1]")
+    else:
+        lines.append("cpu.cycles += _row[1]")
+    count = "_s"
+    if e.loop:
+        lines.append("_n += _s")
+        count = "_n"
+    lines.append(f"cpu.retired += {count}")
+    lines.append(f"cpu.dyn_index += {count}")
+    if e.monitor:
+        lines.append("_rot = _row[2]")
+        lines.append(
+            "_mon.state = (((ms << _rot) | (ms >> (32 - _rot))) "
+            "& 0xFFFFFFFF) ^ _row[3]"
+        )
+    lines.append("return _row[0]")
+    return ["    " + line for line in lines]
 
 
 def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
                    div_bound: int) -> tuple:
-    """Generate + exec one trace function; returns ``(function, guard
-    count, worst-case cycles of one pass)``.
+    """Generate + exec one trace function; returns ``(function,
+    worst-case cycles of one pass)``.
 
     ``monitor``: fold the CFI monitor state advance into the trace.
     ``inline``: inline side exits and terminators (disabled when a
@@ -1287,14 +1386,12 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
         e = _emit_trace(block, cpu, image, monitor, inline, loop=True,
                         worst_pass=worst, preset=preset,
                         div_bound=div_bound)
-        guard_count = UNBOUNDED
     else:
         e = _emit_trace(block, cpu, image, monitor, inline, loop=False,
                         worst_pass=0, preset=None, div_bound=div_bound)
         worst = e.worst
-        guard_count = e.count
     name = f"_t{block.addr:x}"
-    prologue = [f"def {name}(cpu, regs, max_cycles):"]
+    prologue = [f"def {name}(cpu, regs, max_cycles, stop):"]
     for reg in sorted(e.reads):
         prologue.append(f"    r{reg} = regs[{reg}]")
     for flag in ("n", "z", "c", "v"):
@@ -1325,11 +1422,18 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
         prologue.append("    ms = _mon.state")
     if loop:
         prologue.append("    _n = 0")
-        prologue.append("    while True:")
+    # The stop's offset in the pass: the trace breaks out of its ``while
+    # True:`` when an instruction's offset equals it (see
+    # _Emitter.emit_stop_check).
+    prologue.append("    _s = stop - cpu.dyn_index")
+    prologue.append("    while True:")
     namespace = dict(_TRACE_GLOBALS)
-    source = "\n".join(prologue + e.lines)
-    exec(compile(source, "<superblock>", "exec"), namespace)
-    return namespace[name], guard_count, worst
+    lines = prologue + e.lines
+    if e.shared:
+        namespace["_STOPS"] = tuple(e.stops[i] for i in range(len(e.stops)))
+        lines += _shared_exit(e)
+    exec(compile("\n".join(lines), "<superblock>", "exec"), namespace)
+    return namespace[name], worst
 
 
 class _Variant:
@@ -1337,14 +1441,17 @@ class _Variant:
     speculation window, compiled one at a time and shared by every CPU
     of that variant."""
 
-    __slots__ = ("inline", "monitor", "div_bound", "traces", "cold")
+    __slots__ = ("inline", "monitor", "div_bound", "traces", "seen", "cold")
 
     def __init__(self, inline: bool, monitor: bool, div_bound: int):
         self.inline = inline
         self.monitor = monitor
         self.div_bound = div_bound
-        #: entry address -> (function, guard count, worst-case cycles)
+        #: entry address -> (function, worst-case cycles of one pass)
         self.traces: dict = {}
+        #: entries a run reached once: their trace compiles at the next
+        #: reach
+        self.seen: set = set()
         #: addresses the chaining loop reached that start no trace
         self.cold: set = set()
 
@@ -1356,13 +1463,28 @@ def _image_cache(image) -> dict:
     return cache
 
 
+def _inline(cpu) -> bool:
+    """Whether ``cpu``'s traces inline ``Bcc`` (no speculative window
+    owns conditional-branch retirement)."""
+    return cpu.spec is None or not cpu.spec.window
+
+
+def _partition(image, inline: bool) -> _Partition:
+    cache = _image_cache(image)
+    key = "traces" if inline else "blocks"
+    partition = cache.get(key)
+    if partition is None:
+        partition = cache[key] = partition_image(image, traces=inline)
+    return partition
+
+
 def _variant(cpu) -> _Variant:
     """``cpu``'s variant: its key is computed on the first call and the
     variant kept on the CPU."""
     variant = cpu._sb_variant
     if variant is None:
         cache = _image_cache(cpu.image)
-        inline = cpu.spec is None or not cpu.spec.window
+        inline = _inline(cpu)
         monitor = cpu.monitor is not None
         key = (_cycle_key(cpu), monitor, inline)
         variant = cache.get(key)
@@ -1374,20 +1496,28 @@ def _variant(cpu) -> _Variant:
     return variant
 
 
+def trace_entries(cpu) -> dict:
+    """Entry address -> block of every trace a superblock CPU like
+    ``cpu`` (same image and speculation window) can compile.  Builds the
+    image's partition on the first call and compiles nothing: golden
+    capture places its ladder checkpoints at these addresses, so trials
+    fork and probe on a trace entry."""
+    return _partition(cpu.image, _inline(cpu)).entries
+
+
 def superblock_tables(cpu, entry: Optional[int] = None) -> dict:
     """The trace table of ``cpu``'s variant: entry address ->
-    ``(function, guard count, worst-case cycles)``.
+    ``(function, worst-case cycles of one pass)``.  A trace function is
+    called as ``function(cpu, regs, max_cycles, stop)`` and returns the
+    next PC; it pauses exactly when ``cpu.dyn_index`` reaches ``stop``,
+    and a ``stop`` at or below ``cpu.dyn_index`` never pauses it.
 
     With ``entry``, first compile the trace that starts there unless it
     is compiled already (the chaining loop's compile-on-demand); without,
     compile every trace of the image.  The partition is built at the
     first compile."""
     variant = _variant(cpu)
-    cache = _image_cache(cpu.image)
-    pkey = "traces" if variant.inline else "blocks"
-    partition = cache.get(pkey)
-    if partition is None:
-        partition = cache[pkey] = partition_image(cpu.image, traces=variant.inline)
+    partition = _partition(cpu.image, variant.inline)
     traces = variant.traces
     for addr in partition.entries if entry is None else (entry,):
         if addr in traces:
@@ -1421,113 +1551,88 @@ def run_superblock(
         and len(retire_hooks) == 1
         and retire_hooks[0] == monitor.on_retire
     )
-    lo_min = hi_max = None
+    lo = hi = None
     bounded = True
     for hook in pre_hooks:
         window = getattr(hook, "fire_window", None)
         if window is None:
             bounded = False
             break
-        lo_min = window[0] if lo_min is None else min(lo_min, window[0])
-        hi_max = window[1] if hi_max is None else max(hi_max, window[1])
-    if (
-        not supported_retire
-        or not bounded
-        or (stop_at_instruction is not None and hi_max is None)
-    ):
-        # Full deoptimisation: checkpoint capture, golden-trace recording
-        # and unbounded fault models run the reference step loops.
+        lo = window[0] if lo is None else min(lo, window[0])
+        hi = window[1] if hi is None else max(hi, window[1])
+    if not supported_retire or not bounded:
+        # Full deoptimisation: golden-trace recording and unbounded
+        # fault models run the reference step loops.
         if pre_hooks or retire_hooks or stop_at_instruction is not None:
             cpu._run_hooked(max_cycles, stop_at_instruction)
         else:
             cpu._run_fast(max_cycles)
         return
 
+    stop = NO_STOP if stop_at_instruction is None else stop_at_instruction
+    if hi is not None and cpu.dyn_index < hi:
+        # Traces up to the slot before the window, then the window
+        # single-stepped with its hooks consulted.  Each phase checks
+        # the budget before its stop, as the step loops do, and a phase
+        # that halts or times out leaves the next ones nothing to run.
+        _chain(cpu, max_cycles, min(lo - 1, stop))
+        retired = cpu.retired
+        cpu._run_hooked(max_cycles, min(hi, stop))
+        cpu._sb_steps += cpu.retired - retired
+    _chain(cpu, max_cycles, stop)
+
+
+def _chain(cpu, max_cycles: int, stop: int) -> None:
+    """Chain compiled traces until ``cpu.dyn_index`` reaches ``stop``,
+    compiling them on demand (see *Lazy compilation*); a trace the stop
+    falls in pauses exactly there.  Addresses that start no trace (a
+    fault or a stop can leave the PC mid-trace), near-timeout traces and
+    a pending ``branch_invert`` single-step through the decode cache,
+    which also keeps SpecEngine-wrapped ``Bcc`` on its one shared retire
+    path."""
     variant = _variant(cpu)
     traces = variant.traces
+    seen = variant.seen
     cold = variant.cold
+    # Without a stop the traces are handed 0, a stop behind them: their
+    # countdown then never matches and stays a small int, which the
+    # interpreter compares fastest.
+    trace_stop = stop if stop < NO_STOP else 0
     decode = cpu._decode
     regs = cpu.regs
     events = cpu._cfi_events
+    monitor = cpu.monitor
     on_retire = monitor.on_retire if monitor is not None else None
     RUNNING = Status.RUNNING
     nblk = 0
     nstep = 0
     try:
-        if hi_max is not None:
-            # Phase 1 — the fault window is still open: per-instruction
-            # stepping with hooks, identical to _run_hooked; traces
-            # compiled already are taken opportunistically while they
-            # provably stay below the window (looping traces never
-            # qualify).  Nothing is compiled here.  A stop, when given,
-            # replaces ``hi`` as the end of the stepping: the trial
-            # scheduler steps on to the ladder checkpoint it compares
-            # against, and the loop pauses there.
-            limit = hi_max if stop_at_instruction is None else stop_at_instruction
-            below = min(lo_min, limit)
-            while cpu.status is RUNNING:
-                if cpu.cycles >= max_cycles:
-                    cpu.status = Status.TIMEOUT
-                    return
-                if cpu.dyn_index >= limit:
-                    break
-                pc = regs[PC]
-                blk = traces.get(pc)
-                if (
-                    blk is not None
-                    and cpu.dyn_index + blk[1] < below
-                    and cpu.cycles + blk[2] < max_cycles
-                    and not cpu.branch_invert
-                ):
-                    regs[PC] = blk[0](cpu, regs, max_cycles)
-                    nblk += 1
-                    continue
-                entry = decode.get(pc)
-                if entry is None:
-                    cpu.status = Status.DECODE_ERROR
-                    return
-                handler, instr, width = entry
-                cpu.dyn_index += 1
-                skip = False
-                for hook in pre_hooks:
-                    if hook(cpu, instr):
-                        skip = True
-                if skip:
-                    regs[PC] = pc + width
-                    cpu.cycles += 1
-                    continue
-                events.clear()
-                regs[PC] = handler(cpu)
-                cpu.retired += 1
-                nstep += 1
-                if on_retire is not None:
-                    on_retire(cpu, instr, list(events))
-            if stop_at_instruction is not None:
-                return
-        # Phase 2 — window closed (or no hooks at all): pure trace
-        # chaining, compiling each trace the first time its entry is
-        # reached; near-timeout traces and addresses that start no trace
-        # (checkpoint restores land mid-trace) single-step through the
-        # decode cache, which also keeps SpecEngine-wrapped Bcc on its
-        # one shared retire path.
         while cpu.status is RUNNING:
             if cpu.cycles >= max_cycles:
                 cpu.status = Status.TIMEOUT
                 return
+            if cpu.dyn_index >= stop:
+                return
             pc = regs[PC]
             blk = traces.get(pc)
             if blk is None and pc not in cold:
-                blk = superblock_tables(cpu, pc).get(pc)
+                if pc in seen:
+                    blk = superblock_tables(cpu, pc).get(pc)
+                else:
+                    # A trace compiles at its second reach: a run that
+                    # passes once (a warm-up trial) steps through instead
+                    # of paying a compile for a few dozen instructions.
+                    seen.add(pc)
             # Compiled traces evaluate fused branch conditions inline and
             # never consult the one-shot branch_invert latch; while it is
             # pending, fall to single-stepping (the decode-cache handlers
             # consume it).
             if (
                 blk is not None
-                and cpu.cycles + blk[2] < max_cycles
+                and cpu.cycles + blk[1] < max_cycles
                 and not cpu.branch_invert
             ):
-                regs[PC] = blk[0](cpu, regs, max_cycles)
+                regs[PC] = blk[0](cpu, regs, max_cycles, trace_stop)
                 nblk += 1
                 continue
             entry = decode.get(pc)

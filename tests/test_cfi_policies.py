@@ -1,11 +1,17 @@
 """Tests for the CFI state-justification policies and monitor internals."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.backend import compile_ir
 from repro.cfi.gpsa import entry_state, merge, rotl, update
+from repro.faults.models import InstructionSkip
+from repro.faults.scheduler import TrialScheduler
 from repro.isa import Status
 from repro.minic import compile_source
+from repro.programs import load_source
 from repro.toolchain import CompileConfig
 
 from tests.test_backend_compile import (
@@ -128,6 +134,42 @@ class TestMonitorInternals:
         monitor = cpu.retire_hooks[0].__self__
         assert result.status is Status.EXIT
         assert monitor.call_stack == []
+
+    def test_protected_cpus_die_by_refcount(self, monkeypatch):
+        # The monitor keeps no reference back to its CPU, so a dropped
+        # CFI-protected CPU and its 2 MiB memory are freed at once, not
+        # whenever the cyclic GC next runs (buffers that size never
+        # trigger it): a plain prepared CPU, a scheduler's golden-capture
+        # CPU, and the trial CPU of a scheduler evicted from the memo.
+        program = compile_source(
+            load_source("memcmp"), config=CompileConfig(scheme="ancode")
+        )
+        made = []
+        prepare = program.prepare_cpu
+
+        def spy(*args, **kwargs):
+            cpu = prepare(*args, **kwargs)
+            made.append(weakref.ref(cpu))
+            return cpu
+
+        monkeypatch.setattr(program, "prepare_cpu", spy)
+        gc.disable()
+        try:
+            cpu = program.prepare_cpu("run_memcmp", [8])
+            assert cpu.run().ok and cpu.monitor is not None
+            del cpu
+            assert made[0]() is None, "dropped CPU"
+            scheduler = TrialScheduler.for_program(program, "run_memcmp", [8])
+            assert made[1]() is None, "golden-capture CPU"
+            scheduler.run_trial(InstructionSkip(5))
+            trial = made[2]
+            assert trial() is not None
+            del scheduler
+            for n in range(TrialScheduler.MEMO_SIZE):
+                TrialScheduler.for_program(program, "run_memcmp", [9 + n])
+            assert trial() is None, "evicted scheduler's trial CPU"
+        finally:
+            gc.enable()
 
 
 class TestBenchHarness:

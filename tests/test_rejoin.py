@@ -349,7 +349,7 @@ class TestCompositeWindow:
             CompositeFault((InstructionSkip(c - before), InstructionSkip(c + after)))
             for c in inner
             for before in (0, 1, 2, 3)
-            for after in (1, 3)
+            for after in (1, 2, 3)
         ]
         for model in models:
             result = scheduler.run_trial(model)

@@ -1,30 +1,37 @@
 """The trace-compiled trial engine's own contract: trace geometry, lazy
-compilation, deoptimisation boundaries, and observability.
+compilation, exact stops, deoptimisation boundaries, and observability.
 
 :mod:`tests.test_engine_equivalence` proves the default engine
 byte-identical to the reference oracle from the outside; this module pins
 the *mechanism* — that traces actually close loops, that they compile
-only when a trial reaches them with no fault window open, that a trial
-forks, deoptimises while its fault window is open, fires, and re-enters
-compiled dispatch, and that the engine's obs counters account for
-exactly that.
+only when a trial reaches them with no fault window open, that a trace
+pauses at exactly the ``dyn_index`` it is handed, that a trial forks,
+runs traces up to its fault window, single-steps the window, fires, and
+re-enters compiled dispatch, and that the engine's obs counters account
+for exactly that.
 """
 
 import pickle
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_differential_fuzz import _cfg_args_for_seed, cfg_source_for_seed
 
 import repro.isa.superblock as superblock
 from repro.faults.isa_campaign import run_attack
 from repro.faults.models import (
     FlagFlip,
+    FlagFlipAt,
     InstructionSkip,
     MemoryBitFlip,
+    RegisterBitFlip,
     RepeatedFlagFlip,
 )
 from repro.faults.scheduler import TrialScheduler
-from repro.isa.cpu import Status
-from repro.isa.superblock import UNBOUNDED, partition_image, superblock_tables
+from repro.isa.cpu import PAGE_BITS, Status
+from repro.isa.superblock import partition_image, superblock_tables
 from repro.minic.driver import compile_source
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import EngineProfiler
@@ -34,6 +41,25 @@ from repro.toolchain import CompileConfig
 
 def _program(name="memcmp", scheme="ancode"):
     return compile_source(load_source(name), config=CompileConfig(scheme=scheme))
+
+
+def _state(cpu):
+    """Everything a paused CPU's future depends on, and its counters."""
+    pages = sorted(cpu._dirty_pages)
+    return {
+        "regs": list(cpu.regs),
+        "nzcv": (cpu.n, cpu.z, cpu.c, cpu.v),
+        "status": cpu.status,
+        "codes": (cpu.exit_code, cpu.detect_code),
+        "console": list(cpu.console_chars),
+        "counts": (cpu.cycles, cpu.retired, cpu.dyn_index),
+        "monitor": cpu.monitor.snapshot_state() if cpu.monitor else None,
+        "branch_invert": cpu.branch_invert,
+        "pages": pages,
+        "bytes": [
+            bytes(cpu.memory[p << PAGE_BITS : (p + 1) << PAGE_BITS]) for p in pages
+        ],
+    }
 
 
 def _replay(program, function, args, model, dispatch):
@@ -49,7 +75,7 @@ def _compiled(program):
     cache = program.image._superblock_cache or {}
     return {
         addr
-        for key, value in cache.items()
+        for value in cache.values()
         if isinstance(value, superblock._Variant)
         for addr in value.traces
     }
@@ -96,24 +122,40 @@ class TestPartition:
             assert not block.loop and not block.fall_loop
             assert not block.taken
 
-    def test_looping_traces_publish_unbounded_footprint(self):
-        # Phase-1 (windowed) stepping must never enter a looping trace:
-        # its retired-instruction count is unknowable up front, so it
-        # advertises an UNBOUNDED guard count.
+    def test_loop_trace_entered_under_a_stop_pauses_exactly_mid_pass(self):
+        # Forked at a golden checkpoint on a loop trace's entry, a stop
+        # anywhere in the next three passes is reached by that one trace
+        # call: no single step, and exactly the reference interpreter's
+        # state at the stop, mid-pass and past the first back edge.
         program = _program()
-        cpu = program.prepare_cpu("run_memcmp", [8], dispatch="superblock")
-        table = superblock_tables(cpu)
-        partition = partition_image(program.image, traces=True)
-        saw_unbounded = False
-        for block in partition.blocks:
-            entry = table.get(block.addr)
-            if entry is None:
-                continue
-            guard_count = entry[1]
-            if block.loop:
-                assert guard_count >= UNBOUNDED, hex(block.addr)
-                saw_unbounded = True
-        assert saw_unbounded
+        scheduler = TrialScheduler(program, "run_memcmp", [16])
+        loops = {b.addr: b for b in partition_image(program.image).blocks if b.loop}
+        forks = [snap for snap in scheduler.checkpoints if snap.regs[15] in loops]
+        assert forks, "no checkpoint sits on a loop trace"
+        snap = forks[len(forks) // 2]
+        passes = 3 * (len(loops[snap.regs[15]].body) + 1)
+        superblock_tables(
+            program.prepare_cpu("run_memcmp", [16], dispatch="superblock"),
+            snap.regs[15],
+        )
+        reference = program.prepare_cpu(
+            "run_memcmp", [16], dispatch="reference", track_pages=True
+        )
+        reference.restore(snap)
+        mid_pass = 0
+        for stop in range(snap.dyn_index + 1, snap.dyn_index + passes):
+            reference.run(2_000_000, stop_at_instruction=stop)
+            if reference.status is not Status.RUNNING:
+                break
+            cpu = program.prepare_cpu(
+                "run_memcmp", [16], dispatch="superblock", track_pages=True
+            )
+            cpu.restore(snap)
+            cpu.run(2_000_000, stop_at_instruction=stop)
+            assert _state(cpu) == _state(reference), stop
+            assert (cpu._sb_blocks, cpu._sb_steps) == (1, 0), stop
+            mid_pass += cpu.regs[15] not in loops
+        assert mid_pass > passes // 2
 
     def test_table_cache_is_not_pickled(self):
         # The compiled trace table holds exec'd functions; the image must
@@ -133,29 +175,48 @@ class TestPartition:
 # Lazy compilation
 # ---------------------------------------------------------------------------
 class TestLazyCompile:
-    def test_golden_capture_builds_no_partition(self):
-        # Golden capture runs the cached step loop; a trial that halts
-        # while its window is still open single-steps to the end.
-        # Neither builds a partition or compiles a trace.
+    def test_golden_capture_compiles_nothing(self):
+        # Golden capture runs the cached step loop and only builds the
+        # partition, to put its checkpoints on trace entries; a trial
+        # that halts while its window is still open single-steps to the
+        # end.  Neither compiles a trace.
         program = _program()
         scheduler = TrialScheduler(program, "run_memcmp", [16])
-        assert program.image._superblock_cache is None
+        entries = program.image._superblock_cache["traces"].entries
+        assert all(snap.regs[15] in entries for snap in scheduler.checkpoints)
         result = scheduler.run_trial(_WideWindow())
         assert result == scheduler.golden
-        cache = program.image._superblock_cache
-        assert "traces" not in cache and "blocks" not in cache
         assert not _compiled(program)
 
-    def test_phase_one_never_compiles(self, monkeypatch):
-        # Every compile happens with the trial's fault window closed.
+    def test_traces_compile_at_their_second_reach(self):
+        # The first run to reach a trace entry single-steps on from it;
+        # the second compiles the traces and, with a stop and no hooks,
+        # pauses inside one.  (The stop lies before memcmp's loop, whose
+        # head a single run would reach twice.)
+        program = _program()
+
+        def run():
+            cpu = program.prepare_cpu("run_memcmp", [16], dispatch="superblock")
+            cpu.run(2_000_000, stop_at_instruction=40)
+            assert cpu.dyn_index == 40
+            return cpu._sb_blocks, cpu._sb_steps
+
+        assert run() == (0, 40)
+        assert not _compiled(program)
+        assert run() == (2, 0)
+        assert len(_compiled(program)) == 2
+
+    def test_nothing_compiles_while_the_window_is_open(self, monkeypatch):
+        # Traces compile on demand before the fault window and after it,
+        # never while it is open (the window is single-stepped).
         program = _program()
         scheduler = TrialScheduler(program, "run_memcmp", [16])
         at_compile = []
         real = superblock.superblock_tables
 
         def spy(cpu, entry=None):
-            hi = max(hook.fire_window[1] for hook in cpu.pre_hooks)
-            at_compile.append((cpu.dyn_index, hi))
+            (lo, hi), = [hook.fire_window for hook in cpu.pre_hooks]
+            at_compile.append((lo, cpu.dyn_index, hi))
             return real(cpu, entry)
 
         monkeypatch.setattr(superblock, "superblock_tables", spy)
@@ -163,7 +224,8 @@ class TestLazyCompile:
         for index in range(1, total + 1, 5):
             scheduler.run_trial(InstructionSkip(index))
         assert at_compile, "no trace was ever compiled"
-        assert all(index >= hi for index, hi in at_compile), at_compile
+        assert all(d < lo - 1 or d >= hi for lo, d, hi in at_compile), at_compile
+        assert any(d < lo - 1 for lo, d, hi in at_compile)
         # Only the traces some trial reached got compiled.
         table = superblock.partition_image(program.image, traces=True)
         assert 0 < len(_compiled(program)) < len(table.entries)
@@ -179,17 +241,17 @@ class TestLazyCompile:
         planted = []
 
         def buggy(block, *args):
-            function, count, worst = real(block, *args)
+            function, worst = real(block, *args)
             if planted:
-                return function, count, worst
+                return function, worst
             planted.append(block.addr)
 
-            def charged(cpu, regs, max_cycles):
-                pc = function(cpu, regs, max_cycles)
+            def charged(cpu, regs, max_cycles, stop):
+                pc = function(cpu, regs, max_cycles, stop)
                 cpu.cycles += 1
                 return pc
 
-            return charged, count, worst
+            return charged, worst
 
         monkeypatch.setattr(superblock, "_compile_trace", buggy)
         scheduler = TrialScheduler(program, "run_memcmp", [16])
@@ -203,6 +265,105 @@ class TestLazyCompile:
                 diverged.append((index, forked.cycles - oracle.cycles))
         assert planted, "no trace was compiled"
         assert diverged, "the reference oracle missed the planted bug"
+
+
+# ---------------------------------------------------------------------------
+# Exact stops, by generation
+# ---------------------------------------------------------------------------
+#: (name, scheme, target): memcmp under every Table III scheme and the
+#: CFG-fuzzer skeletons, on both targets
+_STOP_PROGRAMS = [
+    ("memcmp", scheme, target)
+    for scheme in ("none", "duplication", "ancode")
+    for target in ("baseline", "rv32")
+] + [
+    (f"cfg{seed}", scheme, target)
+    for seed in range(10)
+    for scheme in ("none", "ancode")
+    for target in ("baseline", "rv32")
+]
+
+
+@lru_cache(maxsize=None)
+def _stop_workload(name, scheme, target):
+    """``(program, function, args, golden instructions)``."""
+    config = CompileConfig(scheme=scheme, target=target)
+    if name == "memcmp":
+        program, function, args = (
+            compile_source(load_source("memcmp"), config=config), "run_memcmp", [16]
+        )
+    else:
+        seed = int(name[3:])
+        program = compile_source(cfg_source_for_seed(seed), config=config)
+        function, args = "f", _cfg_args_for_seed(seed)
+    golden = program.run(function, args)
+    return program, function, tuple(args), golden.instructions
+
+
+@st.composite
+def _windowed_faults(draw, total):
+    index = draw(st.integers(1, total))
+    kind = draw(st.sampled_from(["skip", "reg", "flag", "mem"]))
+    if kind == "skip":
+        return InstructionSkip(index)
+    if kind == "reg":
+        return RegisterBitFlip(draw(st.integers(0, 14)), draw(st.integers(0, 31)), index)
+    if kind == "flag":
+        return FlagFlipAt(draw(st.sampled_from("nzcv")), index)
+    # a byte of the stack frames the programs push and pop
+    addr = 0x100000 - draw(st.integers(1, 256))
+    return MemoryBitFlip(addr, draw(st.integers(0, 7)), index)
+
+
+class TestStopExactness:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_superblock_pauses_in_the_reference_state(self, data):
+        # A windowed fault, then a stop at or past the window's end: the
+        # superblock CPU pauses (or halts, or times out) in exactly the
+        # reference step loop's state, under a budget that leaves the
+        # stop reachable and under budgets that end exactly at it.
+        name, scheme, target = data.draw(st.sampled_from(_STOP_PROGRAMS))
+        program, function, args, total = _stop_workload(name, scheme, target)
+        model = data.draw(_windowed_faults(total))
+        hi = model.hook().fire_window[1]
+        stop = hi + data.draw(st.integers(0, total))
+
+        def run(dispatch, budget):
+            cpu = program.prepare_cpu(
+                function, list(args), pre_hooks=[model.hook()],
+                dispatch=dispatch, track_pages=True,
+            )
+            return cpu.run(budget, stop_at_instruction=stop), _state(cpu)
+
+        budgets = [2_000_000]
+        paused, _ = run("reference", budgets[0])
+        if paused.status is Status.RUNNING:
+            budgets += [paused.cycles, paused.cycles + 1]
+        for budget in budgets:
+            assert run("superblock", budget) == run("reference", budget), (
+                name, scheme, target, model, stop, budget
+            )
+
+
+    @pytest.mark.parametrize("target", ["baseline", "rv32"])
+    def test_every_stop_of_a_run_pauses_in_the_reference_state(self, target):
+        # Each dyn_index of a whole memcmp/ancode run as the stop, on
+        # compiled traces: every pause equals the reference loop stepped
+        # to the same slot.  Random stops rarely land just after the one
+        # pass of a trace with a dynamic-cost udiv; this sweep hits them
+        # all.
+        program, function, args, total = _stop_workload("memcmp", "ancode", target)
+        reference = program.prepare_cpu(
+            function, list(args), dispatch="reference", track_pages=True
+        )
+        for stop in range(1, total + 1):
+            reference.run(2_000_000, stop_at_instruction=stop)
+            cpu = program.prepare_cpu(
+                function, list(args), dispatch="superblock", track_pages=True
+            )
+            cpu.run(2_000_000, stop_at_instruction=stop)
+            assert _state(cpu) == _state(reference), stop
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +400,8 @@ class TestDeoptBoundary:
         assert stats.superblock_deopt_steps > steps0, "never deoptimised"
         assert stats.rejoined == rejoined0
 
-        # A mid-run skip rejoins: it single-steps to its probe and takes
-        # the golden run's verdict, still equal to a full replay.
+        # A mid-run skip rejoins: it runs on to its probe and takes the
+        # golden run's verdict, still equal to a full replay.
         skip = InstructionSkip(scheduler.golden.instructions // 2)
         assert scheduler.run_trial(skip) == _replay(
             program, "run_memcmp", [16], skip, "reference"
@@ -279,9 +440,10 @@ class TestDeoptBoundary:
         assert paused_runs
 
     def test_windowed_trial_steps_only_near_the_window(self):
-        # A one-instruction window deep in the run must not force
-        # stepping for the whole trial: the deopt steps for that trial
-        # stay well under the golden instruction count.
+        # Cold, before any trace is compiled (each compiles at its second
+        # reach), a one-instruction window deep in the run must not force
+        # stepping for the whole trial: the deopt steps for that trial stay
+        # well under the golden instruction count.
         program = _program()
         scheduler = TrialScheduler.for_program(program, "run_memcmp", [32])
         total = scheduler.golden.instructions
@@ -289,6 +451,23 @@ class TestDeoptBoundary:
         scheduler.run_trial(InstructionSkip(total - 5))
         stepped = scheduler.stats.superblock_deopt_steps - steps0
         assert 0 < stepped < total // 2
+        # Warm, a skip trial forks onto a trace entry and runs traces up to
+        # its window and on to its probe: it single-steps at most its
+        # window and the walk from the fault to the next trace entry, which
+        # is never longer than one basic block.
+        block = max(
+            len(b.body) + 1 for b in partition_image(program.image, traces=False).blocks
+        )
+        skips = [InstructionSkip(i) for i in range(1, total + 1)]
+        for model in skips:  # each trace a trial reaches compiles by its second reach
+            scheduler.run_trial(model)
+        stepped = []
+        for model in skips:
+            steps0 = scheduler.stats.superblock_deopt_steps
+            scheduler.run_trial(model)
+            stepped.append(scheduler.stats.superblock_deopt_steps - steps0)
+        assert max(stepped) <= 1 + block, (max(stepped), block)
+        assert sum(stepped) / len(stepped) < 12
 
     def test_unbounded_hook_falls_back_entirely(self):
         # RepeatedFlagFlip carries no fire window; the engine must run
