@@ -52,6 +52,7 @@ trap that was never implemented; it has been removed.)
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -179,6 +180,10 @@ class CPU:
         self.memory = bytearray(memory_size)
         for addr, payload in image.data_image:
             self.memory[addr : addr + len(payload)] = payload
+        #: ``memory`` as 32-bit words, aliasing it for the CPU's lifetime
+        #: (nothing rebinds ``memory``): compiled traces serve aligned word
+        #: accesses through it (see repro.isa.superblock)
+        self._words = _word_view(self.memory)
         self.regs = [0] * 16
         self.n = self.z = self.c = self.v = 0
         self.status = Status.RUNNING
@@ -768,6 +773,18 @@ class CPU:
             amount %= 32
             return ((value >> amount) | (value << (32 - amount))) & WORD
         raise ValueError(f"unknown shift {op}")
+
+
+def _word_view(memory: bytearray) -> memoryview:
+    """``memory`` as little-endian 32-bit words, or an empty view where it
+    cannot be one (a big-endian host, a size that is not a multiple of 4,
+    or RAM reaching the MMIO window): compiled traces then send every
+    access to :meth:`CPU.load`/:meth:`CPU.store`."""
+    if sys.byteorder == "little" and not len(memory) % 4 and len(memory) <= MMIO.BASE:
+        view = memoryview(memory).cast("I")
+        if view.itemsize == 4:
+            return view
+    return memoryview(b"").cast("I")
 
 
 def _signed(value: int) -> int:

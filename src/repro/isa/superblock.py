@@ -17,17 +17,19 @@ whose body inlines the semantics of each instruction with
 
 * CPU registers and NZCV flags pinned to local variables, loaded once in
   a prologue and written back only at trace exits,
+* NZCV computed lazily (below),
 * cycle charges folded into per-exit constants (dynamic ``div`` costs
-  are the one runtime add),
+  are the one runtime add, one lookup in a table indexed by the
+  operands' bit-length difference),
 * the CFI monitor's state advance folded per *segment*: ``k`` retired
   instructions without CFI events collapse to a single
   ``rotl(state, k) ^ C`` with ``C`` precomputed from the instruction
   signatures (the same folding trick ``repro.cfi.gpsa`` documents),
-* loads/stores bounds-checked inline: RAM accesses read/write
-  ``cpu.memory`` directly (maintaining the dirty-page set stores are
-  contracted to keep), while MMIO/out-of-range accesses fall back to the
-  shared ``cpu.load``/``cpu.store`` helpers followed by the same event
-  drain + halt check the per-instruction loops perform,
+* loads/stores bounds-checked inline: RAM accesses read/write RAM
+  directly (maintaining the dirty-page set stores are contracted to
+  keep), while MMIO/out-of-range accesses fall back to the shared
+  ``cpu.load``/``cpu.store`` helpers followed by the same event drain +
+  halt check the per-instruction loops perform,
 * **loop closure**: a branch back to the trace's own entry point becomes
   a ``continue`` in a ``while True:`` wrapper, so a counted loop runs
   entirely inside one compiled function with registers in locals.  Back
@@ -35,6 +37,31 @@ whose body inlines the semantics of each instruction with
   ``_n`` retired counter) and re-check the cycle budget each iteration
   against the trace's precomputed worst-case single-pass cost, which
   keeps timeout behaviour exact.
+
+**Word-granular RAM.**  Every CPU keeps ``cpu._words``, one
+``memoryview(cpu.memory).cast("I")`` made in ``CPU.__init__``; it aliases
+``memory`` for the CPU's lifetime, because ``restore()`` and the trial
+scheduler's scrub write ``memory`` in place and nothing rebinds it.  A
+trace serves an aligned 4-byte load, store, ``push`` or ``pop`` with one
+index into the view (``not _ad & 3 and _ad < _fast``), bytes and
+halfwords from ``cpu.memory``, and an aligned word store marks its one
+dirty page.  Unaligned words, MMIO and out-of-range addresses take
+``cpu.load``/``cpu.store``.  Where the view cannot be built (a
+big-endian host, a memory size that is not a multiple of 4, RAM
+reaching the MMIO window) it is empty, the limit ``_fast`` is 0, and
+every access takes that slow path.
+``CPU.load``/``CPU.store`` themselves stay byte-sliced: with
+``CPU.execute`` and the :mod:`repro.isa.dispatch` closures they are the
+reference oracle's semantics, which stays independent of the emitter's.
+
+**Lazy flags.**  A flag-setting add, sub or cmp leaves its operands and
+unmasked sum in ``_a``/``_b``/``_u`` and marks NZCV *pending*.  An eq,
+ne, hs or lo branch tests ``_u`` directly; the flags themselves are
+computed only where they are read or published: the carry-in of
+``adc``/``sbc``, an NZ-only setter (it keeps C and V), any other branch
+condition, a taken side exit, terminators, back edges, and the shared
+exit, whose per-offset ``_STOPS`` row says whether NZCV is pending
+there.  NZCV is exact at every exit and stop.
 
 **Exact stops.**  Every trace pauses when ``cpu.dyn_index`` reaches
 its ``stop`` argument.  Its prologue turns the stop into an offset
@@ -155,6 +182,25 @@ _COND_EXPR = {
     "ge": ("n == v", ("n", "v")),
     "gt": ("z == 0 and n == v", ("z", "n", "v")),
     "le": ("z == 1 or n != v", ("z", "n", "v")),
+}
+
+#: the conditions a pending flag-setting add/sub/cmp decides from its
+#: unmasked sum ``_u`` alone: Z is its low word being 0, C its bit 32.
+_PENDING_COND = {
+    "eq": "not _u & 0xFFFFFFFF",
+    "ne": "_u & 0xFFFFFFFF",
+    "hs": "_u > 0xFFFFFFFF",
+    "lo": "_u <= 0xFFFFFFFF",
+}
+
+#: each flag of a pending flag-setting add/sub/cmp, computed from its
+#: operands ``_a``, ``_b`` and unmasked sum ``_u = _a + _b + carry``
+#: (mirrors CPU._add_with_carry).
+_PENDING_FLAG = {
+    "n": "n = _u >> 31 & 1",
+    "z": "z = 0 if _u & 0xFFFFFFFF else 1",
+    "c": "c = _u >> 32",
+    "v": "v = ((_a ^ _u) & (_b ^ _u)) >> 31 & 1",
 }
 
 #: condition inversions, for side exits emitted on the *fall-through*
@@ -538,9 +584,12 @@ class _Emitter:
         self.seg_rot = 0  # monitor segment length since last flush
         self.seg_const = 0  # folded signature constant of the segment
         self.worst = 0  # worst-case cycle bound of one pass
+        #: the flags of the last flag-setting add/sub/cmp are not computed
+        #: yet: its ``_a``/``_b``/``_u`` hold them (see emit_flags)
+        self.pending = False
         #: offset in the pass -> (address, static cycles, pending monitor
-        #: rotation, pending monitor constant) before that instruction:
-        #: what the shared exit publishes for it
+        #: rotation, pending monitor constant, flags pending) before that
+        #: instruction: what the shared exit publishes for it
         self.stops: dict[int, tuple] = {}
         self.shared = False  # some exit breaks out to the shared exit
         if preset is not None:
@@ -572,6 +621,7 @@ class _Emitter:
         return f"r{reg}"
 
     def f(self, flag: str) -> str:
+        assert not self.pending, "read of a pending flag"
         if flag not in self.flocal:
             self.flocal.add(flag)
             self.freads.add(flag)
@@ -588,7 +638,7 @@ class _Emitter:
     def mark(self, addr: int) -> None:
         """Record the :attr:`stops` row of offset :attr:`count`: the next
         instruction is at ``addr``."""
-        row = (addr, self.k, self.seg_rot % 32, self.seg_const)
+        row = (addr, self.k, self.seg_rot % 32, self.seg_const, self.pending)
         recorded = self.stops.setdefault(self.count, row)
         assert recorded == row, (recorded, row)  # a halt records its fall-through
 
@@ -611,6 +661,18 @@ class _Emitter:
             self.emit(f"if _s == {self.count}:")
             self.emit_break(None, 1)
         self.mark(addr)
+
+    # -- lazy flags ------------------------------------------------------
+    def _flags_src(self, flags: str = "nzcv") -> list[str]:
+        return [_PENDING_FLAG[flag] for flag in flags] if self.pending else []
+
+    def emit_flags(self, flags: str = "nzcv") -> None:
+        """Compute the pending flags on the main path, where they are
+        read; the caller writes the others (an NZ-only setter asks for C
+        and V)."""
+        for line in self._flags_src(flags):
+            self.emit(line)
+        self.pending = False
 
     # -- monitor segment folding ----------------------------------------
     def fold(self, instr) -> None:
@@ -641,6 +703,8 @@ class _Emitter:
     # -- exits -----------------------------------------------------------
     def emit_epilogue(self, extra_cycles: int = 0, extra: int = 0) -> None:
         """Write locals back to the CPU (side exits and terminators)."""
+        for line in self._flags_src():  # non-destructive: side exits
+            self.emit(line, extra)
         for reg in sorted(self.written):
             self.emit(f"regs[{reg}] = r{reg}", extra)
         for flag in ("n", "z", "c", "v"):
@@ -706,21 +770,25 @@ def _drain(cpu, ms: int) -> int:
     return ms
 
 
-def _emit_adc(e: _Emitter, dest: str, a_expr: str, b_expr: str, carry: str) -> None:
-    """Inline dispatch._adc_into: full NZCV add-with-carry."""
+def _emit_adc(e: _Emitter, dest, a_expr: str, b_expr: str, carry: str) -> None:
+    """Inline dispatch._adc_into, NZCV left pending: the operands and
+    the unmasked sum stay in ``_a``/``_b``/``_u``, and the flags are
+    computed only where they are read or published (see
+    :data:`_PENDING_FLAG`).  ``dest`` is None for ``cmp``."""
     e.emit(f"_a = {a_expr}")
     e.emit(f"_b = {b_expr}")
-    e.emit(f"_u = _a + _b + {carry}")
-    e.emit(f"{dest} = _u & 0xFFFFFFFF")
-    e.emit(f"{e.wf('c')} = 1 if _u > 0xFFFFFFFF else 0")
-    e.emit("_sa = _a >> 31")
-    e.emit(f"_sr = {dest} >> 31")
-    e.emit(f"{e.wf('v')} = 1 if (_sa == (_b >> 31) and _sr != _sa) else 0")
-    e.emit(f"{e.wf('n')} = _sr")
-    e.emit(f"{e.wf('z')} = 1 if {dest} == 0 else 0")
+    e.emit(f"_u = _a + _b + {carry}" if carry != "0" else "_u = _a + _b")
+    if dest is not None:
+        e.emit(f"{e.w(dest)} = _u & 0xFFFFFFFF")
+    for flag in "nzcv":
+        e.wf(flag)
+    e.pending = True
 
 
 def _emit_nz(e: _Emitter, name: str) -> None:
+    """An NZ-only setter: C and V keep their values, so pending flags
+    are computed first."""
+    e.emit_flags("cv")
     e.emit(f"{e.wf('n')} = {name} >> 31")
     e.emit(f"{e.wf('z')} = 1 if {name} == 0 else 0")
 
@@ -741,17 +809,19 @@ def _emit_alu(e: _Emitter, op: str, rd, a: str, b: str, s: bool) -> None:
         if s:
             _emit_nz(e, dest)
         return
+    if op in ("adc", "sbc"):
+        e.emit_flags()  # the carry-in
     if s:
         if op == "add":
-            _emit_adc(e, e.w(rd), a, b, "0")
+            _emit_adc(e, rd, a, b, "0")
         elif op == "sub":
-            _emit_adc(e, e.w(rd), a, f"(~{b}) & 0xFFFFFFFF", "1")
+            _emit_adc(e, rd, a, f"(~{b}) & 0xFFFFFFFF", "1")
         elif op == "rsb":
-            _emit_adc(e, e.w(rd), b, f"(~{a}) & 0xFFFFFFFF", "1")
+            _emit_adc(e, rd, b, f"(~{a}) & 0xFFFFFFFF", "1")
         elif op == "adc":
-            _emit_adc(e, e.w(rd), a, b, e.f("c"))
+            _emit_adc(e, rd, a, b, e.f("c"))
         elif op == "sbc":
-            _emit_adc(e, e.w(rd), a, f"(~{b}) & 0xFFFFFFFF", e.f("c"))
+            _emit_adc(e, rd, a, f"(~{b}) & 0xFFFFFFFF", e.f("c"))
         else:  # pragma: no cover
             raise NotImplementedError(op)
         return
@@ -785,24 +855,21 @@ def _emit_shift(e: _Emitter, op: str, src: str, amount: int) -> str:
     raise NotImplementedError(op)  # pragma: no cover
 
 
-def _fast_read(e: _Emitter, size: int, lo: str = "_ad") -> Optional[str]:
-    """Expression reading ``size`` bytes at local ``lo`` from ``_mem``."""
-    if size == 1:
-        return f"_mem[{lo}]"
-    if size == 2:
-        return f"_mem[{lo}] | (_mem[{lo} + 1] << 8)"
-    if size == 4:
-        e.needs.add("fb")
-        return f'_fb(_mem[{lo}:{lo} + 4], "little")'
-    return None
+def _word_test(lo: str, total: int = 4) -> str:
+    """The inline RAM test of ``total`` bytes of aligned words at ``lo``:
+    ``_fast`` is the byte length the CPU's word view covers, 0 where it
+    has none."""
+    if total == 4:
+        return f"not {lo} & 3 and {lo} < _fast"
+    return f"not {lo} & 3 and {lo} + {total - 4} < _fast"
 
 
 def _emit_load(e: _Emitter, cpu, instr, fall: int) -> None:
     """LdrImm/LdrReg with an inline RAM fast path.
 
-    In-range non-MMIO loads read ``cpu.memory`` directly and cannot
+    In-range non-MMIO loads read RAM directly — an aligned word through
+    the word view, a byte or halfword from ``cpu.memory`` — and cannot
     halt; everything else goes through ``cpu.load`` + halt check."""
-    e.needs.add("mem")
     e.needs.add("load")
     base = e.r(instr.rn)
     if type(instr) is ins.LdrImm:
@@ -818,13 +885,16 @@ def _emit_load(e: _Emitter, cpu, instr, fall: int) -> None:
     e.worst += cost
     e.count += 1
     size = instr.size
-    fast = _fast_read(e, size)
-    if fast is None:  # pragma: no cover - sizes are 1/2/4 by construction
-        e.emit(f"{dest} = _load(_ad, {size})")
-        e.emit_halt_check(fall)
-        return
-    e.emit(f"if _ad + {size} <= _fast:")
-    e.emit(f"{dest} = {fast}", 1)
+    if size == 4:
+        e.emit(f"if {_word_test('_ad')}:")
+        e.emit(f"{dest} = _w[_ad >> 2]", 1)
+    else:
+        e.needs.add("mem")
+        e.emit(f"if _ad + {size} <= _fast:")
+        if size == 1:
+            e.emit(f"{dest} = _mem[_ad]", 1)
+        else:
+            e.emit(f"{dest} = _mem[_ad] | (_mem[_ad + 1] << 8)", 1)
     e.emit("else:")
     e.emit(f"{dest} = _load(_ad, {size})", 1)
     e.emit_halt_check(fall, extra=1)
@@ -833,11 +903,11 @@ def _emit_load(e: _Emitter, cpu, instr, fall: int) -> None:
 def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
     """StrImm/StrReg with an inline RAM fast path.
 
-    The fast path writes ``cpu.memory`` directly and keeps the
-    dirty-page set current (the trial scheduler scrubs via it); MMIO and
-    out-of-range stores take ``cpu.store`` and then drain CFI events and
-    check for halts, exactly like the per-instruction loops."""
-    e.needs.add("mem")
+    The fast path writes RAM directly — an aligned word through the word
+    view — and keeps the dirty-page set current (the trial scheduler
+    scrubs via it); MMIO, out-of-range and unaligned word stores take
+    ``cpu.store`` and then drain CFI events and check for halts, exactly
+    like the per-instruction loops."""
     e.needs.add("store")
     e.needs.add("dirty")
     base = e.r(instr.rn)
@@ -857,16 +927,19 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
     # against / merges into the state *after* this instruction's advance.
     e.emit_flush()
     size = instr.size
-    e.emit(f"if _ad + {size} <= _fast:")
-    if size == 1:
-        e.emit(f"_mem[_ad] = {val} & 0xFF", 1)
-    elif size == 2:
-        e.emit(f'_mem[_ad:_ad + 2] = ({val} & 0xFFFF).to_bytes(2, "little")', 1)
+    if size == 4:
+        e.emit(f"if {_word_test('_ad')}:")
+        e.emit(f"_w[_ad >> 2] = {val}", 1)
     else:
-        e.emit(f'_mem[_ad:_ad + 4] = {val}.to_bytes(4, "little")', 1)
+        e.needs.add("mem")
+        e.emit(f"if _ad + {size} <= _fast:")
+        if size == 1:
+            e.emit(f"_mem[_ad] = {val} & 0xFF", 1)
+        else:
+            e.emit(f'_mem[_ad:_ad + 2] = ({val} & 0xFFFF).to_bytes(2, "little")', 1)
     e.emit(f"_dirty.add(_ad >> {PAGE_BITS})", 1)
-    if size > 1:
-        e.emit(f"_dirty.add((_ad + {size - 1}) >> {PAGE_BITS})", 1)
+    if size == 2:  # an aligned word never spans two pages, a halfword may
+        e.emit(f"_dirty.add((_ad + 1) >> {PAGE_BITS})", 1)
     e.emit("else:")
     if e.monitor:
         # CFI merge/check stores are the overwhelmingly common MMIO
@@ -903,7 +976,6 @@ def _emit_push(e: _Emitter, cpu, instr, fall: int) -> None:
         e.worst += cost
         e.count += 1
         return
-    e.needs.add("mem")
     e.needs.add("store")
     e.needs.add("dirty")
     vals = [e.r(reg) for reg in instr.regs]
@@ -923,13 +995,17 @@ def _emit_push(e: _Emitter, cpu, instr, fall: int) -> None:
         _emit_event_drain(e)
         e.emit_halt_check(fall)
         return
-    e.emit(f"if _ad + {total} <= _fast:")
-    for i, val in enumerate(vals):
-        lo = f"_ad + {4 * i}" if i else "_ad"
-        e.emit(f'_mem[{lo}:_ad + {4 * i + 4}] = {val}.to_bytes(4, "little")', 1)
+    e.emit(f"if {_word_test('_ad', total)}:")
+    if len(vals) == 1:
+        e.emit(f"_w[_ad >> 2] = {vals[0]}", 1)
+    else:
+        e.emit("_i = _ad >> 2", 1)
+        for i, val in enumerate(vals):
+            e.emit(f"_w[_i + {i}] = {val}" if i else f"_w[_i] = {val}", 1)
     e.emit("r13 = _ad", 1)
     e.emit(f"_dirty.add(_ad >> {PAGE_BITS})", 1)
-    e.emit(f"_dirty.add((_ad + {total - 1}) >> {PAGE_BITS})", 1)
+    if total > 4:
+        e.emit(f"_dirty.add((_ad + {total - 1}) >> {PAGE_BITS})", 1)
     e.emit("else:")
     for reg in reversed(instr.regs):
         e.emit("r13 = (r13 - 4) & 0xFFFFFFFF", 1)
@@ -948,7 +1024,6 @@ def _emit_pop(e: _Emitter, cpu, instr, fall: int) -> None:
         e.worst += cost
         e.count += 1
         return
-    e.needs.add("mem")
     e.needs.add("load")
     total = 4 * len(instr.regs)
     e.fold(instr)
@@ -963,11 +1038,13 @@ def _emit_pop(e: _Emitter, cpu, instr, fall: int) -> None:
             e.emit("r13 = (r13 + 4) & 0xFFFFFFFF")
         e.emit_halt_check(fall)
         return
-    e.emit(f"if r13 + {total} <= _fast:")
-    for i, reg in enumerate(instr.regs):
-        dest = e.w(reg)
-        lo = f"r13 + {4 * i}" if i else "r13"
-        e.emit(f"{dest} = {_fast_read(e, 4, lo)}", 1)
+    e.emit(f"if {_word_test('r13', total)}:")
+    if len(instr.regs) == 1:
+        e.emit(f"{e.w(instr.regs[0])} = _w[r13 >> 2]", 1)
+    else:
+        e.emit("_i = r13 >> 2", 1)
+        for i, reg in enumerate(instr.regs):
+            e.emit(f"{e.w(reg)} = _w[_i + {i}]" if i else f"{e.w(reg)} = _w[_i]", 1)
     e.emit(f"r13 = r13 + {total}", 1)
     e.emit("else:")
     for reg in instr.regs:
@@ -1008,6 +1085,7 @@ def _emit_body_instr(e: _Emitter, cpu, addr: int, instr, width: int) -> None:
     if cls is ins.MovImm:
         imm = instr.imm & WORD
         e.emit(f"{e.w(instr.rd)} = {imm:#x}")
+        e.emit_flags("cv")
         e.emit(f"{e.wf('n')} = {imm >> 31}")
         e.emit(f"{e.wf('z')} = {1 if imm == 0 else 0}")
     elif cls is ins.MovReg:
@@ -1076,19 +1154,24 @@ def _emit_body_instr(e: _Emitter, cpu, addr: int, instr, width: int) -> None:
         e.emit(f"{e.w(instr.rdhi)} = (_p >> 32) & 0xFFFFFFFF")
     elif cls is ins.Udiv:
         a, b = e.r(instr.rn), e.r(instr.rm)
-        e.emit(f"_dd = {a}")
-        e.emit(f"_ds = {b}")
-        e.emit(f"{e.w(instr.rd)} = (_dd // _ds) & 0xFFFFFFFF if _ds else 0")
+        dest = e.w(instr.rd)
+        # Cycles first: ``dest`` may be an operand.
         if e.div_inline:
             # The default model, open-coded (2-12 cycles by quotient
             # width) — skipping the per-division method call.
+            e.emit(f"if {b}:")
             e.emit(
-                "cycles += 12 if not _ds else _DIVC[max(0, "
-                "_dd.bit_length() - _ds.bit_length() + 1)]"
+                f"cycles += _DIV_CYCLES[{a}.bit_length() - {b}.bit_length() + 32]",
+                1,
             )
+            e.emit(f"{dest} = ({a} // {b}) & 0xFFFFFFFF", 1)
+            e.emit("else:")
+            e.emit("cycles += 12", 1)
+            e.emit(f"{dest} = 0", 1)
         else:
             e.needs.add("div")
-            e.emit("cycles += _div(_dd, _ds)")
+            e.emit(f"cycles += _div({a}, {b})")
+            e.emit(f"{dest} = ({a} // {b}) & 0xFFFFFFFF if {b} else 0")
     elif cls is ins.Sdiv:
         a, b = e.r(instr.rn), e.r(instr.rm)
         e.emit(f"_da = _signed({a})")
@@ -1101,11 +1184,9 @@ def _emit_body_instr(e: _Emitter, cpu, addr: int, instr, width: int) -> None:
         e.emit("_q = -_q", 2)
         e.emit(f"r{int(instr.rd)} = _q & 0xFFFFFFFF", 1)
         if e.div_inline:
-            e.emit("_x = abs(_da)")
-            e.emit("_y = abs(_db) or 1")
             e.emit(
-                "cycles += _DIVC[max(0, "
-                "_x.bit_length() - _y.bit_length() + 1)]"
+                "cycles += _DIV_CYCLES[abs(_da).bit_length() - "
+                "(abs(_db) or 1).bit_length() + 32]"
             )
         else:
             e.needs.add("div")
@@ -1118,11 +1199,11 @@ def _emit_body_instr(e: _Emitter, cpu, addr: int, instr, width: int) -> None:
     elif cls is ins.CmpReg:
         a = e.r(instr.rn)
         b = e.r(instr.rm)
-        _emit_adc(e, "_r", a, f"(~{b}) & 0xFFFFFFFF", "1")
+        _emit_adc(e, None, a, f"(~{b}) & 0xFFFFFFFF", "1")
     elif cls is ins.CmpImm:
         a = e.r(instr.rn)
         not_imm = (~(instr.imm & WORD)) & WORD
-        _emit_adc(e, "_r", a, f"{not_imm:#x}", "1")
+        _emit_adc(e, None, a, f"{not_imm:#x}", "1")
     elif cls is ins.LdrLit:
         assert instr.resolved is not None, f"unresolved literal {instr.symbol}"
         e.emit(f"{e.w(instr.rd)} = {instr.resolved & WORD:#x}")
@@ -1149,7 +1230,10 @@ def _emit_back_edge(e: _Emitter, taken_cost: int, worst_pass: int,
     pass's first instruction or the budget does not provably admit one
     more worst-case pass; then exit with the loop head as the next PC
     (the outer loop pauses there, or single-steps the near-timeout tail
-    exactly)."""
+    exactly).  Pending flags are computed first, so every pass starts
+    with NZCV in its locals."""
+    for line in e._flags_src():
+        e.emit(line, extra)
     total = e.k + taken_cost
     if total:
         e.emit(f"cycles += {total}", extra)
@@ -1159,6 +1243,21 @@ def _emit_back_edge(e: _Emitter, taken_cost: int, worst_pass: int,
     e.emit(f"if _s and cycles + {worst_pass} < max_cycles:", extra)
     e.emit("continue", extra + 1)
     e.emit_break(0, extra)
+
+
+def _branch_cond(e: _Emitter, instr, cond: str) -> str:
+    """The expression of ``instr`` branching under ``cond``: eq/ne/hs/lo
+    test a pending flag-setting add/sub/cmp's sum directly, every other
+    flag condition computes the pending flags first."""
+    if type(instr) is not ins.Bcc:
+        return _fused_cond_expr(e, instr, cond)
+    if e.pending and cond in _PENDING_COND:
+        return _PENDING_COND[cond]
+    e.emit_flags()
+    expr, flags = _COND_EXPR[cond]
+    for flag in flags:
+        e.f(flag)
+    return expr
 
 
 def _emit_side_exit(e: _Emitter, cpu, addr: int, instr, width: int,
@@ -1177,25 +1276,12 @@ def _emit_side_exit(e: _Emitter, cpu, addr: int, instr, width: int,
     e.worst += max(taken, not_taken)
     e.emit_flush()
     if follow_taken:
-        cc = _COND_INV[instr.cond]
-        if type(instr) is ins.Bcc:
-            cond, flags = _COND_EXPR[cc]
-            for flag in flags:
-                e.f(flag)
-        else:
-            cond = _fused_cond_expr(e, instr, cc)
-        e.emit(f"if {cond}:")
+        e.emit(f"if {_branch_cond(e, instr, _COND_INV[instr.cond])}:")
         e.emit_epilogue(extra_cycles=not_taken, extra=1)
         e.emit(f"return {addr + width:#x}", 1)
         e.k += taken
         return
-    if type(instr) is ins.Bcc:
-        cond, flags = _COND_EXPR[instr.cond]
-        for flag in flags:
-            e.f(flag)
-    else:
-        cond = _fused_cond_expr(e, instr, instr.cond)
-    e.emit(f"if {cond}:")
+    e.emit(f"if {_branch_cond(e, instr, instr.cond)}:")
     if e.loop and instr.target == start:
         _emit_back_edge(e, taken, worst_pass, extra=1)
     else:
@@ -1249,6 +1335,7 @@ def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
         e.worst += cost
         e.count += 1
         e.emit_flush()
+        e.emit_flags()  # once, for both epilogues
         if e.monitor:
             e.emit("if _mon.call_stack:")
             e.emit("ms = _mon.call_stack.pop()", 1)
@@ -1312,9 +1399,12 @@ _TRACE_GLOBALS = {
     "_EXIT": Status.EXIT,
     "_FAULT": Status.FAULT_DETECTED,
     "_ND": set(),  # dirty-page sink for CPUs that do not track pages
-    # default-model div cycles by quotient bit-width (see
-    # CycleModel.div: 2-cycle setup, ~3 result bits per cycle, cap 12)
-    "_DIVC": tuple(min(12, 2 + (q + 2) // 3) for q in range(33)),
+    # default-model div cycles of a nonzero divisor, by the operands'
+    # bit-length difference + 32 (see CycleModel.div: 2-cycle setup, ~3
+    # quotient bits per cycle, cap 12)
+    "_DIV_CYCLES": tuple(
+        min(12, 2 + (max(0, d + 1) + 2) // 3) for d in range(-32, 33)
+    ),
     "_drain": _drain,
 }
 
@@ -1325,10 +1415,14 @@ def _shared_exit(e: _Emitter) -> list[str]:
     offset in the pass.  It publishes the state before the instruction at
     that offset: every register and flag local bound by then (a local
     the prologue does not load is bound once the instruction that first
-    writes it has run), the static cycles and the pending monitor segment
-    from that offset's ``_STOPS`` row, and ``_s`` instructions (plus the
-    ``_n`` of earlier passes)."""
+    writes it has run; flags still pending there are computed first),
+    the static cycles and the pending monitor segment from that offset's
+    ``_STOPS`` row, and ``_s`` instructions (plus the ``_n`` of earlier
+    passes)."""
     lines = ["_row = _STOPS[_s]"]
+    if any(row[4] for row in e.stops.values()):
+        lines.append("if _row[4]:")  # NZCV pending at that offset
+        lines += ["    " + line for line in _PENDING_FLAG.values()]
     published = [(f"r{reg}", f"regs[{reg}]", reg) for reg in sorted(e.written)]
     published += [(flag, f"cpu.{flag}", flag)
                   for flag in ("n", "z", "c", "v") if flag in e.fwritten]
@@ -1399,12 +1493,11 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
             prologue.append(f"    {flag} = cpu.{flag}")
     if e.cycles_local:
         prologue.append("    cycles = cpu.cycles")
+    if "load" in e.needs or "store" in e.needs:
+        prologue.append("    _w = cpu._words")
+        prologue.append("    _fast = len(_w) << 2")
     if "mem" in e.needs:
         prologue.append("    _mem = cpu.memory")
-        prologue.append("    _ml = len(_mem)")
-        prologue.append(f"    _fast = _ml if _ml <= {MMIO.BASE:#x} else 0")
-    if "fb" in e.needs:
-        prologue.append("    _fb = int.from_bytes")
     if "dirty" in e.needs:
         prologue.append("    _dirty = cpu._dirty_pages")
         prologue.append("    if _dirty is None:")

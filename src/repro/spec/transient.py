@@ -112,10 +112,13 @@ class TransientTrace:
 
 
 class SpecEngine:
-    """Per-CPU speculation state machine (predictor + transient frames)."""
+    """Per-CPU speculation state machine (predictor + transient frames).
+
+    It keeps no reference to its CPU (the CPU holds it as ``cpu.spec``),
+    so a dropped speculative CPU and its memory are freed by refcount:
+    the wrapped ``Bcc`` handlers pass the CPU in."""
 
     def __init__(self, cpu: "CPU", config: "SpecConfig") -> None:
-        self.cpu = cpu
         self.config = config
         self.window = config.window
         self.predictor = build_predictor(config)
@@ -157,17 +160,19 @@ class SpecEngine:
                     next_pc=next_pc,
                     addr=addr,
                 ):
-                    return cpu.spec.retire_bcc(holds, target, next_pc, addr)
+                    return cpu.spec.retire_bcc(cpu, holds, target, next_pc, addr)
 
                 wrapped[addr] = (handler, instr, width)
             else:
                 wrapped[addr] = entry
         return wrapped
 
-    def retire_bcc(self, holds, target: int, next_pc: int, addr: int) -> int:
-        """Retire one conditional branch: predict, train, speculate on a
-        misprediction, and return the *architectural* next PC."""
-        cpu = self.cpu
+    def retire_bcc(
+        self, cpu: "CPU", holds, target: int, next_pc: int, addr: int
+    ) -> int:
+        """Retire one conditional branch of ``cpu``: predict, train,
+        speculate on a misprediction, and return the *architectural* next
+        PC."""
         actual = holds(cpu)
         predicted = self.predictor.predict(addr, target)
         if self.flip_next:
@@ -179,22 +184,21 @@ class SpecEngine:
             cpu.cycles += cpu._c_branch_taken
             if predicted:
                 return target
-            self._transient(addr, next_pc)
+            self._transient(cpu, addr, next_pc)
             cpu.cycles += self.penalty
             return target
         cpu.cycles += cpu._c_branch_not_taken
         if not predicted:
             return next_pc
-        self._transient(addr, target)
+        self._transient(cpu, addr, target)
         cpu.cycles += self.penalty
         return next_pc
 
     # ------------------------------------------------------------------
     # The transient frame
     # ------------------------------------------------------------------
-    def _transient(self, branch_addr: int, wrong_pc: int) -> None:
+    def _transient(self, cpu: "CPU", branch_addr: int, wrong_pc: int) -> None:
         self.mispredictions += 1
-        cpu = self.cpu
         saved_regs = list(cpu.regs)
         saved_flags = (cpu.n, cpu.z, cpu.c, cpu.v)
         saved_status = cpu.status

@@ -7,7 +7,9 @@ Engine/dispatch equivalence under speculation lives in
 ``tests/test_engine_equivalence.py``; this file owns everything else.
 """
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -192,6 +194,39 @@ class TestTransientWindow:
         narrow = program.run("run_memcmp", [16], spec=SpecConfig(window=2))
         assert narrow.spec.transient_retired <= 2 * narrow.spec.mispredictions
         assert wide.spec.transient_retired >= narrow.spec.transient_retired
+
+    def test_speculative_cpus_die_by_refcount(self, monkeypatch):
+        # The engine keeps no reference back to its CPU, so a dropped
+        # speculative CPU and its 2 MiB memory are freed at once, not
+        # whenever the cyclic GC next runs (buffers that size never
+        # trigger it): a plain prepared CPU, a speculative scheduler's
+        # golden-capture CPU, and its trial CPU once the scheduler goes.
+        program = _program(name="memcmp")
+        spec = SpecConfig(window=4)
+        made = []
+        prepare = program.prepare_cpu
+
+        def spy(*args, **kwargs):
+            cpu = prepare(*args, **kwargs)
+            made.append(weakref.ref(cpu))
+            return cpu
+
+        monkeypatch.setattr(program, "prepare_cpu", spy)
+        gc.disable()
+        try:
+            cpu = program.prepare_cpu("run_memcmp", [8], spec=spec)
+            assert cpu.run().ok and cpu.spec.mispredictions
+            del cpu
+            assert made[0]() is None, "dropped CPU"
+            scheduler = TrialScheduler(program, "run_memcmp", [8], spec=spec)
+            assert made[1]() is None, "golden-capture CPU"
+            scheduler.run_trial(InstructionSkip(5))
+            trial = made[2]
+            assert trial() is not None
+            del scheduler
+            assert trial() is None, "dropped scheduler's trial CPU"
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

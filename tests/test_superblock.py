@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from test_differential_fuzz import _cfg_args_for_seed, cfg_source_for_seed
 
 import repro.isa.superblock as superblock
+from repro.backend.driver import CompiledProgram
 from repro.faults.isa_campaign import run_attack
 from repro.faults.models import (
     FlagFlip,
@@ -30,7 +31,9 @@ from repro.faults.models import (
     RepeatedFlagFlip,
 )
 from repro.faults.scheduler import TrialScheduler
-from repro.isa.cpu import PAGE_BITS, Status
+from repro.isa import instructions as ins
+from repro.isa.assembler import AsmBlock, AsmFunction, DataSegment, assemble
+from repro.isa.cpu import CPU, PAGE_BITS, PAGE_SIZE, Status
 from repro.isa.superblock import partition_image, superblock_tables
 from repro.minic.driver import compile_source
 from repro.obs.metrics import MetricsRegistry
@@ -364,6 +367,224 @@ class TestStopExactness:
             )
             cpu.run(2_000_000, stop_at_instruction=stop)
             assert _state(cpu) == _state(reference), stop
+
+
+# ---------------------------------------------------------------------------
+# Trace kernels by generation
+# ---------------------------------------------------------------------------
+#: RAM sizes of the generated kernels: 16 pages keep a CPU cheap and its
+#: last word in reach, and a size that is not a multiple of 4 has no word
+#: view, so every access of its traces takes the slow path.
+_KERNEL_RAMS = (16 * PAGE_SIZE, 16 * PAGE_SIZE + 2)
+#: registers generated instructions compute in; r9 (the last RAM word),
+#: r10 (a data pointer) and r11 (the loop counter) are never written
+_WORK = (0, 1, 2, 3, 4, 5, 6, 7, 8, 12)
+_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]),
+    st.integers(0, 0xFFFFFFFF),
+)
+#: all ten conditions, the four a pending add/sub/cmp decides from its
+#: sum first (Hypothesis draws early elements more often)
+_SUM_CONDITIONS = ("hs", "lo", "eq", "ne")
+_CONDITIONS = _SUM_CONDITIONS + tuple(
+    cond for cond in ins.CONDITIONS if cond not in _SUM_CONDITIONS
+)
+#: the bytes below the kernels' data pointers (the stack and the last
+#: RAM word start out zero)
+_PATTERN = bytes(range(256)) * 52
+
+
+@st.composite
+def _kernel_instr(draw, branches=True):
+    """One instruction of a generated trace kernel; a side exit comes
+    with the flag producer it tests."""
+    work = st.sampled_from(_WORK)
+    # sources include the pointers and the loop counter, whose small
+    # values put compares on the carry boundary
+    read = st.sampled_from(_WORK + (9, 10, 11))
+    imm = st.one_of(st.integers(0, 7), st.integers(0, 300))
+    kinds = ["flags", "cmp", "mem"] * 3 + ["nz"] * 2 + [
+        "carry", "end", "push", "pop", "div"]
+    kind = draw(st.sampled_from(kinds + ["bcc"] * 3 * branches))
+    if kind == "bcc":  # a side exit, after a flag producer or not
+        cond = draw(st.sampled_from(_CONDITIONS))
+        producer = draw(st.sampled_from(["none", "any", "bound"]))
+        if producer == "bound":
+            # the counter against a bound, the exit back to the loop
+            # head: the compare crosses the carry boundary as it counts
+            return [ins.CmpImm(11, draw(st.integers(1, 3))), ins.Bcc(cond, "again")]
+        exit_ = ins.Bcc(cond, draw(st.sampled_from(["out", "again"])))
+        if producer == "none":
+            return [exit_]
+        return [draw(_kernel_instr(branches=False).filter(_sets_flags))[0], exit_]
+    if kind == "flags":  # S-bit add/sub: NZCV left pending
+        op = draw(st.sampled_from(["add", "sub", "rsb"]))
+        if draw(st.booleans()):
+            return [ins.AluImm(op, draw(work), draw(read), draw(imm), s=True)]
+        return [ins.Alu(op, draw(work), draw(read), draw(read), s=True)]
+    if kind == "carry":  # reads the (possibly pending) carry
+        op = draw(st.sampled_from(["adc", "sbc"]))
+        return [ins.Alu(op, draw(work), draw(read), draw(read), s=draw(st.booleans()))]
+    if kind == "nz":  # sets N and Z, keeps C and V
+        op = draw(st.sampled_from(["and", "orr", "eor", "bic", "movs", "mvn", "lsl"]))
+        if op == "movs":
+            return [ins.MovImm(draw(work), draw(st.sampled_from([0, 1, 255])))]
+        if op == "mvn":
+            return [ins.Mvn(draw(work), draw(read))]
+        if op == "lsl":
+            return [ins.ShiftImm(op, draw(work), draw(read), draw(st.integers(0, 31)))]
+        return [ins.Alu(op, draw(work), draw(read), draw(read), s=True)]
+    if kind == "cmp":
+        if draw(st.booleans()):
+            return [ins.CmpImm(draw(read), draw(imm))]
+        return [ins.CmpReg(draw(read), draw(read))]
+    if kind == "mem":
+        size = draw(st.sampled_from([1, 2, 4]))
+        load = draw(st.booleans())
+        if draw(st.booleans()):
+            # data pointer + counter: the alignment changes every pass
+            cls = ins.LdrReg if load else ins.StrReg
+            return [cls(draw(work), 10, 11, size=size)]
+        cls = ins.LdrImm if load else ins.StrImm
+        return [cls(draw(work), 10, draw(st.integers(0, 7)), size=size)]
+    if kind == "end":  # the last RAM word, straddling the end, one past it
+        cls = ins.LdrImm if draw(st.booleans()) else ins.StrImm
+        return [cls(draw(work), 9, draw(st.sampled_from([0, 0, 2, 4])), size=4)]
+    if kind in ("push", "pop"):
+        pool = _WORK + (14,) if kind == "push" else _WORK
+        regs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                             unique=True))
+        return [(ins.Push if kind == "push" else ins.Pop)(tuple(sorted(regs)))]
+    cls = ins.Udiv if draw(st.booleans()) else ins.Sdiv
+    return [cls(draw(work), draw(read), draw(read))]
+
+
+def _sets_flags(step) -> bool:
+    instr = step[0]
+    return getattr(instr, "s", True) and not isinstance(
+        instr, (ins.LdrImm, ins.LdrReg, ins.StrImm, ins.StrReg, ins.Push,
+                ins.Pop, ins.Udiv, ins.Sdiv)
+    )
+
+
+def _flat(steps) -> list:
+    return [instr for step in steps for instr in step]
+
+
+@st.composite
+def _kernels(draw):
+    """``(image, memory size, registers, NZCV)`` of a counted loop over a
+    generated body, its exit test at the bottom (a ``Bcc`` back edge with
+    NZCV pending) or at the top (a ``B`` back edge).  Side exits leave the
+    loop or jump back to its head."""
+    body = _flat(draw(st.lists(_kernel_instr(), min_size=1, max_size=12)))
+    count = ins.AluImm("sub", 11, 11, 1)
+    if draw(st.booleans()):
+        loop = [count, *body, ins.CmpImm(11, 0), ins.Bcc("ne", "loop")]
+    else:
+        loop = [ins.CmpImm(11, 0), ins.Bcc("eq", "out"), count, *body, ins.B("loop")]
+    head = _flat(draw(st.lists(_kernel_instr(branches=False), min_size=1, max_size=3)))
+    tail = _flat(draw(st.lists(_kernel_instr(branches=False), max_size=3)))
+    image = assemble([AsmFunction("f", [
+        AsmBlock("f", head), AsmBlock("loop", loop),
+        AsmBlock("out", tail + [ins.BxLr()]),
+        AsmBlock("again", [ins.CmpImm(11, 0), ins.Bcc("eq", "out"), ins.B("loop")]),
+    ])])
+    ram = draw(st.sampled_from(_KERNEL_RAMS))
+    regs = dict(zip(_WORK, draw(st.lists(_VALUES, min_size=10, max_size=10))))
+    regs[9] = ram - 4
+    regs[10] = draw(st.integers(2, 14)) * PAGE_SIZE - draw(st.integers(0, 8))
+    regs[11] = draw(st.integers(3, 6))
+    # an aligned or unaligned stack pointer, mid-RAM or at its very end
+    regs[13] = draw(st.sampled_from([8 * PAGE_SIZE, ram - 8])) + draw(st.integers(0, 3))
+    nzcv = draw(st.tuples(*[st.integers(0, 1)] * 4))
+    return image, ram, regs, nzcv
+
+
+def _kernel_cpu(kernel, dispatch):
+    image, ram, regs, nzcv = kernel
+    cpu = CPU(image, memory_size=ram, dispatch=dispatch, track_pages=True)
+    cpu.memory[PAGE_SIZE : PAGE_SIZE + len(_PATTERN)] = _PATTERN
+    cpu.call("f")
+    for reg, value in regs.items():
+        cpu.regs[reg] = value
+    cpu.n, cpu.z, cpu.c, cpu.v = nzcv
+    return cpu
+
+
+def _word_program():
+    """A hand-assembled loop whose trace loads a word, adds it to r0 and
+    stores the running sum after it, 24 passes: ``f() = 24 * buf[0]``."""
+    loop = [
+        ins.LdrImm(1, 10, 0),
+        ins.Alu("add", 0, 0, 1, s=True),
+        ins.StrImm(0, 10, 4),
+        ins.AluImm("sub", 11, 11, 1, s=True),
+        ins.Bcc("ne", "loop"),
+    ]
+    image = assemble(
+        [AsmFunction("f", [
+            AsmBlock("f", [ins.LdrLit(10, "buf"), ins.MovImm(0, 0),
+                           ins.MovImm(11, 24)]),
+            AsmBlock("loop", loop),
+            AsmBlock("out", [ins.BxLr()]),
+        ])],
+        data=[DataSegment("buf", 8, (0x01020304).to_bytes(4, "little"))],
+    )
+    return CompiledProgram(image, [], None, "none", False)
+
+
+class TestTraceKernels:
+    @given(kernel=_kernels())
+    @settings(max_examples=300, deadline=None)
+    def test_every_stop_of_a_generated_kernel_pauses_in_the_reference_state(
+        self, kernel
+    ):
+        # Hand-assembled kernels mix what the MiniC backend emits and what
+        # it never does (adc/sbc reading a pending carry, every Bcc
+        # condition on every flag producer, unaligned and out-of-range
+        # words, push/pop at an unaligned or end-of-RAM stack pointer,
+        # divisions by zero): with each dyn_index as the stop, compiled
+        # traces pause in exactly the reference interpreter's state.
+        budget = 100_000
+        end = _kernel_cpu(kernel, "reference")
+        end.run(budget)
+        reference = _kernel_cpu(kernel, "reference")
+        for stop in range(1, end.dyn_index + 1):
+            reference.run(budget, stop_at_instruction=stop)
+            cpu = _kernel_cpu(kernel, "superblock")
+            cpu.run(budget, stop_at_instruction=stop)
+            assert _state(cpu) == _state(reference), (stop, kernel[0].listing())
+        if end.dyn_index > 2:
+            assert cpu._sb_blocks, "no compiled trace ran"
+
+    def test_word_view_aliases_memory_across_restores_and_scrubs(self):
+        # Compiled traces load words through a view of cpu.memory made
+        # once per CPU.  After a page-delta restore, a full restore and a
+        # trial scheduler's scrub, a bit poked into the loaded word shows
+        # in the loop trace's next load exactly as in the reference.
+        program = _word_program()
+        buf = program.image.data_addrs["buf"]
+        budget = 100_000
+        for track_pages in (True, False):
+            cpu = program.prepare_cpu(
+                "f", dispatch="superblock", track_pages=track_pages
+            )
+            cpu.run(budget, stop_at_instruction=40)  # compiles the loop trace
+            snap = cpu.snapshot()
+            assert cpu.run(budget).ok
+            cpu.restore(snap)
+            model = MemoryBitFlip(buf + 1, 3, 61)
+            cpu.pre_hooks.append(model.hook())
+            steps = cpu._sb_steps
+            assert cpu.run(budget) == _replay(program, "f", [], model, "reference")
+            assert cpu._sb_steps - steps < 10, "the loads after the poke ran stepped"
+        scheduler = TrialScheduler(program, "f", [])
+        for bit, occurrence in ((0, 30), (5, 70), (7, 90)):
+            model = MemoryBitFlip(buf + 2, bit, occurrence)
+            result = scheduler.run_trial(model)
+            assert result == _replay(program, "f", [], model, "reference")
+            assert result.exit_code != 24 * 0x01020304
 
 
 # ---------------------------------------------------------------------------
