@@ -34,8 +34,10 @@ from repro.toolchain import CampaignBuilder, CompileConfig, table3_schemes
 SCHEMES = table3_schemes()
 ARGS = [7, 7]
 #: Gate on single steps per fork trial of the strided memcmp sweep: a
-#: skip trial steps its window and the walk to the next trace entry.
-MAX_DEOPT_STEPS_PER_TRIAL = 12
+#: skip trial steps its window, which retires nothing, and the code it
+#: reaches for the first time (the sweep is cold: each trace compiles at
+#: its second reach).
+MAX_DEOPT_STEPS_PER_TRIAL = 2
 
 
 @pytest.fixture(scope="module")
@@ -143,11 +145,13 @@ def engine_programs(workbench):
 
 
 def _fresh_images(engine_programs):
-    """Drop every memoized golden run and compiled trace, so a measured
-    campaign pays golden capture, checkpoint ladder and trace compiles."""
+    """Drop every memoized golden run, compiled trace and pristine
+    image, so a measured campaign pays golden capture, checkpoint ladder
+    and trace compiles."""
     for program in engine_programs.values():
         program._schedulers.clear()
         program.image._superblock_cache = None
+        program.image._pristine = None
 
 
 def test_campaign_engine_speedup(benchmark, engine_programs):
@@ -199,9 +203,12 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
     baseline ratio.
 
     Golden capture and the traces the campaign compiles on demand stay
-    inside the timed region.  The cold compile of *every* trace of the
-    image, from a freshly compiled image, is reported separately as
-    ``trace_compile_seconds``.
+    inside the timed region.  The cold compile of the trace of *every*
+    partition entry of the image, from a freshly compiled image, is
+    reported separately as ``trace_compile_seconds``; ``suffix_traces``
+    counts the traces the campaign compiled from addresses inside a
+    trace, where its faults left the PC, and ``suffix_compile_seconds``
+    is their cold compile on that fresh image.
 
     ``rejoined`` counts the fork engine's trials that were decided from
     the golden run at their rejoin probe: a timing-free check that the
@@ -211,9 +218,10 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
     single-stepped instead of running on compiled traces.  The count is
     exact, so it gates without timing noise: above
     ``MAX_DEOPT_STEPS_PER_TRIAL`` traces stopped pausing where trials
-    need them (before the fault window and at the probe).
+    need them (before the fault window and at the probe), or stopped
+    starting where faults leave the PC.
     """
-    from repro.isa.superblock import superblock_tables
+    from repro.isa.superblock import superblock_tables, trace_entries
     from repro.minic.driver import compile_source
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -223,10 +231,9 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
     models = [InstructionSkip(i) for i in range(1, total + 1, 24)]
 
     fresh = compile_source(load_source("memcmp"), config=CompileConfig(scheme="ancode"))
+    fresh_cpu = fresh.prepare_cpu("run_memcmp", args, dispatch="superblock")
     start = time.perf_counter()
-    traces = superblock_tables(
-        fresh.prepare_cpu("run_memcmp", args, dispatch="superblock")
-    )
+    traces = len(superblock_tables(fresh_cpu))
     compile_seconds = time.perf_counter() - start
 
     measurements = {}
@@ -242,6 +249,12 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
             "seconds": round(seconds, 3),
             "trials_per_sec": round(result.trials / seconds, 1),
         }
+    cpu = memcmp.prepare_cpu("run_memcmp", args, dispatch="superblock")
+    suffixes = superblock_tables(cpu).keys() - trace_entries(cpu).keys()
+    start = time.perf_counter()
+    for addr in sorted(suffixes):
+        superblock_tables(fresh_cpu, addr)
+    suffix_seconds = time.perf_counter() - start
     stats = memcmp.trial_scheduler("run_memcmp", args).stats
     rejoined = stats.rejoined
     deopt_per_trial = stats.superblock_deopt_steps / stats.trials
@@ -253,7 +266,9 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
         **measurements,
         "workload": f"memcmp[{args[0]}] strided-skip x {len(models)} trials",
         "trace_compile_seconds": round(compile_seconds, 3),
-        "traces": len(traces),
+        "traces": traces,
+        "suffix_compile_seconds": round(suffix_seconds, 3),
+        "suffix_traces": len(suffixes),
         "rejoined": rejoined,
         "deopt_steps_per_trial": round(deopt_per_trial, 2),
         "speedup_vs_reference": round(speedup, 2),

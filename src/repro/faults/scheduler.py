@@ -42,9 +42,9 @@ window, under speculation, or when the golden run did not exit.
 Ladder checkpoints sit on trace entries: golden capture takes each one
 at the first entry of a compiled trace (:func:`repro.isa.superblock.
 trace_entries`) at or after its interval mark.  A trial therefore forks
-onto a trace, and one that follows the golden path reaches its probe on
-a trace; it single-steps only its fault window and the walk from where
-the fault leaves it to the next trace entry.
+onto a trace, runs traces to its fault window, single-steps the window,
+and from where the fault leaves the PC runs the trace that starts there
+(a suffix trace, compiled at its second reach) on to its probe.
 
 Fault models participate through two optional methods (see
 :mod:`repro.faults.models`):
@@ -155,7 +155,7 @@ class SchedulerStats:
     #: compiled traces entered by trials
     superblock_blocks: int = 0
     #: instructions trials single-stepped instead of running compiled
-    #: traces (open fault windows, walks to the next trace entry,
+    #: traces (open fault windows, code reached the first time,
     #: near-timeout tails)
     superblock_deopt_steps: int = 0
     #: trials whose result was read off the golden run after they
@@ -210,8 +210,7 @@ class TrialScheduler:
         Golden capture runs the decode-cached step loop: it needs a
         recording retire hook.  Trials run on a trace-compiled CPU
         (``dispatch="superblock"``) that single-steps only while a fault
-        window is open and from where the fault leaves it to the next
-        trace entry (see the module docstring)."""
+        window is open (see the module docstring)."""
         self.program = program
         self.function = function
         self.args = list(args)
@@ -235,8 +234,8 @@ class TrialScheduler:
 
     #: Workloads memoized per program; the LRU bound keeps argument sweeps
     #: (thousands of distinct (function, args) pairs, each scheduler
-    #: holding a trial CPU + pristine image + checkpoint ladder) from
-    #: accumulating unboundedly.
+    #: holding a trial CPU + checkpoint ladder; the pristine image is one
+    #: per program image) from accumulating unboundedly.
     MEMO_SIZE = 8
 
     # ------------------------------------------------------------------
@@ -491,7 +490,12 @@ class TrialScheduler:
                 self.function, self.args, track_pages=True, spec=self.spec,
                 dispatch="superblock",
             )
-            self._pristine = bytes(cpu.memory)
+            # prepare_cpu puts the arguments in registers, so every
+            # scheduler of the image scrubs back to one shared copy.
+            image = self.program.image
+            if image._pristine is None:
+                image._pristine = bytes(cpu.memory)
+            self._pristine = image._pristine
             self._trial_cpu = cpu
         else:
             # Scrub the previous trial: every page it dirtied reverts to

@@ -73,6 +73,10 @@ class CodeImage:
     _superblock_cache: Optional[dict] = field(
         default=None, repr=False, compare=False
     )
+    #: the memory a CPU of this image starts with (zeroes plus the data
+    #: image), kept by the trial scheduler to scrub its trial CPUs back
+    #: to; one copy per image, dropped on pickle.
+    _pristine: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     def decode_cache(self) -> dict:
         """The image's pre-bound instruction handlers, built on first use."""
@@ -90,6 +94,7 @@ class CodeImage:
         state = dict(self.__dict__)
         state["_decode_cache"] = None
         state["_superblock_cache"] = None
+        state["_pristine"] = None
         del state["addr_of"]
         return state
 

@@ -54,6 +54,16 @@ every access takes that slow path.
 ``CPU.execute`` and the :mod:`repro.isa.dispatch` closures they are the
 reference oracle's semantics, which stays independent of the emitter's.
 
+A base register the trace never writes is *fixed* where that pays (it
+has a word load, and two word accesses or one in a loop trace; see
+:func:`_fixed_bases`): the prologue computes its word index ``_bN = rN
+>> 2`` and one guard ``_okN`` (rN aligned, and the word at each aligned
+offset the trace uses off rN inside the view), so a word load or store
+at an aligned immediate offset is ``_w[_bN + k]`` under ``if _okN:``,
+with the tested access above in its ``else`` (a faulted SP, an MMIO
+base).  The spilled constants a compiled loop reloads off SP every pass
+are such accesses.
+
 **Lazy flags.**  A flag-setting add, sub or cmp leaves its operands and
 unmasked sum in ``_a``/``_b``/``_u`` and marks NZCV *pending*.  An eq,
 ne, hs or lo branch tests ``_u`` directly; the flags themselves are
@@ -84,14 +94,20 @@ it is single-stepped, preserving exact timeout behaviour).
 Lazy compilation
 ----------------
 Traces are compiled one at a time, inside :func:`superblock_tables`,
-the second time a run reaches their entry; the first time, the run
+the second time a run reaches their start; the first time, the run
 single-steps on, so a run that passes a stretch of code once (a warm-up
 trial) does not pay milliseconds of compile for a few dozen
-instructions.  The image's partition is
-built at the first compile, or earlier by :func:`trace_entries`: golden
-capture builds it to place its ladder checkpoints on trace entries, and
-compiles nothing.  Nothing is compiled while a fault window is open, so
-a trial that halts inside its window compiles nothing either.  Compiled traces live on the image, one
+instructions.  A trace may start at any address.  At a partition entry
+it is that entry's trace; anywhere else (a fault or a stop left the PC
+inside a trace) it is a *suffix* (:meth:`_Partition.suffix`) that runs
+from there to the next entry, terminator or r15-touching instruction:
+the walk the run would otherwise single-step, so it compiles in
+proportion to one basic block.  The image's partition is built at the
+first compile, or earlier by :func:`trace_entries`: golden capture
+builds it to place its ladder checkpoints on the partition's entries,
+which suffixes do not change, and compiles nothing.  Nothing is
+compiled while a fault window is open, so a trial that halts inside its
+window compiles nothing either.  Compiled traces live on the image, one
 table per *variant* (cycle model x CFI monitor x speculation window)
 shared by every CPU of that variant; the table never holds a CPU, and
 each CPU looks its variant up once.
@@ -117,15 +133,17 @@ deoptimises around them:
 
 Otherwise a run single-steps only the window itself, a pending
 ``branch_invert`` (traces evaluate fused branches inline), near-timeout
-tails, speculative ``Bcc`` (below), and the walk from a PC that starts
-no trace — a fault or a stop can leave it mid-trace — to the next trace
-entry.
+tails, speculative ``Bcc`` (below), r15-touching instructions, and code
+it reaches the first time.  Where a fault or a stop leaves the PC, a
+suffix trace starts, so a warm trial steps nothing outside its window.
 
 With speculation enabled (``SpecEngine`` window > 0), ``Bcc`` must
 retire through the (wrapped) decode cache, so the speculative variant
 compiles plain basic blocks *ending* at every control transfer instead
 of traces, and all terminators single-step — transient windows,
-predictor updates and squashes reuse the one shared retire helper.
+predictor updates and squashes reuse the one shared retire helper.  Its
+suffixes end at the next control transfer too, so a PC left on a
+terminator steps it.
 ``window=0`` keeps full trace inlining — identical to the plain CPU by
 construction, mirroring the W=0 decode-cache guarantee.
 """
@@ -264,13 +282,44 @@ class _Block:
 
 
 class _Partition:
-    __slots__ = ("blocks", "entries")
+    __slots__ = ("blocks", "entries", "code", "traces")
 
-    def __init__(self, blocks, entries):
+    def __init__(self, blocks, entries, code, traces):
         self.blocks = blocks
         #: entry address -> block, for every block that compiles to a
         #: trace function
         self.entries = entries
+        #: address -> (instruction, width), for the suffix walk
+        self.code = code
+        #: through-``Bcc`` traces (else plain basic blocks)
+        self.traces = traces
+
+    def suffix(self, addr: int) -> Optional[_Block]:
+        """The trace a run entering at ``addr``, which starts none of
+        :attr:`entries`, compiles: the fall-through walk from ``addr`` to
+        the next entry, r15-touching instruction or terminator (inlined
+        by traces, left to single-stepping by basic blocks), ``Bcc`` side
+        exits included.  It is the walk a run would otherwise single-step,
+        so it is one basic block long at most.  None where it would be
+        empty."""
+        ends = _TRACE_ENDS if self.traces else _TERMINATORS
+        block = _Block(addr)
+        while len(block.body) < MAX_TRACE:
+            step = self.code.get(addr)
+            if step is None or _touches_pc(step[0]) or (
+                block.body and addr in self.entries
+            ):
+                break
+            instr, width = step
+            if type(instr) in ends:
+                block.term = (addr, instr, width)
+                break
+            block.body.append((addr, instr, width))
+            addr += width
+        block.exit_addr = addr
+        if block.body or (self.traces and block.term is not None):
+            return block
+        return None
 
 
 def partition_image(image, traces: bool = True) -> _Partition:
@@ -311,7 +360,8 @@ def partition_image(image, traces: bool = True) -> _Partition:
     entries = {
         b.addr: b for b in blocks if b.body or (traces and b.term is not None)
     }
-    return _Partition(blocks, entries)
+    code = {addr: (instr, width) for addr, instr, width in items}
+    return _Partition(blocks, entries, code, traces)
 
 
 def _loop_membership(blocks) -> dict:
@@ -592,6 +642,8 @@ class _Emitter:
         #: instruction: what the shared exit publishes for it
         self.stops: dict[int, tuple] = {}
         self.shared = False  # some exit breaks out to the shared exit
+        #: fixed base register -> its word offsets' range (_fixed_bases)
+        self.fixed: dict = {}
         if preset is not None:
             touched, written, ftouched, fwritten = preset
             self.reads = set(touched)
@@ -864,26 +916,101 @@ def _word_test(lo: str, total: int = 4) -> str:
     return f"not {lo} & 3 and {lo} + {total - 4} < _fast"
 
 
+def _fixed_word(instr) -> bool:
+    """A word load or store at an aligned immediate offset: the access a
+    fixed base serves (see :func:`_fixed_bases`)."""
+    return (
+        type(instr) in (ins.LdrImm, ins.StrImm)
+        and instr.size == 4
+        and not instr.imm % 4
+    )
+
+
+def _fixed_bases(steps, loop: bool) -> dict:
+    """Base register -> ``(lowest, highest)`` word offset, for each base
+    whose fixed-offset words the trace serves through a guard checked
+    once in its prologue (:func:`_fixed_prologue`).
+
+    A base qualifies when no instruction of the trace writes it, so its
+    entry value holds throughout, and where the guard pays: it has a word
+    load (a base only stored through is typically an MMIO base, such as
+    the CFI unit's, where the guard always fails) and two accesses, or
+    one in a loop trace."""
+    written: set = set()
+    words: dict = {}
+    for _, instr, _ in steps:
+        cls = type(instr)
+        written.update(int(reg) for reg in instr.reg_defs())
+        if cls in (ins.Push, ins.Pop):
+            written.add(SP)
+        elif cls is ins.Bl:
+            written.add(14)
+        if _fixed_word(instr):
+            words.setdefault(int(instr.rn), []).append(instr)
+    return {
+        reg: (min(i.imm for i in used), max(i.imm for i in used))
+        for reg, used in words.items()
+        if reg not in written
+        and (loop or len(used) > 1)
+        and any(type(i) is ins.LdrImm for i in used)
+    }
+
+
+def _fixed_prologue(fixed: dict) -> list[str]:
+    """``_b<N>``, base N's word index, and its guard ``_ok<N>``: N is
+    aligned, and the word at each of its offsets lies in the word view."""
+    lines = []
+    for reg, (lo, hi) in sorted(fixed.items()):
+        top = f"r{reg} + {hi}" if hi else f"r{reg}"
+        guard = f"not r{reg} & 3 and {top} < _fast"
+        if lo < 0:
+            guard += f" and r{reg} >= {-lo}"
+        lines += [f"_b{reg} = r{reg} >> 2", f"_ok{reg} = {guard}"]
+    return lines
+
+
+def _emit_fixed(e: _Emitter, instr) -> Optional[str]:
+    """Open the fixed-base branch of a word access: emit ``if _ok<N>:``
+    and return the word's index expression for its one line there, or
+    None (and emit nothing) when the access's base is not fixed.  The
+    caller then emits the access's general code one level deeper, under
+    ``else:``."""
+    reg = int(instr.rn)
+    if reg not in e.fixed or not _fixed_word(instr):
+        return None
+    k = instr.imm >> 2
+    e.emit(f"if _ok{reg}:")
+    if k > 0:
+        return f"_b{reg} + {k}"
+    return f"_b{reg} - {-k}" if k else f"_b{reg}"
+
+
 def _emit_load(e: _Emitter, cpu, instr, fall: int) -> None:
     """LdrImm/LdrReg with an inline RAM fast path.
 
     In-range non-MMIO loads read RAM directly — an aligned word through
-    the word view, a byte or halfword from ``cpu.memory`` — and cannot
-    halt; everything else goes through ``cpu.load`` + halt check."""
+    the word view (off a fixed base without an address test), a byte or
+    halfword from ``cpu.memory`` — and cannot halt; everything else goes
+    through ``cpu.load`` + halt check."""
     e.needs.add("load")
     base = e.r(instr.rn)
     if type(instr) is ins.LdrImm:
         off = instr.imm
-        e.emit(f"_ad = ({base} + {off}) & 0xFFFFFFFF" if off else f"_ad = {base}")
+        addr = f"({base} + {off}) & 0xFFFFFFFF" if off else base
     else:
-        off_reg = e.r(instr.rm)
-        e.emit(f"_ad = ({base} + {off_reg}) & 0xFFFFFFFF")
+        addr = f"({base} + {e.r(instr.rm)}) & 0xFFFFFFFF"
     dest = e.w(instr.rt)
     e.fold(instr)
     cost = static_cost(instr, cpu)
     e.k += cost
     e.worst += cost
     e.count += 1
+    index = _emit_fixed(e, instr)
+    if index is not None:
+        e.emit(f"{dest} = _w[{index}]", 1)
+        e.emit("else:")
+        e.indent += 1
+    e.emit(f"_ad = {addr}")
     size = instr.size
     if size == 4:
         e.emit(f"if {_word_test('_ad')}:")
@@ -898,26 +1025,28 @@ def _emit_load(e: _Emitter, cpu, instr, fall: int) -> None:
     e.emit("else:")
     e.emit(f"{dest} = _load(_ad, {size})", 1)
     e.emit_halt_check(fall, extra=1)
+    if index is not None:
+        e.indent -= 1
 
 
 def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
     """StrImm/StrReg with an inline RAM fast path.
 
     The fast path writes RAM directly — an aligned word through the word
-    view — and keeps the dirty-page set current (the trial scheduler
-    scrubs via it); MMIO, out-of-range and unaligned word stores take
-    ``cpu.store`` and then drain CFI events and check for halts, exactly
-    like the per-instruction loops."""
+    view (off a fixed base without an address test) — and keeps the
+    dirty-page set current (the trial scheduler scrubs via it); MMIO,
+    out-of-range and unaligned word stores take ``cpu.store`` and then
+    drain CFI events and check for halts, exactly like the
+    per-instruction loops."""
     e.needs.add("store")
     e.needs.add("dirty")
     base = e.r(instr.rn)
     val = e.r(instr.rt)
     if type(instr) is ins.StrImm:
         off = instr.imm
-        e.emit(f"_ad = ({base} + {off}) & 0xFFFFFFFF" if off else f"_ad = {base}")
+        addr = f"({base} + {off}) & 0xFFFFFFFF" if off else base
     else:
-        off_reg = e.r(instr.rm)
-        e.emit(f"_ad = ({base} + {off_reg}) & 0xFFFFFFFF")
+        addr = f"({base} + {e.r(instr.rm)}) & 0xFFFFFFFF"
     e.fold(instr)
     cost = static_cost(instr, cpu)
     e.k += cost
@@ -926,6 +1055,13 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
     # The segment must be flushed before the store: a CFI event compares
     # against / merges into the state *after* this instruction's advance.
     e.emit_flush()
+    index = _emit_fixed(e, instr)
+    if index is not None:
+        e.emit(f"_w[{index}] = {val}", 1)
+        e.emit(f"_dirty.add(({index}) >> {PAGE_BITS - 2})", 1)
+        e.emit("else:")
+        e.indent += 1
+    e.emit(f"_ad = {addr}")
     size = instr.size
     if size == 4:
         e.emit(f"if {_word_test('_ad')}:")
@@ -964,6 +1100,8 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
         e.emit(f"_store(_ad, {val}, {size})", 1)
         _emit_event_drain(e, 1)
         e.emit_halt_check(fall, extra=1)
+    if index is not None:
+        e.indent -= 1
 
 
 def _emit_push(e: _Emitter, cpu, instr, fall: int) -> None:
@@ -1361,10 +1499,12 @@ def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
 
 
 def _emit_trace(block: _Block, cpu, image, monitor: bool, inline: bool,
-                loop: bool, worst_pass: int, preset, div_bound: int) -> _Emitter:
+                loop: bool, worst_pass: int, preset, div_bound: int,
+                fixed: dict) -> _Emitter:
     """Emit one trace/block body into a fresh emitter."""
     has_div = any(type(i) in (ins.Udiv, ins.Sdiv) for _, i, _ in block.body)
     e = _Emitter(monitor, cycles_local=has_div, loop=loop, preset=preset)
+    e.fixed = fixed
     e.div_bound = div_bound
     e.div_inline = type(cpu.cycles_model).div is CycleModel.div
     start = block.addr
@@ -1463,13 +1603,15 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
     """
     image = cpu.image
     loop = block.loop and inline
+    steps = block.body + [block.term] if block.term is not None else block.body
+    fixed = _fixed_bases(steps, loop)
     if loop:
         # Pass A: discover the full register/flag footprint and the
         # worst-case single-pass cost; pass B presets both so every
         # exit publishes everything any iteration may have written.
         probe = _emit_trace(block, cpu, image, monitor, inline,
                             loop=True, worst_pass=0, preset=None,
-                            div_bound=div_bound)
+                            div_bound=div_bound, fixed=fixed)
         worst = max(probe.worst, 1)
         preset = (
             probe.reads | probe.written,
@@ -1479,11 +1621,13 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
         )
         e = _emit_trace(block, cpu, image, monitor, inline, loop=True,
                         worst_pass=worst, preset=preset,
-                        div_bound=div_bound)
+                        div_bound=div_bound, fixed=fixed)
     else:
         e = _emit_trace(block, cpu, image, monitor, inline, loop=False,
-                        worst_pass=0, preset=None, div_bound=div_bound)
+                        worst_pass=0, preset=None, div_bound=div_bound,
+                        fixed=fixed)
         worst = e.worst
+    assert not fixed.keys() & e.written, "a fixed base is written"
     name = f"_t{block.addr:x}"
     prologue = [f"def {name}(cpu, regs, max_cycles, stop):"]
     for reg in sorted(e.reads):
@@ -1496,6 +1640,7 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
     if "load" in e.needs or "store" in e.needs:
         prologue.append("    _w = cpu._words")
         prologue.append("    _fast = len(_w) << 2")
+        prologue += ["    " + line for line in _fixed_prologue(fixed)]
     if "mem" in e.needs:
         prologue.append("    _mem = cpu.memory")
     if "dirty" in e.needs:
@@ -1540,12 +1685,15 @@ class _Variant:
         self.inline = inline
         self.monitor = monitor
         self.div_bound = div_bound
-        #: entry address -> (function, worst-case cycles of one pass)
+        #: start address -> (function, worst-case cycles of one pass), for
+        #: partition entries and suffixes alike
         self.traces: dict = {}
-        #: entries a run reached once: their trace compiles at the next
+        #: addresses a run reached once: their trace compiles at the next
         #: reach
         self.seen: set = set()
-        #: addresses the chaining loop reached that start no trace
+        #: addresses the chaining loop reached where no trace can start
+        #: (an r15-touching instruction, no instruction, a speculative
+        #: block's terminator)
         self.cold: set = set()
 
 
@@ -1599,23 +1747,25 @@ def trace_entries(cpu) -> dict:
 
 
 def superblock_tables(cpu, entry: Optional[int] = None) -> dict:
-    """The trace table of ``cpu``'s variant: entry address ->
+    """The trace table of ``cpu``'s variant: start address ->
     ``(function, worst-case cycles of one pass)``.  A trace function is
     called as ``function(cpu, regs, max_cycles, stop)`` and returns the
     next PC; it pauses exactly when ``cpu.dyn_index`` reaches ``stop``,
     and a ``stop`` at or below ``cpu.dyn_index`` never pauses it.
 
     With ``entry``, first compile the trace that starts there unless it
-    is compiled already (the chaining loop's compile-on-demand); without,
-    compile every trace of the image.  The partition is built at the
-    first compile."""
+    is compiled already (the chaining loop's compile-on-demand): the
+    partition's trace when ``entry`` is one of its entries, else the
+    suffix from ``entry`` to the next one (:meth:`_Partition.suffix`).
+    Without, compile the trace of every partition entry.  The partition
+    is built at the first compile."""
     variant = _variant(cpu)
     partition = _partition(cpu.image, variant.inline)
     traces = variant.traces
     for addr in partition.entries if entry is None else (entry,):
         if addr in traces:
             continue
-        block = partition.entries.get(addr)
+        block = partition.entries.get(addr) or partition.suffix(addr)
         if block is None:
             variant.cold.add(addr)
         else:
@@ -1677,11 +1827,11 @@ def run_superblock(
 
 def _chain(cpu, max_cycles: int, stop: int) -> None:
     """Chain compiled traces until ``cpu.dyn_index`` reaches ``stop``,
-    compiling them on demand (see *Lazy compilation*); a trace the stop
-    falls in pauses exactly there.  Addresses that start no trace (a
-    fault or a stop can leave the PC mid-trace), near-timeout traces and
-    a pending ``branch_invert`` single-step through the decode cache,
-    which also keeps SpecEngine-wrapped ``Bcc`` on its one shared retire
+    compiling them on demand at any address (see *Lazy compilation*); a
+    trace the stop falls in pauses exactly there.  Code reached the first
+    time, addresses where no trace can start, near-timeout traces and a
+    pending ``branch_invert`` single-step through the decode cache, which
+    also keeps SpecEngine-wrapped ``Bcc`` on its one shared retire
     path."""
     variant = _variant(cpu)
     traces = variant.traces

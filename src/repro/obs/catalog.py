@@ -45,8 +45,8 @@ CATALOG: dict[str, tuple[str, str]] = {
     "repro_engine_superblock_deopt_steps_total": (
         "counter",
         "Instructions fork-engine trials single-stepped instead of running "
-        "compiled traces (open fault windows, walks to the next trace "
-        "entry, near-timeout tails).",
+        "compiled traces (open fault windows, code reached the first "
+        "time, near-timeout tails).",
     ),
     "repro_engine_trials_rejoined_total": (
         "counter",

@@ -20,6 +20,9 @@ here:
   same, so the shortcut changes work done, never results.
 """
 
+import pickle
+from itertools import zip_longest
+
 import pytest
 
 from repro.faults.adversary import CompositeFault
@@ -27,6 +30,7 @@ from repro.faults.models import (
     BranchDirectionFlip,
     FlagFlip,
     InstructionSkip,
+    MemoryBitFlip,
     RegisterBitFlip,
 )
 from repro.faults.scheduler import TrialScheduler
@@ -277,6 +281,35 @@ class TestRejoinedTrials:
         monkeypatch.setattr(TrialScheduler, "_probe", lambda self, hook: None)
         for model, expected in zip(models, probed):
             assert (scheduler.run_trial(model), scheduler.last_trial_end) == expected
+
+    def test_schedulers_of_one_program_share_its_pristine_image(self):
+        # Every trial CPU of a program starts from the same memory, so
+        # its schedulers scrub back to one copy, which a pickled image
+        # leaves behind.  Interleaved trials of two workloads, some of
+        # them flipping bits in the compared buffers, still equal full
+        # runs: each scrub restores what the other's trials dirtied, and
+        # rejoin verdicts compare against the same bytes.
+        program = _program()
+        buffers = [program.image.data_addrs[name] for name in ("cmp_a", "cmp_b")]
+        work = []
+        for args in ([8], [16]):
+            scheduler = TrialScheduler(program, "run_memcmp", args)
+            flips = [
+                MemoryBitFlip(addr + byte, 3, index)
+                for index in range(1, 60, 7)
+                for addr, byte in zip(buffers, (1, args[0] - 1))
+            ]
+            work.append((scheduler, args, _skips(scheduler, 3) + flips))
+        for models in zip_longest(*(models for _, _, models in work)):
+            for (scheduler, args, _), model in zip(work, models):
+                if model is not None:
+                    result = scheduler.run_trial(model)
+                    full = _full_run(program, args, model, "cached")
+                    assert (result, scheduler.last_trial_end) == full, model
+        (a, _, _), (b, _, _) = work
+        assert a._pristine is b._pristine is program.image._pristine
+        assert a.stats.rejoined and b.stats.rejoined
+        assert pickle.loads(pickle.dumps(program.image))._pristine is None
 
     def test_rejoined_trial_counts_work_up_to_its_probe(self):
         scheduler = TrialScheduler(_program(), "run_memcmp", [16])

@@ -34,6 +34,7 @@ from repro.faults.scheduler import TrialScheduler
 from repro.isa import instructions as ins
 from repro.isa.assembler import AsmBlock, AsmFunction, DataSegment, assemble
 from repro.isa.cpu import CPU, PAGE_BITS, PAGE_SIZE, Status
+from repro.isa.mmio import MMIO
 from repro.isa.superblock import partition_image, superblock_tables
 from repro.minic.driver import compile_source
 from repro.obs.metrics import MetricsRegistry
@@ -74,7 +75,8 @@ def _replay(program, function, args, model, dispatch):
 
 
 def _compiled(program):
-    """Entry addresses of every trace compiled on the image so far."""
+    """Start addresses of every trace compiled on the image so far,
+    partition entries and suffixes."""
     cache = program.image._superblock_cache or {}
     return {
         addr
@@ -229,9 +231,12 @@ class TestLazyCompile:
         assert at_compile, "no trace was ever compiled"
         assert all(d < lo - 1 or d >= hi for lo, d, hi in at_compile), at_compile
         assert any(d < lo - 1 for lo, d, hi in at_compile)
-        # Only the traces some trial reached got compiled.
-        table = superblock.partition_image(program.image, traces=True)
-        assert 0 < len(_compiled(program)) < len(table.entries)
+        # Only the traces some trial reached got compiled: some of the
+        # partition's entries, and suffixes where faults left the PC.
+        entries = superblock.partition_image(program.image, traces=True).entries
+        compiled = _compiled(program)
+        assert 0 < len(compiled & entries.keys()) < len(entries)
+        assert compiled - entries.keys(), "no suffix trace was compiled"
 
     def test_reference_oracle_catches_a_planted_lazy_trace_bug(
         self, monkeypatch
@@ -349,6 +354,41 @@ class TestStopExactness:
             )
 
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_warm_suffix_traces_pause_in_the_reference_state(self, data):
+        # Forked at a random slot, usually mid-trace (where a fault or a
+        # stop leaves the PC), a run enters the suffix trace that starts
+        # there.  A first run from the fork reaches that code once and
+        # single-steps it; every later run enters the compiled suffix.
+        # Paused at each of the next slots and run to the end, those runs
+        # equal the reference loop.
+        name, scheme, target = data.draw(st.sampled_from(_STOP_PROGRAMS))
+        program, function, args, total = _stop_workload(name, scheme, target)
+        fork = data.draw(st.integers(1, total - 1))
+
+        def fresh(dispatch):
+            return program.prepare_cpu(
+                function, list(args), dispatch=dispatch, track_pages=True
+            )
+
+        def forked(dispatch):
+            cpu = fresh(dispatch)
+            cpu.restore(snap)
+            return cpu
+
+        reference = fresh("reference")
+        reference.run(2_000_000, stop_at_instruction=fork)
+        snap = reference.snapshot()
+        forked("superblock").run(2_000_000)  # the first reach
+        for stop in [*range(fork + 1, min(fork + 40, total) + 1), None]:
+            reference.run(2_000_000, stop_at_instruction=stop)
+            cpu = forked("superblock")
+            cpu.run(2_000_000, stop_at_instruction=stop)
+            assert _state(cpu) == _state(reference), (name, scheme, target, fork, stop)
+        variant = cpu._sb_variant
+        assert snap.regs[15] in variant.traces or snap.regs[15] in variant.cold
+
     @pytest.mark.parametrize("target", ["baseline", "rv32"])
     def test_every_stop_of_a_run_pauses_in_the_reference_state(self, target):
         # Each dyn_index of a whole memcmp/ancode run as the stop, on
@@ -376,9 +416,10 @@ class TestStopExactness:
 #: last word in reach, and a size that is not a multiple of 4 has no word
 #: view, so every access of its traces takes the slow path.
 _KERNEL_RAMS = (16 * PAGE_SIZE, 16 * PAGE_SIZE + 2)
-#: registers generated instructions compute in; r9 (the last RAM word),
-#: r10 (a data pointer) and r11 (the loop counter) are never written
-_WORK = (0, 1, 2, 3, 4, 5, 6, 7, 8, 12)
+#: registers generated instructions compute in; r8 (a data pointer a
+#: ``fixed`` step may move on), r9 (the last RAM word, or an MMIO
+#: register), r10 (a data pointer) and r11 (the loop counter) are not
+_WORK = (0, 1, 2, 3, 4, 5, 6, 7, 12)
 _VALUES = st.one_of(
     st.sampled_from([0, 1, 2, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]),
     st.integers(0, 0xFFFFFFFF),
@@ -389,23 +430,29 @@ _SUM_CONDITIONS = ("hs", "lo", "eq", "ne")
 _CONDITIONS = _SUM_CONDITIONS + tuple(
     cond for cond in ins.CONDITIONS if cond not in _SUM_CONDITIONS
 )
-#: the bytes below the kernels' data pointers (the stack and the last
-#: RAM word start out zero)
+#: the bytes below the kernels' data pointers (the stack starts out
+#: zero; the first and the last RAM word hold _ENDS)
 _PATTERN = bytes(range(256)) * 52
+_ENDS = bytes.fromhex("5aa50ff0c33c9669")
+#: instruction kinds of the generated kernels (a kind listed twice is
+#: drawn twice as often)
+_KINDS = ["flags", "cmp", "mem"] * 3 + ["nz", "fixed"] * 2 + [
+    "carry", "end", "push", "pop", "div"]
+#: kernels built mostly of words off fixed bases: no push or pop, so the
+#: stack pointer is one of them
+_FIXED_KINDS = ["fixed"] * 6 + ["flags", "cmp", "mem", "nz", "carry", "end"]
 
 
 @st.composite
-def _kernel_instr(draw, branches=True):
+def _kernel_instr(draw, branches=True, kinds=tuple(_KINDS)):
     """One instruction of a generated trace kernel; a side exit comes
     with the flag producer it tests."""
     work = st.sampled_from(_WORK)
     # sources include the pointers and the loop counter, whose small
     # values put compares on the carry boundary
-    read = st.sampled_from(_WORK + (9, 10, 11))
+    read = st.sampled_from(_WORK + (8, 9, 10, 11))
     imm = st.one_of(st.integers(0, 7), st.integers(0, 300))
-    kinds = ["flags", "cmp", "mem"] * 3 + ["nz"] * 2 + [
-        "carry", "end", "push", "pop", "div"]
-    kind = draw(st.sampled_from(kinds + ["bcc"] * 3 * branches))
+    kind = draw(st.sampled_from(list(kinds) + ["bcc"] * 3 * branches))
     if kind == "bcc":  # a side exit, after a flag producer or not
         cond = draw(st.sampled_from(_CONDITIONS))
         producer = draw(st.sampled_from(["none", "any", "bound"]))
@@ -416,7 +463,7 @@ def _kernel_instr(draw, branches=True):
         exit_ = ins.Bcc(cond, draw(st.sampled_from(["out", "again"])))
         if producer == "none":
             return [exit_]
-        return [draw(_kernel_instr(branches=False).filter(_sets_flags))[0], exit_]
+        return [draw(_kernel_instr(False, kinds).filter(_sets_flags))[0], exit_]
     if kind == "flags":  # S-bit add/sub: NZCV left pending
         op = draw(st.sampled_from(["add", "sub", "rsb"]))
         if draw(st.booleans()):
@@ -447,6 +494,16 @@ def _kernel_instr(draw, branches=True):
             return [cls(draw(work), 10, 11, size=size)]
         cls = ins.LdrImm if load else ins.StrImm
         return [cls(draw(work), 10, draw(st.integers(0, 7)), size=size)]
+    if kind == "fixed":
+        # A word at an aligned offset, below or above its base: off the
+        # stack pointer, the last RAM word (or MMIO), a data pointer, or
+        # a pointer the trace moves on after the access (a base it writes)
+        base = draw(st.sampled_from([13, 9, 10, 8]))
+        cls = ins.LdrImm if draw(st.booleans()) else ins.StrImm
+        step = [cls(draw(work), base, 4 * draw(st.integers(-3, 3)))]
+        if base == 8 and draw(st.booleans()):
+            step.append(ins.AluImm("add", 8, 8, 4))
+        return step
     if kind == "end":  # the last RAM word, straddling the end, one past it
         cls = ins.LdrImm if draw(st.booleans()) else ins.StrImm
         return [cls(draw(work), 9, draw(st.sampled_from([0, 0, 2, 4])), size=4)]
@@ -472,27 +529,29 @@ def _flat(steps) -> list:
 
 
 @st.composite
-def _kernels(draw):
+def _kernels(draw, kinds=tuple(_KINDS)):
     """``(image, memory size, registers, NZCV)`` of a counted loop over a
     generated body, its exit test at the bottom (a ``Bcc`` back edge with
     NZCV pending) or at the top (a ``B`` back edge).  Side exits leave the
     loop or jump back to its head."""
-    body = _flat(draw(st.lists(_kernel_instr(), min_size=1, max_size=12)))
+    body = _flat(draw(st.lists(_kernel_instr(True, kinds), min_size=1, max_size=12)))
     count = ins.AluImm("sub", 11, 11, 1)
     if draw(st.booleans()):
         loop = [count, *body, ins.CmpImm(11, 0), ins.Bcc("ne", "loop")]
     else:
         loop = [ins.CmpImm(11, 0), ins.Bcc("eq", "out"), count, *body, ins.B("loop")]
-    head = _flat(draw(st.lists(_kernel_instr(branches=False), min_size=1, max_size=3)))
-    tail = _flat(draw(st.lists(_kernel_instr(branches=False), max_size=3)))
+    head = _flat(draw(st.lists(_kernel_instr(False, kinds), min_size=1, max_size=3)))
+    tail = _flat(draw(st.lists(_kernel_instr(False, kinds), max_size=3)))
     image = assemble([AsmFunction("f", [
         AsmBlock("f", head), AsmBlock("loop", loop),
         AsmBlock("out", tail + [ins.BxLr()]),
         AsmBlock("again", [ins.CmpImm(11, 0), ins.Bcc("eq", "out"), ins.B("loop")]),
     ])])
     ram = draw(st.sampled_from(_KERNEL_RAMS))
-    regs = dict(zip(_WORK, draw(st.lists(_VALUES, min_size=10, max_size=10))))
-    regs[9] = ram - 4
+    regs = dict(zip(_WORK, draw(st.lists(_VALUES, min_size=9, max_size=9))))
+    # r8 may sit near 0, where a negative offset wraps into MMIO
+    regs[8] = draw(st.sampled_from([0, 2, 5, 12])) * PAGE_SIZE + draw(st.integers(4, 12))
+    regs[9] = draw(st.sampled_from([ram - 4, MMIO.CFI_MERGE]))
     regs[10] = draw(st.integers(2, 14)) * PAGE_SIZE - draw(st.integers(0, 8))
     regs[11] = draw(st.integers(3, 6))
     # an aligned or unaligned stack pointer, mid-RAM or at its very end
@@ -505,11 +564,26 @@ def _kernel_cpu(kernel, dispatch):
     image, ram, regs, nzcv = kernel
     cpu = CPU(image, memory_size=ram, dispatch=dispatch, track_pages=True)
     cpu.memory[PAGE_SIZE : PAGE_SIZE + len(_PATTERN)] = _PATTERN
+    cpu.memory[:4], cpu.memory[ram - 4 :] = _ENDS[:4], _ENDS[4:]
     cpu.call("f")
     for reg, value in regs.items():
         cpu.regs[reg] = value
     cpu.n, cpu.z, cpu.c, cpu.v = nzcv
     return cpu
+
+
+def _every_stop_pauses_in_the_reference_state(kernel):
+    budget = 100_000
+    end = _kernel_cpu(kernel, "reference")
+    end.run(budget)
+    reference = _kernel_cpu(kernel, "reference")
+    for stop in range(1, end.dyn_index + 1):
+        reference.run(budget, stop_at_instruction=stop)
+        cpu = _kernel_cpu(kernel, "superblock")
+        cpu.run(budget, stop_at_instruction=stop)
+        assert _state(cpu) == _state(reference), (stop, kernel[0].listing())
+    if end.dyn_index > 2:
+        assert cpu._sb_blocks, "no compiled trace ran"
 
 
 def _word_program():
@@ -546,17 +620,62 @@ class TestTraceKernels:
         # words, push/pop at an unaligned or end-of-RAM stack pointer,
         # divisions by zero): with each dyn_index as the stop, compiled
         # traces pause in exactly the reference interpreter's state.
-        budget = 100_000
-        end = _kernel_cpu(kernel, "reference")
-        end.run(budget)
-        reference = _kernel_cpu(kernel, "reference")
-        for stop in range(1, end.dyn_index + 1):
-            reference.run(budget, stop_at_instruction=stop)
-            cpu = _kernel_cpu(kernel, "superblock")
-            cpu.run(budget, stop_at_instruction=stop)
-            assert _state(cpu) == _state(reference), (stop, kernel[0].listing())
-        if end.dyn_index > 2:
-            assert cpu._sb_blocks, "no compiled trace ran"
+        _every_stop_pauses_in_the_reference_state(kernel)
+
+    @given(kernel=_kernels(tuple(_FIXED_KINDS)))
+    @settings(max_examples=200, deadline=None)
+    def test_every_stop_of_a_fixed_base_kernel_pauses_in_the_reference_state(
+        self, kernel
+    ):
+        # Word loads and stores at negative and positive offsets off bases
+        # a trace never writes — an aligned or misaligned stack pointer,
+        # the last RAM word or an MMIO register, a data pointer — and off a
+        # pointer the trace moves on after the access, which it must not
+        # fix: every stop pauses in the reference state, the dirty pages
+        # of the stores and their bytes included.
+        _every_stop_pauses_in_the_reference_state(kernel)
+
+    @pytest.mark.parametrize(
+        "base", [8, 4, 9, 16 * PAGE_SIZE - 12, 16 * PAGE_SIZE - 8]
+    )
+    def test_fixed_base_guard_ends_exactly_at_the_ends_of_ram(self, base):
+        # A loop trace's words at -8 and +8 off a fixed base: the guard
+        # admits the base whose lowest word is RAM word 0 (8) or whose
+        # highest is the last RAM word (16 pages - 12), and nothing one
+        # word further.  Below 0 the address wraps into MMIO (4), past the
+        # end it is out of range (16 pages - 8), and a misaligned base (9)
+        # takes the general path too.
+        loop = [
+            ins.LdrImm(0, 8, -8), ins.LdrImm(1, 8, 8),
+            ins.StrImm(1, 8, -8), ins.StrImm(0, 8, 8),
+            ins.AluImm("sub", 11, 11, 1, s=True), ins.Bcc("ne", "loop"),
+        ]
+        image = assemble([AsmFunction("f", [
+            AsmBlock("f", [ins.MovImm(0, 0)]), AsmBlock("loop", loop),
+            AsmBlock("out", [ins.BxLr()]),
+        ])])
+        kernel = (image, 16 * PAGE_SIZE, {8: base, 11: 4}, (0, 0, 0, 0))
+        _every_stop_pauses_in_the_reference_state(kernel)
+
+    def test_fixed_bases_are_the_unwritten_bases_that_pay(self):
+        # A base is served through a prologue guard only when the trace
+        # never writes it (r8 moves on, r13 is popped), it has a word
+        # load (r9, a store-only MMIO base, has none), and it has two
+        # accesses or sits in a loop trace.  Unaligned and halfword
+        # offsets do not count.
+        def steps(*instrs):
+            return [(4 * i, instr, 4) for i, instr in enumerate(instrs)]
+
+        body = steps(
+            ins.LdrImm(0, 8, 0), ins.AluImm("add", 8, 8, 4),
+            ins.LdrImm(1, 13, -4), ins.StrImm(2, 13, 8), ins.LdrImm(3, 13, 2),
+            ins.LdrImm(3, 10, 12, size=2), ins.LdrImm(4, 10, 4),
+            ins.StrImm(3, 9, 16), ins.StrImm(3, 9, 16),
+        )
+        fixed = superblock._fixed_bases
+        assert fixed(body, loop=True) == {13: (-4, 8), 10: (4, 4)}
+        assert fixed(body, loop=False) == {13: (-4, 8)}
+        assert fixed(body + steps(ins.Pop((4,))), loop=True) == {10: (4, 4)}
 
     def test_word_view_aliases_memory_across_restores_and_scrubs(self):
         # Compiled traces load words through a view of cpu.memory made
@@ -672,13 +791,10 @@ class TestDeoptBoundary:
         scheduler.run_trial(InstructionSkip(total - 5))
         stepped = scheduler.stats.superblock_deopt_steps - steps0
         assert 0 < stepped < total // 2
-        # Warm, a skip trial forks onto a trace entry and runs traces up to
-        # its window and on to its probe: it single-steps at most its
-        # window and the walk from the fault to the next trace entry, which
-        # is never longer than one basic block.
-        block = max(
-            len(b.body) + 1 for b in partition_image(program.image, traces=False).blocks
-        )
+        # Warm, a skip trial forks onto a trace entry, runs traces up to
+        # its window, and from where the skip leaves the PC runs the
+        # suffix trace that starts there on to its probe: it single-steps
+        # only its window, and a skipped slot retires nothing.
         skips = [InstructionSkip(i) for i in range(1, total + 1)]
         for model in skips:  # each trace a trial reaches compiles by its second reach
             scheduler.run_trial(model)
@@ -687,8 +803,7 @@ class TestDeoptBoundary:
             steps0 = scheduler.stats.superblock_deopt_steps
             scheduler.run_trial(model)
             stepped.append(scheduler.stats.superblock_deopt_steps - steps0)
-        assert max(stepped) <= 1 + block, (max(stepped), block)
-        assert sum(stepped) / len(stepped) < 12
+        assert stepped == [0] * total, stepped
 
     def test_unbounded_hook_falls_back_entirely(self):
         # RepeatedFlagFlip carries no fire window; the engine must run
@@ -761,16 +876,21 @@ class TestObsCounters:
         assert steps == scheduler.stats.superblock_deopt_steps > 0
 
     def test_default_engine_reports_superblock_activity(self):
-        # A fault that cannot rejoin runs its suffix on compiled traces;
-        # a skip that rejoins single-steps to its probe and reports the
-        # rejoin instead.
+        # A fault that cannot rejoin runs its suffix on compiled traces,
+        # single-stepping only where it reaches code the first time.  A
+        # skip at the same slot then reaches that code a second time: it
+        # runs on compiled traces to its window, steps nothing in it (a
+        # skipped slot retires nothing), runs the suffix trace from where
+        # the skip leaves the PC on to its probe, and reports the rejoin.
         program = _program()
         scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
+        stats = scheduler.stats
         scheduler.run_trial(_unrejoinable(program, 3))
-        assert scheduler.stats.superblock_blocks > 0
-        assert scheduler.stats.superblock_deopt_steps > 0
-        assert scheduler.stats.rejoined == 0
-        steps = scheduler.stats.superblock_deopt_steps
+        assert stats.superblock_blocks > 0
+        assert stats.superblock_deopt_steps > 0
+        assert stats.rejoined == 0
+        blocks, steps = stats.superblock_blocks, stats.superblock_deopt_steps
         scheduler.run_trial(InstructionSkip(3))
-        assert scheduler.stats.rejoined == 1
-        assert scheduler.stats.superblock_deopt_steps > steps
+        assert stats.rejoined == 1
+        assert stats.superblock_blocks > blocks
+        assert stats.superblock_deopt_steps == steps
