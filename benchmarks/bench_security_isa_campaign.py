@@ -205,7 +205,9 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
     Golden capture and the traces the campaign compiles on demand stay
     inside the timed region.  The cold compile of the trace of *every*
     partition entry of the image, from a freshly compiled image, is
-    reported separately as ``trace_compile_seconds``; ``suffix_traces``
+    reported separately as ``trace_compile_seconds``, and the cold golden
+    capture of the campaign's workload on another fresh image as
+    ``golden_capture_seconds`` (informational, ungated); ``suffix_traces``
     counts the traces the campaign compiled from addresses inside a
     trace, where its faults left the PC, and ``suffix_compile_seconds``
     is their cold compile on that fresh image.
@@ -221,6 +223,7 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
     need them (before the fault window and at the probe), or stopped
     starting where faults leave the PC.
     """
+    from repro.faults.scheduler import TrialScheduler
     from repro.isa.superblock import superblock_tables, trace_entries
     from repro.minic.driver import compile_source
 
@@ -235,6 +238,12 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
     start = time.perf_counter()
     traces = len(superblock_tables(fresh_cpu))
     compile_seconds = time.perf_counter() - start
+    fresh_golden = compile_source(
+        load_source("memcmp"), config=CompileConfig(scheme="ancode")
+    )
+    start = time.perf_counter()
+    TrialScheduler(fresh_golden, "run_memcmp", args)
+    capture_seconds = time.perf_counter() - start
 
     measurements = {}
     for engine in ("reference", "fork"):
@@ -267,6 +276,7 @@ def test_memcmp_strided_engine_speedup(benchmark, engine_programs):
         "workload": f"memcmp[{args[0]}] strided-skip x {len(models)} trials",
         "trace_compile_seconds": round(compile_seconds, 3),
         "traces": traces,
+        "golden_capture_seconds": round(capture_seconds, 3),
         "suffix_compile_seconds": round(suffix_seconds, 3),
         "suffix_traces": len(suffixes),
         "rejoined": rejoined,

@@ -14,9 +14,9 @@ trace.  The acceptance gate is the headline claim of the subsystem:
 
 The second half is the regression guard for the ``window=0``
 short-circuit: a ``SpecConfig(window=0)`` campaign must stay within 5%
-of the plain engine's trials/sec (same process, same workload) — W=0
-does not even wrap the decode cache, so a miss here means the
-short-circuit broke.
+of the plain engine's trials/sec (same process, same workload) — at
+W=0 no branch reaches the speculative retire path, so a miss here means
+the short-circuit broke.
 """
 
 import time
@@ -114,9 +114,9 @@ def test_bootloader_transient_leak(benchmark):
 # ---------------------------------------------------------------------------
 
 def test_window_zero_throughput_guard(benchmark, workbench):
-    """W=0 must *be* the plain engine: the short-circuit returns the
-    original decode cache, so both arms must do identical simulated
-    work.  Gated on the engine's deterministic counters (trials, forks,
+    """W=0 must *be* the plain engine: no branch reaches the speculative
+    retire path and traces inline branches as on a plain CPU, so both
+    arms must do identical simulated work.  Gated on the engine's deterministic counters (trials, forks,
     simulated instructions/cycles) plus the outcome histogram rather
     than wall-clock — a 5 % throughput gate proved irreproducible, as
     CPython's adaptive specialisation favours whichever arm ran later

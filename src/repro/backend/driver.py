@@ -68,7 +68,7 @@ class CompiledProgram:
         max_cycles: int = 10_000_000,
         cycle_model: Optional[CycleModel] = None,
         setup=None,
-        dispatch: str = "cached",
+        dispatch: str = "superblock",
         spec=None,
     ) -> ExecutionResult:
         cpu, result = self.run_cpu(
@@ -85,7 +85,7 @@ class CompiledProgram:
         cycle_model: Optional[CycleModel] = None,
         setup=None,
         pre_hooks=None,
-        dispatch: str = "cached",
+        dispatch: str = "superblock",
         spec=None,
     ):
         """Run and return (cpu, result) for tests that inspect state."""
@@ -102,7 +102,7 @@ class CompiledProgram:
         cycle_model: Optional[CycleModel] = None,
         setup=None,
         pre_hooks=None,
-        dispatch: str = "cached",
+        dispatch: str = "superblock",
         track_pages: bool = False,
         spec=None,
     ) -> CPU:

@@ -19,6 +19,8 @@ from repro.isa import instructions as ins
 from repro.isa.cpu import CPU, MAGIC_RETURN
 from repro.isa.mmio import MMIO
 
+_BL, _BX_LR = ins.Bl, ins.BxLr
+
 
 class CfiMonitor:
     def __init__(self, cpu: CPU, entry_function: str):
@@ -45,10 +47,15 @@ class CfiMonitor:
     def on_retire(self, cpu: CPU, instr, cfi_events) -> None:
         # Runs once per retired instruction — the campaign engine's hottest
         # hook.  The state advance inlines gpsa.update/rotl (one shift-or
-        # and an xor) and the instruction kind checks use exact class
-        # identity instead of isinstance.
+        # and an xor) and the signature's per-instruction cache, and the
+        # instruction kind checks use exact class identity instead of
+        # isinstance.
+        try:
+            sig = instr._sig_cache
+        except AttributeError:
+            sig = signature(instr)
         state = self.state
-        state = (((state << 1) | (state >> 31)) & 0xFFFFFFFF) ^ signature(instr)
+        state = (((state << 1) | (state >> 31)) & 0xFFFFFFFF) ^ sig
         if cfi_events:
             for event in cfi_events:
                 if event.addr == MMIO.CFI_MERGE:
@@ -60,10 +67,10 @@ class CfiMonitor:
                     else:
                         self.checks_passed += 1
         cls = instr.__class__
-        if cls is ins.Bl:
+        if cls is _BL:
             callee = self.image.function_of(instr.target)
             self.call_stack.append(state)
             state = entry_state(callee) if callee is not None else state
-        elif cls is ins.BxLr and self.call_stack:
+        elif cls is _BX_LR and self.call_stack:
             state = self.call_stack.pop()
         self.state = state

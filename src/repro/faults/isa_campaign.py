@@ -286,27 +286,6 @@ def repeated_branch_flip(
 repeated_branch_flip.attack_label = "repeated-branch-flip"
 
 
-def dynamic_indices(program, function, args, match) -> list[int]:
-    """Dynamic instruction indices (1-based) whose instruction satisfies
-    ``match(instr)`` during a golden run.
-
-    ``match`` is an arbitrary predicate over instruction objects, so this
-    instruments one fresh execution.  For mnemonic-based queries prefer
-    :func:`golden_trace`, whose single memoized run answers every
-    mnemonic's hit-list at once.
-    """
-    hits: list[int] = []
-
-    def observe(cpu, instr, events):
-        if match(instr):
-            hits.append(cpu.dyn_index)
-
-    cpu = program.prepare_cpu(function, args)
-    cpu.retire_hooks.append(observe)
-    cpu.run()
-    return hits
-
-
 def encoded_window(program, function, args, after_encodes: bool = False) -> tuple[int, int]:
     """Dynamic window from the first encode (MUL) to the first branch.
 

@@ -65,6 +65,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import compress, count
 
 from repro.isa.cpu import PAGE_BITS, PAGE_SIZE, CpuSnapshot, ExecutionResult, Status
 from repro.isa.mmio import MMIO
@@ -80,40 +81,72 @@ MAX_CHECKPOINTS = 96
 GOLDEN_MAX_CYCLES = 10_000_000
 
 
-_EMPTY_INDICES = array("I")
-
-
-@dataclass
 class GoldenTrace:
-    """Everything one instrumented golden run reveals about a workload."""
+    """Everything one instrumented golden run reveals about a workload:
+    its result and the code address of every retirement, from which each
+    mnemonic's hit list is built the first time it is asked for."""
 
-    result: ExecutionResult
-    #: mnemonic -> sorted 1-based dynamic indices of its retirements
-    #: (unsigned-int arrays: the whole-run trace stays ~4 bytes/retirement
-    #: even for multi-million-instruction golden executions)
-    mnemonic_indices: dict[str, array]
-    #: code address of each retired conditional branch (parallel to
-    #: ``mnemonic_indices["bcc"]``)
-    bcc_addrs: array
-    #: mnemonic -> code address of each retirement (parallel to
-    #: ``mnemonic_indices[mnemonic]``) — lets :meth:`locate` map any
-    #: dynamic index back to its static instruction, which is what the
-    #: per-instruction vulnerability maps of :mod:`repro.analysis` are
-    #: built from.  ``bcc_addrs`` aliases
-    #: ``mnemonic_addrs[branch_mnemonic]``.
-    mnemonic_addrs: dict[str, array] = field(default_factory=dict)
-    #: the target's conditional-branch mnemonic (fused rv32 branches share
-    #: ``bcc`` by design; a third-party target may differ).
-    branch_mnemonic: str = "bcc"
+    def __init__(
+        self,
+        result: ExecutionResult,
+        pcs: array,
+        code: dict,
+        branch_mnemonic: str = "bcc",
+    ):
+        self.result = result
+        #: code address of each golden retirement: ``pcs[i - 1]`` retired
+        #: at dynamic index ``i`` (an unsigned-int array, 4 bytes per
+        #: retirement even for multi-million-instruction runs)
+        self.pcs = pcs
+        #: the image's decode cache, address -> (instruction, width)
+        self._code = code
+        #: the target's conditional-branch mnemonic (fused rv32 branches
+        #: share ``bcc`` by design; a third-party target may differ).
+        self.branch_mnemonic = branch_mnemonic
+        #: mnemonic -> (sorted 1-based dynamic indices of its retirements,
+        #: their code addresses), built on first use
+        self._hits: dict[str, tuple[array, array]] = {}
+        #: each retirement's mnemonic as one byte, and mnemonic -> that
+        #: byte; built from ``pcs`` by the first hit list
+        self._mnemonic_log: tuple[bytes, dict[str, int]] | None = None
 
-    def indices(self, mnemonic: str):
+    def _hit_list(self, mnemonic: str) -> tuple[array, array]:
+        hits = self._hits.get(mnemonic)
+        if hits is None:
+            log = self._mnemonic_log
+            if log is None:
+                numbers: dict[str, int] = {}
+                number_at = {
+                    addr: numbers.setdefault(instr.mnemonic, len(numbers))
+                    for addr, (instr, _) in self._code.items()
+                }
+                log = bytes(map(number_at.__getitem__, self.pcs)), numbers
+                self._mnemonic_log = log
+            kinds, numbers = log
+            number = numbers.get(mnemonic)
+            mask = kinds.translate(bytes(i == number for i in range(256)))
+            indices = array("I", compress(count(1), mask))
+            pcs = self.pcs
+            hits = indices, array("I", [pcs[i - 1] for i in indices])
+            # One assignment publishes the finished lists: a concurrent
+            # reader sees none (and builds its own) or all of them.
+            self._hits[mnemonic] = hits
+        return hits
+
+    def indices(self, mnemonic: str) -> array:
         """All dynamic indices at which ``mnemonic`` retired."""
-        return self.mnemonic_indices.get(mnemonic, _EMPTY_INDICES)
+        return self._hit_list(mnemonic)[0]
+
+    @property
+    def bcc_addrs(self) -> array:
+        """Code address of each retired conditional branch (parallel to
+        ``indices(branch_mnemonic)``)."""
+        return self._hit_list(self.branch_mnemonic)[1]
 
     def nth(self, mnemonic: str, n: int):
         """Dynamic index of the ``n``-th (1-based) retirement, or None."""
-        hits = self.mnemonic_indices.get(mnemonic)
-        if not hits or n < 1 or n > len(hits):
+        hits = self.indices(mnemonic)
+        if n < 1 or n > len(hits):
             return None
         return hits[n - 1]
 
@@ -126,16 +159,12 @@ class GoldenTrace:
 
     def locate(self, index: int):
         """``(mnemonic, code address)`` of the golden retirement at dynamic
-        index ``index`` (1-based), or None when the index is out of range
-        or the trace carries no address information (hand-built traces)."""
-        for mnemonic, hits in self.mnemonic_indices.items():
-            pos = bisect_left(hits, index)
-            if pos < len(hits) and hits[pos] == index:
-                addrs = self.mnemonic_addrs.get(mnemonic)
-                if addrs is None or pos >= len(addrs):
-                    return None
-                return mnemonic, addrs[pos]
-        return None
+        index ``index`` (1-based), or None when the index is out of
+        range."""
+        if not 1 <= index <= len(self.pcs):
+            return None
+        addr = self.pcs[index - 1]
+        return self._code[addr][0].mnemonic, addr
 
 
 @dataclass
@@ -192,25 +221,18 @@ class TrialScheduler:
         args: list[int],
         interval: int = DEFAULT_INTERVAL,
         max_checkpoints: int = MAX_CHECKPOINTS,
-        record_addrs: bool = True,
         spec=None,
     ):
-        """``record_addrs=False`` skips the per-retirement address capture
-        for non-``bcc`` mnemonics (roughly half the trace memory).
-        Conditional-branch addresses are always recorded — fault models
-        resolve code ranges through them — but ``trace.locate()`` then
-        only answers for branches, so vulnerability maps need the default.
-        Executor workers run trials, never build maps, and opt out.
-
-        ``spec`` (a :class:`repro.spec.SpecConfig`) makes the golden run
+        """``spec`` (a :class:`repro.spec.SpecConfig`) makes the golden run
         *and* every forked trial speculative: checkpoints carry predictor
         and transient-trace state, so a forked trial reconstructs the
         exact observable digest a full replay would produce.
 
-        Golden capture runs the decode-cached step loop: it needs a
-        recording retire hook.  Trials run on a trace-compiled CPU
-        (``dispatch="superblock"``) that single-steps only while a fault
-        window is open (see the module docstring)."""
+        Golden capture runs its own loop over the reference semantics
+        (:meth:`_capture_golden`), which logs the PC of every retirement.
+        Trials run on a trace-compiled CPU (``dispatch="superblock"``)
+        that single-steps only while a fault window is open (see the
+        module docstring)."""
         self.program = program
         self.function = function
         self.args = list(args)
@@ -230,7 +252,7 @@ class TrialScheduler:
         #: adversary layer prunes composite trials whose later faults are
         #: timed past this point: they provably cannot fire.
         self.last_trial_end: int | None = None
-        self._capture_golden(interval, max_checkpoints, record_addrs)
+        self._capture_golden(interval, max_checkpoints)
 
     #: Workloads memoized per program; the LRU bound keeps argument sweeps
     #: (thousands of distinct (function, args) pairs, each scheduler
@@ -255,35 +277,73 @@ class TrialScheduler:
         return scheduler
 
     # ------------------------------------------------------------------
-    def _capture_golden(
-        self, interval: int, max_checkpoints: int, record_addrs: bool
-    ) -> None:
+    def _capture_golden(self, interval: int, max_checkpoints: int) -> None:
+        """Run the golden execution once on the reference semantics.  Each
+        step logs its PC, adds a row to the CFI-check table when it
+        checked, and feeds the monitor; the ladder snapshots at the first
+        trace entry at or after each interval mark.  A speculating CPU
+        takes :meth:`CPU.step`, which retires ``Bcc`` through its
+        SpecEngine (and feeds the monitor itself)."""
         from repro.target import get_target
 
-        mnemonic_indices: dict[str, array] = {}
-        mnemonic_addrs: dict[str, array] = {}
-        addr_of = self.program.image.addr_of
+        image = self.program.image
         # The conditional-branch mnemonic is target vocabulary, not a
         # baseline constant (fused rv32 branches share "bcc" by design,
         # but a third-party target need not).
-        branch_mn = get_target(
-            getattr(self.program.image, "target", "baseline")
-        ).branch_mnemonic
-
+        branch_mn = get_target(getattr(image, "target", "baseline")).branch_mnemonic
+        cpu = self.program.prepare_cpu(
+            self.function, self.args, track_pages=True, spec=self.spec
+        )
+        entries = trace_entries(cpu)
+        decode = cpu._decode
+        execute = cpu.execute
+        step = cpu.step if self.spec is not None else None
+        on_retire = cpu.monitor.on_retire if cpu.monitor is not None else None
+        regs = cpu.regs
+        events = cpu._cfi_events
+        pcs = array("I")
+        log = pcs.append
         checks = _CheckTable(array("I"), array("Q"), array("I"))
         CFI_CHECK = MMIO.CFI_CHECK
-
-        def record(cpu, instr, events):
-            mnemonic = instr.mnemonic
-            hits = mnemonic_indices.get(mnemonic)
-            if hits is None:
-                hits = mnemonic_indices[mnemonic] = array("I")
-                if record_addrs or mnemonic == branch_mn:
-                    mnemonic_addrs[mnemonic] = array("I")
-            hits.append(cpu.dyn_index)
-            addrs = mnemonic_addrs.get(mnemonic)
-            if addrs is not None:
-                addrs.append(addr_of[id(instr)])
+        RUNNING = Status.RUNNING
+        checkpoints = [cpu.snapshot()]
+        marks = [0]  # the interval mark each checkpoint was taken for
+        mark = interval
+        while cpu.status is RUNNING:
+            if cpu.cycles >= GOLDEN_MAX_CYCLES:
+                cpu.status = Status.TIMEOUT
+                break
+            pc = regs[PC]
+            if cpu.retired >= mark and pc in entries:
+                # Trials fork and probe on this trace entry.
+                checkpoints.append(cpu.snapshot())
+                marks.append(mark)
+                if len(checkpoints) > max_checkpoints:
+                    # Thin every other checkpoint; future ones come at
+                    # twice the spacing.  Keeps the ladder bounded for
+                    # long runs.
+                    checkpoints = checkpoints[::2]
+                    marks = marks[::2]
+                    interval *= 2
+                mark = cpu.retired + interval
+            entry = decode.get(pc)
+            if entry is None:
+                cpu.status = Status.DECODE_ERROR
+                break
+            log(pc)
+            if step is not None:
+                step()
+            else:
+                instr, width = entry
+                cpu.dyn_index += 1
+                events.clear()
+                cpu._pending_pc = None
+                execute(instr)
+                cpu.retired += 1
+                pending = cpu._pending_pc
+                regs[PC] = pc + width if pending is None else pending
+                if on_retire is not None:
+                    on_retire(cpu, instr, events)
             if events:
                 for event in events:
                     if event.addr == CFI_CHECK:
@@ -291,41 +351,9 @@ class TrialScheduler:
                         checks.cycles.append(cpu.cycles)
                         checks.console.append(len(cpu.console_chars))
                         break
-
-        cpu = self.program.prepare_cpu(
-            self.function, self.args, track_pages=True, spec=self.spec
-        )
-        cpu.retire_hooks.append(record)
-        entries = trace_entries(cpu)
-        regs = cpu.regs
-        checkpoints = [cpu.snapshot()]
-        marks = [0]  # the interval mark each checkpoint was taken for
-        while True:
-            mark = cpu.retired + interval
-            result = cpu.run(GOLDEN_MAX_CYCLES, stop_at_instruction=mark)
-            # Walk on to the next trace entry: trials fork and probe here.
-            while result.status is Status.RUNNING and regs[PC] not in entries:
-                result = cpu.run(
-                    GOLDEN_MAX_CYCLES, stop_at_instruction=cpu.retired + 1
-                )
-            if result.status is not Status.RUNNING:
-                break
-            checkpoints.append(cpu.snapshot())
-            marks.append(mark)
-            if len(checkpoints) > max_checkpoints:
-                # Thin every other checkpoint; future ones come at twice
-                # the spacing.  Keeps the ladder bounded for long runs.
-                checkpoints = checkpoints[::2]
-                marks = marks[::2]
-                interval *= 2
+        result = cpu.result()
         self.golden = result
-        self.trace = GoldenTrace(
-            result,
-            mnemonic_indices,
-            mnemonic_addrs.get(branch_mn, array("I")),
-            mnemonic_addrs,
-            branch_mnemonic=branch_mn,
-        )
+        self.trace = GoldenTrace(result, pcs, decode, branch_mnemonic=branch_mn)
         self.checkpoints = checkpoints
         self._checkpoint_retired = [snap.retired for snap in checkpoints]
         self._checkpoint_marks = marks

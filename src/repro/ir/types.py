@@ -40,15 +40,6 @@ I32 = Type("i32", 32)
 #: Pointers are opaque and 32 bits wide (the target's address size).
 PTR = Type("ptr", 32)
 
-INT_TYPES = {1: I1, 8: I8, 16: I16, 32: I32}
-
-
-def int_type(bits: int) -> Type:
-    try:
-        return INT_TYPES[bits]
-    except KeyError:
-        raise ValueError(f"unsupported integer width {bits}") from None
-
 
 @dataclass(frozen=True)
 class FunctionType:

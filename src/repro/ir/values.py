@@ -7,7 +7,7 @@ rewrite the program safely.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.ir.types import Type
 
@@ -74,10 +74,3 @@ class Argument(Value):
     def __init__(self, type_: Type, name: str, index: int):
         super().__init__(type_, name)
         self.index = index
-
-
-def const_iter(values: Iterable[Value]):
-    """Yield only the :class:`Constant` operands of an iterable."""
-    for v in values:
-        if isinstance(v, Constant):
-            yield v

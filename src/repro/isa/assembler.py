@@ -61,8 +61,8 @@ class CodeImage:
     #: cache, superblock partitioner, disassembler and default cycle
     #: model all resolve widths/timing through it (see repro.target).
     target: str = "baseline"
-    #: lazily-built addr -> (handler, instr, width) table shared by every
-    #: CPU executing this image (see repro.isa.dispatch).
+    #: lazily-built addr -> (instr, width) table shared by every CPU
+    #: executing this image and by the superblock partitioner.
     _decode_cache: Optional[dict] = field(
         default=None, repr=False, compare=False
     )
@@ -79,17 +79,23 @@ class CodeImage:
     _pristine: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     def decode_cache(self) -> dict:
-        """The image's pre-bound instruction handlers, built on first use."""
+        """``addr -> (instr, width)`` of every instruction, built on first
+        use with the target's widths."""
         cache = self._decode_cache
         if cache is None:
-            from repro.isa.dispatch import build_decode_cache
+            from repro.target import get_target  # late: avoids an import cycle
 
-            cache = self._decode_cache = build_decode_cache(self)
+            width = get_target(self.target).width
+            addr_of = self.addr_of
+            cache = self._decode_cache = {
+                addr_of[id(instr)]: (instr, width(instr))
+                for instr in self.instructions
+            }
         return cache
 
     def __getstate__(self):
-        # Handler closures are not picklable, and addr_of is keyed by
-        # object ids that do not survive a process boundary; both are
+        # The caches are rebuilt on first use, and addr_of is keyed by
+        # object ids that do not survive a process boundary; all are
         # reconstructed on the other side.
         state = dict(self.__dict__)
         state["_decode_cache"] = None

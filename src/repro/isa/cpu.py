@@ -14,23 +14,21 @@ halts with status EXIT and the value of r0.
 
 Dispatch
 --------
-Three execution paths share identical semantics:
+Two execution paths share identical semantics:
 
-* ``dispatch="cached"`` (default): instructions are pre-decoded once per
-  image into bound handler closures (:mod:`repro.isa.dispatch`); a step is
-  a table fetch + call.  Unhooked runs additionally take a fast loop that
-  skips hook iteration entirely.  Golden capture and deoptimised
-  stepping run here.
-* ``dispatch="superblock"``: traces are exec-compiled, one at a time as
-  runs reach them, into single Python functions with registers/flags
-  pinned to locals and a chaining loop between them
-  (:mod:`repro.isa.superblock`);
-  fault-model hooks deoptimise to per-instruction stepping inside their
-  fire window, and ``stop_at_instruction`` pauses inside a trace.  Every
-  forked fault trial runs here.
-* ``dispatch="reference"``: the original ``isinstance``-chain interpreter
-  (:meth:`CPU.execute`), kept as the differential oracle — the
-  golden-equivalence suite proves all paths produce identical traces.
+* ``dispatch="superblock"`` (default): traces are exec-compiled, one at a
+  time as runs reach them, into single Python functions with
+  registers/flags pinned to locals and a chaining loop between them
+  (:mod:`repro.isa.superblock`).  Fault-model hooks deoptimise to the
+  reference step inside their fire window, and ``stop_at_instruction``
+  pauses inside a trace.  Every forked fault trial runs here.
+* ``dispatch="reference"``: :meth:`CPU.step` over the image's decode
+  cache (``addr -> (instr, width)``), with :meth:`CPU.execute` looking
+  each instruction's class up in :data:`EXECUTE`.  It is the differential
+  oracle, and every instruction a superblock run does not run compiled
+  (fault windows, code reached the first time, near-timeout tails)
+  steps here too.  Golden capture runs its own loop over the same
+  decode cache and ``execute``.
 
 Checkpointing
 -------------
@@ -160,11 +158,11 @@ class CPU:
         image: CodeImage,
         cycle_model: Optional[CycleModel] = None,
         memory_size: int = MEM_SIZE,
-        dispatch: str = "cached",
+        dispatch: str = "superblock",
         track_pages: bool = False,
         spec: Optional["SpecConfig"] = None,
     ):
-        if dispatch not in ("cached", "superblock", "reference"):
+        if dispatch not in ("superblock", "reference"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.image = image
         from repro.target import get_target  # late: avoids import cycle
@@ -215,11 +213,11 @@ class CPU:
         #: this CPU's trace table variant, looked up on the first
         #: superblock run (see repro.isa.superblock)
         self._sb_variant = None
-        #: addr -> (handler, instr, width); shared per image.
+        #: addr -> (instr, width); shared per image.
         self._decode = image.decode_cache()
         self._dirty_pages: Optional[set[int]] = set() if track_pages else None
-        # Snapshot the cycle model's constant costs once; the pre-bound
-        # handlers charge these without a method call per step.
+        # Snapshot the cycle model's constant costs once: compiled traces
+        # bake them in, and the speculative branch retire charges them.
         model = self.cycles_model
         self._c_alu = model.alu()
         self._c_mul = model.mul()
@@ -234,15 +232,13 @@ class CPU:
         self._c_ret = model.ret()
         self._c_nop = model.nop()
         #: the attached SpecEngine when speculating, else None.  With a
-        #: non-zero window the decode cache's Bcc entries are wrapped so
-        #: every execution path (fast loop, hooked loop, reference step)
-        #: retires conditional branches through one shared helper.
+        #: non-zero window every stepped ``Bcc`` retires through
+        #: :meth:`SpecEngine.retire_bcc` (see :meth:`_retire`).
         self.spec = None
         if spec is not None:
             from repro.spec.transient import SpecEngine
 
             self.spec = SpecEngine(self, spec)
-            self._decode = self.spec.wrap_decode(self._decode)
 
     # ------------------------------------------------------------------
     # Setup / top-level run
@@ -273,26 +269,15 @@ class CPU:
         ladder checkpoint it compares against the golden run.
         """
         if self.dispatch == "reference":
-            while self.status is Status.RUNNING:
-                if self.cycles >= max_cycles:
-                    self.status = Status.TIMEOUT
-                    break
-                if (
-                    stop_at_instruction is not None
-                    and self.dyn_index >= stop_at_instruction
-                ):
-                    break
-                self.step()
-        elif self.dispatch == "superblock":
+            self._run_reference(max_cycles, stop_at_instruction)
+        else:
             from repro.isa.superblock import run_superblock
 
             run_superblock(self, max_cycles, stop_at_instruction)
-        elif (
-            self.pre_hooks or self.retire_hooks or stop_at_instruction is not None
-        ):
-            self._run_hooked(max_cycles, stop_at_instruction)
-        else:
-            self._run_fast(max_cycles)
+        return self.result()
+
+    def result(self) -> ExecutionResult:
+        """The run's result so far."""
         return ExecutionResult(
             status=self.status,
             exit_code=self.exit_code,
@@ -303,34 +288,12 @@ class CPU:
             spec=self.spec.summary() if self.spec is not None else None,
         )
 
-    def _run_fast(self, max_cycles: int) -> None:
-        """Decode-cached loop for unhooked runs: fetch + call, nothing else."""
-        decode = self._decode
-        regs = self.regs
-        events = self._cfi_events
-        RUNNING = Status.RUNNING
-        while self.status is RUNNING:
-            if self.cycles >= max_cycles:
-                self.status = Status.TIMEOUT
-                return
-            entry = decode.get(regs[PC])
-            if entry is None:
-                self.status = Status.DECODE_ERROR
-                return
-            self.dyn_index += 1
-            regs[PC] = entry[0](self)
-            self.retired += 1
-            if events:
-                events.clear()
-
-    def _run_hooked(
+    def _run_reference(
         self, max_cycles: int, stop_at_instruction: Optional[int]
     ) -> None:
-        """Decode-cached loop with pre/retire hook support."""
-        decode = self._decode
-        regs = self.regs
-        pre_hooks = self.pre_hooks
-        retire_hooks = self.retire_hooks
+        """Step until a halt, the cycle budget, or ``dyn_index`` reaching
+        ``stop_at_instruction``."""
+        step = self.step
         RUNNING = Status.RUNNING
         while self.status is RUNNING:
             if self.cycles >= max_cycles:
@@ -341,29 +304,7 @@ class CPU:
                 and self.dyn_index >= stop_at_instruction
             ):
                 return
-            pc = regs[PC]
-            entry = decode.get(pc)
-            if entry is None:
-                self.status = Status.DECODE_ERROR
-                return
-            handler, instr, width = entry
-            self.dyn_index += 1
-            if pre_hooks:
-                skip = False
-                for hook in pre_hooks:
-                    if hook(self, instr):
-                        skip = True
-                if skip:
-                    # Skip: PC advances, nothing retires, 1 cycle burns.
-                    regs[PC] = pc + width
-                    self.cycles += 1
-                    continue
-            self._cfi_events.clear()
-            regs[PC] = handler(self)
-            self.retired += 1
-            events = list(self._cfi_events)
-            for hook in retire_hooks:
-                hook(self, instr, events)
+            step()
 
     # ------------------------------------------------------------------
     # One instruction (reference path)
@@ -374,9 +315,8 @@ class CPU:
         if entry is None:
             self.status = Status.DECODE_ERROR
             return
-        instr, width = entry[1], entry[2]
+        instr, width = entry
         self.dyn_index += 1
-
         skip = False
         for hook in self.pre_hooks:
             if hook(self, instr):
@@ -386,28 +326,27 @@ class CPU:
             self.regs[PC] = pc + width
             self.cycles += 1
             return
+        self._retire(pc, instr, width)
 
-        self._cfi_events.clear()
-        if self.spec is not None and self.spec.window and isinstance(instr, ins.Bcc):
-            # Speculating CPUs retire conditional branches through the
-            # same pre-bound helper both cached loops use — predictor
-            # updates cannot drift between the dispatch paths.
-            self.regs[PC] = entry[0](self)
-            self.retired += 1
-            events = list(self._cfi_events)
+    def _retire(self, pc: int, instr, width: int) -> None:
+        """Execute ``instr``, the instruction at ``pc``, move the PC on,
+        and call the retire hooks.  A speculating CPU retires ``Bcc``
+        through its :class:`~repro.spec.transient.SpecEngine`."""
+        events = self._cfi_events
+        events.clear()
+        spec = self.spec
+        if spec is not None and spec.window and type(instr) in ins.BCC_CLASSES:
+            self.regs[PC] = spec.retire_bcc(self, instr, pc, width)
+        else:
+            self._pending_pc = None
+            self.execute(instr)
+            pending = self._pending_pc
+            self.regs[PC] = pc + width if pending is None else pending
+        self.retired += 1
+        if self.retire_hooks:
+            events = list(events)
             for hook in self.retire_hooks:
                 hook(self, instr, events)
-            return
-        self._pending_pc = None
-        self.execute(instr)
-        self.retired += 1
-        if self._pending_pc is not None:
-            self.regs[PC] = self._pending_pc
-        else:
-            self.regs[PC] = pc + width
-        events = list(self._cfi_events)
-        for hook in self.retire_hooks:
-            hook(self, instr, events)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (checkpoint forking)
@@ -575,157 +514,30 @@ class CPU:
             return self.z == 1 or self.n != self.v
         raise ValueError(f"unknown condition {cond}")
 
+    def branch_holds(self, instr) -> bool:
+        """Whether the conditional branch ``instr`` is taken now.  A fused
+        register-compare branch consumes the one-shot ``branch_invert``
+        latch.  The ``Bcc`` arms of :data:`EXECUTE` and the speculative
+        retire path both decide through here."""
+        if type(instr) is ins.Bcc:
+            return self.condition_holds(instr.cond)
+        a = self.regs[instr.rn]
+        b = instr.imm & WORD if type(instr) is ins.BccImm else self.regs[instr.rm]
+        holds = ins.condition_compare(instr.cond, a, b)
+        if self.branch_invert:
+            self.branch_invert = False
+            holds = not holds
+        return holds
+
     # ------------------------------------------------------------------
-    # Execution proper (reference interpreter; dispatch.py mirrors this)
+    # Execution proper (the reference semantics; see EXECUTE)
     # ------------------------------------------------------------------
-    def execute(self, instr) -> None:  # noqa: C901 - dispatch table
-        regs = self.regs
-        model = self.cycles_model
-        if isinstance(instr, ins.MovImm):
-            regs[instr.rd] = instr.imm & WORD
-            self.set_nz(regs[instr.rd])
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.MovReg):
-            regs[instr.rd] = regs[instr.rm]
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.Movw):
-            regs[instr.rd] = instr.imm & 0xFFFF
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.Movt):
-            regs[instr.rd] = (regs[instr.rd] & 0xFFFF) | ((instr.imm & 0xFFFF) << 16)
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.Mvn):
-            regs[instr.rd] = (~regs[instr.rm]) & WORD
-            self.set_nz(regs[instr.rd])
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.Alu):
-            regs[instr.rd] = self._alu(
-                instr.op, regs[instr.rn], regs[instr.rm], instr.s
-            )
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.AluImm):
-            regs[instr.rd] = self._alu(instr.op, regs[instr.rn], instr.imm & WORD, instr.s)
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.ShiftImm):
-            regs[instr.rd] = self._shift(instr.op, regs[instr.rn], instr.amount)
-            self.set_nz(regs[instr.rd])
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.ShiftReg):
-            regs[instr.rd] = self._shift(
-                instr.op, regs[instr.rn], regs[instr.rm] & 0xFF
-            )
-            self.set_nz(regs[instr.rd])
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.Mul):
-            regs[instr.rd] = (regs[instr.rn] * regs[instr.rm]) & WORD
-            self.cycles += model.mul()
-        elif isinstance(instr, ins.Mla):
-            regs[instr.rd] = (regs[instr.ra] + regs[instr.rn] * regs[instr.rm]) & WORD
-            self.cycles += model.mla()
-        elif isinstance(instr, ins.Mls):
-            regs[instr.rd] = (regs[instr.ra] - regs[instr.rn] * regs[instr.rm]) & WORD
-            self.cycles += model.mla()
-        elif isinstance(instr, ins.Umull):
-            product = regs[instr.rn] * regs[instr.rm]
-            regs[instr.rdlo] = product & WORD
-            regs[instr.rdhi] = (product >> 32) & WORD
-            self.cycles += model.umull()
-        elif isinstance(instr, ins.Udiv):
-            # ARMv7-M (DIV_0_TRP=0): zero divisor -> zero quotient, no trap.
-            dividend, divisor = regs[instr.rn], regs[instr.rm]
-            regs[instr.rd] = (dividend // divisor) & WORD if divisor else 0
-            self.cycles += model.div(dividend, divisor)
-        elif isinstance(instr, ins.Sdiv):
-            a = _signed(regs[instr.rn])
-            b = _signed(regs[instr.rm])
-            if b == 0:
-                regs[instr.rd] = 0
-            else:
-                q = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    q = -q
-                regs[instr.rd] = q & WORD
-            self.cycles += model.div(abs(a), abs(b) or 1)
-        elif isinstance(instr, ins.Umod):
-            dividend, divisor = regs[instr.rn], regs[instr.rm]
-            regs[instr.rd] = (dividend % divisor) & WORD if divisor else 0
-            self.cycles += model.umod()
-        elif isinstance(instr, ins.CmpReg):
-            self._add_with_carry(regs[instr.rn], (~regs[instr.rm]) & WORD, 1)
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.CmpImm):
-            self._add_with_carry(regs[instr.rn], (~(instr.imm & WORD)) & WORD, 1)
-            self.cycles += model.alu()
-        elif isinstance(instr, ins.B):
-            self._pending_pc = instr.target
-            self.cycles += model.branch_taken()
-        elif isinstance(instr, (ins.BccReg, ins.BccImm)):
-            # Fused register-compare branches (flagless targets); must be
-            # tested before the plain Bcc arm they subclass.
-            a = regs[instr.rn]
-            b = instr.imm & WORD if isinstance(instr, ins.BccImm) else regs[instr.rm]
-            holds = ins.condition_compare(instr.cond, a, b)
-            if self.branch_invert:
-                self.branch_invert = False
-                holds = not holds
-            if holds:
-                self._pending_pc = instr.target
-                self.cycles += model.branch_taken()
-            else:
-                self.cycles += model.branch_not_taken()
-        elif isinstance(instr, ins.Bcc):
-            if self.condition_holds(instr.cond):
-                self._pending_pc = instr.target
-                self.cycles += model.branch_taken()
-            else:
-                self.cycles += model.branch_not_taken()
-        elif isinstance(instr, ins.Bl):
-            pc = self.regs[PC]
-            regs[LR] = pc + 4  # BL is always 4 bytes
-            self._pending_pc = instr.target
-            self.cycles += model.call()
-        elif isinstance(instr, ins.BxLr):
-            target = regs[LR]
-            if target == MAGIC_RETURN:
-                self.status = Status.EXIT
-                self.exit_code = regs[0]
-            else:
-                self._pending_pc = target & ~1
-            self.cycles += model.ret()
-        elif isinstance(instr, ins.LdrImm):
-            regs[instr.rt] = self.load(regs[instr.rn] + instr.imm, instr.size)
-            self.cycles += model.load()
-        elif isinstance(instr, ins.LdrReg):
-            regs[instr.rt] = self.load(regs[instr.rn] + regs[instr.rm], instr.size)
-            self.cycles += model.load()
-        elif isinstance(instr, ins.StrImm):
-            self.store(regs[instr.rn] + instr.imm, regs[instr.rt], instr.size)
-            self.cycles += model.store()
-        elif isinstance(instr, ins.StrReg):
-            self.store(regs[instr.rn] + regs[instr.rm], regs[instr.rt], instr.size)
-            self.cycles += model.store()
-        elif isinstance(instr, ins.Push):
-            for reg in reversed(instr.regs):
-                regs[SP] = (regs[SP] - 4) & WORD
-                self.store(regs[SP], regs[reg], 4)
-            self.cycles += model.push_pop(len(instr.regs))
-        elif isinstance(instr, ins.Pop):
-            for reg in instr.regs:
-                regs[reg] = self.load(regs[SP], 4)
-                regs[SP] = (regs[SP] + 4) & WORD
-            self.cycles += model.push_pop(len(instr.regs))
-        elif isinstance(instr, ins.LdrLit):
-            assert instr.resolved is not None, f"unresolved literal {instr.symbol}"
-            regs[instr.rd] = instr.resolved & WORD
-            self.cycles += model.load()
-        elif isinstance(instr, ins.Nop):
-            self.cycles += model.nop()
-        elif isinstance(instr, ins.Udf):
-            self.status = Status.FAULT_DETECTED
-            self.detect_code = instr.code
-            self.cycles += 1
-        else:  # pragma: no cover - defensive
+    def execute(self, instr) -> None:
+        arm = EXECUTE.get(type(instr))
+        if arm is None:
             self.status = Status.DECODE_ERROR
+        else:
+            arm(self, instr)
 
     def _alu(self, op: str, a: int, b: int, s: bool) -> int:
         if op == "add":
@@ -790,3 +602,259 @@ def _word_view(memory: bytearray) -> memoryview:
 def _signed(value: int) -> int:
     value &= WORD
     return value - (1 << 32) if value >> 31 else value
+
+
+# ---------------------------------------------------------------------------
+# The reference semantics: one function per instruction class
+# ---------------------------------------------------------------------------
+def _mov_imm(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = instr.imm & WORD
+    cpu.set_nz(regs[instr.rd])
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _mov_reg(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = regs[instr.rm]
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _movw(cpu: CPU, instr) -> None:
+    cpu.regs[instr.rd] = instr.imm & 0xFFFF
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _movt(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = (regs[instr.rd] & 0xFFFF) | ((instr.imm & 0xFFFF) << 16)
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _mvn(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = (~regs[instr.rm]) & WORD
+    cpu.set_nz(regs[instr.rd])
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _alu(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = cpu._alu(instr.op, regs[instr.rn], regs[instr.rm], instr.s)
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _alu_imm(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = cpu._alu(instr.op, regs[instr.rn], instr.imm & WORD, instr.s)
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _shift_imm(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = cpu._shift(instr.op, regs[instr.rn], instr.amount)
+    cpu.set_nz(regs[instr.rd])
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _shift_reg(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = cpu._shift(instr.op, regs[instr.rn], regs[instr.rm] & 0xFF)
+    cpu.set_nz(regs[instr.rd])
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _mul(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = (regs[instr.rn] * regs[instr.rm]) & WORD
+    cpu.cycles += cpu.cycles_model.mul()
+
+
+def _mla(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = (regs[instr.ra] + regs[instr.rn] * regs[instr.rm]) & WORD
+    cpu.cycles += cpu.cycles_model.mla()
+
+
+def _mls(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rd] = (regs[instr.ra] - regs[instr.rn] * regs[instr.rm]) & WORD
+    cpu.cycles += cpu.cycles_model.mla()
+
+
+def _umull(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    product = regs[instr.rn] * regs[instr.rm]
+    regs[instr.rdlo] = product & WORD
+    regs[instr.rdhi] = (product >> 32) & WORD
+    cpu.cycles += cpu.cycles_model.umull()
+
+
+def _udiv(cpu: CPU, instr) -> None:
+    # ARMv7-M (DIV_0_TRP=0): zero divisor -> zero quotient, no trap.
+    regs = cpu.regs
+    dividend, divisor = regs[instr.rn], regs[instr.rm]
+    regs[instr.rd] = (dividend // divisor) & WORD if divisor else 0
+    cpu.cycles += cpu.cycles_model.div(dividend, divisor)
+
+
+def _sdiv(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    a = _signed(regs[instr.rn])
+    b = _signed(regs[instr.rm])
+    if b == 0:
+        regs[instr.rd] = 0
+    else:
+        q = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            q = -q
+        regs[instr.rd] = q & WORD
+    cpu.cycles += cpu.cycles_model.div(abs(a), abs(b) or 1)
+
+
+def _umod(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    dividend, divisor = regs[instr.rn], regs[instr.rm]
+    regs[instr.rd] = (dividend % divisor) & WORD if divisor else 0
+    cpu.cycles += cpu.cycles_model.umod()
+
+
+def _cmp_reg(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    cpu._add_with_carry(regs[instr.rn], (~regs[instr.rm]) & WORD, 1)
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _cmp_imm(cpu: CPU, instr) -> None:
+    cpu._add_with_carry(cpu.regs[instr.rn], (~(instr.imm & WORD)) & WORD, 1)
+    cpu.cycles += cpu.cycles_model.alu()
+
+
+def _b(cpu: CPU, instr) -> None:
+    cpu._pending_pc = instr.target
+    cpu.cycles += cpu.cycles_model.branch_taken()
+
+
+def _bcc(cpu: CPU, instr) -> None:
+    if cpu.branch_holds(instr):
+        cpu._pending_pc = instr.target
+        cpu.cycles += cpu.cycles_model.branch_taken()
+    else:
+        cpu.cycles += cpu.cycles_model.branch_not_taken()
+
+
+def _bl(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[LR] = regs[PC] + 4  # BL is always 4 bytes
+    cpu._pending_pc = instr.target
+    cpu.cycles += cpu.cycles_model.call()
+
+
+def _bx_lr(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    target = regs[LR]
+    if target == MAGIC_RETURN:
+        cpu.status = Status.EXIT
+        cpu.exit_code = regs[0]
+    else:
+        cpu._pending_pc = target & ~1
+    cpu.cycles += cpu.cycles_model.ret()
+
+
+def _ldr_imm(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rt] = cpu.load(regs[instr.rn] + instr.imm, instr.size)
+    cpu.cycles += cpu.cycles_model.load()
+
+
+def _ldr_reg(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    regs[instr.rt] = cpu.load(regs[instr.rn] + regs[instr.rm], instr.size)
+    cpu.cycles += cpu.cycles_model.load()
+
+
+def _str_imm(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    cpu.store(regs[instr.rn] + instr.imm, regs[instr.rt], instr.size)
+    cpu.cycles += cpu.cycles_model.store()
+
+
+def _str_reg(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    cpu.store(regs[instr.rn] + regs[instr.rm], regs[instr.rt], instr.size)
+    cpu.cycles += cpu.cycles_model.store()
+
+
+def _push(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    for reg in reversed(instr.regs):
+        regs[SP] = (regs[SP] - 4) & WORD
+        cpu.store(regs[SP], regs[reg], 4)
+    cpu.cycles += cpu.cycles_model.push_pop(len(instr.regs))
+
+
+def _pop(cpu: CPU, instr) -> None:
+    regs = cpu.regs
+    for reg in instr.regs:
+        regs[reg] = cpu.load(regs[SP], 4)
+        regs[SP] = (regs[SP] + 4) & WORD
+    cpu.cycles += cpu.cycles_model.push_pop(len(instr.regs))
+
+
+def _ldr_lit(cpu: CPU, instr) -> None:
+    assert instr.resolved is not None, f"unresolved literal {instr.symbol}"
+    cpu.regs[instr.rd] = instr.resolved & WORD
+    cpu.cycles += cpu.cycles_model.load()
+
+
+def _nop(cpu: CPU, instr) -> None:
+    cpu.cycles += cpu.cycles_model.nop()
+
+
+def _udf(cpu: CPU, instr) -> None:
+    cpu.status = Status.FAULT_DETECTED
+    cpu.detect_code = instr.code
+    cpu.cycles += 1
+
+
+#: exact instruction class -> its semantics, ``f(cpu, instr)``: register,
+#: flag, memory and status effects plus the cycle charge.  A taken branch
+#: leaves its target in ``cpu._pending_pc``.  Exact types keep the fused
+#: ``BccReg``/``BccImm`` apart from the ``Bcc`` they subclass.  This is the
+#: reference oracle: the trace emitter (:mod:`repro.isa.superblock`) shares
+#: no code with it.
+EXECUTE: dict[type, Callable[[CPU, ins.Instr], None]] = {
+    ins.MovImm: _mov_imm,
+    ins.MovReg: _mov_reg,
+    ins.Movw: _movw,
+    ins.Movt: _movt,
+    ins.Mvn: _mvn,
+    ins.Alu: _alu,
+    ins.AluImm: _alu_imm,
+    ins.ShiftImm: _shift_imm,
+    ins.ShiftReg: _shift_reg,
+    ins.Mul: _mul,
+    ins.Mla: _mla,
+    ins.Mls: _mls,
+    ins.Umull: _umull,
+    ins.Udiv: _udiv,
+    ins.Sdiv: _sdiv,
+    ins.Umod: _umod,
+    ins.CmpReg: _cmp_reg,
+    ins.CmpImm: _cmp_imm,
+    ins.B: _b,
+    ins.Bcc: _bcc,
+    ins.BccReg: _bcc,
+    ins.BccImm: _bcc,
+    ins.Bl: _bl,
+    ins.BxLr: _bx_lr,
+    ins.LdrImm: _ldr_imm,
+    ins.LdrReg: _ldr_reg,
+    ins.StrImm: _str_imm,
+    ins.StrReg: _str_reg,
+    ins.Push: _push,
+    ins.Pop: _pop,
+    ins.LdrLit: _ldr_lit,
+    ins.Nop: _nop,
+    ins.Udf: _udf,
+}

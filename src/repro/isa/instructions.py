@@ -6,15 +6,15 @@ Each instruction knows:
   register allocator;
 * ``text()`` — canonical assembly text (also the CFI signature input);
 * ``width()`` — encoded size in bytes per the Thumb-2 rules (encoding.py);
-* execution semantics live in :mod:`repro.isa.dispatch` (each instruction
-  is decoded once, at image load, into a pre-bound handler closure; the
-  reference interpreter in :mod:`repro.isa.cpu` mirrors it arm for arm).
+* execution semantics live in :data:`repro.isa.cpu.EXECUTE`, one
+  function per instruction class (the reference oracle), and in the
+  trace emitter of :mod:`repro.isa.superblock`.
 
 Instances are logically frozen once assembled: layout state the assembler
 maintains (``target``/``resolved``/``resolved_distance``) settles during
 relaxation, and execution semantics never mutate an instruction — widths
-and bound handlers live in the image's decode cache rather than in
-attributes cached onto these dataclasses (the one remaining per-object
+live in the image's decode cache rather than in attributes cached onto
+these dataclasses (the one remaining per-object
 memo is the CFI signature, see :mod:`repro.cfi.signatures`).
 
 Condition codes for ``Bcc`` use unsigned/equality semantics only — the
@@ -396,9 +396,8 @@ class BccReg(Bcc):
     Flagless targets have no NZCV state: the branch itself compares
     ``rn`` against ``rm`` under ``cond`` (signed for lt/le/gt/ge,
     unsigned for lo/ls/hi/hs).  Subclassing :class:`Bcc` keeps every
-    ``isinstance``-based consumer (CFI instrumentation, fault models,
-    golden-trace capture) working unchanged; exact-type dispatch sites
-    carry explicit entries.  The mnemonic stays ``bcc`` so golden traces
+    ``isinstance``-based consumer (CFI instrumentation, fault models)
+    working unchanged; exact-type dispatch sites carry explicit entries.  The mnemonic stays ``bcc`` so golden traces
     index conditional branches identically across targets.
     """
 
@@ -430,9 +429,9 @@ class BccImm(Bcc):
 
 
 #: The conditional-branch instruction classes (exact types).  Exact-type
-#: dispatch sites — the decode-cache binder table, the superblock
-#: partitioner and code generator, the speculative decode wrapper — use
-#: this instead of ``type(i) is Bcc`` so fused branches participate.
+#: dispatch sites — the superblock partitioner and code generator, the
+#: speculative branch retire — use this instead of ``type(i) is Bcc`` so
+#: fused branches participate.
 BCC_CLASSES = (Bcc, BccReg, BccImm)
 
 

@@ -1,15 +1,15 @@
 """Superblock-threaded execution: exec-compiled trace dispatch.
 
-The dispatch every forking fault trial runs on.  ``dispatch="cached"``
-replaced the isinstance-chain interpreter with one pre-bound handler
-call per instruction; this module removes the per-instruction loop
-itself.  The decode cache is partitioned into *traces*: one per entry
-point (label, branch target, post-call fall-through), each following the
-fall-through path through conditional branches — a ``Bcc`` becomes a
-*side exit* rather than a trace boundary — and ending at ``B``/``Bl``/
-``BxLr``/``Udf``, anything touching r15, or a length cap.  Each trace
-is compiled — via ``exec`` of generated Python source — into one
-function
+The default dispatch, and the one every forking fault trial runs on.  The
+reference interpreter (:meth:`repro.isa.cpu.CPU.step`) pays a fetch, a
+class lookup and a call per instruction; this module removes the
+per-instruction loop itself.  The image's decode cache is partitioned
+into *traces*: one per entry point (label, branch target, post-call
+fall-through), each following the fall-through path through conditional
+branches — a ``Bcc`` becomes a *side exit* rather than a trace boundary
+— and ending at ``B``/``Bl``/``BxLr``/``Udf``, anything touching r15,
+or a length cap.  Each trace is compiled — via ``exec`` of generated
+Python source — into one function
 
     def _t<addr>(cpu, regs, max_cycles, stop) -> next_pc
 
@@ -51,8 +51,8 @@ big-endian host, a memory size that is not a multiple of 4, RAM
 reaching the MMIO window) it is empty, the limit ``_fast`` is 0, and
 every access takes that slow path.
 ``CPU.load``/``CPU.store`` themselves stay byte-sliced: with
-``CPU.execute`` and the :mod:`repro.isa.dispatch` closures they are the
-reference oracle's semantics, which stays independent of the emitter's.
+``CPU.execute`` they are the reference oracle's semantics, which stays
+independent of the emitter's.
 
 A base register the trace never writes is *fixed* where that pays (it
 has a word load, and two word accesses or one in a loop trace; see
@@ -120,13 +120,12 @@ deoptimises around them:
 * a pre-hook carrying a ``fire_window = (lo, hi)`` attribute (1-based
   ``dyn_index`` bounds of every instruction it can observe or mutate) is
   consulted only inside its window: traces run up to ``dyn_index``
-  ``lo - 1`` and pause there, the window is single-stepped with the hooks
-  called exactly like ``CPU._run_hooked``, and trace chaining resumes after
+  ``lo - 1`` and pause there, the window is single-stepped on the
+  reference path with the hooks called, and trace chaining resumes after
   ``hi`` (several windowed hooks share the span of their windows),
 * a pre-hook *without* a window (unbounded models such as
-  ``RepeatedFlagFlip``) falls back to the hooked per-instruction loop
-  for the whole run, as do retire hooks other than the CFI monitor's
-  (golden-trace recording),
+  ``RepeatedFlagFlip``) falls back to the reference step loop for the
+  whole run, as do retire hooks other than the CFI monitor's,
 * ``stop_at_instruction`` (counted in ``dyn_index``, skipped slots
   included) pauses the run exactly there, on traces, with or without a
   window.
@@ -134,18 +133,19 @@ deoptimises around them:
 Otherwise a run single-steps only the window itself, a pending
 ``branch_invert`` (traces evaluate fused branches inline), near-timeout
 tails, speculative ``Bcc`` (below), r15-touching instructions, and code
-it reaches the first time.  Where a fault or a stop leaves the PC, a
-suffix trace starts, so a warm trial steps nothing outside its window.
+it reaches the first time.  Every single step is the reference step.
+Where a fault or a stop leaves the PC, a suffix trace starts, so a warm
+trial steps nothing outside its window.
 
 With speculation enabled (``SpecEngine`` window > 0), ``Bcc`` must
-retire through the (wrapped) decode cache, so the speculative variant
+retire through :meth:`SpecEngine.retire_bcc`, so the speculative variant
 compiles plain basic blocks *ending* at every control transfer instead
 of traces, and all terminators single-step — transient windows,
-predictor updates and squashes reuse the one shared retire helper.  Its
+predictor updates and squashes stay in the one retire helper.  Its
 suffixes end at the next control transfer too, so a PC left on a
 terminator steps it.
 ``window=0`` keeps full trace inlining — identical to the plain CPU by
-construction, mirroring the W=0 decode-cache guarantee.
+construction.
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ from repro.cfi.signatures import signature
 from repro.isa import instructions as ins
 from repro.isa.cpu import MAGIC_RETURN, PAGE_BITS, WORD, Status, _signed
 from repro.isa.cycles import CycleModel
-from repro.isa.dispatch import static_cost
 from repro.isa.mmio import MMIO
 from repro.isa.registers import SP, PC
 
@@ -188,7 +187,7 @@ _BRANCH_LEADERS = (ins.B, ins.Bl) + ins.BCC_CLASSES
 _B_OR_BCC = (ins.B,) + ins.BCC_CLASSES
 
 #: condition -> (expression over flag locals, flags read) — mirrors
-#: dispatch._COND over pinned locals.
+#: CPU.condition_holds over pinned locals.
 _COND_EXPR = {
     "eq": ("z == 1", ("z",)),
     "ne": ("z == 0", ("z",)),
@@ -289,7 +288,8 @@ class _Partition:
         #: entry address -> block, for every block that compiles to a
         #: trace function
         self.entries = entries
-        #: address -> (instruction, width), for the suffix walk
+        #: the image's decode cache, address -> (instruction, width), for
+        #: the suffix walk
         self.code = code
         #: through-``Bcc`` traces (else plain basic blocks)
         self.traces = traces
@@ -329,16 +329,8 @@ def partition_image(image, traces: bool = True) -> _Partition:
     (the inline variants); ``traces=False`` builds plain basic blocks
     ending at every control transfer (the speculative variant).
     """
-    from repro.target import get_target  # late: avoids an import cycle
-
-    width_of = get_target(getattr(image, "target", "baseline")).width
-    addr_of = image.addr_of
-    items = []
-    for instr in image.instructions:
-        addr = addr_of[id(instr)]
-        items.append((addr, instr, width_of(instr)))
-    items.sort(key=lambda t: t[0])
-
+    code = image.decode_cache()
+    items = [(addr, instr, width) for addr, (instr, width) in sorted(code.items())]
     leaders = set(image.labels.values())
     for addr, instr, width in items:
         cls = type(instr)
@@ -360,7 +352,6 @@ def partition_image(image, traces: bool = True) -> _Partition:
     entries = {
         b.addr: b for b in blocks if b.body or (traces and b.term is not None)
     }
-    code = {addr: (instr, width) for addr, instr, width in items}
     return _Partition(blocks, entries, code, traces)
 
 
@@ -595,6 +586,57 @@ def _cycle_key(cpu) -> tuple:
     )
 
 
+def static_cost(instr: ins.Instr, cpu) -> int | None:
+    """Cycle charge of ``instr`` on ``cpu``, when it is a compile-time
+    constant: one of the cycle model's constant costs the CPU snapshots
+    as ``cpu._c_*``, which generated trace bodies bake in.
+
+    Returns ``None`` for the two dynamic cases: ``Udiv``/``Sdiv`` (cost
+    depends on operand values via ``CycleModel.div``) and ``Bcc`` (taken
+    vs not-taken).
+    """
+    cls = type(instr)
+    if cls in (ins.Udiv, ins.Sdiv) or cls in ins.BCC_CLASSES:
+        return None
+    if cls in (ins.Push, ins.Pop):
+        return cpu.cycles_model.push_pop(len(instr.regs))
+    if cls is ins.Udf:
+        return 1  # a flat cycle, not a model constant
+    attr = _STATIC_COST_ATTR.get(cls)
+    if attr is None:  # pragma: no cover - assembler never emits unknowns
+        raise NotImplementedError(f"no static cost for {instr!r}")
+    return getattr(cpu, attr)
+
+
+_STATIC_COST_ATTR: dict[type, str] = {
+    ins.MovImm: "_c_alu",
+    ins.MovReg: "_c_alu",
+    ins.Movw: "_c_alu",
+    ins.Movt: "_c_alu",
+    ins.Mvn: "_c_alu",
+    ins.Alu: "_c_alu",
+    ins.AluImm: "_c_alu",
+    ins.ShiftImm: "_c_alu",
+    ins.ShiftReg: "_c_alu",
+    ins.Mul: "_c_mul",
+    ins.Mla: "_c_mla",
+    ins.Mls: "_c_mla",
+    ins.Umull: "_c_umull",
+    ins.Umod: "_c_umod",
+    ins.CmpReg: "_c_alu",
+    ins.CmpImm: "_c_alu",
+    ins.B: "_c_branch_taken",
+    ins.Bl: "_c_call",
+    ins.BxLr: "_c_ret",
+    ins.LdrImm: "_c_load",
+    ins.LdrReg: "_c_load",
+    ins.StrImm: "_c_store",
+    ins.StrReg: "_c_store",
+    ins.LdrLit: "_c_load",
+    ins.Nop: "_c_nop",
+}
+
+
 # ---------------------------------------------------------------------------
 # Code generation
 # ---------------------------------------------------------------------------
@@ -797,7 +839,7 @@ class _Emitter:
 def _emit_event_drain(e: _Emitter, extra: int = 0) -> None:
     """Drain CFI events after a slow-path store: the monitor applies
     MERGE/CHECK against the (already segment-flushed) ``ms``; without a
-    monitor the list is just cleared, mirroring ``_run_fast``."""
+    monitor the list is just cleared, as the next step would."""
     e.needs.add("ev")
     e.emit("if _ev:", extra)
     e.emit("ms = _drain(cpu, ms)" if e.monitor else "del _ev[:]", extra + 1)
@@ -823,7 +865,7 @@ def _drain(cpu, ms: int) -> int:
 
 
 def _emit_adc(e: _Emitter, dest, a_expr: str, b_expr: str, carry: str) -> None:
-    """Inline dispatch._adc_into, NZCV left pending: the operands and
+    """Inline CPU._add_with_carry, NZCV left pending: the operands and
     the unmasked sum stay in ``_a``/``_b``/``_u``, and the flags are
     computed only where they are read or published (see
     :data:`_PENDING_FLAG`).  ``dest`` is None for ``cmp``."""
@@ -892,7 +934,7 @@ def _emit_alu(e: _Emitter, op: str, rd, a: str, b: str, s: bool) -> None:
 
 
 def _emit_shift(e: _Emitter, op: str, src: str, amount: int) -> str:
-    """Constant-amount shift value expression (dispatch._SHIFT_VALUE)."""
+    """Constant-amount shift value expression (CPU._shift)."""
     if op == "lsl":
         return f"({src} << {amount}) & 0xFFFFFFFF" if amount < 32 else "0"
     if op == "lsr":
@@ -1783,44 +1825,38 @@ def run_superblock(
 ) -> None:
     """Superblock dispatch with windowed deoptimisation.
 
-    Mirrors ``CPU._run_fast``/``_run_hooked`` observable behaviour
-    exactly; see the module docstring for the deopt contract.
+    Mirrors the reference step loop's observable behaviour exactly; see
+    the module docstring for the deopt contract.
     """
     pre_hooks = cpu.pre_hooks
     retire_hooks = cpu.retire_hooks
     monitor = cpu.monitor
-    supported_retire = not retire_hooks or (
-        monitor is not None
-        and len(retire_hooks) == 1
-        and retire_hooks[0] == monitor.on_retire
-    )
+    # Traces fold the monitor, so the only retire hook they can stand in
+    # for is the monitor's own.
+    traced = retire_hooks == ([monitor.on_retire] if monitor is not None else [])
     lo = hi = None
-    bounded = True
     for hook in pre_hooks:
         window = getattr(hook, "fire_window", None)
         if window is None:
-            bounded = False
+            traced = False
             break
         lo = window[0] if lo is None else min(lo, window[0])
         hi = window[1] if hi is None else max(hi, window[1])
-    if not supported_retire or not bounded:
-        # Full deoptimisation: golden-trace recording and unbounded
-        # fault models run the reference step loops.
-        if pre_hooks or retire_hooks or stop_at_instruction is not None:
-            cpu._run_hooked(max_cycles, stop_at_instruction)
-        else:
-            cpu._run_fast(max_cycles)
+    if not traced:
+        # Full deoptimisation: unbounded fault models and foreign retire
+        # hooks step the whole run on the reference path.
+        cpu._run_reference(max_cycles, stop_at_instruction)
         return
 
     stop = NO_STOP if stop_at_instruction is None else stop_at_instruction
     if hi is not None and cpu.dyn_index < hi:
         # Traces up to the slot before the window, then the window
-        # single-stepped with its hooks consulted.  Each phase checks
-        # the budget before its stop, as the step loops do, and a phase
-        # that halts or times out leaves the next ones nothing to run.
+        # stepped with its hooks consulted.  Each phase checks the budget
+        # before its stop, as the step loop does, and a phase that halts
+        # or times out leaves the next ones nothing to run.
         _chain(cpu, max_cycles, min(lo - 1, stop))
         retired = cpu.retired
-        cpu._run_hooked(max_cycles, min(hi, stop))
+        cpu._run_reference(max_cycles, min(hi, stop))
         cpu._sb_steps += cpu.retired - retired
     _chain(cpu, max_cycles, stop)
 
@@ -1830,9 +1866,9 @@ def _chain(cpu, max_cycles: int, stop: int) -> None:
     compiling them on demand at any address (see *Lazy compilation*); a
     trace the stop falls in pauses exactly there.  Code reached the first
     time, addresses where no trace can start, near-timeout traces and a
-    pending ``branch_invert`` single-step through the decode cache, which
-    also keeps SpecEngine-wrapped ``Bcc`` on its one shared retire
-    path."""
+    pending ``branch_invert`` take the reference step without its
+    pre-hooks (no window is open here), which also retires a speculating
+    CPU's ``Bcc`` through its SpecEngine."""
     variant = _variant(cpu)
     traces = variant.traces
     seen = variant.seen
@@ -1843,9 +1879,7 @@ def _chain(cpu, max_cycles: int, stop: int) -> None:
     trace_stop = stop if stop < NO_STOP else 0
     decode = cpu._decode
     regs = cpu.regs
-    events = cpu._cfi_events
-    monitor = cpu.monitor
-    on_retire = monitor.on_retire if monitor is not None else None
+    retire = cpu._retire
     RUNNING = Status.RUNNING
     nblk = 0
     nstep = 0
@@ -1868,8 +1902,7 @@ def _chain(cpu, max_cycles: int, stop: int) -> None:
                     seen.add(pc)
             # Compiled traces evaluate fused branch conditions inline and
             # never consult the one-shot branch_invert latch; while it is
-            # pending, fall to single-stepping (the decode-cache handlers
-            # consume it).
+            # pending, step (the reference Bcc semantics consume it).
             if (
                 blk is not None
                 and cpu.cycles + blk[1] < max_cycles
@@ -1882,14 +1915,9 @@ def _chain(cpu, max_cycles: int, stop: int) -> None:
             if entry is None:
                 cpu.status = Status.DECODE_ERROR
                 return
-            handler, instr, width = entry
             cpu.dyn_index += 1
-            events.clear()
-            regs[PC] = handler(cpu)
-            cpu.retired += 1
+            retire(pc, *entry)
             nstep += 1
-            if on_retire is not None:
-                on_retire(cpu, instr, list(events))
     finally:
         cpu._sb_blocks += nblk
         cpu._sb_steps += nstep

@@ -1,13 +1,13 @@
 """The speculative engine: bounded transient execution on a misprediction.
 
 A :class:`SpecEngine` is attached by ``CPU(..., spec=SpecConfig(...))``.
-It wraps every conditional-branch entry of the CPU's decode cache so that
-*all three* execution paths (fast loop, hooked loop, reference ``step``)
-retire conditional branches through one pre-bound helper,
-:meth:`SpecEngine.retire_bcc`:
+With a non-zero window the CPU retires every conditional branch it steps
+through :meth:`SpecEngine.retire_bcc` (the speculative trace variant
+ends its blocks at every control transfer, so every ``Bcc`` steps):
 
-1. resolve the architectural direction (the same ``_COND`` evaluator the
-   plain handler uses) and consult/train the predictor;
+1. resolve the architectural direction (:meth:`CPU.branch_holds`, the
+   helper the reference ``Bcc`` semantics decide through) and
+   consult/train the predictor;
 2. on a misprediction, execute up to ``window`` instructions down the
    wrong path in a **transient frame** — shadow copies of registers and
    flags, loads observed, stores buffered (with store-to-load
@@ -24,7 +24,7 @@ classify` compares golden vs faulted digests to flag ``TRANSIENT_LEAK``.
 Engine state (predictor, counters, running hash) snapshots and restores
 with the CPU, so checkpoint forking reconstructs digests bit-identically.
 
-``window=0`` short-circuits: the decode cache is left unwrapped and the
+``window=0`` short-circuits: branches retire on the plain path and the
 CPU is byte-for-byte the speculation-free simulator (the equivalence
 suite pins this).
 """
@@ -35,9 +35,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.isa import instructions as ins
 from repro.isa.cpu import Status, WORD
-from repro.isa.dispatch import bind_spec_bcc
 from repro.isa.mmio import MMIO
 from repro.isa.registers import PC
 from repro.spec.predictor import build_predictor
@@ -116,7 +114,7 @@ class SpecEngine:
 
     It keeps no reference to its CPU (the CPU holds it as ``cpu.spec``),
     so a dropped speculative CPU and its memory are freed by refcount:
-    the wrapped ``Bcc`` handlers pass the CPU in."""
+    the CPU passes itself in."""
 
     def __init__(self, cpu: "CPU", config: "SpecConfig") -> None:
         self.config = config
@@ -134,46 +132,14 @@ class SpecEngine:
         self.transient_cycles = 0
         #: one-shot flag set by PredictorFlip: invert the next prediction.
         self.flip_next = False
-        # Transient frames execute over the image's *plain* decode cache:
-        # no nested speculation, no predictor training on the wrong path.
-        self._plain_decode = cpu.image.decode_cache()
 
-    # ------------------------------------------------------------------
-    # Decode-cache wrapping (the shared branch-retire path)
-    # ------------------------------------------------------------------
-    def wrap_decode(self, decode: dict) -> dict:
-        """Return a copy of ``decode`` with every Bcc entry routed through
-        :meth:`retire_bcc`.  With ``window=0`` the original cache is
-        returned untouched — speculation off is the plain simulator."""
-        if self.window == 0:
-            return decode
-        wrapped = {}
-        for addr, entry in decode.items():
-            instr, width = entry[1], entry[2]
-            if type(instr) in ins.BCC_CLASSES:
-                holds, target, next_pc = bind_spec_bcc(instr, addr, width)
-
-                def handler(
-                    cpu,
-                    holds=holds,
-                    target=target,
-                    next_pc=next_pc,
-                    addr=addr,
-                ):
-                    return cpu.spec.retire_bcc(cpu, holds, target, next_pc, addr)
-
-                wrapped[addr] = (handler, instr, width)
-            else:
-                wrapped[addr] = entry
-        return wrapped
-
-    def retire_bcc(
-        self, cpu: "CPU", holds, target: int, next_pc: int, addr: int
-    ) -> int:
-        """Retire one conditional branch of ``cpu``: predict, train,
-        speculate on a misprediction, and return the *architectural* next
-        PC."""
-        actual = holds(cpu)
+    def retire_bcc(self, cpu: "CPU", instr, addr: int, width: int) -> int:
+        """Retire the conditional branch ``instr`` at ``addr`` on ``cpu``:
+        predict, train, speculate on a misprediction, and return the
+        *architectural* next PC."""
+        actual = cpu.branch_holds(instr)
+        target = instr.target
+        next_pc = addr + width
         predicted = self.predictor.predict(addr, target)
         if self.flip_next:
             predicted = not predicted
@@ -250,11 +216,13 @@ class SpecEngine:
                 store_buffer[addr + i] = byte
 
         # Instance attributes shadow the class methods for the duration
-        # of the frame, so the plain pre-bound handlers observe loads and
-        # buffer stores without knowing they run transiently.
+        # of the frame, so the reference semantics observe loads and
+        # buffer stores without knowing they run transiently.  The frame
+        # executes plainly: no nested speculation, no predictor training
+        # on the wrong path.
         cpu.load = transient_load
         cpu.store = transient_store
-        decode = self._plain_decode
+        decode = cpu._decode
         regs = cpu.regs
         pc = wrong_pc
         steps = 0
@@ -265,8 +233,12 @@ class SpecEngine:
                 entry = decode.get(pc)
                 if entry is None:
                     break
+                instr, width = entry
                 regs[PC] = pc
-                pc = entry[0](cpu)
+                cpu._pending_pc = None
+                cpu.execute(instr)
+                pending = cpu._pending_pc
+                pc = pc + width if pending is None else pending
                 steps += 1
         finally:
             del cpu.load

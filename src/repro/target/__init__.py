@@ -3,8 +3,8 @@
 A :class:`Target` bundles everything the toolchain and the engines need
 to know about one machine model — instruction encoding widths, register
 file and calling convention, condition-code semantics (NZCV flags vs
-fused register compares), the cycle model, the decode-cache dispatch
-table, CFI retire behaviour, and the snapshot schema.  The pre-existing
+fused register compares), the cycle model, CFI retire behaviour, and
+the snapshot schema.  The pre-existing
 Thumb-2-flavoured machine is the ``baseline`` target; ``rv32`` is a
 RISC-V-flavoured second ISA with compressed/full-width encodings, no
 flags (branches compare registers directly), and its own cycle model.

@@ -89,27 +89,9 @@ class Target:
         """Encoded size of ``instr`` in bytes."""
         raise NotImplementedError
 
-    def dispatch_table(self) -> dict:
-        """type -> handler binder used by the decode cache.
-
-        The bundled targets share :data:`repro.isa.dispatch._BINDERS`
-        (instruction *semantics* are target-independent; encodings and
-        timing are not); exposed so the conformance kit can prove every
-        sample instruction decodes.
-        """
-        from repro.isa.dispatch import _BINDERS
-
-        return _BINDERS
-
     def branch_classes(self) -> tuple[type, ...]:
         """Exact conditional-branch classes this target's backend emits."""
         return (ins.Bcc,) if self.flag_branches else (ins.BccReg, ins.BccImm)
-
-    def make_branch(self, cond: str, label: str) -> ins.Bcc:
-        """A representative conditional branch (conformance/doc helper)."""
-        if self.flag_branches:
-            return ins.Bcc(cond, label)
-        return ins.BccReg(cond, label, rn=0, rm=1)
 
     def sample_instructions(self) -> list[ins.Instr]:
         """At least one instance of every instruction class the backend

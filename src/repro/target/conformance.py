@@ -10,8 +10,8 @@ Checks (one function each, composable):
 
 * :func:`check_encoding_roundtrip` — every sample instruction has a
   width from the target's advertised set, stable (pure) across queries,
-  renders deterministic non-empty text, and decodes to a bound handler
-  through the target's dispatch table.
+  renders deterministic non-empty text, and has reference semantics (an
+  entry in :data:`repro.isa.cpu.EXECUTE`).
 * :func:`check_cycle_model` — every charge is a non-negative int,
   division costs are bounded at their probe extremes, and — on a real
   compiled workload — the timeout boundary is sharp: a budget of
@@ -19,11 +19,12 @@ Checks (one function each, composable):
   it every budget either reproduces the golden run exactly or times out.
 * :func:`check_snapshot_restore` — a mid-block snapshot restored onto a
   fresh CPU replays the suffix to the identical final result.
-* :func:`check_dispatch_parity` — the reference isinstance interpreter
-  and the decode-cached dispatcher agree on golden runs.
-* :func:`check_cfi_retire_order` — the CFI monitor's retire hook
-  observes the same retirement sequence on both dispatchers and the
-  protected program completes cleanly.
+* :func:`check_dispatch_parity` — the reference interpreter and
+  trace-compiled runs agree on golden runs.
+* :func:`check_cfi_retire_order` — a trace-compiled protected run ends
+  with the reference run's CFI monitor (state, call stack, passed checks
+  and violations), though traces fold the monitor into their own
+  arithmetic, and the protected program completes cleanly.
 
 Every failure raises :class:`ConformanceError` naming the target and
 the violated contract — a broken target fails loudly, never silently.
@@ -32,6 +33,7 @@ the violated contract — a broken target fails loudly, never silently.
 from __future__ import annotations
 
 from repro.isa import instructions as ins
+from repro.isa.cpu import EXECUTE
 from repro.target.base import Target
 
 #: Small branchy workload every execution-level check compiles per
@@ -75,14 +77,11 @@ def check_encoding_roundtrip(target: Target) -> None:
     samples = target.sample_instructions()
     if not samples:
         _fail(target, "encoding", "sample_instructions() returned no samples")
-    table = target.dispatch_table()
     for instr in samples:
-        # Branch targets and literal-pool loads need resolved layout
-        # before binding, exactly as the assembler leaves them.
+        # Branch widths need resolved layout, exactly as the assembler
+        # leaves them.
         if hasattr(instr, "target"):
             instr.target = 0x200
-        if getattr(instr, "resolved", 0) is None:
-            instr.resolved = 0x1234
         try:
             w = target.width(instr)
         except Exception as exc:
@@ -101,16 +100,13 @@ def check_encoding_roundtrip(target: Target) -> None:
             _fail(target, "encoding", f"{instr!r}.text() = {text!r}")
         if text != instr.text():
             _fail(target, "encoding", f"{instr!r}.text() is not stable")
-        binder = table.get(type(instr))
-        if binder is None:
+        if type(instr) not in EXECUTE:
             _fail(
                 target,
                 "decode",
-                f"no dispatch-table binder for {type(instr).__name__}",
+                f"no reference semantics (EXECUTE entry) for "
+                f"{type(instr).__name__}",
             )
-        handler = binder(instr, 0x100, 0x100 + w)
-        if not callable(handler):
-            _fail(target, "decode", f"binder for {instr!r} returned {handler!r}")
     # The target's conditional-branch classes must all be Bcc family so
     # golden traces index them under the branch mnemonic.
     for cls in target.branch_classes():
@@ -226,55 +222,62 @@ def check_snapshot_restore(target: Target) -> None:
 
 # ---------------------------------------------------------------------------
 def check_dispatch_parity(target: Target) -> None:
-    """Reference interpreter vs decode-cached dispatch golden parity."""
+    """Reference interpreter vs trace-compiled golden parity."""
     for scheme in ("none", "ancode"):
         program = _compiled(target, scheme)
         for args in (_ARGS, [3, 0], [200, 1000]):
             reference = program.run("f", args, dispatch="reference")
-            cached = program.run("f", args, dispatch="cached")
-            if reference != cached:
-                _fail(
-                    target,
-                    "dispatch-parity",
-                    f"scheme {scheme}, args {args}: reference {reference} "
-                    f"!= cached {cached}",
-                )
+            # The first run steps what it reaches once; the second runs
+            # the traces that compiled at their second reach.
+            for run in ("first", "second"):
+                traced = program.run("f", args, dispatch="superblock")
+                if reference != traced:
+                    _fail(
+                        target,
+                        "dispatch-parity",
+                        f"scheme {scheme}, args {args}: reference {reference} "
+                        f"!= superblock ({run} run) {traced}",
+                    )
 
 
 # ---------------------------------------------------------------------------
 def check_cfi_retire_order(target: Target) -> None:
-    """CFI retire hooks observe one ordered retirement stream."""
+    """A trace-compiled protected run ends with the reference run's CFI
+    monitor."""
     if not target.supports_cfi():
         _fail(target, "cfi", "target opts out of CFI; nothing to check")
     program = _compiled(target, "ancode")
 
-    def retirements(dispatch: str) -> list[str]:
-        seen: list[str] = []
+    def monitor_after(dispatch: str, *hooks):
         cpu = program.prepare_cpu("f", _ARGS, dispatch=dispatch)
-        cpu.retire_hooks.append(
-            lambda cpu, instr, events: seen.append(instr.mnemonic)
-        )
+        cpu.retire_hooks.extend(hooks)
         result = cpu.run(10_000_000)
         if not result.ok:
             _fail(target, "cfi", f"protected run failed on {dispatch}: {result}")
-        return seen
+        return cpu.monitor.snapshot_state()
 
-    reference = retirements("reference")
-    cached = retirements("cached")
-    if reference != cached:
-        _fail(
-            target,
-            "cfi",
-            "retire-hook streams differ between dispatchers "
-            f"(first divergence at index "
-            f"{next(i for i, (a, b) in enumerate(zip(reference, cached)) if a != b)})",
-        )
-    if target.branch_mnemonic not in reference:
+    mnemonics: set = set()
+    reference = monitor_after(
+        "reference", lambda cpu, instr, events: mnemonics.add(instr.mnemonic)
+    )
+    if target.branch_mnemonic not in mnemonics:
         _fail(
             target,
             "cfi",
             f"no {target.branch_mnemonic!r} retirement observed in a "
             f"branchy protected workload",
+        )
+    if not reference[3]:
+        _fail(target, "cfi", "the protected workload passed no CFI check")
+    monitor_after("superblock")  # compiles the traces it reaches twice
+    traced = monitor_after("superblock")
+    if traced != reference:
+        _fail(
+            target,
+            "cfi",
+            f"monitor (state, call stack, violations, checks passed) after "
+            f"a trace-compiled run {traced} != after the reference run "
+            f"{reference}",
         )
 
 

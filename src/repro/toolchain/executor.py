@@ -69,12 +69,9 @@ def _run_batch(
     from repro.faults.isa_campaign import fire_index_of
     from repro.faults.scheduler import TrialScheduler
 
-    # Workers run trials and report fire *indices*; only the parent ever
-    # maps indices to addresses, so skip the per-retirement address
-    # capture (halves the worker's golden-trace memory).
     spec_kwargs = {} if spec is None else {"spec": spec}
     scheduler = TrialScheduler.for_program(
-        _WORKER_PROGRAM, function, args, record_addrs=False, **spec_kwargs
+        _WORKER_PROGRAM, function, args, **spec_kwargs
     )
     golden = scheduler.golden
     cycles_before = scheduler.stats.simulated_cycles

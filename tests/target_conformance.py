@@ -11,6 +11,7 @@ naming the target and the violated contract.
 
 import pytest
 
+from repro.isa import instructions as ins
 from repro.target import (
     BaselineTarget,
     DuplicateTargetError,
@@ -113,11 +114,32 @@ class _NoSamplesTarget(BaselineTarget):
         return []
 
 
+class _Crc32(ins.Instr):
+    """An instruction class the simulator has no semantics for."""
+
+    mnemonic = "crc32"
+
+    def text(self) -> str:
+        return "crc32 r0, r0, r1"
+
+
+class _UnknownInstructionTarget(BaselineTarget):
+    name = "toy-unknown-instruction"
+    label = "broken: emits an instruction class without reference semantics"
+
+    def width(self, instr):
+        return 4 if type(instr) is _Crc32 else super().width(instr)
+
+    def sample_instructions(self):
+        return super().sample_instructions() + [_Crc32()]
+
+
 _BROKEN = {
     _LyingWidthTarget: "encoding",
     _NegativeCycleTarget: "cycle-model",
     _WrongSnapshotTarget: "snapshot",
     _NoSamplesTarget: "encoding",
+    _UnknownInstructionTarget: "decode",
 }
 
 

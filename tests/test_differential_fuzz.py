@@ -185,7 +185,7 @@ from repro.faults.models import BranchDirectionFlip, InstructionSkip
 CFG_SEEDS = range(10)
 CFG_SCHEMES = ("none", "ancode")
 FUZZ_TARGETS = ("baseline", "rv32")
-_ENGINE_TIERS = ("reference", "cached", "superblock")
+_ENGINE_TIERS = ("reference", "superblock")
 _CMPS = ("<", "<=", "==", "!=", ">", ">=")
 
 

@@ -5,9 +5,8 @@ Three layers of equivalence, per the PR contract:
 
 * **golden runs** — every device program, compiled under every registered
   scheme, executes identically (full ``ExecutionResult`` equality: status,
-  exit code, cycles, retired instructions, console) on the original
-  ``isinstance``-chain interpreter, the decode-cached dispatcher, and the
-  superblock trace compiler;
+  exit code, cycles, retired instructions, console) on the reference
+  interpreter and the superblock trace compiler;
 * **campaign tallies** — the stock attack suites produce identical
   ``AttackResult`` outcome tallies (and ``wrong_codes``, in order) on the
   default ``fork`` engine (checkpoint-forked, trace-compiled trials) and
@@ -84,10 +83,9 @@ def assert_same_result(a, b, context=""):
     assert a == b, f"{context}: {a} != {b}"
 
 
-#: every execution tier, slowest first: the isinstance-chain reference
-#: interpreter, the decode-cached step loop, and the superblock trace
-#: compiler.
-DISPATCHES = ("reference", "cached", "superblock")
+#: every execution tier, slowest first: the reference interpreter and the
+#: superblock trace compiler.
+DISPATCHES = ("reference", "superblock")
 
 
 def both_dispatches(program, function, args, max_cycles=10_000_000):
@@ -115,8 +113,7 @@ class TestGoldenEquivalence:
         program = compile_source(
             load_source(name), config=CompileConfig(scheme=scheme)
         )
-        reference, cached, superblock = both_dispatches(program, function, args)
-        assert_same_result(reference, cached, f"{name}/{scheme}{args}")
+        reference, superblock = both_dispatches(program, function, args)
         assert_same_result(reference, superblock, f"{name}/{scheme}{args}/superblock")
         assert reference.ok
 
@@ -124,10 +121,9 @@ class TestGoldenEquivalence:
     def test_sha256(self, scheme):
         program = compile_ir(_sha_module(), config=CompileConfig(scheme=scheme))
         for word_index in (0, 7):
-            reference, cached, superblock = both_dispatches(
+            reference, superblock = both_dispatches(
                 program, "run_sha", [word_index]
             )
-            assert_same_result(reference, cached, f"sha256/{scheme}[{word_index}]")
             assert_same_result(
                 reference, superblock, f"sha256/{scheme}[{word_index}]/superblock"
             )
@@ -141,8 +137,7 @@ class TestGoldenEquivalence:
             ("run_modmul", [999999, 123456]),
             ("run_modinv", [12345]),
         ):
-            reference, cached, superblock = both_dispatches(program, function, args)
-            assert_same_result(reference, cached, f"ecverify/{scheme}/{function}")
+            reference, superblock = both_dispatches(program, function, args)
             assert_same_result(
                 reference, superblock, f"ecverify/{scheme}/{function}/superblock"
             )
@@ -155,10 +150,9 @@ class TestGoldenEquivalence:
             prepare_bootloader_module(image),
             config=CompileConfig(scheme=scheme, params=bootloader_params()),
         )
-        reference, cached, superblock = both_dispatches(
+        reference, superblock = both_dispatches(
             program, "bootloader_main", [], max_cycles=30_000_000
         )
-        assert_same_result(reference, cached, f"bootloader/{scheme}")
         assert_same_result(reference, superblock, f"bootloader/{scheme}/superblock")
         assert reference.exit_code == BOOT_OK
 
@@ -215,6 +209,7 @@ class TestCampaignEquivalence:
             (TrialScheduler, "dispatch"),
             (TrialScheduler, "reuse_cpu"),
             (TrialScheduler, "golden_max_cycles"),
+            (TrialScheduler, "record_addrs"),
             (CampaignExecutor.run_attack, "engine"),
         ],
     )
@@ -222,6 +217,13 @@ class TestCampaignEquivalence:
         # Trial CPUs always run trace-compiled; nothing above the CPU
         # selects how.
         assert knob not in inspect.signature(owner).parameters
+
+    def test_the_cpu_has_two_dispatch_tiers(self):
+        program = compile_source(
+            load_source("integer_compare"), config=CompileConfig(scheme="none")
+        )
+        with pytest.raises(ValueError, match="unknown dispatch mode 'cached'"):
+            program.run("integer_compare", [7, 7], dispatch="cached")
 
     def test_windowed_operand_corruption(self):
         program = compile_source(
@@ -333,14 +335,16 @@ class TestTrialEquivalence:
         # Each forked trial single-steps while its fault window is open
         # and chains compiled traces either side, yet must return the
         # identical ExecutionResult (cycles included) as a fresh
-        # cached-dispatch replay.
+        # reference replay.
         program = compile_source(
             load_source(name), config=CompileConfig(scheme=scheme)
         )
         scheduler = TrialScheduler.for_program(program, function, args)
         for model in _model_zoo(program, function, args):
             forked = scheduler.run_trial(model)
-            cpu = program.prepare_cpu(function, args, pre_hooks=[model.hook()])
+            cpu = program.prepare_cpu(
+                function, args, pre_hooks=[model.hook()], dispatch="reference"
+            )
             replayed = cpu.run(2_000_000)
             assert_same_result(forked, replayed, f"{name}/{scheme}/{model}")
 
@@ -359,7 +363,9 @@ class TestTrialEquivalence:
         for occurrence in (1, total // 3, total // 2, total - 1, total):
             model = InstructionSkip(occurrence)
             forked = scheduler.run_trial(model)
-            cpu = program.prepare_cpu("run_memcmp", [32], pre_hooks=[model.hook()])
+            cpu = program.prepare_cpu(
+                "run_memcmp", [32], pre_hooks=[model.hook()], dispatch="reference"
+            )
             assert_same_result(forked, cpu.run(2_000_000), f"skip@{occurrence}")
 
     def test_short_circuit_counts_never_firing_trials(self):
@@ -387,10 +393,10 @@ class TestTrialEquivalence:
 
     def test_superblock_mid_block_snapshot_roundtrip(self):
         # stop_at_instruction lands the CPU mid-superblock by trace
-        # geometry; the engine deoptimises such runs to the step loop, so
-        # the snapshot is taken at an exact architectural boundary.  The
-        # suffix must replay identically whether the resumed CPU chains
-        # compiled traces or steps the decode cache.
+        # geometry, and the trace pauses there, so the snapshot is taken
+        # at an exact architectural boundary.  The suffix must replay
+        # identically whether the resumed CPU chains compiled traces or
+        # steps the reference.
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="ancode")
         )
@@ -457,19 +463,20 @@ class TestSpeculativeEquivalence:
             reference = program.run(
                 "integer_compare", args, dispatch="reference", spec=spec
             )
-            cached = program.run(
-                "integer_compare", args, dispatch="cached", spec=spec
+            superblock = program.run(
+                "integer_compare", args, dispatch="superblock", spec=spec
             )
-            assert_same_result(reference, cached, f"{predictor}{args}")
-            assert reference.spec == cached.spec
+            assert_same_result(reference, superblock, f"{predictor}{args}")
+            assert reference.spec == superblock.spec
 
     @pytest.mark.parametrize("predictor", sorted(PREDICTORS))
     def test_fast_and_hooked_loops_share_the_retire_path(self, predictor):
-        # CPU.run's no-hook fast loop and hooked loop both dispatch
-        # through the same wrapped decode entry, so predictor training
-        # (and therefore every transient digest) cannot drift between
-        # them: a run forced onto the hooked loop by a no-op retire hook
-        # must match the fast loop bit for bit, spec summary included.
+        # A trace-compiled run steps every conditional branch, and a run
+        # forced onto the reference step for its whole length by a no-op
+        # retire hook steps every instruction; both retire branches
+        # through SpecEngine.retire_bcc, so predictor training (and
+        # therefore every transient digest) cannot drift between them:
+        # the two must match bit for bit, spec summary included.
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="ancode")
         )
@@ -576,7 +583,8 @@ class TestSpeculativeEquivalence:
             model = PredictorFlip(occurrence)
             forked = scheduler.run_trial(model)
             cpu = program.prepare_cpu(
-                "run_memcmp", [8], pre_hooks=[model.hook()], spec=spec
+                "run_memcmp", [8], pre_hooks=[model.hook()], spec=spec,
+                dispatch="reference",
             )
             replayed = cpu.run(2_000_000)
             assert_same_result(forked, replayed, f"predictor-flip@{occurrence}")

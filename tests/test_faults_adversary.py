@@ -164,7 +164,9 @@ class TestCompositeEquivalence:
         scheduler = TrialScheduler.for_program(program, function, args)
         for composite in _composite_zoo(program, function, args):
             forked = scheduler.run_trial(composite)
-            cpu = program.prepare_cpu(function, args, pre_hooks=[composite.hook()])
+            cpu = program.prepare_cpu(
+                function, args, pre_hooks=[composite.hook()], dispatch="reference"
+            )
             replayed = cpu.run(2_000_000)
             assert forked == replayed, (name, scheme, composite)
 

@@ -251,7 +251,7 @@ class TestRejoinedTrials:
         scheduler = TrialScheduler(program, "run_memcmp", [8])
         for model in _skips(scheduler):
             result = scheduler.run_trial(model)
-            full, end = _full_run(program, [8], model, "cached")
+            full, end = _full_run(program, [8], model, "reference")
             assert result == full, model
             assert scheduler.last_trial_end == end, model
         assert scheduler.stats.rejoined > 0
@@ -304,7 +304,7 @@ class TestRejoinedTrials:
             for (scheduler, args, _), model in zip(work, models):
                 if model is not None:
                     result = scheduler.run_trial(model)
-                    full = _full_run(program, args, model, "cached")
+                    full = _full_run(program, args, model, "reference")
                     assert (result, scheduler.last_trial_end) == full, model
         (a, _, _), (b, _, _) = work
         assert a._pristine is b._pristine is program.image._pristine

@@ -327,7 +327,8 @@ class TestPredictorFaults:
         model = CompositeFault((PredictorFlip(1), InstructionSkip(5)))
         forked = scheduler.run_trial(model)
         cpu = program.prepare_cpu(
-            "integer_compare", [7, 7], pre_hooks=[model.hook()], spec=spec
+            "integer_compare", [7, 7], pre_hooks=[model.hook()], spec=spec,
+            dispatch="reference",
         )
         replayed = cpu.run(2_000_000)
         assert forked == replayed

@@ -181,7 +181,7 @@ class TestPartition:
 # ---------------------------------------------------------------------------
 class TestLazyCompile:
     def test_golden_capture_compiles_nothing(self):
-        # Golden capture runs the cached step loop and only builds the
+        # Golden capture steps the reference semantics and only builds the
         # partition, to put its checkpoints on trace entries; a trial
         # that halts while its window is still open single-steps to the
         # end.  Neither compiles a trace.
@@ -714,7 +714,7 @@ class TestDeoptBoundary:
         # The canonical trial shape: fork from a checkpoint, single-step
         # while the fault window is open, fire, then re-enter compiled
         # dispatch for the suffix.  The full ExecutionResult — cycles
-        # included — must equal a fresh full replay on the cached step
+        # included — must equal a fresh full replay on the reference step
         # loop and the reference engine's, and the stats must show both
         # compiled blocks *and* deopt steps.  The fault cannot rejoin
         # the golden run, so the trial simulates its whole suffix.
@@ -727,7 +727,7 @@ class TestDeoptBoundary:
         rejoined0 = stats.rejoined
         result = scheduler.run_trial(model)
 
-        assert result == _replay(program, "run_memcmp", [16], model, "cached")
+        assert result == _replay(program, "run_memcmp", [16], model, "reference")
         reference = run_attack(
             program, "run_memcmp", [16], [model], engine="reference",
             record_trials=True,
@@ -766,7 +766,7 @@ class TestDeoptBoundary:
         paused_runs = 0
         for skip in (3, 40, 100, 473):
             for stop in (skip, skip + 1, skip + 30):
-                paused, _, _ = run("cached", skip, stop, 2_000_000)
+                paused, _, _ = run("reference", skip, stop, 2_000_000)
                 budgets = [2_000_000]
                 if paused.status is Status.RUNNING:  # not halted by the stop
                     paused_runs += 1
@@ -774,9 +774,9 @@ class TestDeoptBoundary:
                 for budget in budgets:
                     runs = [
                         run(dispatch, skip, stop, budget)
-                        for dispatch in ("reference", "cached", "superblock")
+                        for dispatch in ("reference", "superblock")
                     ]
-                    assert runs[0] == runs[1] == runs[2], (skip, stop, budget)
+                    assert runs[0] == runs[1], (skip, stop, budget)
         assert paused_runs
 
     def test_windowed_trial_steps_only_near_the_window(self):
@@ -807,14 +807,14 @@ class TestDeoptBoundary:
 
     def test_unbounded_hook_falls_back_entirely(self):
         # RepeatedFlagFlip carries no fire window; the engine must run
-        # the whole trial on the hooked step loop (no compiled blocks)
+        # the whole trial on the reference step loop (no compiled blocks)
         # and still match a fresh full replay exactly.
         program = _program()
         scheduler = TrialScheduler.for_program(program, "run_memcmp", [16])
         model = RepeatedFlagFlip("z")
         blocks0 = scheduler.stats.superblock_blocks
         result = scheduler.run_trial(model)
-        assert result == _replay(program, "run_memcmp", [16], model, "cached")
+        assert result == _replay(program, "run_memcmp", [16], model, "reference")
         assert scheduler.stats.superblock_blocks == blocks0
 
     @pytest.mark.parametrize("scheme", ["none", "ancode", "duplication"])
@@ -835,24 +835,25 @@ class TestDeoptBoundary:
         ]
         for model in zoo:
             result = scheduler.run_trial(model)
-            for dispatch in ("cached", "reference"):
-                expected = _replay(program, "run_memcmp", [16], model, dispatch)
-                assert result == expected, f"{scheme}/{model}/{dispatch}"
-                assert result.cycles == expected.cycles
+            expected = _replay(program, "run_memcmp", [16], model, "reference")
+            assert result == expected, f"{scheme}/{model}"
+            assert result.cycles == expected.cycles
 
     def test_timeout_boundary_sweep(self):
         # Exact timeout behaviour: for every max_cycles cutoff, the
         # superblock run must stop at the same instruction with the same
-        # status as the cached step loop (the back-edge budget guard and
-        # the entry guard both matter here).
+        # status as the reference step loop (the back-edge budget guard
+        # and the entry guard both matter here).
         program = _program(scheme="ancode")
-        full = program.run("run_memcmp", [8], dispatch="cached")
+        full = program.run("run_memcmp", [8], dispatch="reference")
         for max_cycles in range(0, full.cycles + 2, 7):
-            cached = program.run("run_memcmp", [8], max_cycles, dispatch="cached")
+            reference = program.run(
+                "run_memcmp", [8], max_cycles, dispatch="reference"
+            )
             sblk = program.run(
                 "run_memcmp", [8], max_cycles, dispatch="superblock"
             )
-            assert cached == sblk, f"max_cycles={max_cycles}"
+            assert reference == sblk, f"max_cycles={max_cycles}"
 
 
 # ---------------------------------------------------------------------------
