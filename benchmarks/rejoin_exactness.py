@@ -1,13 +1,16 @@
 """Golden-rejoin exactness on the full validation sets.
 
-Runs every trial twice on one ``TrialScheduler``: with the rejoin probe
-(the default engine), then with the probe switched off, which is the
+Runs every trial twice on one ``TrialScheduler``: with the rejoin probes
+(the default engine), then with both probes switched off, which is the
 engine as it ran before golden rejoin existed.  Each trial's
 ``ExecutionResult`` (status, codes, cycles, instructions, console) and
 ``last_trial_end`` must be equal.  The sets:
 
 * ``memcmp-skip`` — a skip of every dynamic instruction of memcmp[128]
   under ancode (the benchmark workload);
+* ``memcmp-flip`` — bit 0 of r0, r1 and r13 flipped at every 7th
+  dynamic index of the same run, where a larger share of the rejoins
+  than among skips comes at the second probe;
 * ``bootloader-boot`` — the benchmark's 128 skips and branch flips at
   the end of the secure boot, with its trial budget;
 * ``matrix`` — memcmp[24] and integer_compare(7, 7) on both targets
@@ -16,7 +19,7 @@ engine as it ran before golden rejoin existed.  Each trial's
 
 Usage, from the root of a checkout::
 
-    PYTHONPATH=src python benchmarks/rejoin_exactness.py [memcmp-skip|bootloader-boot|matrix|all]
+    PYTHONPATH=src python benchmarks/rejoin_exactness.py [memcmp-skip|memcmp-flip|bootloader-boot|matrix|all]
 
 Prints one line per workload and exits non-zero on any mismatch.
 """
@@ -37,11 +40,26 @@ from repro.programs import load_source
 from repro.toolchain import CompileConfig, Workbench
 
 
-def _memcmp_skip():
+def _memcmp128() -> TrialScheduler:
     program = Workbench().compile(load_source("memcmp"), CompileConfig(scheme="ancode"))
-    scheduler = TrialScheduler(program, "run_memcmp", [128])
+    return TrialScheduler(program, "run_memcmp", [128])
+
+
+def _memcmp_skip():
+    scheduler = _memcmp128()
     total = scheduler.golden.instructions
     yield "memcmp-skip", scheduler, [InstructionSkip(i) for i in range(1, total + 1)], {}
+
+
+def _memcmp_flip():
+    scheduler = _memcmp128()
+    total = scheduler.golden.instructions
+    models = [
+        RegisterBitFlip(reg, 0, index)
+        for index in range(1, total + 1, 7)
+        for reg in (0, 1, 13)
+    ]
+    yield "memcmp-flip", scheduler, models, {}
 
 
 def _bootloader_boot():
@@ -90,6 +108,7 @@ def _matrix():
 
 SETS = {
     "memcmp-skip": _memcmp_skip,
+    "memcmp-flip": _memcmp_flip,
     "bootloader-boot": _bootloader_boot,
     "matrix": _matrix,
 }
@@ -107,7 +126,7 @@ def check(name, scheduler, models, kwargs) -> int:
     """Mismatching trials of one workload (printed as they are found)."""
     probed = _rows(scheduler, models, kwargs)
     rejoined = scheduler.stats.rejoined
-    scheduler._probe = lambda hook: None  # no trial probes: no rejoin
+    scheduler._probe = lambda hook: []  # neither probe: no rejoin
     plain = _rows(scheduler, models, kwargs)
     bad = [i for i, (a, b) in enumerate(zip(probed, plain)) if a != b]
     for i in bad[:5]:

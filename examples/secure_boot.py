@@ -59,23 +59,16 @@ def main() -> None:
     assert result.exit_code == BOOT_REJECT
 
     # --- fault attack on the boot decision ---------------------------------
-    # Count the conditional branches during a clean run, then flip the last
-    # one (the protected v == r decision).
-    counter = []
-    cpu = tampered.prepare_cpu("bootloader_main", [])
-    cpu.retire_hooks.append(
-        lambda c, i, e: counter.append(1) if i.mnemonic == "bcc" else None
-    )
-    cpu.run(60_000_000)
-    last_branch = len(counter)
+    # The trial scheduler's golden run counts the conditional branches;
+    # flip the last one (the protected v == r decision) and the one before.
+    # Each trial forks from a checkpoint near its fault and runs on traces.
+    scheduler = tampered.trial_scheduler("bootloader_main", [])
+    last_branch = len(scheduler.trace.indices("bcc"))
 
     for occurrence in (last_branch, last_branch - 1):
-        cpu = tampered.prepare_cpu(
-            "bootloader_main",
-            [],
-            pre_hooks=[BranchDirectionFlip(occurrence).hook()],
+        attacked = scheduler.run_trial(
+            BranchDirectionFlip(occurrence), max_cycles=60_000_000
         )
-        attacked = cpu.run(60_000_000)
         print(
             f"branch-flip at conditional #{occurrence}: {attacked.status.value}"
             + (f" exit={attacked.exit_code:#x}" if attacked.status.value == "exit" else "")

@@ -9,8 +9,11 @@ golden execution exactly **once**, recording
   dynamic-index hit-list of every mnemonic (so "the N-th conditional
   branch" or "the first MUL" resolves without another execution), and
 * a ladder of :class:`~repro.isa.cpu.CpuSnapshot` checkpoints taken every
-  ``interval`` retired instructions (dirty-page deltas only, thinned to a
-  bounded count for long programs),
+  ``interval`` retired instructions (dirty-page deltas only).  The ladder
+  holds at most :data:`LADDER_BYTES`: each snapshot is charged its page
+  copies plus one page, and a snapshot that takes the ladder past the
+  budget thins it to every other checkpoint and doubles the interval,
+  so a program that dirties many pages thins early,
 
 then forks each trial from the nearest checkpoint strictly before its
 fault's first possible firing index.  A trial is therefore roughly
@@ -35,9 +38,14 @@ table of the golden run's CFI checks: ``CFI_VIOLATION`` at the first
 later check in a frame that was live at the probe and carries δ ≠ 0, or
 else the golden result — in both cases shifted by the cycles and
 instructions the trial gained or lost before the probe.  A verdict that
-would reach the trial's cycle budget is not given; the trial simulates
-on, so timeouts stay exact.  There is no probe for hooks without a
-window, under speculation, or when the golden run did not exit.
+would reach the trial's cycle budget is not given, so timeouts stay
+exact.  A trial that fails its probe runs on to the next checkpoint and
+applies the same rule there; if that fails too, it simulates to its end.
+The window is closed at both probes, so the rule's argument holds at
+each.  On memcmp's skip sweep no later checkpoint decides a trial the
+second one does not, and probing every checkpoint would pause each
+undecided trial about eleven times.  There is no probe for hooks without
+a window, under speculation, or when the golden run did not exit.
 
 Ladder checkpoints sit on trace entries: golden capture takes each one
 at the first entry of a compiled trace (:func:`repro.isa.superblock.
@@ -74,9 +82,12 @@ from repro.isa.superblock import trace_entries
 
 #: Default spacing (retired instructions) between checkpoints.
 DEFAULT_INTERVAL = 64
-#: Checkpoint-count bound; reaching it doubles the interval and thins the
-#: ladder, so memory stays O(MAX_CHECKPOINTS) for arbitrarily long runs.
-MAX_CHECKPOINTS = 96
+#: Byte budget of the checkpoint ladder: each snapshot is charged its
+#: page copies plus one page for its fixed parts (registers, console,
+#: monitor).  A snapshot that takes the ladder past the budget thins it
+#: to every other checkpoint and doubles the interval, so memory stays
+#: bounded for arbitrarily long runs.
+LADDER_BYTES = 4 << 20
 #: Cycle budget of the golden capture.
 GOLDEN_MAX_CYCLES = 10_000_000
 
@@ -220,7 +231,6 @@ class TrialScheduler:
         function: str,
         args: list[int],
         interval: int = DEFAULT_INTERVAL,
-        max_checkpoints: int = MAX_CHECKPOINTS,
         spec=None,
     ):
         """``spec`` (a :class:`repro.spec.SpecConfig`) makes the golden run
@@ -252,7 +262,7 @@ class TrialScheduler:
         #: adversary layer prunes composite trials whose later faults are
         #: timed past this point: they provably cannot fire.
         self.last_trial_end: int | None = None
-        self._capture_golden(interval, max_checkpoints)
+        self._capture_golden(interval)
 
     #: Workloads memoized per program; the LRU bound keeps argument sweeps
     #: (thousands of distinct (function, args) pairs, each scheduler
@@ -277,13 +287,14 @@ class TrialScheduler:
         return scheduler
 
     # ------------------------------------------------------------------
-    def _capture_golden(self, interval: int, max_checkpoints: int) -> None:
+    def _capture_golden(self, interval: int) -> None:
         """Run the golden execution once on the reference semantics.  Each
         step logs its PC, adds a row to the CFI-check table when it
         checked, and feeds the monitor; the ladder snapshots at the first
-        trace entry at or after each interval mark.  A speculating CPU
-        takes :meth:`CPU.step`, which retires ``Bcc`` through its
-        SpecEngine (and feeds the monitor itself)."""
+        trace entry at or after each interval mark, within
+        :data:`LADDER_BYTES`.  A speculating CPU takes :meth:`CPU.step`,
+        which retires ``Bcc`` through its SpecEngine (and feeds the
+        monitor itself)."""
         from repro.target import get_target
 
         image = self.program.image
@@ -308,6 +319,8 @@ class TrialScheduler:
         RUNNING = Status.RUNNING
         checkpoints = [cpu.snapshot()]
         marks = [0]  # the interval mark each checkpoint was taken for
+        held = _ladder_bytes(checkpoints[0])
+        budget = LADDER_BYTES
         mark = interval
         while cpu.status is RUNNING:
             if cpu.cycles >= GOLDEN_MAX_CYCLES:
@@ -316,14 +329,16 @@ class TrialScheduler:
             pc = regs[PC]
             if cpu.retired >= mark and pc in entries:
                 # Trials fork and probe on this trace entry.
-                checkpoints.append(cpu.snapshot())
+                snap = cpu.snapshot()
+                checkpoints.append(snap)
                 marks.append(mark)
-                if len(checkpoints) > max_checkpoints:
+                held += _ladder_bytes(snap)
+                while held > budget and len(checkpoints) > 1:
                     # Thin every other checkpoint; future ones come at
-                    # twice the spacing.  Keeps the ladder bounded for
-                    # long runs.
+                    # twice the spacing.
                     checkpoints = checkpoints[::2]
                     marks = marks[::2]
+                    held = sum(map(_ladder_bytes, checkpoints))
                     interval *= 2
                 mark = cpu.retired + interval
             entry = decode.get(pc)
@@ -408,22 +423,21 @@ class TrialScheduler:
         cpu = self._fork_cpu(snap)
         cpu.pre_hooks.append(hook)
         blocks0, steps0 = cpu._sb_blocks, cpu._sb_steps
-        probe = self._probe(hook)
         stats = self.stats
-        if probe is None:
-            result = cpu.run(max_cycles)
-        else:
+        for probe in self._probe(hook):
             result = cpu.run(max_cycles, stop_at_instruction=probe.dyn_index)
-        end = cpu.dyn_index
-        if result.status is Status.RUNNING:  # paused at the probe
+            end = cpu.dyn_index
+            if result.status is not Status.RUNNING:
+                break  # halted before the probe
             verdict = self._rejoin_verdict(cpu, probe, max_cycles)
-            if verdict is None:
-                result = cpu.run(max_cycles)
-                end = cpu.dyn_index
-            else:
+            if verdict is not None:
                 result, end = verdict
                 stats.rejoined += 1
                 stats.saved_instructions += result.instructions - cpu.retired
+                break
+        else:  # no probe decided the trial
+            result = cpu.run(max_cycles)
+            end = cpu.dyn_index
         self.last_trial_end = end
         stats.forked += 1
         stats.simulated_instructions += cpu.retired - snap.retired
@@ -432,18 +446,19 @@ class TrialScheduler:
         stats.superblock_deopt_steps += cpu._sb_steps - steps0
         return result
 
-    def _probe(self, hook) -> CpuSnapshot | None:
-        """The ladder checkpoint a trial with ``hook`` is compared at: the
-        first whose interval mark is at or after its fire window's end
-        (None when there is none, or no trial may rejoin).  Choosing by
-        mark rather than by position keeps a fault that lands in the walk
-        from a mark to its checkpoint from being compared a few
-        instructions later, before its effects could die out."""
+    def _probe(self, hook) -> list[CpuSnapshot]:
+        """The ladder checkpoints a trial with ``hook`` is compared at, in
+        order: the first whose interval mark is at or after its fire
+        window's end, and the one after it (fewer near the end of the
+        ladder; none when no trial may rejoin).  Choosing by mark rather
+        than by position keeps a fault that lands in the walk from a mark
+        to its checkpoint from being compared a few instructions later,
+        before its effects could die out."""
         window = getattr(hook, "fire_window", None)
         if window is None or self._checks is None:
-            return None
+            return []
         pos = bisect_left(self._checkpoint_marks, window[1])
-        return self.checkpoints[pos] if pos < len(self.checkpoints) else None
+        return self.checkpoints[pos : pos + 2]
 
     def _rejoin_verdict(
         self, cpu, probe: CpuSnapshot, max_cycles: int
@@ -540,6 +555,12 @@ class TrialScheduler:
             cpu.pre_hooks.clear()
         cpu.restore(snap)
         return cpu
+
+
+def _ladder_bytes(snap: CpuSnapshot) -> int:
+    """What a checkpoint costs the ladder's budget: its page copies, and
+    one page for its fixed parts."""
+    return (len(snap.pages) + 1) << PAGE_BITS
 
 
 def _frame_births(checks: _CheckTable, trace: GoldenTrace) -> None:

@@ -62,7 +62,14 @@ offset the trace uses off rN inside the view), so a word load or store
 at an aligned immediate offset is ``_w[_bN + k]`` under ``if _okN:``,
 with the tested access above in its ``else`` (a faulted SP, an MMIO
 base).  The spilled constants a compiled loop reloads off SP every pass
-are such accesses.
+are such accesses.  Under a CFI monitor, a base the trace never writes
+and only stores aligned words off at immediate offsets, two of them or
+one in a loop trace, is fixed too (:func:`_mmio_bases`): hardened code
+keeps the CFI unit's base in r9.  Its prologue sets two flags per offset
+k, ``_mN_k`` and ``_cN_k``: ``(rN + k) & M`` is ``CFI_MERGE`` or
+``CFI_CHECK``.  A store there is ``ms = ms ^ value`` under ``if
+_mN_k:``, the monitor's compare, violation and halt check under ``elif
+_cN_k:``, and the tested store above under ``else``.
 
 **Lazy flags.**  A flag-setting add, sub or cmp leaves its operands and
 unmasked sum in ``_a``/``_b``/``_u`` and marks NZCV *pending*.  An eq,
@@ -686,6 +693,8 @@ class _Emitter:
         self.shared = False  # some exit breaks out to the shared exit
         #: fixed base register -> its word offsets' range (_fixed_bases)
         self.fixed: dict = {}
+        #: fixed CFI base register -> its word offsets (_mmio_bases)
+        self.mmio: dict = {}
         if preset is not None:
             touched, written, ftouched, fwritten = preset
             self.reads = set(touched)
@@ -968,6 +977,23 @@ def _fixed_word(instr) -> bool:
     )
 
 
+def _base_accesses(steps) -> tuple[set, dict]:
+    """The registers a trace writes, and base register -> the loads and
+    stores off it."""
+    written: set = set()
+    accesses: dict = {}
+    for _, instr, _ in steps:
+        cls = type(instr)
+        written.update(int(reg) for reg in instr.reg_defs())
+        if cls in (ins.Push, ins.Pop):
+            written.add(SP)
+        elif cls is ins.Bl:
+            written.add(14)
+        elif cls in (ins.LdrImm, ins.LdrReg, ins.StrImm, ins.StrReg):
+            accesses.setdefault(int(instr.rn), []).append(instr)
+    return written, accesses
+
+
 def _fixed_bases(steps, loop: bool) -> dict:
     """Base register -> ``(lowest, highest)`` word offset, for each base
     whose fixed-offset words the trace serves through a guard checked
@@ -976,26 +1002,59 @@ def _fixed_bases(steps, loop: bool) -> dict:
     A base qualifies when no instruction of the trace writes it, so its
     entry value holds throughout, and where the guard pays: it has a word
     load (a base only stored through is typically an MMIO base, such as
-    the CFI unit's, where the guard always fails) and two accesses, or
-    one in a loop trace."""
-    written: set = set()
-    words: dict = {}
-    for _, instr, _ in steps:
-        cls = type(instr)
-        written.update(int(reg) for reg in instr.reg_defs())
-        if cls in (ins.Push, ins.Pop):
-            written.add(SP)
-        elif cls is ins.Bl:
-            written.add(14)
-        if _fixed_word(instr):
-            words.setdefault(int(instr.rn), []).append(instr)
+    the CFI unit's, where the guard always fails; see :func:`_mmio_bases`)
+    and two word accesses, or one in a loop trace."""
+    written, accesses = _base_accesses(steps)
+    fixed = {}
+    for reg, used in accesses.items():
+        words = [i for i in used if _fixed_word(i)]
+        if (
+            reg not in written
+            and (loop or len(words) > 1)
+            and any(type(i) is ins.LdrImm for i in words)
+        ):
+            fixed[reg] = (min(i.imm for i in words), max(i.imm for i in words))
+    return fixed
+
+
+def _mmio_bases(steps, loop: bool) -> dict:
+    """Base register -> its sorted word offsets, for each base whose
+    stores a trace with a CFI monitor serves through flags set once in
+    its prologue (:func:`_mmio_prologue`).
+
+    A base qualifies when no instruction of the trace writes it and every
+    access off it is a word store at an aligned immediate offset — the
+    CFI unit's base in hardened code — with two such stores, or one in a
+    loop trace."""
+    written, accesses = _base_accesses(steps)
     return {
-        reg: (min(i.imm for i in used), max(i.imm for i in used))
-        for reg, used in words.items()
+        reg: sorted({i.imm for i in used})
+        for reg, used in accesses.items()
         if reg not in written
         and (loop or len(used) > 1)
-        and any(type(i) is ins.LdrImm for i in used)
+        and all(type(i) is ins.StrImm and _fixed_word(i) for i in used)
     }
+
+
+def _mmio_flag(reg: int, offset: int) -> str:
+    """The suffix ``<N>_<k>`` of base N's flags for offset k (``n<k>``
+    below the base)."""
+    return f"{reg}_{offset}" if offset >= 0 else f"{reg}_n{-offset}"
+
+
+def _mmio_prologue(mmio: dict) -> list[str]:
+    """``_m<N>_<k>`` and ``_c<N>_<k>``: the word at offset k off base N is
+    the CFI unit's merge or its check register.  ``(rN + k) & M`` equals
+    an address exactly when rN equals the address minus k, mod 2**32."""
+    lines = []
+    for reg, offsets in sorted(mmio.items()):
+        for k in offsets:
+            flag = _mmio_flag(reg, k)
+            lines += [
+                f"_m{flag} = r{reg} == {(MMIO.CFI_MERGE - k) & WORD:#x}",
+                f"_c{flag} = r{reg} == {(MMIO.CFI_CHECK - k) & WORD:#x}",
+            ]
+    return lines
 
 
 def _fixed_prologue(fixed: dict) -> list[str]:
@@ -1076,9 +1135,10 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
 
     The fast path writes RAM directly — an aligned word through the word
     view (off a fixed base without an address test) — and keeps the
-    dirty-page set current (the trial scheduler scrubs via it); MMIO,
-    out-of-range and unaligned word stores take ``cpu.store`` and then
-    drain CFI events and check for halts, exactly like the
+    dirty-page set current (the trial scheduler scrubs via it); a store
+    off a fixed CFI base merges or checks through its prologue flags;
+    MMIO, out-of-range and unaligned word stores take ``cpu.store`` and
+    then drain CFI events and check for halts, exactly like the
     per-instruction loops."""
     e.needs.add("store")
     e.needs.add("dirty")
@@ -1098,9 +1158,19 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
     # against / merges into the state *after* this instruction's advance.
     e.emit_flush()
     index = _emit_fixed(e, instr)
+    cfi_base = int(instr.rn) in e.mmio
+    nested = True
     if index is not None:
         e.emit(f"_w[{index}] = {val}", 1)
         e.emit(f"_dirty.add(({index}) >> {PAGE_BITS - 2})", 1)
+    elif cfi_base:
+        # A store off a fixed CFI base: its prologue flags say which
+        # register of the unit the word is, if any.
+        flag = _mmio_flag(int(instr.rn), instr.imm)
+        _emit_cfi_store(e, f"_m{flag}", f"_c{flag}", val, fall)
+    else:
+        nested = False
+    if nested:
         e.emit("else:")
         e.indent += 1
     e.emit(f"_ad = {addr}")
@@ -1119,21 +1189,15 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
     if size == 2:  # an aligned word never spans two pages, a halfword may
         e.emit(f"_dirty.add((_ad + 1) >> {PAGE_BITS})", 1)
     e.emit("else:")
-    if e.monitor:
+    if e.monitor and not cfi_base:
         # CFI merge/check stores are the overwhelmingly common MMIO
         # stores under an attached monitor (one or more per hardened
         # block): apply them to ``ms`` directly instead of bouncing a
-        # CfiEvent through cpu.store and the drain.
+        # CfiEvent through cpu.store and the drain.  (Off a fixed CFI
+        # base, the flags above took both registers already.)
         vexpr = val if size == 4 else f"({val} & {(1 << (8 * size)) - 1:#x})"
-        e.emit(f"if _ad == {int(MMIO.CFI_MERGE):#x}:", 1)
-        e.emit(f"ms = (ms ^ {vexpr}) & 0xFFFFFFFF", 2)
-        e.emit(f"elif _ad == {int(MMIO.CFI_CHECK):#x}:", 1)
-        e.emit(f"if {vexpr} != ms:", 2)
-        e.emit("_mon.violations += 1", 3)
-        e.emit("cpu.cfi_violation()", 3)
-        e.emit_halt_check(fall, extra=3)
-        e.emit("else:", 2)
-        e.emit("_mon.checks_passed += 1", 3)
+        _emit_cfi_store(e, f"_ad == {int(MMIO.CFI_MERGE):#x}",
+                        f"_ad == {int(MMIO.CFI_CHECK):#x}", vexpr, fall, 1)
         e.emit("else:", 1)
         e.emit(f"_store(_ad, {val}, {size})", 2)
         _emit_event_drain(e, 2)
@@ -1142,8 +1206,25 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
         e.emit(f"_store(_ad, {val}, {size})", 1)
         _emit_event_drain(e, 1)
         e.emit_halt_check(fall, extra=1)
-    if index is not None:
+    if nested:
         e.indent -= 1
+
+
+def _emit_cfi_store(e: _Emitter, merge: str, check: str, value: str, fall: int,
+                    extra: int = 0) -> None:
+    """A store to the CFI unit, applied to ``ms`` as the monitor would:
+    ``if <merge>:`` folds the 32-bit ``value`` in, ``elif <check>:``
+    compares it, and a failed check halts.  The caller emits the
+    ``else:`` for any other address."""
+    e.emit(f"if {merge}:", extra)
+    e.emit(f"ms = ms ^ {value}", extra + 1)
+    e.emit(f"elif {check}:", extra)
+    e.emit(f"if {value} != ms:", extra + 1)
+    e.emit("_mon.violations += 1", extra + 2)
+    e.emit("cpu.cfi_violation()", extra + 2)
+    e.emit_halt_check(fall, extra=extra + 2)
+    e.emit("else:", extra + 1)
+    e.emit("_mon.checks_passed += 1", extra + 2)
 
 
 def _emit_push(e: _Emitter, cpu, instr, fall: int) -> None:
@@ -1542,11 +1623,12 @@ def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
 
 def _emit_trace(block: _Block, cpu, image, monitor: bool, inline: bool,
                 loop: bool, worst_pass: int, preset, div_bound: int,
-                fixed: dict) -> _Emitter:
+                fixed: dict, mmio: dict) -> _Emitter:
     """Emit one trace/block body into a fresh emitter."""
     has_div = any(type(i) in (ins.Udiv, ins.Sdiv) for _, i, _ in block.body)
     e = _Emitter(monitor, cycles_local=has_div, loop=loop, preset=preset)
     e.fixed = fixed
+    e.mmio = mmio
     e.div_bound = div_bound
     e.div_inline = type(cpu.cycles_model).div is CycleModel.div
     start = block.addr
@@ -1647,13 +1729,14 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
     loop = block.loop and inline
     steps = block.body + [block.term] if block.term is not None else block.body
     fixed = _fixed_bases(steps, loop)
+    mmio = _mmio_bases(steps, loop) if monitor else {}
     if loop:
         # Pass A: discover the full register/flag footprint and the
         # worst-case single-pass cost; pass B presets both so every
         # exit publishes everything any iteration may have written.
         probe = _emit_trace(block, cpu, image, monitor, inline,
                             loop=True, worst_pass=0, preset=None,
-                            div_bound=div_bound, fixed=fixed)
+                            div_bound=div_bound, fixed=fixed, mmio=mmio)
         worst = max(probe.worst, 1)
         preset = (
             probe.reads | probe.written,
@@ -1663,13 +1746,13 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
         )
         e = _emit_trace(block, cpu, image, monitor, inline, loop=True,
                         worst_pass=worst, preset=preset,
-                        div_bound=div_bound, fixed=fixed)
+                        div_bound=div_bound, fixed=fixed, mmio=mmio)
     else:
         e = _emit_trace(block, cpu, image, monitor, inline, loop=False,
                         worst_pass=0, preset=None, div_bound=div_bound,
-                        fixed=fixed)
+                        fixed=fixed, mmio=mmio)
         worst = e.worst
-    assert not fixed.keys() & e.written, "a fixed base is written"
+    assert not (fixed.keys() | mmio.keys()) & e.written, "a fixed base is written"
     name = f"_t{block.addr:x}"
     prologue = [f"def {name}(cpu, regs, max_cycles, stop):"]
     for reg in sorted(e.reads):
@@ -1683,6 +1766,7 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
         prologue.append("    _w = cpu._words")
         prologue.append("    _fast = len(_w) << 2")
         prologue += ["    " + line for line in _fixed_prologue(fixed)]
+        prologue += ["    " + line for line in _mmio_prologue(mmio)]
     if "mem" in e.needs:
         prologue.append("    _mem = cpu.memory")
     if "dirty" in e.needs:

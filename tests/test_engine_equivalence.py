@@ -21,6 +21,7 @@ import inspect
 
 import pytest
 
+import repro.faults.scheduler as scheduler_module
 from repro.backend import compile_ir
 from repro.crypto import build_signed_image
 from repro.crypto.image import BOOT_OK, bootloader_params, prepare_bootloader_module
@@ -42,6 +43,7 @@ from repro.faults.models import (
     RepeatedInstructionSkip,
 )
 from repro.faults.scheduler import TrialScheduler
+from repro.isa.cpu import PAGE_SIZE
 from repro.minic import parse_to_ir
 from repro.minic.driver import compile_source
 from repro.programs import load_source
@@ -210,6 +212,7 @@ class TestCampaignEquivalence:
             (TrialScheduler, "reuse_cpu"),
             (TrialScheduler, "golden_max_cycles"),
             (TrialScheduler, "record_addrs"),
+            (TrialScheduler, "max_checkpoints"),
             (CampaignExecutor.run_attack, "engine"),
         ],
     )
@@ -348,16 +351,17 @@ class TestTrialEquivalence:
             replayed = cpu.run(2_000_000)
             assert_same_result(forked, replayed, f"{name}/{scheme}/{model}")
 
-    def test_forced_small_interval_and_thinning(self):
-        # A tiny interval with a tight checkpoint budget exercises the
+    def test_forced_small_interval_and_thinning(self, monkeypatch):
+        # A tiny interval with a tight byte budget exercises the
         # ladder-thinning path; trials must stay exact.
+        budget = 8 * PAGE_SIZE
+        monkeypatch.setattr(scheduler_module, "LADDER_BYTES", budget)
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="duplication")
         )
-        scheduler = TrialScheduler(
-            program, "run_memcmp", [32], interval=16, max_checkpoints=8
-        )
-        assert len(scheduler.checkpoints) <= 9
+        scheduler = TrialScheduler(program, "run_memcmp", [32], interval=16)
+        charged = sum((len(snap.pages) + 1) * PAGE_SIZE for snap in scheduler.checkpoints)
+        assert charged <= budget
         assert scheduler.stats.interval > 16  # thinning doubled the spacing
         total = scheduler.golden.instructions
         for occurrence in (1, total // 3, total // 2, total - 1, total):

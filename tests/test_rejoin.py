@@ -16,7 +16,12 @@ here:
   produce the reference engine's timeouts, cycles included;
 * a composite fault whose window spans a ladder checkpoint is probed
   only after its last component can fire;
-* with the probe switched off, every trial's result and end are the
+* a trial that fails its first probe is compared again at the next
+  checkpoint, and one that rejoins there (or halts before it) still
+  gets a full run's result and end, on both targets;
+* the ladder stays within ``LADDER_BYTES``, thinning by halves, and
+  each checkpoint sits on the first trace entry at or after its mark;
+* with the probes switched off, every trial's result and end are the
   same, so the shortcut changes work done, never results.
 """
 
@@ -25,6 +30,7 @@ from itertools import zip_longest
 
 import pytest
 
+import repro.faults.scheduler as scheduler_module
 from repro.faults.adversary import CompositeFault
 from repro.faults.models import (
     BranchDirectionFlip,
@@ -33,8 +39,9 @@ from repro.faults.models import (
     MemoryBitFlip,
     RegisterBitFlip,
 )
-from repro.faults.scheduler import TrialScheduler
+from repro.faults.scheduler import DEFAULT_INTERVAL, TrialScheduler
 from repro.isa.cpu import PAGE_BITS, PAGE_SIZE, Status
+from repro.isa.superblock import trace_entries
 from repro.minic.driver import compile_source
 from repro.programs import load_source
 from repro.toolchain import CompileConfig
@@ -58,6 +65,21 @@ def _full_run(program, args, model, dispatch, max_cycles=2_000_000):
 def _skips(scheduler, stride=1):
     total = scheduler.golden.instructions
     return [InstructionSkip(i) for i in range(1, total + 1, stride)]
+
+
+def _record_verdicts(scheduler) -> list:
+    """Make ``scheduler`` log each probe it compares a trial at as
+    ``(probe, rejoined)``; returns the log."""
+    log = []
+    verdict = scheduler._rejoin_verdict
+
+    def recording(cpu, probe, max_cycles):
+        result = verdict(cpu, probe, max_cycles)
+        log.append((probe, result is not None))
+        return result
+
+    scheduler._rejoin_verdict = recording
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +229,16 @@ u32 run_calls(u32 n) {
 
 class TestVerdictRule:
     @pytest.mark.parametrize("target", TARGETS)
-    def test_verdict_equals_simulating_on(self, target):
+    def test_verdict_equals_simulating_on(self, target, monkeypatch):
         # A dense ladder puts checkpoints everywhere in the call loop,
         # including between a callee's last check and its return.  At
         # each one, a difference in one monitor frame (or none) must give
         # the verdict that simulating on from the same state gives.
+        monkeypatch.setattr(scheduler_module, "LADDER_BYTES", 64 << 20)
         config = CompileConfig(scheme="ancode", target=target)
         program = compile_source(CALL_LOOP, config=config)
-        scheduler = TrialScheduler(
-            program, "run_calls", [12], interval=3, max_checkpoints=1024
-        )
+        scheduler = TrialScheduler(program, "run_calls", [12], interval=3)
+        assert scheduler.stats.interval == 3, "the ladder thinned"
         violations = 0
         for probe in scheduler.checkpoints[1:]:
             for depth in range(-1, len(probe.monitor[1]) + 1):
@@ -278,7 +300,7 @@ class TestRejoinedTrials:
         for model in models:
             probed.append((scheduler.run_trial(model), scheduler.last_trial_end))
         assert scheduler.stats.rejoined > 0
-        monkeypatch.setattr(TrialScheduler, "_probe", lambda self, hook: None)
+        monkeypatch.setattr(TrialScheduler, "_probe", lambda self, hook: [])
         for model, expected in zip(models, probed):
             assert (scheduler.run_trial(model), scheduler.last_trial_end) == expected
 
@@ -314,14 +336,18 @@ class TestRejoinedTrials:
     def test_rejoined_trial_counts_work_up_to_its_probe(self):
         scheduler = TrialScheduler(_program(), "run_memcmp", [16])
         stats = scheduler.stats
+        log = _record_verdicts(scheduler)
         for model in _skips(scheduler):
             rejoined = stats.rejoined
             simulated = stats.simulated_instructions
             saved = stats.saved_instructions
+            del log[:]
             result = scheduler.run_trial(model)
             if stats.rejoined == rejoined:
                 continue
-            probe = scheduler._probe(model.forked_hook(scheduler.trace))
+            probe, decided = log[-1]
+            assert decided
+            assert log[0][0] is scheduler._probe(model.forked_hook(scheduler.trace))[0]
             fork = scheduler._fork_point(model.occurrence, 2_000_000)
             # A skip retires one instruction fewer than the golden run.
             at_probe = probe.retired - 1
@@ -390,3 +416,104 @@ class TestCompositeWindow:
             assert result == reference, model
             assert scheduler.last_trial_end == end, model
         assert scheduler.stats.rejoined > 0
+
+
+# ---------------------------------------------------------------------------
+# The second probe
+# ---------------------------------------------------------------------------
+class TestSecondProbe:
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_trials_past_their_first_probe_end_as_full_runs(self, target):
+        # Skips and register flips over memcmp[16]: some trials fail their
+        # first probe and rejoin at the next checkpoint, some halt before
+        # it, and the rest run on to their end.  Every one gets a full
+        # run's result and last_trial_end.
+        program = _program(target=target)
+        scheduler = TrialScheduler(program, "run_memcmp", [16])
+        models = _skips(scheduler, 2) + [
+            RegisterBitFlip(reg, 0, index)
+            for index in range(1, scheduler.golden.instructions, 9)
+            for reg in (0, 1, 13)
+        ]
+        log = _record_verdicts(scheduler)
+        kinds = {"second": 0, "halted": 0}
+        for model in models:
+            del log[:]
+            result = scheduler.run_trial(model)
+            full, end = _full_run(program, [16], model, "reference")
+            assert (result, scheduler.last_trial_end) == (full, end), model
+            probes = scheduler._probe(model.forked_hook(scheduler.trace))
+            assert len(log) <= len(probes)
+            assert all(probe is expected for (probe, _), expected in zip(log, probes))
+            decided = [rejoined for _, rejoined in log]
+            if decided == [False, True]:
+                kinds["second"] += 1
+            elif decided == [False] and len(probes) == 2:
+                # Compared once, so it halted before the second probe.
+                assert end < probes[1].dyn_index, model
+                kinds["halted"] += 1
+        assert kinds["second"] and kinds["halted"], kinds
+
+    def test_probes_are_the_first_checkpoint_past_the_window_and_the_next(self):
+        scheduler = TrialScheduler(_program(), "run_memcmp", [16])
+        marks = scheduler._checkpoint_marks
+        checkpoints = scheduler.checkpoints
+
+        def hook(window):
+            def pre(cpu, instr):
+                return False
+
+            pre.fire_window = window
+            return pre
+
+        assert scheduler._probe(lambda cpu, instr: False) == []
+        for end in range(1, scheduler.golden.instructions + 2, 5):
+            probes = scheduler._probe(hook((1, end)))
+            pos = next((i for i, mark in enumerate(marks) if mark >= end), len(marks))
+            assert probes == checkpoints[pos : pos + 2], end
+
+
+# ---------------------------------------------------------------------------
+# The ladder's byte budget
+# ---------------------------------------------------------------------------
+def _ladder_charge(scheduler) -> int:
+    return sum((len(snap.pages) + 1) * PAGE_SIZE for snap in scheduler.checkpoints)
+
+
+class TestLadderBudget:
+    @pytest.mark.parametrize("pages", [12, 40])
+    def test_a_long_run_stays_within_the_budget(self, pages, monkeypatch):
+        # memcmp[128] keeps about a hundred checkpoints of one to two
+        # pages each: a budget of a few dozen pages thins the ladder
+        # once or more.  Each checkpoint still sits on the first trace
+        # entry at or after its own mark, so trials fork and probe where
+        # the unthinned ladder put them.
+        budget = pages * PAGE_SIZE
+        monkeypatch.setattr(scheduler_module, "LADDER_BYTES", budget)
+        program = _program()
+        scheduler = TrialScheduler(program, "run_memcmp", [128])
+        interval = scheduler.stats.interval
+        assert _ladder_charge(scheduler) <= budget
+        assert interval > DEFAULT_INTERVAL and interval % DEFAULT_INTERVAL == 0
+        assert (interval // DEFAULT_INTERVAL).bit_count() == 1
+        checkpoints, marks = scheduler.checkpoints, scheduler._checkpoint_marks
+        assert len(marks) == len(checkpoints) == scheduler.stats.checkpoints
+        assert marks[0] == checkpoints[0].retired == 0
+        entries = trace_entries(scheduler._fork_cpu(checkpoints[0]))
+        pcs = scheduler.trace.pcs
+        for snap, mark in zip(checkpoints[1:], marks[1:]):
+            assert mark <= snap.retired, mark
+            assert pcs[snap.retired] in entries
+            assert not any(pcs[r] in entries for r in range(mark, snap.retired))
+        # The ladder runs on to within two intervals of the golden end.
+        assert scheduler.golden.instructions - checkpoints[-1].retired < 2 * interval
+        for model in _skips(scheduler, 101):
+            assert scheduler.run_trial(model) == _full_run(
+                program, [128], model, "reference"
+            )[0], model
+
+    def test_the_default_budget_keeps_memcmp_unthinned(self):
+        scheduler = TrialScheduler(_program(), "run_memcmp", [128])
+        assert scheduler.stats.interval == DEFAULT_INTERVAL
+        assert len(scheduler.checkpoints) > scheduler.golden.instructions // 80
+        assert _ladder_charge(scheduler) <= scheduler_module.LADDER_BYTES

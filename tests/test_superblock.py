@@ -21,6 +21,9 @@ from test_differential_fuzz import _cfg_args_for_seed, cfg_source_for_seed
 
 import repro.isa.superblock as superblock
 from repro.backend.driver import CompiledProgram
+from repro.cfi.gpsa import entry_state, update
+from repro.cfi.monitor import CfiMonitor
+from repro.cfi.signatures import signature
 from repro.faults.isa_campaign import run_attack
 from repro.faults.models import (
     FlagFlip,
@@ -560,30 +563,35 @@ def _kernels(draw, kinds=tuple(_KINDS)):
     return image, ram, regs, nzcv
 
 
-def _kernel_cpu(kernel, dispatch):
+def _kernel_cpu(kernel, dispatch, monitor=False):
     image, ram, regs, nzcv = kernel
     cpu = CPU(image, memory_size=ram, dispatch=dispatch, track_pages=True)
     cpu.memory[PAGE_SIZE : PAGE_SIZE + len(_PATTERN)] = _PATTERN
     cpu.memory[:4], cpu.memory[ram - 4 :] = _ENDS[:4], _ENDS[4:]
     cpu.call("f")
+    if monitor:
+        CfiMonitor(cpu, "f")
     for reg, value in regs.items():
         cpu.regs[reg] = value
     cpu.n, cpu.z, cpu.c, cpu.v = nzcv
     return cpu
 
 
-def _every_stop_pauses_in_the_reference_state(kernel):
+def _every_stop_pauses_in_the_reference_state(kernel, monitor=False):
+    """Compare a trace-compiled run paused at each ``dyn_index`` with
+    the reference paused there; returns the reference's end."""
     budget = 100_000
-    end = _kernel_cpu(kernel, "reference")
+    end = _kernel_cpu(kernel, "reference", monitor)
     end.run(budget)
-    reference = _kernel_cpu(kernel, "reference")
+    reference = _kernel_cpu(kernel, "reference", monitor)
     for stop in range(1, end.dyn_index + 1):
         reference.run(budget, stop_at_instruction=stop)
-        cpu = _kernel_cpu(kernel, "superblock")
+        cpu = _kernel_cpu(kernel, "superblock", monitor)
         cpu.run(budget, stop_at_instruction=stop)
         assert _state(cpu) == _state(reference), (stop, kernel[0].listing())
     if end.dyn_index > 2:
         assert cpu._sb_blocks, "no compiled trace ran"
+    return end
 
 
 def _word_program():
@@ -676,6 +684,94 @@ class TestTraceKernels:
         assert fixed(body, loop=True) == {13: (-4, 8), 10: (4, 4)}
         assert fixed(body, loop=False) == {13: (-4, 8)}
         assert fixed(body + steps(ins.Pop((4,))), loop=True) == {10: (4, 4)}
+
+    @given(kernel=_kernels(tuple(_FIXED_KINDS)))
+    @settings(max_examples=100, deadline=None)
+    def test_every_stop_of_a_monitored_fixed_base_kernel_pauses_like_the_reference(
+        self, kernel
+    ):
+        # Under a CFI monitor a base only stored through, at aligned word
+        # offsets, is served through prologue flags.  r9 sits at the CFI
+        # unit's merge register, so its offsets reach the check register,
+        # the console, the detect register and unmapped MMIO words, or at
+        # the last RAM word; r8 may move on after its store.
+        _every_stop_pauses_in_the_reference_state(kernel, monitor=True)
+
+    @pytest.mark.parametrize(
+        "case", ["merge", "check-pass", "check-fail", "ram", "console", "moving"]
+    )
+    def test_store_only_bases_under_a_monitor_pause_in_the_reference_state(
+        self, case
+    ):
+        # r9 (r8 where it moves on) is only stored through, so a trace
+        # with a monitor tests once in its prologue which CFI register
+        # each offset is.  A loop merges r0 and r1 off it at the merge
+        # register, or at a RAM word, or at the console; a straight line
+        # checks r1 and r2 off it at the check register, with values the
+        # monitor expects or not; a base moved on by 4 each pass stores
+        # to an unmapped word, then merges, then checks (and fails), so
+        # a trace entered at the merge pass must not keep serving it as
+        # a merge.  Every stop pauses in the reference state.
+        ram = 16 * PAGE_SIZE
+        if case in ("check-pass", "check-fail"):
+            body = [ins.StrImm(1, 9, 20), ins.StrImm(2, 9, 20)]
+            state = entry_state("f")
+            values = []
+            for instr in body:
+                state = update(state, signature(instr))
+                values.append(state)
+            if case == "check-fail":
+                values[1] ^= 1
+            blocks = [AsmBlock("f", body + [ins.BxLr()])]
+            regs = {1: values[0], 2: values[1], 9: MMIO.CFI_CHECK - 20}
+        else:
+            base = 8 if case == "moving" else 9
+            loop = [ins.StrImm(0, base, 16), ins.AluImm("add", 0, 0, 3),
+                    ins.StrImm(1, base, 16)]
+            if case == "moving":
+                loop.append(ins.AluImm("add", 8, 8, 4))
+            loop += [ins.AluImm("sub", 11, 11, 1, s=True), ins.Bcc("ne", "loop")]
+            blocks = [AsmBlock("f", [ins.MovImm(0, 65)]), AsmBlock("loop", loop),
+                      AsmBlock("out", [ins.BxLr()])]
+            at = {"ram": ram - 24, "console": MMIO.CONSOLE - 16,
+                  "moving": MMIO.CFI_MERGE - 20}
+            regs = {1: 66, 11: 4, base: at.get(case, MMIO.CFI_MERGE - 16)}
+        kernel = (assemble([AsmFunction("f", blocks)]), ram, regs, (0, 0, 0, 0))
+        end = _every_stop_pauses_in_the_reference_state(kernel, monitor=True)
+        monitor = end.monitor
+        expected = {
+            "merge": (Status.EXIT, 0, 0),
+            "check-pass": (Status.EXIT, 0, 2),
+            "check-fail": (Status.CFI_VIOLATION, 1, 1),
+            "ram": (Status.EXIT, 0, 0),
+            "console": (Status.EXIT, 0, 0),
+            "moving": (Status.CFI_VIOLATION, 1, 0),
+        }[case]
+        assert (end.status, monitor.violations, monitor.checks_passed) == expected
+        if case == "console":
+            assert "".join(end.console_chars) == "ABDBGBJB"
+
+    def test_mmio_bases_are_the_unwritten_store_only_bases_that_pay(self):
+        # A base is served through CFI flags when the trace never writes
+        # it and only stores words off it at aligned immediate offsets,
+        # two of them or one in a loop trace: r9 and r12 here.  r8 moves
+        # on, r10 has a load, r11 a byte store, r13 an unaligned store,
+        # and r7 a register offset.
+        def steps(*instrs):
+            return [(4 * i, instr, 4) for i, instr in enumerate(instrs)]
+
+        body = steps(
+            ins.StrImm(0, 9, 16), ins.StrImm(1, 9, 20), ins.StrImm(1, 9, -4),
+            ins.StrImm(0, 8, 16), ins.AluImm("add", 8, 8, 4),
+            ins.StrImm(0, 10, 16), ins.LdrImm(0, 10, 4),
+            ins.StrImm(0, 11, 16), ins.StrImm(0, 11, 20, size=1),
+            ins.StrImm(0, 13, 16), ins.StrImm(0, 13, 18),
+            ins.StrImm(0, 12, 8), ins.StrReg(0, 7, 1),
+        )
+        mmio = superblock._mmio_bases
+        assert mmio(body, loop=True) == {9: [-4, 16, 20], 12: [8]}
+        assert mmio(body, loop=False) == {9: [-4, 16, 20]}
+        assert mmio(body + steps(ins.MovImm(9, 0)), loop=True) == {12: [8]}
 
     def test_word_view_aliases_memory_across_restores_and_scrubs(self):
         # Compiled traces load words through a view of cpu.memory made
