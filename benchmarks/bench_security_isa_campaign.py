@@ -145,11 +145,12 @@ def engine_programs(workbench):
 
 
 def _fresh_images(engine_programs):
-    """Drop every memoized golden run, compiled trace and pristine
-    image, so a measured campaign pays golden capture, checkpoint ladder
-    and trace compiles."""
+    """Drop every memoized golden run, trial CPU, compiled trace and
+    pristine image, so a measured campaign pays golden capture,
+    checkpoint ladder, CPU allocation and trace compiles."""
     for program in engine_programs.values():
         program._schedulers.clear()
+        program._trial_cpus.clear()
         program.image._superblock_cache = None
         program.image._pristine = None
 

@@ -141,6 +141,7 @@ def test_window_zero_throughput_guard(benchmark, workbench):
     def measure(spec):
         kwargs = {} if spec is None else {"spec": spec}
         program._schedulers.clear()
+        program._trial_cpus.clear()
         start = time.perf_counter()
         result = run_attack(
             program, "integer_compare", args, models, "w0-guard", **kwargs

@@ -21,7 +21,7 @@ from repro.ir.cfg import split_critical_edges
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.isa.assembler import AsmBlock, AsmFunction, CodeImage, DataSegment, assemble
-from repro.isa.cpu import CPU, ExecutionResult
+from repro.isa.cpu import PAGE_BITS, PAGE_SIZE, CPU, CpuSnapshot, ExecutionResult
 from repro.isa.cycles import CycleModel
 from repro.cfi.monitor import CfiMonitor
 from repro.passes.lower_select import lower_selects
@@ -48,6 +48,10 @@ class CompiledProgram:
     #: (function, args, ...) -> TrialScheduler; campaigns against one
     #: workload share a single golden run + checkpoint set.
     _schedulers: dict = field(default_factory=dict, repr=False, compare=False)
+    #: (function, spec) -> (start snapshot, free list of trial CPUs): the
+    #: page-tracking CPUs every scheduler of that function borrows for its
+    #: golden capture and its trials (see :meth:`take_trial_cpu`).
+    _trial_cpus: dict = field(default_factory=dict, repr=False, compare=False)
 
     def size_of(self, function: str) -> int:
         return self.image.function_sizes[function]
@@ -138,11 +142,52 @@ class CompiledProgram:
         kwargs = {} if spec is None else {"spec": spec}
         return TrialScheduler.for_program(self, function, list(args or []), **kwargs)
 
+    def take_trial_cpu(self, function: str, spec=None) -> tuple[CPU, CpuSnapshot]:
+        """A page-tracking CPU for ``function`` (speculating under
+        ``spec``) with the image's pristine memory, and the start
+        snapshot: the state ``prepare_cpu(function)`` leaves, with no
+        arguments.  The caller restores a snapshot onto the CPU and hands
+        it back with :meth:`give_trial_cpu`; until then no other caller
+        gets it, so concurrent schedulers run on separate CPUs.  Only a
+        caller that finds the free list empty allocates one."""
+        key = (function, spec)
+        pool = self._trial_cpus.get(key)
+        if pool is None:
+            cpu = self.prepare_cpu(function, track_pages=True, spec=spec)
+            # prepare_cpu puts arguments in registers only, so every CPU
+            # of the image starts from, and scrubs back to, one copy.
+            if self.image._pristine is None:
+                self.image._pristine = bytes(cpu.memory)
+            pool = self._trial_cpus.setdefault(key, (cpu.snapshot(), []))
+            return cpu, pool[0]
+        start, free = pool
+        try:
+            cpu = free.pop()
+        except IndexError:  # every CPU of the pool is out: one more
+            return self.prepare_cpu(function, track_pages=True, spec=spec), start
+        # Scrub the previous user's pages back to the pristine image;
+        # restore() lays a snapshot's pages on top.
+        memory, pristine = cpu.memory, self.image._pristine
+        for page in cpu._dirty_pages:
+            offset = page << PAGE_BITS
+            memory[offset : offset + PAGE_SIZE] = pristine[offset : offset + PAGE_SIZE]
+        cpu._dirty_pages.clear()
+        cpu.pre_hooks.clear()
+        return cpu, start
+
+    def give_trial_cpu(self, function: str, spec, cpu: CPU) -> None:
+        """Return a CPU :meth:`take_trial_cpu` handed out (dropped if the
+        pool was cleared meanwhile)."""
+        pool = self._trial_cpus.get((function, spec))
+        if pool is not None:
+            pool[1].append(cpu)
+
     def __getstate__(self):
-        # The scheduler cache holds per-process CPU checkpoints; workers
+        # The scheduler cache and the trial CPUs are per process; workers
         # rebuild their own (one golden run per worker).
         state = dict(self.__dict__)
         state["_schedulers"] = {}
+        state["_trial_cpus"] = {}
         return state
 
 

@@ -53,6 +53,23 @@ trace_entries`) at or after its interval mark.  A trial therefore forks
 onto a trace, runs traces to its fault window, single-steps the window,
 and from where the fault leaves the PC runs the trace that starts there
 (a suffix trace, compiled at its second reach) on to its probe.
+:meth:`TrialScheduler.run_trial` drives those phases itself: restore,
+:func:`~repro.isa.superblock.chain` to the slot before the window, the
+window stepped with the hook attached, ``chain`` to each probe (or to
+the end), and one ``result()``.  A hook without a window is attached
+for the whole trial, which :meth:`CPU.run` steps on the reference path.
+
+Trial CPUs belong to the program, not to the scheduler.  For each
+(function, spec) the :class:`~repro.backend.driver.CompiledProgram`
+keeps a free list of page-tracking CPUs and one start snapshot, the
+state of a CPU prepared with no arguments.  Golden capture takes a CPU,
+restores the start snapshot and calls the function with the workload's
+arguments; every trial takes a CPU (scrubbed back to the pristine image
+on the way out of the free list) and restores its checkpoint.  Both
+hand it back when done.  So a fresh workload of a warm program
+allocates no CPU, the schedulers of one program hold one CPU between
+them while they take turns, and concurrent schedulers still run on
+separate CPUs.
 
 Fault models participate through two optional methods (see
 :mod:`repro.faults.models`):
@@ -72,13 +89,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import compress, count
 
 from repro.isa.cpu import PAGE_BITS, PAGE_SIZE, CpuSnapshot, ExecutionResult, Status
 from repro.isa.mmio import MMIO
 from repro.isa.registers import PC
-from repro.isa.superblock import trace_entries
+from repro.isa.superblock import NO_STOP, chain, trace_entries
 
 #: Default spacing (retired instructions) between checkpoints.
 DEFAULT_INTERVAL = 64
@@ -101,7 +119,7 @@ class GoldenTrace:
         self,
         result: ExecutionResult,
         pcs: array,
-        code: dict,
+        image,
         branch_mnemonic: str = "bcc",
     ):
         self.result = result
@@ -109,33 +127,30 @@ class GoldenTrace:
         #: at dynamic index ``i`` (an unsigned-int array, 4 bytes per
         #: retirement even for multi-million-instruction runs)
         self.pcs = pcs
+        #: the :class:`~repro.isa.assembler.CodeImage` that ran
+        self._image = image
         #: the image's decode cache, address -> (instruction, width)
-        self._code = code
+        self._code = image.decode_cache()
         #: the target's conditional-branch mnemonic (fused rv32 branches
         #: share ``bcc`` by design; a third-party target may differ).
         self.branch_mnemonic = branch_mnemonic
         #: mnemonic -> (sorted 1-based dynamic indices of its retirements,
         #: their code addresses), built on first use
         self._hits: dict[str, tuple[array, array]] = {}
-        #: each retirement's mnemonic as one byte, and mnemonic -> that
-        #: byte; built from ``pcs`` by the first hit list
-        self._mnemonic_log: tuple[bytes, dict[str, int]] | None = None
+        #: each retirement's mnemonic as one byte (the image's mnemonic
+        #: numbering); built from ``pcs`` by the first hit list
+        self._mnemonic_log: bytes | None = None
 
     def _hit_list(self, mnemonic: str) -> tuple[array, array]:
         hits = self._hits.get(mnemonic)
         if hits is None:
-            log = self._mnemonic_log
-            if log is None:
-                numbers: dict[str, int] = {}
-                number_at = {
-                    addr: numbers.setdefault(instr.mnemonic, len(numbers))
-                    for addr, (instr, _) in self._code.items()
-                }
-                log = bytes(map(number_at.__getitem__, self.pcs)), numbers
-                self._mnemonic_log = log
-            kinds, numbers = log
-            number = numbers.get(mnemonic)
-            mask = kinds.translate(bytes(i == number for i in range(256)))
+            number_at, numbers = self._image.mnemonic_numbers()
+            kinds = self._mnemonic_log
+            if kinds is None:
+                kinds = self._mnemonic_log = bytes(
+                    map(number_at.__getitem__, self.pcs)
+                )
+            mask = kinds.translate(_selector(numbers.get(mnemonic)))
             indices = array("I", compress(count(1), mask))
             pcs = self.pcs
             hits = indices, array("I", [pcs[i - 1] for i in indices])
@@ -215,11 +230,12 @@ class _CheckTable:
     cycles: array
     #: golden console length after it
     console: array
-    #: dynamic index of the ``bl`` that opened the checking frame (0 for
-    #: the entry frame)
-    birth: array = field(default_factory=lambda: array("I"))
-    #: monitor call-stack depth of the checking frame
-    depth: array = field(default_factory=lambda: array("I"))
+    #: ``(birth, depth)`` of each checking frame: the dynamic index of the
+    #: ``bl`` that opened it (0 for the entry frame) and its monitor
+    #: call-stack depth.  Built by the first rejoin verdict that reads
+    #: them (:func:`_frame_births`), so a workload none of whose trials
+    #: rejoins with a changed monitor never pays for them.
+    frames: tuple[array, array] | None = None
 
 
 class TrialScheduler:
@@ -240,21 +256,23 @@ class TrialScheduler:
 
         Golden capture runs its own loop over the reference semantics
         (:meth:`_capture_golden`), which logs the PC of every retirement.
-        Trials run on a trace-compiled CPU (``dispatch="superblock"``)
-        that single-steps only while a fault window is open (see the
-        module docstring)."""
+        Trials run on trace-compiled CPUs that single-step only while a
+        fault window is open (see the module docstring).
+
+        The scheduler owns no CPU: golden capture and every trial borrow
+        one from the program
+        (:meth:`~repro.backend.driver.CompiledProgram.take_trial_cpu`).
+        Scrubbing a borrowed CPU back to the pristine image is safe for
+        hooks that go through CPU.store()/the bundled fault models; a
+        third-party hook that pokes ``cpu.memory`` directly must mark the
+        page in ``cpu._dirty_pages`` (as MemoryBitFlip does)."""
         self.program = program
         self.function = function
         self.args = list(args)
         self.spec = spec
         self.stats = SchedulerStats()
-        #: One CPU reused across trials (dirty pages scrubbed back to the
-        #: pristine image between trials) instead of re-allocating the
-        #: 2 MiB address space per trial.  Safe for hooks that go through
-        #: CPU.store()/the bundled fault models; a third-party hook that
-        #: pokes ``cpu.memory`` directly must mark the page in
-        #: ``cpu._dirty_pages`` (as MemoryBitFlip does).
-        self._trial_cpu = None
+        #: the image's pristine memory, which rejoin verdicts compare
+        #: pages the trial left clean against
         self._pristine: bytes | None = None
         #: Final ``cpu.dyn_index`` of the most recent trial — where its
         #: execution actually ended, including skipped instructions (which
@@ -262,12 +280,16 @@ class TrialScheduler:
         #: adversary layer prunes composite trials whose later faults are
         #: timed past this point: they provably cannot fire.
         self.last_trial_end: int | None = None
+        #: Pages the most recent simulated trial left dirty on its CPU
+        #: (None before the first): the ``repro_engine_dirty_pages`` gauge.
+        self.last_trial_dirty_pages: int | None = None
         self._capture_golden(interval)
 
     #: Workloads memoized per program; the LRU bound keeps argument sweeps
     #: (thousands of distinct (function, args) pairs, each scheduler
-    #: holding a trial CPU + checkpoint ladder; the pristine image is one
-    #: per program image) from accumulating unboundedly.
+    #: holding its golden PC log and checkpoint ladder; CPUs and the
+    #: pristine image belong to the program) from accumulating
+    #: unboundedly.
     MEMO_SIZE = 8
 
     # ------------------------------------------------------------------
@@ -288,23 +310,25 @@ class TrialScheduler:
 
     # ------------------------------------------------------------------
     def _capture_golden(self, interval: int) -> None:
-        """Run the golden execution once on the reference semantics.  Each
-        step logs its PC, adds a row to the CFI-check table when it
-        checked, and feeds the monitor; the ladder snapshots at the first
-        trace entry at or after each interval mark, within
-        :data:`LADDER_BYTES`.  A speculating CPU takes :meth:`CPU.step`,
-        which retires ``Bcc`` through its SpecEngine (and feeds the
-        monitor itself)."""
+        """Run the golden execution once on the reference semantics, on a
+        CPU borrowed from the program and set to the start snapshot with
+        the workload's arguments.  Each step logs its PC, adds a row to
+        the CFI-check table when it checked, and feeds the monitor; the
+        ladder snapshots at the first trace entry at or after each
+        interval mark, within :data:`LADDER_BYTES`.  A speculating CPU
+        takes :meth:`CPU.step`, which retires ``Bcc`` through its
+        SpecEngine (and feeds the monitor itself)."""
         from repro.target import get_target
 
-        image = self.program.image
+        program = self.program
+        image = program.image
         # The conditional-branch mnemonic is target vocabulary, not a
         # baseline constant (fused rv32 branches share "bcc" by design,
         # but a third-party target need not).
         branch_mn = get_target(getattr(image, "target", "baseline")).branch_mnemonic
-        cpu = self.program.prepare_cpu(
-            self.function, self.args, track_pages=True, spec=self.spec
-        )
+        cpu, start = program.take_trial_cpu(self.function, self.spec)
+        cpu.restore(start)
+        cpu.call(self.function, self.args)
         entries = trace_entries(cpu)
         decode = cpu._decode
         execute = cpu.execute
@@ -367,8 +391,10 @@ class TrialScheduler:
                         checks.console.append(len(cpu.console_chars))
                         break
         result = cpu.result()
+        program.give_trial_cpu(self.function, self.spec, cpu)
+        self._pristine = image._pristine
         self.golden = result
-        self.trace = GoldenTrace(result, pcs, decode, branch_mnemonic=branch_mn)
+        self.trace = GoldenTrace(result, pcs, image, branch_mnemonic=branch_mn)
         self.checkpoints = checkpoints
         self._checkpoint_retired = [snap.retired for snap in checkpoints]
         self._checkpoint_marks = marks
@@ -376,10 +402,9 @@ class TrialScheduler:
         self.stats.interval = interval
         #: the golden CFI checks a rejoined trial's verdict is read from,
         #: or None when no trial may rejoin
-        self._checks = None
-        if self.spec is None and result.status is Status.EXIT:
-            _frame_births(checks, self.trace)
-            self._checks = checks
+        self._checks = (
+            checks if self.spec is None and result.status is Status.EXIT else None
+        )
 
     # ------------------------------------------------------------------
     def _fork_point(self, first_fire: int, max_cycles: int) -> CpuSnapshot:
@@ -421,29 +446,48 @@ class TrialScheduler:
 
         snap = self._fork_point(first_fire, max_cycles)
         cpu = self._fork_cpu(snap)
-        cpu.pre_hooks.append(hook)
         blocks0, steps0 = cpu._sb_blocks, cpu._sb_steps
         stats = self.stats
-        for probe in self._probe(hook):
-            result = cpu.run(max_cycles, stop_at_instruction=probe.dyn_index)
-            end = cpu.dyn_index
-            if result.status is not Status.RUNNING:
-                break  # halted before the probe
-            verdict = self._rejoin_verdict(cpu, probe, max_cycles)
-            if verdict is not None:
-                result, end = verdict
-                stats.rejoined += 1
-                stats.saved_instructions += result.instructions - cpu.retired
-                break
-        else:  # no probe decided the trial
-            result = cpu.run(max_cycles)
-            end = cpu.dyn_index
+        verdict = None
+        window = getattr(hook, "fire_window", None)
+        if window is None:
+            # Consulted before every instruction: the whole trial steps
+            # on the reference path, and no probe decides it.
+            cpu.pre_hooks.append(hook)
+            cpu.run(max_cycles)
+        else:
+            if cpu.dyn_index < window[1]:
+                # Traces up to the slot before the window, then the window
+                # stepped with the hook consulted; the hook is attached
+                # only while it is.  (The step loop checks the budget
+                # first, as the chaining loop would.)
+                if cpu.dyn_index < window[0] - 1:
+                    chain(cpu, max_cycles, window[0] - 1)
+                retired = cpu.retired
+                cpu.pre_hooks.append(hook)
+                cpu._run_reference(max_cycles, window[1])
+                cpu.pre_hooks.clear()
+                cpu._sb_steps += cpu.retired - retired
+            for probe in self._probe(hook):
+                chain(cpu, max_cycles, probe.dyn_index)
+                if cpu.status is not Status.RUNNING:
+                    break  # halted before the probe
+                verdict = self._rejoin_verdict(cpu, probe, max_cycles)
+                if verdict is not None:
+                    stats.rejoined += 1
+                    stats.saved_instructions += verdict[0].instructions - cpu.retired
+                    break
+            else:  # no probe decided the trial
+                chain(cpu, max_cycles, NO_STOP)
+        result, end = verdict or (cpu.result(), cpu.dyn_index)
         self.last_trial_end = end
         stats.forked += 1
         stats.simulated_instructions += cpu.retired - snap.retired
         stats.simulated_cycles += cpu.cycles - snap.cycles
         stats.superblock_blocks += cpu._sb_blocks - blocks0
         stats.superblock_deopt_steps += cpu._sb_steps - steps0
+        self.last_trial_dirty_pages = len(cpu._dirty_pages)
+        self.program.give_trial_cpu(self.function, self.spec, cpu)
         return result
 
     def _probe(self, hook) -> list[CpuSnapshot]:
@@ -500,7 +544,9 @@ class TrialScheduler:
         retired = cpu.retired - probe.retired
         if any(deltas):
             checks = self._checks
-            births, depths = checks.birth, checks.depth
+            if checks.frames is None:
+                checks.frames = _frame_births(checks, self.trace)
+            births, depths = checks.frames
             for k in range(bisect_right(checks.index, probe.dyn_index), len(births)):
                 if births[k] <= probe.dyn_index and deltas[depths[k]]:
                     end_cycles = checks.cycles[k] + cycles
@@ -525,34 +571,9 @@ class TrialScheduler:
         ), golden.instructions
 
     def _fork_cpu(self, snap: CpuSnapshot):
-        """The trial CPU in exactly the checkpoint's state, ready for one
-        trial."""
-        cpu = self._trial_cpu
-        if cpu is None:
-            cpu = self.program.prepare_cpu(
-                self.function, self.args, track_pages=True, spec=self.spec,
-                dispatch="superblock",
-            )
-            # prepare_cpu puts the arguments in registers, so every
-            # scheduler of the image scrubs back to one shared copy.
-            image = self.program.image
-            if image._pristine is None:
-                image._pristine = bytes(cpu.memory)
-            self._pristine = image._pristine
-            self._trial_cpu = cpu
-        else:
-            # Scrub the previous trial: every page it dirtied reverts to
-            # the pristine post-load image; restore() then lays the
-            # checkpoint's deltas back on top.
-            memory = cpu.memory
-            pristine = self._pristine
-            for page in cpu._dirty_pages:
-                offset = page << PAGE_BITS
-                memory[offset : offset + PAGE_SIZE] = pristine[
-                    offset : offset + PAGE_SIZE
-                ]
-            cpu._dirty_pages.clear()
-            cpu.pre_hooks.clear()
+        """A CPU borrowed from the program, in exactly the checkpoint's
+        state, ready for one trial; the caller hands it back."""
+        cpu, _ = self.program.take_trial_cpu(self.function, self.spec)
         cpu.restore(snap)
         return cpu
 
@@ -563,11 +584,13 @@ def _ladder_bytes(snap: CpuSnapshot) -> int:
     return (len(snap.pages) + 1) << PAGE_BITS
 
 
-def _frame_births(checks: _CheckTable, trace: GoldenTrace) -> None:
-    """Fill ``checks.birth``/``checks.depth`` by replaying the golden
-    run's calls and returns: the monitor pushes a frame at every ``bl``
-    and pops one at a ``bx`` while a caller is stacked."""
+def _frame_births(checks: _CheckTable, trace: GoldenTrace) -> tuple[array, array]:
+    """``(birth, depth)`` of each check's frame (see ``_CheckTable.frames``),
+    by replaying the golden run's calls and returns: the monitor pushes a
+    frame at every ``bl`` and pops one at a ``bx`` while a caller is
+    stacked."""
     calls, returns = trace.indices("bl"), trace.indices("bx")
+    births, depths = array("I"), array("I")
     frames = [0]  # birth of each live frame; the entry frame's is 0
     c = r = 0
     for index in checks.index:
@@ -583,5 +606,13 @@ def _frame_births(checks: _CheckTable, trace: GoldenTrace) -> None:
                 r += 1
             else:
                 break
-        checks.birth.append(frames[-1])
-        checks.depth.append(len(frames) - 1)
+        births.append(frames[-1])
+        depths.append(len(frames) - 1)
+    return births, depths
+
+
+@lru_cache(maxsize=None)
+def _selector(number: int | None) -> bytes:
+    """The ``bytes.translate`` table that maps byte ``number`` to 1 and
+    every other byte to 0 (every byte, for None)."""
+    return bytes(i == number for i in range(256))

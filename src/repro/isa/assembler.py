@@ -74,9 +74,15 @@ class CodeImage:
         default=None, repr=False, compare=False
     )
     #: the memory a CPU of this image starts with (zeroes plus the data
-    #: image), kept by the trial scheduler to scrub its trial CPUs back
-    #: to; one copy per image, dropped on pickle.
+    #: image), which the program's pooled trial CPUs scrub back to (see
+    #: ``CompiledProgram.take_trial_cpu``); one copy per image, dropped on
+    #: pickle.
     _pristine: Optional[bytes] = field(default=None, repr=False, compare=False)
+    #: lazily-built mnemonic numbering (see :meth:`mnemonic_numbers`),
+    #: shared by every golden trace of this image and dropped on pickle.
+    _mnemonic_numbers: Optional[tuple] = field(
+        default=None, repr=False, compare=False
+    )
 
     def decode_cache(self) -> dict:
         """``addr -> (instr, width)`` of every instruction, built on first
@@ -93,6 +99,19 @@ class CodeImage:
             }
         return cache
 
+    def mnemonic_numbers(self) -> tuple[dict, dict]:
+        """``(address -> number, mnemonic -> number)``: each instruction's
+        mnemonic as a small integer, built on first use."""
+        numbering = self._mnemonic_numbers
+        if numbering is None:
+            numbers: dict[str, int] = {}
+            number_at = {
+                addr: numbers.setdefault(instr.mnemonic, len(numbers))
+                for addr, (instr, _) in self.decode_cache().items()
+            }
+            numbering = self._mnemonic_numbers = number_at, numbers
+        return numbering
+
     def __getstate__(self):
         # The caches are rebuilt on first use, and addr_of is keyed by
         # object ids that do not survive a process boundary; all are
@@ -101,6 +120,7 @@ class CodeImage:
         state["_decode_cache"] = None
         state["_superblock_cache"] = None
         state["_pristine"] = None
+        state["_mnemonic_numbers"] = None
         del state["addr_of"]
         return state
 

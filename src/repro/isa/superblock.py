@@ -93,10 +93,13 @@ next offset's) and a loop's budget exit leave through the same exit:
 they are rare, and one shared epilogue compiles much faster than one per
 memory access.
 
-The chaining loop (:func:`run_superblock`) then threads traces:
-``regs[PC]`` is only consulted *between* traces, and a trace is entered
-only when its worst-case cycle bound cannot cross ``max_cycles`` (else
-it is single-stepped, preserving exact timeout behaviour).
+The chaining loop (:func:`chain`) then threads traces: ``regs[PC]`` is
+only consulted *between* traces, and a trace is entered only when its
+worst-case cycle bound cannot cross ``max_cycles`` (else it is
+single-stepped, preserving exact timeout behaviour).
+:func:`run_superblock`, behind ``CPU.run``, wraps it in the
+deoptimisation below; the trial scheduler, which knows its trial's
+window and probes, drives ``chain`` and the window step itself.
 
 Lazy compilation
 ----------------
@@ -1938,21 +1941,23 @@ def run_superblock(
         # stepped with its hooks consulted.  Each phase checks the budget
         # before its stop, as the step loop does, and a phase that halts
         # or times out leaves the next ones nothing to run.
-        _chain(cpu, max_cycles, min(lo - 1, stop))
+        chain(cpu, max_cycles, min(lo - 1, stop))
         retired = cpu.retired
         cpu._run_reference(max_cycles, min(hi, stop))
         cpu._sb_steps += cpu.retired - retired
-    _chain(cpu, max_cycles, stop)
+    chain(cpu, max_cycles, stop)
 
 
-def _chain(cpu, max_cycles: int, stop: int) -> None:
-    """Chain compiled traces until ``cpu.dyn_index`` reaches ``stop``,
-    compiling them on demand at any address (see *Lazy compilation*); a
-    trace the stop falls in pauses exactly there.  Code reached the first
-    time, addresses where no trace can start, near-timeout traces and a
-    pending ``branch_invert`` take the reference step without its
-    pre-hooks (no window is open here), which also retires a speculating
-    CPU's ``Bcc`` through its SpecEngine."""
+def chain(cpu, max_cycles: int, stop: int) -> None:
+    """Chain compiled traces until ``cpu.dyn_index`` reaches ``stop``
+    (:data:`NO_STOP` for none), compiling them on demand at any address
+    (see *Lazy compilation*); a trace the stop falls in pauses exactly
+    there.  Code reached the first time, addresses where no trace can
+    start, near-timeout traces and a pending ``branch_invert`` take the
+    reference step without its pre-hooks (no window is open here), which
+    also retires a speculating CPU's ``Bcc`` through its SpecEngine.
+    Like the step loop, it checks the budget before the stop, and does
+    nothing once the CPU has halted."""
     variant = _variant(cpu)
     traces = variant.traces
     seen = variant.seen

@@ -70,7 +70,9 @@ CATALOG: dict[str, tuple[str, str]] = {
         "ladder (doubles when the ladder thins).",
     ),
     "repro_engine_dirty_pages": (
-        "gauge", "Dirty pages on the sampled scheduler's trial CPU."
+        "gauge",
+        "Pages the sampled scheduler's most recent trial left dirty on the "
+        "CPU it borrowed.",
     ),
     "repro_engine_batch_seconds": (
         "histogram", "Wall-clock seconds per merged trial batch."

@@ -69,11 +69,9 @@ class EngineProfiler:
         self._seen[scheduler] = current
         self.registry.gauge("repro_engine_checkpoints").set(stats.checkpoints)
         self.registry.gauge("repro_engine_checkpoint_interval").set(stats.interval)
-        dirty = getattr(
-            getattr(scheduler, "_trial_cpu", None), "_dirty_pages", None
-        )
+        dirty = getattr(scheduler, "last_trial_dirty_pages", None)
         if dirty is not None:
-            self.registry.gauge("repro_engine_dirty_pages").set(len(dirty))
+            self.registry.gauge("repro_engine_dirty_pages").set(dirty)
 
     def sample_program(self, program: Any) -> None:
         """Sample every scheduler memoized on a compiled program — at a

@@ -287,16 +287,20 @@ class CampaignJob(_SourceJob):
         shard (and its stored result) by content means a duplicate
         completion — a stolen lease's original worker finishing late, a
         retried HTTP POST — collapses onto the same row instead of
-        corrupting the merge.
+        corrupting the merge.  Every shard's id is hashed at the first
+        call, once per job object.
         """
-        spec = self.attacks[index]
-        payload = {
-            "job": self.job_id(),
-            "index": index,
-            "attack": spec.to_dict(),
-        }
-        digest = hashlib.sha256(_canonical_json(payload).encode())
-        return f"sh-{digest.hexdigest()[:32]}"
+        cached = self.__dict__.get("_shard_ids")
+        if cached is None:
+            job_id = self.job_id()
+            ids = []
+            for i, spec in enumerate(self.attacks):
+                payload = {"job": job_id, "index": i, "attack": spec.to_dict()}
+                digest = hashlib.sha256(_canonical_json(payload).encode())
+                ids.append(f"sh-{digest.hexdigest()[:32]}")
+            cached = tuple(ids)
+            object.__setattr__(self, "_shard_ids", cached)
+        return cached[index]
 
     # -- serialisation ----------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

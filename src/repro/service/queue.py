@@ -21,8 +21,10 @@ zero is the single-host service.  Each runner thread owns a private
 processes) to shard trials; with ``trial_workers=0`` trials run on the
 in-process fork engine.  Two runner threads attacking one workload are
 serialised by a per-(program, workload) lock — the checkpoint-forked
-trial scheduler reuses one trial CPU per workload and is not
-re-entrant.  Compile jobs have no shards: each runs on a thread of its
+trial scheduler is shared by every attack on its workload and is not
+re-entrant (its stats, ``last_trial_end`` and lazily built tables are
+per scheduler; its trial CPUs are borrowed from the program per
+trial).  Compile jobs have no shards: each runs on a thread of its
 own as soon as it is submitted.
 
 Publication: the submitting thread publishes a job's first events,
@@ -135,12 +137,13 @@ class JobHandle:
             self.changed.notify_all()
 
 
-#: Per-(program, workload) locks: the memoized TrialScheduler reuses one
-#: trial CPU per workload, so two runner threads must not attack the same
-#: workload concurrently.  Entries are keyed by ``id(program)`` but carry
-#: a weakref that (a) removes the entry when the program is collected and
-#: (b) detects id reuse — locks live exactly as long as their program and
-#: are never evicted, so a handed-out lock cannot be silently replaced.
+#: Per-(program, workload) locks: the memoized TrialScheduler is shared
+#: by every attack on its workload and is not re-entrant, so two runner
+#: threads must not attack the same workload concurrently.  Entries are
+#: keyed by ``id(program)`` but carry a weakref that (a) removes the entry
+#: when the program is collected and (b) detects id reuse — locks live
+#: exactly as long as their program and are never evicted, so a
+#: handed-out lock cannot be silently replaced.
 #: (CompiledProgram is an eq-without-hash dataclass, so it cannot key a
 #: WeakKeyDictionary directly.)
 _workload_locks: dict[int, tuple] = {}
@@ -535,7 +538,7 @@ class JobScheduler:
 
     def _locked_map(self, job_id: str):
         """Map a stored job under its workload lock — the golden-trace
-        scheduler reuses one trial CPU per workload and must not be
+        scheduler is shared by every user of its workload and must not be
         touched while a runner thread attacks the same workload.  The map
         is built from the exact program object the lock is keyed on
         (re-consulting the LRU could return a different one)."""

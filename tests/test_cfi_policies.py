@@ -139,8 +139,10 @@ class TestMonitorInternals:
         # The monitor keeps no reference back to its CPU, so a dropped
         # CFI-protected CPU and its 2 MiB memory are freed at once, not
         # whenever the cyclic GC next runs (buffers that size never
-        # trigger it): a plain prepared CPU, a scheduler's golden-capture
-        # CPU, and the trial CPU of a scheduler evicted from the memo.
+        # trigger it): a plain prepared CPU, and the trial CPU the
+        # program lends its schedulers, once the program drops it.
+        # Schedulers hold none: more workloads than the memo keeps
+        # capture and run trials on that one CPU.
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="ancode")
         )
@@ -159,15 +161,15 @@ class TestMonitorInternals:
             assert cpu.run().ok and cpu.monitor is not None
             del cpu
             assert made[0]() is None, "dropped CPU"
-            scheduler = TrialScheduler.for_program(program, "run_memcmp", [8])
-            assert made[1]() is None, "golden-capture CPU"
-            scheduler.run_trial(InstructionSkip(5))
-            trial = made[2]
-            assert trial() is not None
+            for n in range(TrialScheduler.MEMO_SIZE + 1):
+                scheduler = TrialScheduler.for_program(program, "run_memcmp", [8 + n])
+                scheduler.run_trial(InstructionSkip(5))
             del scheduler
-            for n in range(TrialScheduler.MEMO_SIZE):
-                TrialScheduler.for_program(program, "run_memcmp", [9 + n])
-            assert trial() is None, "evicted scheduler's trial CPU"
+            assert len(made) == 2, "every workload borrowed one CPU"
+            borrowed = made[1]
+            assert borrowed() is not None
+            program._trial_cpus.clear()
+            assert borrowed() is None, "dropped trial CPU"
         finally:
             gc.enable()
 

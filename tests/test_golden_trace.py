@@ -98,7 +98,7 @@ def test_readers_racing_on_a_fresh_trace_get_whole_hit_lists():
     try:
         for _ in range(10):
             trace = GoldenTrace(
-                built.result, built.pcs, built._code, built.branch_mnemonic
+                built.result, built.pcs, built._image, built.branch_mnemonic
             )
             barrier = threading.Barrier(8)
             seen = []

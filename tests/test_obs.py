@@ -589,6 +589,20 @@ class TestServiceObservability:
         assert not undeclared, f"series missing from CATALOG: {sorted(undeclared)}"
         assert "undocumented series" not in scrape
 
+    def test_scrape_carries_the_engine_gauges(self, client, finished_job):
+        # Schedulers own no CPU; the dirty-page gauge reads the pages the
+        # last trial left dirty on the CPU it borrowed (integer_compare's
+        # trials push to the stack, so at least one).
+        scrape = client.metrics()
+        value = {
+            line.split(" ")[0]: float(line.split(" ")[1])
+            for line in scrape.splitlines()
+            if line.startswith("repro_engine_")
+        }
+        assert value["repro_engine_checkpoints"] >= 1
+        assert value["repro_engine_checkpoint_interval"] >= 1
+        assert value["repro_engine_dirty_pages"] >= 1
+
     def test_counters_follow_prometheus_naming(self, client, finished_job):
         scrape = client.metrics()
         for line in scrape.splitlines():

@@ -120,12 +120,19 @@ class TestEqualityCheck:
 
         # The current frame fails its next check; the caller's frame
         # fails the first check after the callee returned; the monitor's
-        # counters are not part of any result.
+        # counters are not part of any result.  The first verdict with a
+        # monitor difference builds the frame table these are read from.
+        verdicts = {
+            change: self._verdict(scheduler, probe, change)
+            for change in (state, stacked)
+        }
+        assert checks.frames is not None
+        _, depths = checks.frames
         first = [k for k, i in enumerate(checks.index) if i > probe.dyn_index]
-        current = next(k for k in first if checks.depth[k] == 1)
-        caller = next(k for k in first if checks.depth[k] == 0)
+        current = next(k for k in first if depths[k] == 1)
+        caller = next(k for k in first if depths[k] == 0)
         for change, k in ((state, current), (stacked, caller)):
-            result, end = self._verdict(scheduler, probe, change)
+            result, end = verdicts[change]
             assert result.status is Status.CFI_VIOLATION
             assert end == checks.index[k]
             assert result.instructions == checks.index[k]
@@ -134,6 +141,27 @@ class TestEqualityCheck:
             scheduler.golden,
             scheduler.golden.instructions,
         )
+
+    def test_frames_are_built_by_the_first_verdict_that_reads_them(self):
+        # Capture leaves the frame table unbuilt, and so does a verdict
+        # with an unchanged monitor; the first monitor difference builds
+        # it, and the verdict then equals simulating on.
+        scheduler = TrialScheduler(_program(), "run_memcmp", [16])
+        checks = scheduler._checks
+        probe = scheduler.checkpoints[len(scheduler.checkpoints) // 2]
+        assert checks.frames is None
+        assert self._verdict(scheduler, probe, lambda cpu: None) is not None
+        assert checks.frames is None
+
+        def state(cpu):
+            cpu.monitor.state ^= 1
+
+        cpu = scheduler._fork_cpu(probe)
+        state(cpu)
+        verdict = scheduler._rejoin_verdict(cpu, probe, 2_000_000)
+        assert checks.frames is not None
+        assert verdict[0].status is Status.CFI_VIOLATION
+        assert verdict == (cpu.run(2_000_000), cpu.dyn_index)
 
     @pytest.mark.parametrize("reg", range(16))
     def test_each_register(self, scheduler, probe, reg):

@@ -13,6 +13,7 @@ import weakref
 
 import pytest
 
+from repro.backend.driver import CompiledProgram
 from repro.faults.adversary import CompositeFault, adversary_sweep
 from repro.faults.classify import Outcome, classify
 from repro.faults.models import HistoryPoison, InstructionSkip, PredictorFlip
@@ -199,32 +200,39 @@ class TestTransientWindow:
         # The engine keeps no reference back to its CPU, so a dropped
         # speculative CPU and its 2 MiB memory are freed at once, not
         # whenever the cyclic GC next runs (buffers that size never
-        # trigger it): a plain prepared CPU, a speculative scheduler's
-        # golden-capture CPU, and its trial CPU once the scheduler goes.
-        program = _program(name="memcmp")
-        spec = SpecConfig(window=4)
+        # trigger it).  A scheduler owns no CPU: the golden captures and
+        # trials of two speculative workloads run on one CPU borrowed from
+        # the program, which outlives the schedulers and dies with the
+        # program.
         made = []
-        prepare = program.prepare_cpu
+        prepare = CompiledProgram.prepare_cpu
 
-        def spy(*args, **kwargs):
-            cpu = prepare(*args, **kwargs)
+        def spy(self, *args, **kwargs):
+            cpu = prepare(self, *args, **kwargs)
             made.append(weakref.ref(cpu))
             return cpu
 
-        monkeypatch.setattr(program, "prepare_cpu", spy)
+        monkeypatch.setattr(CompiledProgram, "prepare_cpu", spy)
+        program = _program(name="memcmp")
+        spec = SpecConfig(window=4)
         gc.disable()
         try:
             cpu = program.prepare_cpu("run_memcmp", [8], spec=spec)
             assert cpu.run().ok and cpu.spec.mispredictions
             del cpu
-            assert made[0]() is None, "dropped CPU"
-            scheduler = TrialScheduler(program, "run_memcmp", [8], spec=spec)
-            assert made[1]() is None, "golden-capture CPU"
-            scheduler.run_trial(InstructionSkip(5))
-            trial = made[2]
-            assert trial() is not None
-            del scheduler
-            assert trial() is None, "dropped scheduler's trial CPU"
+            assert len(made) == 1 and made[0]() is None, "dropped CPU"
+            schedulers = [
+                TrialScheduler(program, "run_memcmp", args, spec=spec)
+                for args in ([8], [16])
+            ]
+            for scheduler in schedulers:
+                assert scheduler.run_trial(InstructionSkip(5)).spec is not None
+            assert len(made) == 2, "captures and trials borrow one CPU"
+            borrowed = made[1]
+            del schedulers, scheduler
+            assert borrowed() is not None, "the program keeps its trial CPU"
+            del program
+            assert borrowed() is None, "dropped program's trial CPU"
         finally:
             gc.enable()
 

@@ -216,21 +216,27 @@ class TestLazyCompile:
 
     def test_nothing_compiles_while_the_window_is_open(self, monkeypatch):
         # Traces compile on demand before the fault window and after it,
-        # never while it is open (the window is single-stepped).
+        # never while it is open (the window is single-stepped).  A trial
+        # attaches its hook only while it steps the window, so no hook is
+        # attached while traces compile.
         program = _program()
         scheduler = TrialScheduler(program, "run_memcmp", [16])
         at_compile = []
         real = superblock.superblock_tables
+        window = []
 
         def spy(cpu, entry=None):
-            (lo, hi), = [hook.fire_window for hook in cpu.pre_hooks]
+            assert not cpu.pre_hooks, "a hook is attached outside its window"
+            (lo, hi), = window
             at_compile.append((lo, cpu.dyn_index, hi))
             return real(cpu, entry)
 
         monkeypatch.setattr(superblock, "superblock_tables", spy)
         total = scheduler.golden.instructions
         for index in range(1, total + 1, 5):
-            scheduler.run_trial(InstructionSkip(index))
+            model = InstructionSkip(index)
+            window[:] = [model.forked_hook(scheduler.trace).fire_window]
+            scheduler.run_trial(model)
         assert at_compile, "no trace was ever compiled"
         assert all(d < lo - 1 or d >= hi for lo, d, hi in at_compile), at_compile
         assert any(d < lo - 1 for lo, d, hi in at_compile)
