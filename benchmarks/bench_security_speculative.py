@@ -139,9 +139,13 @@ def test_window_zero_throughput_guard(benchmark, workbench):
     ]
 
     def measure(spec):
+        # Each arm starts cold: window 0 shares the plain CPU's traces,
+        # so an arm that inherited them would skip the compiles.
         kwargs = {} if spec is None else {"spec": spec}
         program._schedulers.clear()
         program._trial_cpus.clear()
+        program.image._superblock_cache = None
+        program.image._pristine = None
         start = time.perf_counter()
         result = run_attack(
             program, "integer_compare", args, models, "w0-guard", **kwargs

@@ -1,4 +1,8 @@
-"""Blocking HTTP client for the campaign service (stdlib ``http.client``).
+"""Blocking HTTP/1.1 client for the campaign service.
+
+It speaks HTTP over a plain socket (with ``TCP_NODELAY``): each request
+leaves in one send, and each response head is read by
+:mod:`repro.service.wire`, the head reader the server uses too.
 
 The client is deliberately synchronous — it serves the CLI, the test
 suite, :meth:`repro.toolchain.workbench.CampaignBuilder.run`
@@ -32,15 +36,18 @@ Failure handling is explicit and bounded:
 
 from __future__ import annotations
 
-import http.client
+import contextlib
 import json
 import random
+import socket
 import threading
 import time
 import uuid
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
+from urllib.parse import quote
 
+from repro.service import wire
 
 #: Events that end a job's stream.  The client stops reading at one of
 #: these rather than waiting for EOF: the service's trial workers are
@@ -130,9 +137,11 @@ class ServiceClient:
         self._rng = random.Random(self.retry.seed)
         #: Each calling thread's kept-alive connection, and the open
         #: event-stream connections; both guarded by the lock.
-        self._kept: dict[threading.Thread, http.client.HTTPConnection] = {}
-        self._streams: set[http.client.HTTPConnection] = set()
+        self._kept: dict[threading.Thread, _Connection] = {}
+        self._streams: set[_Connection] = set()
         self._lock = threading.Lock()
+        host = f"[{host}]" if ":" in host else host
+        self._host_header = ("Host", f"{host}:{self.port}")
 
     @classmethod
     def parse(cls, address: Union[str, "ServiceClient"], **kwargs) -> "ServiceClient":
@@ -167,20 +176,20 @@ class ServiceClient:
         self.close()
 
     # -- plumbing ----------------------------------------------------------
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self) -> "_Connection":
         """Open a connection with the short connect timeout, then widen
         the socket to the (long) read timeout for the exchanges."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.connect_timeout
-        )
         try:
-            connection.connect()
-        except (ConnectionError, OSError) as exc:
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self.connect_timeout
+            )
+        except OSError as exc:
             raise self._unreachable(exc) from exc
-        connection.sock.settimeout(self.timeout)
-        return connection
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(self.timeout)
+        return _Connection(sock)
 
-    def _kept_connection(self) -> tuple[http.client.HTTPConnection, bool]:
+    def _kept_connection(self) -> tuple["_Connection", bool]:
         """The calling thread's connection, and whether it was already
         open (a reused connection may have been closed by the server)."""
         thread = threading.current_thread()
@@ -205,6 +214,23 @@ class ServiceClient:
     def _unreachable(self, exc: BaseException) -> ServiceError:
         return ServiceError(f"cannot reach service at {self.host}:{self.port}: {exc}")
 
+    def _request_bytes(
+        self, method: str, path: str, payload: Optional[dict] = None
+    ) -> bytes:
+        """A whole request: the head and the JSON body, if any.  A space
+        or control character in ``path`` (a job id typed by hand, say) is
+        percent-encoded, so it cannot break the request line."""
+        path = quote(path, safe="/?&=%")
+        headers = [self._host_header]
+        body = b""
+        if payload is not None:
+            body = json.dumps(payload).encode()
+            headers += [
+                ("Content-Type", "application/json"),
+                ("Content-Length", str(len(body))),
+            ]
+        return wire.head_bytes(f"{method} {path} HTTP/1.1", headers) + body
+
     def _exchange(
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> bytes:
@@ -213,26 +239,25 @@ class ServiceClient:
         raises :class:`ServiceError` without a status; an HTTP error
         raises it with the status, ``Retry-After`` and the decoded error
         body."""
-        body = json.dumps(payload).encode() if payload is not None else None
-        headers = {"Content-Type": "application/json"} if body else {}
+        request = self._request_bytes(method, path, payload)
         while True:
             connection, reused = self._kept_connection()
             try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-            except (OSError, http.client.HTTPException) as exc:
+                connection.sock.sendall(request)
+                status, headers = connection.response_head()
+            except _BROKEN as exc:
                 self._drop_kept()
                 if reused and not isinstance(exc, TimeoutError):
                     continue  # the server closed it while idle: resend once
                 raise self._unreachable(exc) from exc
             try:
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
+                raw = connection.response_body(headers)
+            except _BROKEN as exc:
                 self._drop_kept()
                 raise self._unreachable(exc) from exc
-            if response.will_close:
+            if connection.closes:
                 self._drop_kept()
-            _raise_for_status(response, raw)
+            _raise_for_status(status, headers, raw)
             return raw
 
     def _read(self, method: str, path: str, payload: Optional[dict] = None) -> bytes:
@@ -412,12 +437,14 @@ class ServiceClient:
         with self._lock:
             self._streams.add(connection)
         try:
-            connection.request("GET", f"/jobs/{job_id}/events")
-            response = connection.getresponse()
-            if response.status >= 400:
-                _raise_for_status(response, response.read())
+            connection.sock.sendall(
+                self._request_bytes("GET", f"/jobs/{job_id}/events")
+            )
+            status, headers = connection.response_head()
+            if status >= 400:
+                _raise_for_status(status, headers, connection.response_body(headers))
             position = 0
-            for line in response:
+            for line in connection.rfile:  # the stream ends when the job does
                 line = line.strip()
                 if not line:
                     continue
@@ -428,7 +455,7 @@ class ServiceClient:
                 yield event
                 if event.get("event") in TERMINAL_EVENTS:
                     return
-        except (OSError, http.client.HTTPException) as exc:
+        except _BROKEN as exc:
             raise ServiceError(f"event stream for {job_id} broke: {exc}") from exc
         finally:
             with self._lock:
@@ -455,10 +482,62 @@ class ServiceClient:
         return self.results(submitted["job_id"], wait=True)
 
 
-def _raise_for_status(response: http.client.HTTPResponse, raw: bytes) -> None:
+#: What a broken connection or a garbled response raises.
+_BROKEN = (OSError, wire.HeadError)
+
+
+class _Connection:
+    """One socket to the service and a buffered reader of it."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+        #: Whether the service closes the connection after the response
+        #: being read.
+        self.closes = False
+
+    def response_head(self) -> tuple[int, dict[str, str]]:
+        """The status and headers of the next response."""
+        start, headers = wire.read_head(self.rfile)
+        if not start:
+            raise ConnectionError("the service closed the connection")
+        version, _, rest = start.partition(" ")
+        code = rest[:3]
+        if not version.startswith("HTTP/") or not code.isdecimal():
+            raise wire.HeadError(502, f"bad status line {start!r}")
+        self.closes = version != "HTTP/1.1" or (
+            "close" in headers.get("connection", "").lower()
+        )
+        return int(code), headers
+
+    def response_body(self, headers: dict[str, str]) -> bytes:
+        """The body after a head: ``Content-Length`` bytes, or everything
+        up to the close without one."""
+        declared = headers.get("content-length")
+        if declared is None:
+            self.closes = True
+            return self.rfile.read()
+        if not declared.isdecimal():
+            raise wire.HeadError(502, f"bad Content-Length {declared!r}")
+        length = int(declared)
+        body = self.rfile.read(length)
+        if len(body) != length:
+            raise ConnectionError(f"response body ended after {len(body)} of {length} bytes")
+        return body
+
+    def close(self) -> None:
+        # Shut down first: a read blocked in another thread returns, so
+        # closing the reader does not wait for it.
+        with contextlib.suppress(OSError):  # the service closed it already
+            self.sock.shutdown(socket.SHUT_RDWR)
+        self.rfile.close()
+        self.sock.close()
+
+
+def _raise_for_status(status: int, headers: dict[str, str], raw: bytes) -> None:
     """Raise :class:`ServiceError` for an HTTP error response, with its
     status, ``Retry-After`` and decoded JSON error body."""
-    if response.status < 400:
+    if status < 400:
         return
     try:
         data = json.loads(raw.decode())
@@ -468,15 +547,15 @@ def _raise_for_status(response: http.client.HTTPResponse, raw: bytes) -> None:
     # (state, fault models) beyond the one-line "error" message.
     error_body = data if isinstance(data, dict) else None
     raise ServiceError(
-        (error_body or {}).get("error", f"HTTP {response.status}: {raw[:200]!r}"),
-        status=response.status,
-        retry_after=_retry_after(response),
+        (error_body or {}).get("error", f"HTTP {status}: {raw[:200]!r}"),
+        status=status,
+        retry_after=_retry_after(headers),
         body=error_body,
     )
 
 
-def _retry_after(response: http.client.HTTPResponse) -> Optional[float]:
-    value = response.getheader("Retry-After")
+def _retry_after(headers: dict[str, str]) -> Optional[float]:
+    value = headers.get("retry-after")
     if value is None:
         return None
     try:

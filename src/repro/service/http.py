@@ -13,8 +13,11 @@ the job ends), ``/result`` (``?wait=1`` blocks), ``/map`` and ``/trace``,
 
 A shutting-down scheduler answers mutating requests (and waits it cannot
 finish) with ``503`` and a ``Retry-After`` header instead of accepting
-doomed work.  A malformed request answers ``400``; every error body is
-JSON ``{"error": ...}``.
+doomed work.  A malformed request answers ``400``, a head over the
+limits of :mod:`repro.service.wire` ``431``; every error body is JSON
+``{"error": ...}``.  Request heads are read by :mod:`repro.service.wire`
+(the stdlib's request-line checks are kept), and an HTTP/1.1 request
+that sends ``Expect: 100-continue`` gets its ``100 Continue`` at once.
 
 Connections are HTTP/1.1 keep-alive: a success with a
 ``Content-Length`` leaves the connection open for the client's next
@@ -44,6 +47,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import repro
 from repro.analysis.vulnmap import AnalysisError
+from repro.service import wire
 from repro.service.jobs import JobError, job_from_dict
 from repro.service.queue import PRIORITY_DEFAULT, JobScheduler, UnknownJobError
 from repro.service.store import ResultStore
@@ -110,7 +114,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: Answer even an unparsable request line with a status line (the
     #: stdlib default, HTTP/0.9, has none).
     default_request_version = "HTTP/1.1"
-    #: Buffered writes: a response's head and body leave in one send.
+    #: Buffered writes: the event stream's head leaves with its first
+    #: event, and a write that must leave before the response (the
+    #: interim ``100 Continue``) is flushed.
     wbufsize = -1
 
     def __getattr__(self, name: str):
@@ -130,6 +136,65 @@ class _Handler(BaseHTTPRequestHandler):
             return
         super().handle_one_request()
 
+    def parse_request(self) -> bool:
+        """The stdlib's checks of ``self.raw_requestline`` (400, 505 and
+        the HTTP/0.9 form), then the headers, read by :mod:`repro.service.
+        wire` into ``self.headers`` (lower-case names).  Sends the error
+        and returns False for a request that cannot be served."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # the last word is the version
+            version = words[-1]
+            number = version.removeprefix("HTTP/").split(".")
+            if (
+                not version.startswith("HTTP/")
+                or len(number) != 2
+                or not all(part.isdigit() and len(part) <= 10 for part in number)
+            ):
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            major, minor = int(number[0]), int(number[1])
+            if major >= 2:
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = (major, minor) < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        self.command, path = words[:2]
+        if len(words) == 2:  # HTTP/0.9: a GET without a version
+            self.close_connection = True
+            if self.command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({self.command!r})")
+                return False
+        # '//path' would read as a network location (gh-87389).
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = wire.read_headers(self.rfile)
+        except wire.HeadError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        connection = self.headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            # Flushed now: the buffered wfile would hold it back until
+            # the final response, and the client waits for it.
+            self.wfile.write(wire.head_bytes(f"{self.protocol_version} 100 Continue", ()))
+            self.wfile.flush()
+        return True
+
     def send_error(self, code, message=None, explain=None) -> None:
         """The stdlib's own errors (bad request line, oversized headers)
         in the JSON error shape."""
@@ -143,7 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}
         try:
-            if "Transfer-Encoding" in self.headers:
+            if "transfer-encoding" in self.headers:
                 raise JobError(
                     "Transfer-Encoding is not supported; send the body with "
                     "a Content-Length"
@@ -207,7 +272,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(500, {"error": f"{type(exc).__name__}: {exc}"})
 
     def _body(self) -> bytes:
-        declared = self.headers.get("Content-Length") or "0"
+        declared = self.headers.get("content-length") or "0"
         try:
             length = int(declared)
         except ValueError:
@@ -385,7 +450,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_events(self, job_id: str) -> None:
         # Raises UnknownJobError (404) before the 200 header is written.
         events = self.server.scheduler.events(job_id)
-        self._head(200, "application/x-ndjson", {"Cache-Control": "no-store"})
+        self.wfile.write(
+            self._head(200, "application/x-ndjson", {"Cache-Control": "no-store"})
+        )
         for event in events:
             self.wfile.write(json.dumps(event).encode() + b"\n")
             self.wfile.flush()
@@ -393,14 +460,12 @@ class _Handler(BaseHTTPRequestHandler):
     # -- responses ---------------------------------------------------------
     def _head(
         self, status: int, content_type: str, headers: dict[str, str]
-    ) -> None:
-        """The status line and headers.  The connection stays open for
-        the next request only after a success with a ``Content-Length``,
-        and only for an HTTP/1.1 client that did not ask to close."""
-        self.send_response_only(status)
-        self.send_header("Content-Type", content_type)
-        for name, value in headers.items():
-            self.send_header(name, value)
+    ) -> bytes:
+        """The status line and headers, as the bytes to write.  The
+        connection stays open for the next request only after a success
+        with a ``Content-Length``, and only for an HTTP/1.1 client that
+        did not ask to close."""
+        fields = [("Content-Type", content_type), *headers.items()]
         keep_alive = (
             status < 400
             and "Content-Length" in headers
@@ -408,8 +473,12 @@ class _Handler(BaseHTTPRequestHandler):
             and not self.close_connection
         )
         if not keep_alive:
-            self.send_header("Connection", "close")  # sets close_connection
-        self.end_headers()
+            fields.append(("Connection", "close"))
+            self.close_connection = True
+        if self.request_version == "HTTP/0.9":
+            return b""  # an HTTP/0.9 response is its body alone
+        reason = self.responses[status][0] if status in self.responses else ""
+        return wire.head_bytes(f"{self.protocol_version} {status} {reason}", fields)
 
     def _respond(
         self,
@@ -425,10 +494,10 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             body = json.dumps(payload).encode()
             content_type = "application/json"
-        self._head(
+        head = self._head(
             status, content_type, {"Content-Length": str(len(body)), **(headers or {})}
         )
-        self.wfile.write(body)
+        self.wfile.write(head + body)
 
 
 def _worker(data: dict[str, Any]) -> str:

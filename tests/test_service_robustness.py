@@ -159,6 +159,15 @@ MALFORMED = {
         {"worker": "w", "error": "boom", "fault_models": 5},
     ),
     "unparsable-request-line": b"NONSENSE\r\n\r\n",
+    # Ambiguous framing (RFC 9112 sections 5 and 6.3).
+    "content-length-conflict": (
+        b"POST /fleet/lease HTTP/1.1\r\nContent-Length: 15\r\nContent-Length: 3\r\n"
+        b'\r\n{"worker": "w"}'
+    ),
+    "obs-fold-continuation": (
+        b"GET /status HTTP/1.1\r\nHost: test\r\n X-Folded: value\r\n\r\n"
+    ),
+    "header-without-colon": b"GET /status HTTP/1.1\r\nHost test\r\n\r\n",
 }
 
 #: A shard payload as ``CampaignJob.run_shard`` returns it.
@@ -173,6 +182,66 @@ class TestMalformedInput:
     def test_answers_structured_400(self, service, request_bytes):
         assert assert_json_4xx(raw_exchange(service.address, request_bytes)) == 400
         assert service.client().service_status()["service"] == "repro.service"
+
+
+def status_request(header_lines):
+    return b"GET /status HTTP/1.1\r\n" + b"".join(header_lines) + b"\r\n"
+
+
+class TestHeadLimits:
+    """The stdlib's limits, kept: 100 header lines and 65,536-byte lines
+    (line end included) are read; one more answers 431."""
+
+    @pytest.mark.parametrize("count", [99, 100])
+    def test_up_to_100_header_lines_are_read(self, service, count):
+        lines = [b"X-Header-%d: v\r\n" % n for n in range(count)]
+        status_line, _, body = raw_exchange(service.address, status_request(lines))
+        assert status_line.split()[1] == "200"
+        assert json.loads(body)["service"] == "repro.service"
+
+    def test_101_header_lines_answer_431(self, service):
+        lines = [b"X-Header-%d: v\r\n" % n for n in range(101)]
+        reply = raw_exchange(service.address, status_request(lines))
+        assert assert_json_4xx(reply) == 431
+
+    def long_line(self, size):
+        line = b"X-Long: " + b"a" * (size - len(b"X-Long: \r\n")) + b"\r\n"
+        assert len(line) == size
+        return line
+
+    def test_a_65536_byte_header_line_is_read(self, service):
+        request = status_request([self.long_line(65536)])
+        status_line, _, _ = raw_exchange(service.address, request)
+        assert status_line.split()[1] == "200"
+
+    def test_a_65537_byte_header_line_answers_431(self, service):
+        reply = raw_exchange(service.address, status_request([self.long_line(65537)]))
+        assert assert_json_4xx(reply) == 431
+
+
+class TestExpectContinue:
+    def test_the_interim_100_leaves_before_the_body(self, service):
+        # A client that waits for "100 Continue" before sending its body
+        # must not sit out its expect timeout (curl's is 1 s).
+        body = json.dumps({"job": quick_job((21, 22)).to_dict()}).encode()
+        head = (
+            "POST /jobs HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode()
+        with socket.create_connection(service.address, timeout=1.0) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                byte = sock.recv(1)  # times out after 1 s
+                assert byte, f"connection closed after {interim!r}"
+                interim += byte
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(30.0)
+            sock.sendall(body)
+            status_line, headers, reply = read_reply(sock)
+        assert status_line.split()[1] == "202"
+        assert "connection" not in headers
+        assert json.loads(reply)["job_id"] == quick_job((21, 22)).job_id()
 
 
 # ---------------------------------------------------------------------------
