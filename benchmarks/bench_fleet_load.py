@@ -8,7 +8,7 @@ Three measurements over the `repro.service.fleet` coordinator:
   than the local fallback) carried;
 * **dedup** — every job's first shard is submitted twice; the idempotent
   content-keyed merge must acknowledge exactly one duplicate per job;
-* **recovery** — a worker is killed mid-shard (`WorkerChaos`) and the
+* **recovery** — a worker is killed mid-shard (`DyingRunner`) and the
   time from submission to the merged report — lease expiry, steal, local
   re-execution included — is the recovery figure.
 
@@ -32,9 +32,8 @@ from repro.bench import (
 )
 from repro.programs import load_source
 from repro.service import BackgroundService
-from repro.service.chaos import WorkerChaos
+from repro.service.chaos import DyingRunner
 from repro.service.client import RetryPolicy
-from repro.service.fleet import FleetRunner
 from repro.service.jobs import AttackSpec, CampaignJob, job_from_dict
 from repro.toolchain import CompileConfig, Workbench
 
@@ -245,13 +244,12 @@ def test_fleet_recovery_after_worker_loss():
     expiry, steal, local fallback, merged report."""
     job = _job(999)
     with BackgroundService(runners=1, trial_workers=0, lease_ttl=0.3) as service:
-        with FleetRunner(
-            service.address_str,
+        with DyingRunner(
+            service.client(retry=RETRY, timeout=30.0),
+            die_on_lease={1},
             worker_id="doomed",
             ttl=0.3,
             poll=0.05,
-            chaos=WorkerChaos(die_on_lease={1}),
-            client_kwargs={"retry": RETRY, "timeout": 30.0},
         ) as doomed:
             _wait_for_worker(service, "doomed")
             client = service.client(retry=RETRY)

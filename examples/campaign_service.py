@@ -167,8 +167,10 @@ def main() -> int:
     print(
         f"{len(jobs)} campaign jobs (schemes: {', '.join(list_schemes())})"
     )
-    with BackgroundService(runners=2, trial_workers=args.trial_workers) as svc:
-        client = svc.client()
+    with (
+        BackgroundService(runners=2, trial_workers=args.trial_workers) as svc,
+        svc.client() as client,
+    ):
         status = client.service_status()
         print(
             f"service {status['service']} v{status['version']} "

@@ -13,7 +13,7 @@ package answers the paper's actual evaluation questions:
   live runs, caller-held reports, or stored campaign results.
 
 Entry points elsewhere: ``CampaignBuilder.analyze()`` (fluent),
-``ResultStore.vulnerability_map()`` / ``.scheme_diff()`` (store),
+:func:`map_from_store` / :func:`diff_from_store` (a stored job),
 ``GET /jobs/<id>/map`` and ``GET /diff?a=..&b=..`` plus
 ``python -m repro.service map|diff`` (service).
 """

@@ -324,7 +324,7 @@ def stored_campaign(store, job_id: str):
     return job, report_from_dict(payload["report"])
 
 
-def map_from_store(store, job_id: str, workbench=None, program=None) -> VulnerabilityMap:
+def map_from_store(store, job_id: str, workbench=None) -> VulnerabilityMap:
     """Build a :class:`VulnerabilityMap` from a persisted campaign job.
 
     ``store`` is a :class:`~repro.service.store.ResultStore`; the job must
@@ -332,18 +332,11 @@ def map_from_store(store, job_id: str, workbench=None, program=None) -> Vulnerab
     records (service executions always record).  The job's program is
     (re)compiled through ``workbench`` — a cache hit for a live service —
     and only its golden run is consulted: no trial re-executes.
-
-    ``program`` pins the compiled program to use instead of re-consulting
-    the cache: a caller that serialises access to the program's trial
-    scheduler by locking on a specific object (the service tier) must
-    build the map from *that* object — an LRU-evicted-and-recompiled
-    lookup here could return a different one.
     """
     job, report = stored_campaign(store, job_id)
-    if program is None:
-        if workbench is None:
-            from repro.toolchain.workbench import Workbench
+    if workbench is None:
+        from repro.toolchain.workbench import Workbench
 
-            workbench = Workbench()
-        program = job.compile(workbench)
+        workbench = Workbench()
+    program = job.compile(workbench)
     return VulnerabilityMap.build(program, job.function, list(job.args), report)

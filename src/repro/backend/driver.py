@@ -8,6 +8,7 @@ protect_module`; :func:`compile_ir` runs both halves.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,9 +46,11 @@ class CompiledProgram:
     #: its effective knobs from these (e.g. ``duplication-hardened``
     #: builds its tree at twice ``duplication_order``).
     config: Optional[CompileConfig] = None
-    #: (function, args, ...) -> TrialScheduler; campaigns against one
+    #: (function, args, spec) -> TrialScheduler; campaigns against one
     #: workload share a single golden run + checkpoint set.
     _schedulers: dict = field(default_factory=dict, repr=False, compare=False)
+    #: (function, args) -> the lock of :meth:`workload_lock`.
+    _workload_locks: dict = field(default_factory=dict, repr=False, compare=False)
     #: (function, spec) -> (start snapshot, free list of trial CPUs): the
     #: page-tracking CPUs every scheduler of that function borrows for its
     #: golden capture and its trials (see :meth:`take_trial_cpu`).
@@ -137,10 +140,16 @@ class CompiledProgram:
         workload (see :class:`repro.faults.scheduler.TrialScheduler`)."""
         from repro.faults.scheduler import TrialScheduler
 
-        # Only widen the memo key when speculation is requested, so
-        # speculation-free callers keep sharing the existing entries.
-        kwargs = {} if spec is None else {"spec": spec}
-        return TrialScheduler.for_program(self, function, list(args or []), **kwargs)
+        return TrialScheduler.for_program(self, function, list(args or []), spec=spec)
+
+    def workload_lock(self, function: str, args) -> threading.Lock:
+        """The lock that serialises attacks on one (function, args)
+        workload: its memoized scheduler is shared by every attack and is
+        not re-entrant.  A lock lives as long as the program and is never
+        replaced."""
+        return self._workload_locks.setdefault(
+            (function, tuple(args)), threading.Lock()
+        )
 
     def take_trial_cpu(self, function: str, spec=None) -> tuple[CPU, CpuSnapshot]:
         """A page-tracking CPU for ``function`` (speculating under
@@ -183,11 +192,13 @@ class CompiledProgram:
             pool[1].append(cpu)
 
     def __getstate__(self):
-        # The scheduler cache and the trial CPUs are per process; workers
-        # rebuild their own (one golden run per worker).
+        # The scheduler cache, the trial CPUs and the workload locks are
+        # per process; workers rebuild their own (one golden run per
+        # worker).
         state = dict(self.__dict__)
         state["_schedulers"] = {}
         state["_trial_cpus"] = {}
+        state["_workload_locks"] = {}
         return state
 
 

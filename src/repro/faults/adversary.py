@@ -240,10 +240,7 @@ def first_fault_space(
     of a long bootloader run).  ``max_first`` caps the space, keeping the
     earliest-firing models.
     """
-    spec_kwargs = {} if spec is None else {"spec": spec}
-    scheduler = TrialScheduler.for_program(
-        program, function, list(args), **spec_kwargs
-    )
+    scheduler = TrialScheduler.for_program(program, function, list(args), spec=spec)
     trace = scheduler.trace
     firsts: list[tuple[FaultModel, int]] = []
     for kind in kinds:
@@ -324,10 +321,7 @@ def compose_space(
         raise ValueError(f"adversary campaigns need k >= 2, got k={k}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    spec_kwargs = {} if spec is None else {"spec": spec}
-    scheduler = TrialScheduler.for_program(
-        program, function, list(args), **spec_kwargs
-    )
+    scheduler = TrialScheduler.for_program(program, function, list(args), spec=spec)
     trace = scheduler.trace
 
     if first_models is not None:

@@ -144,7 +144,6 @@ def run_attack(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    spec_kwargs = {} if spec is None else {"spec": spec}
     if executor is not None:
         if engine != "fork":
             raise ValueError(
@@ -165,9 +164,7 @@ def run_attack(
     if record_trials:
         result.records = []
     if engine == "fork":
-        scheduler = TrialScheduler.for_program(
-            program, function, list(args), **spec_kwargs
-        )
+        scheduler = TrialScheduler.for_program(program, function, list(args), spec=spec)
         golden = scheduler.golden
         trace = scheduler.trace
         cycles_before = scheduler.stats.simulated_cycles
@@ -184,7 +181,7 @@ def run_attack(
         golden = program.run(function, args, dispatch="reference", spec=spec)
         trace = (
             TrialScheduler.for_program(
-                program, function, list(args), **spec_kwargs
+                program, function, list(args), spec=spec
             ).trace
             if record_trials
             else None

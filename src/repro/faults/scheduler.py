@@ -9,11 +9,12 @@ golden execution exactly **once**, recording
   dynamic-index hit-list of every mnemonic (so "the N-th conditional
   branch" or "the first MUL" resolves without another execution), and
 * a ladder of :class:`~repro.isa.cpu.CpuSnapshot` checkpoints taken every
-  ``interval`` retired instructions (dirty-page deltas only).  The ladder
-  holds at most :data:`LADDER_BYTES`: each snapshot is charged its page
-  copies plus one page, and a snapshot that takes the ladder past the
-  budget thins it to every other checkpoint and doubles the interval,
-  so a program that dirties many pages thins early,
+  :data:`DEFAULT_INTERVAL` retired instructions (dirty-page deltas
+  only).  The ladder holds at most :data:`LADDER_BYTES`: each snapshot
+  is charged its page copies plus one page, and a snapshot that takes
+  the ladder past the budget thins it to every other checkpoint and
+  doubles the interval, so a program that dirties many pages thins
+  early,
 
 then forks each trial from the nearest checkpoint strictly before its
 fault's first possible firing index.  A trial is therefore roughly
@@ -98,7 +99,8 @@ from repro.isa.mmio import MMIO
 from repro.isa.registers import PC
 from repro.isa.superblock import NO_STOP, chain, trace_entries
 
-#: Default spacing (retired instructions) between checkpoints.
+#: Spacing (retired instructions) between checkpoints, until the ladder
+#: budget doubles it.  Golden capture reads it when it runs.
 DEFAULT_INTERVAL = 64
 #: Byte budget of the checkpoint ladder: each snapshot is charged its
 #: page copies plus one page for its fixed parts (registers, console,
@@ -246,7 +248,6 @@ class TrialScheduler:
         program,
         function: str,
         args: list[int],
-        interval: int = DEFAULT_INTERVAL,
         spec=None,
     ):
         """``spec`` (a :class:`repro.spec.SpecConfig`) makes the golden run
@@ -283,7 +284,7 @@ class TrialScheduler:
         #: Pages the most recent simulated trial left dirty on its CPU
         #: (None before the first): the ``repro_engine_dirty_pages`` gauge.
         self.last_trial_dirty_pages: int | None = None
-        self._capture_golden(interval)
+        self._capture_golden()
 
     #: Workloads memoized per program; the LRU bound keeps argument sweeps
     #: (thousands of distinct (function, args) pairs, each scheduler
@@ -294,14 +295,15 @@ class TrialScheduler:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_program(cls, program, function, args, **kwargs) -> "TrialScheduler":
-        """The memoized scheduler for (program, function, args): every
-        attack suite against the same workload shares one golden run."""
-        key = (function, tuple(args), tuple(sorted(kwargs.items())))
+    def for_program(cls, program, function, args, spec=None) -> "TrialScheduler":
+        """The memoized scheduler for (program, function, args, spec):
+        every attack suite against the same workload shares one golden
+        run."""
+        key = (function, tuple(args), spec)
         cache = program._schedulers
         scheduler = cache.get(key)
         if scheduler is None:
-            scheduler = cache[key] = cls(program, function, list(args), **kwargs)
+            scheduler = cache[key] = cls(program, function, list(args), spec=spec)
         else:
             cache[key] = cache.pop(key)  # refresh LRU position
         while len(cache) > cls.MEMO_SIZE:
@@ -309,7 +311,7 @@ class TrialScheduler:
         return scheduler
 
     # ------------------------------------------------------------------
-    def _capture_golden(self, interval: int) -> None:
+    def _capture_golden(self) -> None:
         """Run the golden execution once on the reference semantics, on a
         CPU borrowed from the program and set to the start snapshot with
         the workload's arguments.  Each step logs its PC, adds a row to
@@ -345,6 +347,7 @@ class TrialScheduler:
         marks = [0]  # the interval mark each checkpoint was taken for
         held = _ladder_bytes(checkpoints[0])
         budget = LADDER_BYTES
+        interval = DEFAULT_INTERVAL
         mark = interval
         while cpu.status is RUNNING:
             if cpu.cycles >= GOLDEN_MAX_CYCLES:

@@ -27,7 +27,7 @@ The serving tier over the compile/attack stack (S13):
   and :class:`FleetRunner` (the worker loop behind ``python -m
   repro.service worker``);
 * :mod:`repro.service.chaos` — deterministic fault injection for the
-  service itself (:class:`WorkerChaos`, :class:`ChaosProxy`,
+  service itself (:class:`DyingRunner`, :class:`ChaosProxy`,
   :class:`CrashingStore`), used by the resilience test suite and the
   chaos CI job;
 * :mod:`repro.service.top` — the live terminal view behind ``python -m
@@ -73,7 +73,7 @@ _EXPORTS = {
     "ChaosSchedule": "repro.service.chaos",
     "CrashingStore": "repro.service.chaos",
     "SimulatedCrash": "repro.service.chaos",
-    "WorkerChaos": "repro.service.chaos",
+    "DyingRunner": "repro.service.chaos",
     "render_top": "repro.service.top",
     "run_top": "repro.service.top",
 }

@@ -5,8 +5,8 @@ the same adversarial mindset on our own serving infrastructure.  Every
 injector runs off a seeded schedule so a chaos test is an ordinary
 deterministic test — same seed, same faults, same (correct) outcome:
 
-* :class:`WorkerChaos` — kills a :class:`~repro.service.fleet.FleetRunner`
-  mid-shard: at scheduled lease ordinals the runner goes silent while
+* :class:`DyingRunner` — a :class:`~repro.service.fleet.FleetRunner`
+  that dies mid-shard: at scheduled lease ordinals it goes silent while
   still holding its lease, exactly what a SIGKILLed worker box looks
   like from the coordinator (no heartbeat, no result, lease expires,
   shard is stolen).
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.service.fleet import FleetRunner
 from repro.service.store import ResultStore
 
 #: Every decision a :class:`ChaosSchedule` can draw (the label space of
@@ -50,22 +51,27 @@ class SimulatedCrash(RuntimeError):
 # ---------------------------------------------------------------------------
 # Worker kills
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerChaos:
-    """Schedule of lease ordinals (1-based) at which a runner dies.
+class DyingRunner(FleetRunner):
+    """A fleet runner that dies at the lease ordinals (1-based) in
+    ``die_on_lease``: it keeps the lease, never heartbeats, never
+    reports, and stops.
 
-    ``WorkerChaos(die_on_lease={1})`` kills the worker while it holds its
+    ``DyingRunner(address, die_on_lease={1})`` dies while it holds its
     first lease; the coordinator must steal the shard and the campaign
     must still finish byte-identically.
     """
 
-    die_on_lease: frozenset[int] = frozenset()
+    def __init__(self, address, *, die_on_lease=(), **kwargs: Any):
+        super().__init__(address, **kwargs)
+        self.die_on_lease = frozenset(die_on_lease)
+        self.died = False
 
-    def __init__(self, die_on_lease=()):
-        object.__setattr__(self, "die_on_lease", frozenset(die_on_lease))
-
-    def should_die(self, lease_ordinal: int) -> bool:
-        return lease_ordinal in self.die_on_lease
+    def _run_shard(self, shard: dict[str, Any]) -> None:
+        if self.leases in self.die_on_lease:
+            self.died = True
+            self._stop.set()
+            return
+        super()._run_shard(shard)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             runners=args.runners,
             trial_workers=args.trial_workers,
             lease_ttl=args.lease_ttl,
-            observability=args.observability,
         ) as (server, recovered, resumed):
             print(
                 f"repro.service listening on http://{server.host}:{server.port} "
@@ -332,13 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="lease_ttl",
         help="fleet shard lease TTL in seconds (a worker silent this long "
         "loses its shard to work-stealing)",
-    )
-    serve.add_argument(
-        "--no-observability",
-        dest="observability",
-        action="store_false",
-        help="disable span tracing and trace persistence "
-        "(/metrics and /status counters stay available)",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -77,22 +77,27 @@ class ServiceError(RuntimeError):
         self.body = body
 
 
+#: Each retry waits this many times longer than the one before.
+BACKOFF_MULTIPLIER = 2.0
+#: Each delay is stretched by up to this fraction, at random.
+BACKOFF_JITTER = 0.5
+#: HTTP statuses worth retrying (transport failures always are).
+RETRY_STATUSES = frozenset({503})
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff for transient transport/503 failures.
 
-    Delays run ``base_delay * multiplier**n`` capped at ``max_delay``,
-    each stretched by up to ``jitter`` (fractional) so a fleet of
-    runners hammered by the same outage does not retry in lockstep.
-    ``seed`` pins the jitter stream for deterministic tests.
+    Delays run ``base_delay * BACKOFF_MULTIPLIER**n`` capped at
+    ``max_delay``, each stretched by up to ``BACKOFF_JITTER`` (fractional)
+    so a fleet of runners hammered by the same outage does not retry in
+    lockstep.  ``seed`` pins the jitter stream for deterministic tests.
     """
 
     attempts: int = 4
     base_delay: float = 0.05
     max_delay: float = 2.0
-    multiplier: float = 2.0
-    jitter: float = 0.5
-    retry_statuses: tuple[int, ...] = (503,)
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -102,13 +107,11 @@ class RetryPolicy:
     def should_retry(self, error: ServiceError) -> bool:
         # status=None means the transport failed (refused, reset, timed
         # out) before any HTTP status arrived.
-        return error.status is None or error.status in self.retry_statuses
+        return error.status is None or error.status in RETRY_STATUSES
 
     def delay(self, attempt: int, rng: random.Random) -> float:
-        backoff = min(
-            self.max_delay, self.base_delay * (self.multiplier ** attempt)
-        )
-        return backoff * (1.0 + self.jitter * rng.random())
+        backoff = min(self.max_delay, self.base_delay * BACKOFF_MULTIPLIER**attempt)
+        return backoff * (1.0 + BACKOFF_JITTER * rng.random())
 
 
 #: Zero-retry policy: fail on the first error (used by tests asserting
@@ -144,8 +147,9 @@ class ServiceClient:
         self._host_header = ("Host", f"{host}:{self.port}")
 
     @classmethod
-    def parse(cls, address: Union[str, "ServiceClient"], **kwargs) -> "ServiceClient":
-        """Build a client from ``"host:port"`` (or ``"http://host:port"``)."""
+    def parse(cls, address: Union[str, "ServiceClient"]) -> "ServiceClient":
+        """Build a client from ``"host:port"`` (or ``"http://host:port"``);
+        a client passes through unchanged."""
         if isinstance(address, ServiceClient):
             return address
         address = address.removeprefix("http://").rstrip("/")
@@ -154,7 +158,7 @@ class ServiceClient:
             raise ValueError(
                 f"service address must look like 'host:port', got {address!r}"
             )
-        return cls(host, int(port), **kwargs)
+        return cls(host, int(port))
 
     def __repr__(self) -> str:
         return f"ServiceClient({self.host}:{self.port})"

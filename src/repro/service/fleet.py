@@ -141,7 +141,6 @@ class FleetCoordinator:
         store=None,
         *,
         lease_ttl: float = 10.0,
-        max_shard_attempts: int = MAX_SHARD_ATTEMPTS,
         registry: Optional[MetricsRegistry] = None,
     ):
         if lease_ttl <= 0:
@@ -155,7 +154,6 @@ class FleetCoordinator:
         #: fleet counters, queue counters, and worker rollups land in one
         #: place (a standalone coordinator gets a private registry).
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.max_shard_attempts = max_shard_attempts
         self.stats = FleetStats(self.registry)
         self._cond = threading.Condition()
         #: Registered jobs in lease order: ``(priority, submission order)``.
@@ -202,7 +200,7 @@ class FleetCoordinator:
             shard.token = None
             shard.attempts += 1
             self.stats.steals += 1
-            if shard.attempts >= self.max_shard_attempts:
+            if shard.attempts >= MAX_SHARD_ATTEMPTS:
                 self._fail_locked(
                     job,
                     JobError(
@@ -361,7 +359,7 @@ class FleetCoordinator:
         the response (dropped, or answered twice on a duplicated
         request): it gets that lease back, renewed, instead of a second
         shard while the first expires as a steal that counts against
-        ``max_shard_attempts``."""
+        :data:`MAX_SHARD_ATTEMPTS`."""
         if not worker or worker == LOCAL_WORKER:
             raise JobError(f"invalid fleet worker id {worker!r}")
         ttl = self.lease_ttl if ttl is None else float(ttl)
@@ -533,7 +531,7 @@ class FleetCoordinator:
                 "attempts": shard.attempts,
             }
         )
-        if shard.attempts >= self.max_shard_attempts:
+        if shard.attempts >= MAX_SHARD_ATTEMPTS:
             self._fail_locked(
                 job,
                 JobError(
@@ -642,10 +640,9 @@ class FleetRunner:
     in-flight fault-model names, so the shard is re-queued and the
     operator can see *what* took the worker down.
 
-    ``chaos`` accepts a :class:`repro.service.chaos.WorkerChaos` plan:
-    at scheduled lease ordinals the runner "dies" silently — it keeps
-    the lease, never heartbeats, never reports — which is exactly what a
-    SIGKILLed worker process looks like from the coordinator.
+    ``address`` is ``"host:port"`` or a configured
+    :class:`~repro.service.client.ServiceClient`.  The runner closes the
+    client's connections when :meth:`run_forever` returns.
     """
 
     def __init__(
@@ -657,17 +654,14 @@ class FleetRunner:
         poll: float = 0.2,
         workbench=None,
         trial_workers: int = 0,
-        chaos=None,
-        client_kwargs: Optional[dict[str, Any]] = None,
     ):
         from repro.service.client import ServiceClient
 
-        self.client = ServiceClient.parse(address, **(client_kwargs or {}))
+        self.client = ServiceClient.parse(address)
         self.worker_id = worker_id or f"worker-{id(self):x}"
         self.ttl = ttl
         self.poll = poll
         self.trial_workers = trial_workers
-        self.chaos = chaos
         self._workbench = workbench
         self._executor = None
         self._stop = threading.Event()
@@ -675,7 +669,6 @@ class FleetRunner:
         self.leases = 0
         self.shards_done = 0
         self.shards_failed = 0
-        self.died = False
         #: Worker-local registry: engine counters folded in after each
         #: shard, shipped to the coordinator as heartbeat deltas.
         self.registry = MetricsRegistry()
@@ -741,15 +734,12 @@ class FleetRunner:
                     continue
                 self.leases += 1
                 self.registry.counter("repro_worker_leases_total").inc()
-                if self.chaos is not None and self.chaos.should_die(self.leases):
-                    # Vanish mid-shard: hold the lease, stop talking.
-                    self.died = True
-                    return
                 self._run_shard(shard)
         finally:
             if self._executor is not None:
                 self._executor.close(wait=False)
                 self._executor = None
+            self.client.close()
 
     def _run_shard(self, shard: dict[str, Any]) -> None:
         from repro.service.client import ServiceError

@@ -253,8 +253,9 @@ class _Handler(BaseHTTPRequestHandler):
                 case ["GET", "jobs", job_id, "trace"]:
                     spans = scheduler.trace(job_id)
                     if spans is None:
-                        self._conflict(job_id, "has no recorded trace (observability "
-                                       "disabled, or a pre-tracing row)")
+                        self._conflict(
+                            job_id, "has no recorded trace (a pre-tracing row)"
+                        )
                     else:
                         self._respond(200, {"job_id": job_id, "spans": spans})
                 case ["GET", "diff"]:
@@ -589,7 +590,6 @@ class BackgroundService:
         port: int = 0,
         resume: bool = True,
         lease_ttl: float = 10.0,
-        observability: bool = True,
     ):
         self.host = host
         self.port = port
@@ -599,7 +599,6 @@ class BackgroundService:
             runners=runners,
             trial_workers=trial_workers,
             lease_ttl=lease_ttl,
-            observability=observability,
         )
         self.scheduler: Optional[JobScheduler] = None
         self.resumed_jobs = 0

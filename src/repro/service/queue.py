@@ -48,9 +48,8 @@ import sys
 import threading
 import time
 import traceback
-import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from queue import SimpleQueue
 from typing import Any, Iterator, Optional
 
@@ -109,9 +108,8 @@ class JobHandle:
         self.job = job
         self.job_id = job_id
         self.state = "queued"
-        #: Optional :class:`repro.obs.trace.JobTraceRecorder` following
-        #: this job's lifecycle (None with observability disabled).
-        self.trace: Optional[JobTraceRecorder] = None
+        #: Follows this job's lifecycle as a span tree.
+        self.trace = JobTraceRecorder(job_id)
         #: The program a runner thread compiled for this job's local
         #: shards: every shard reuses it (one workload lock), and the
         #: engine counters are sampled from it when the job completes.
@@ -137,44 +135,6 @@ class JobHandle:
             self.changed.notify_all()
 
 
-#: Per-(program, workload) locks: the memoized TrialScheduler is shared
-#: by every attack on its workload and is not re-entrant, so two runner
-#: threads must not attack the same workload concurrently.  Entries are
-#: keyed by ``id(program)`` but carry a weakref that (a) removes the entry
-#: when the program is collected and (b) detects id reuse — locks live
-#: exactly as long as their program and are never evicted, so a
-#: handed-out lock cannot be silently replaced.
-#: (CompiledProgram is an eq-without-hash dataclass, so it cannot key a
-#: WeakKeyDictionary directly.)
-_workload_locks: dict[int, tuple] = {}
-_workload_locks_guard = threading.Lock()
-
-
-def _drop_workload_locks(program_id: int, ref) -> None:
-    with _workload_locks_guard:
-        entry = _workload_locks.get(program_id)
-        if entry is not None and entry[0] is ref:
-            del _workload_locks[program_id]
-
-
-def _workload_lock(program, function: str, args: tuple) -> threading.Lock:
-    program_id = id(program)
-    with _workload_locks_guard:
-        entry = _workload_locks.get(program_id)
-        if entry is None or entry[0]() is not program:
-            ref = weakref.ref(
-                program,
-                lambda r, pid=program_id: _drop_workload_locks(pid, r),
-            )
-            entry = _workload_locks[program_id] = (ref, {})
-        locks = entry[1]
-        key = (function, tuple(args))
-        lock = locks.get(key)
-        if lock is None:
-            lock = locks[key] = threading.Lock()
-        return lock
-
-
 class JobScheduler:
     """Owns the job handles, the runner threads, the commit thread, the
     workbench, and the store; the fleet coordinator owns the shard
@@ -186,9 +146,7 @@ class JobScheduler:
         workbench=None,
         runners: int = 2,
         trial_workers: int = 0,
-        cache_size: int = 64,
         lease_ttl: float = 10.0,
-        observability: bool = True,
     ):
         from repro.service.fleet import FleetCoordinator
 
@@ -199,14 +157,11 @@ class JobScheduler:
         if workbench is None:
             from repro.toolchain.workbench import Workbench
 
-            workbench = Workbench(cache_size=cache_size)
+            workbench = Workbench(cache_size=64)
         self.store = store if store is not None else ResultStore(":memory:")
         self.workbench = workbench
         self.runners = runners
         self.trial_workers = trial_workers
-        #: ``observability=False`` turns off span recording and trace
-        #: persistence (metrics counters stay — they back /status).
-        self.observability = bool(observability)
         #: One registry backs the scheduler, the coordinator, and
         #: ``GET /metrics``, so /status counters and the Prometheus
         #: scrape read the same storage.
@@ -343,8 +298,6 @@ class JobScheduler:
         # stale terminal event from the previous attempt.
         self._recent_events.pop(job_id, None)
         handle = JobHandle(job, job_id)
-        if self.observability:
-            handle.trace = JobTraceRecorder(job_id)
         queued = {
             "event": "queued",
             "job_id": job_id,
@@ -465,15 +418,15 @@ class JobScheduler:
     def trace(self, job_id: str) -> Optional[list[dict[str, Any]]]:
         """The job's span list: live spans while it executes, the
         persisted trace afterwards.  ``None`` for a known job with no
-        trace (observability disabled, or pre-v3 rows).  Raises
+        trace (rows stored before traces were).  Raises
         :class:`UnknownJobError` for a job nobody has ever seen."""
         handle = self._inflight.get(job_id)
-        if handle is not None and handle.trace is not None:
+        if handle is not None:
             return handle.trace.export()
         stored = self.store.get_trace(job_id)
         if stored is not None:
             return stored
-        if handle is None and self.store.get_job(job_id) is None:
+        if self.store.get_job(job_id) is None:
             raise UnknownJobError(job_id)
         return None
 
@@ -503,12 +456,12 @@ class JobScheduler:
         return registry
 
     def observability_status(self) -> dict[str, Any]:
-        """The ``/status`` observability block: whether tracing is on,
+        """The ``/status`` observability block: tracing is always on,
         how many series exist, and the engine counters ``top`` needs to
         compute throughput deltas between polls."""
         registry = self.collect()
         return {
-            "enabled": self.observability,
+            "enabled": True,
             "series": registry.series_count(),
             "engine": {
                 field: registry.counter(series).value
@@ -540,13 +493,13 @@ class JobScheduler:
         """Map a stored job under its workload lock — the golden-trace
         scheduler is shared by every user of its workload and must not be
         touched while a runner thread attacks the same workload.  The map
-        is built from the exact program object the lock is keyed on
+        is built from the exact program object the lock belongs to
         (re-consulting the LRU could return a different one)."""
         from repro.analysis.vulnmap import VulnerabilityMap, stored_campaign
 
         job, report = stored_campaign(self.store, job_id)
         program = job.compile(self.workbench)
-        with _workload_lock(program, job.function, tuple(job.args)):
+        with program.workload_lock(job.function, job.args):
             return VulnerabilityMap.build(program, job.function, list(job.args), report)
 
     def cancel(self, job_id: str) -> dict[str, Any]:
@@ -583,8 +536,7 @@ class JobScheduler:
             from repro.toolchain.executor import CampaignExecutor
 
             executor = CampaignExecutor(
-                max_workers=self.trial_workers,
-                metrics=self.registry if self.observability else None,
+                max_workers=self.trial_workers, metrics=self.registry
             )
         try:
             self.fleet.run_local(
@@ -596,8 +548,9 @@ class JobScheduler:
                 executor.close()
 
     def _run_shard(self, job, index: int, emit, executor) -> dict[str, Any]:
-        """One locally claimed shard, under the workload lock keyed on the
-        exact compiled object (see :func:`_workload_lock`)."""
+        """One locally claimed shard, under the workload lock of the
+        exact compiled object (see
+        :meth:`~repro.backend.driver.CompiledProgram.workload_lock`)."""
         # A cancelled job's handle may be gone (its result is dropped
         # anyway).
         handle = self._inflight.get(job.job_id())
@@ -606,17 +559,19 @@ class JobScheduler:
             # Wall-clock lands only in the histogram and the trace span —
             # never in the compiled program or any compared artifact.
             started = time.perf_counter()
-            if handle is not None and handle.trace is not None:
-                with handle.trace.span("compile", kind=job.kind):
-                    program = job.compile(self.workbench)
-            else:
+            span = (
+                handle.trace.span("compile", kind=job.kind)
+                if handle is not None
+                else nullcontext()
+            )
+            with span:
                 program = job.compile(self.workbench)
             self.registry.histogram("repro_compile_seconds").observe(
                 time.perf_counter() - started
             )
             if handle is not None:
                 handle.program = program
-        with _workload_lock(program, job.function, job.args):
+        with program.workload_lock(job.function, job.args):
             payload = job.run_shard(
                 self.workbench, index, executor=executor, emit=emit, program=program
             )
@@ -663,11 +618,10 @@ class JobScheduler:
         """The job's ``emit`` for the coordinator, runner threads and
         executor merge loops: stamp the event on the emitting thread,
         then queue it for the commit thread."""
-        recorder = handle.trace
+        tracer = handle.trace.tracer
 
         def emit(payload: dict[str, Any]) -> None:
-            at_ms = recorder.tracer.now_ms() if recorder is not None else None
-            self._commit(self._on_event, handle, payload, at_ms)
+            self._commit(self._on_event, handle, payload, tracer.now_ms())
 
         return emit
 
@@ -747,17 +701,15 @@ class JobScheduler:
     ) -> None:
         """Fold the event into the trace and store it.  The caller
         publishes it once the store has committed."""
-        if handle.trace is not None:
-            handle.trace.on_event(payload, at_ms=at_ms)
+        handle.trace.on_event(payload, at_ms=at_ms)
         if payload["event"] in PERSISTED_EVENTS:
             self._store_write(self.store.append_event, handle.job_id, payload)
 
     def _persist_end(self, handle: JobHandle, payload: dict[str, Any]) -> None:
         """Store a terminal event, with the trace it closes."""
         self._persist(handle, payload)
-        if handle.trace is not None:
-            self.registry.counter("repro_traces_total").inc()
-            self._store_write(self.store.store_trace, handle.job_id, handle.trace.export())
+        self.registry.counter("repro_traces_total").inc()
+        self._store_write(self.store.store_trace, handle.job_id, handle.trace.export())
 
     def _retire(self, handle: JobHandle, state: str, payload: dict[str, Any]) -> None:
         """Publish a terminal event and retire the handle.  The log moves

@@ -377,23 +377,6 @@ class ResultStore:
             ).fetchone()
         return row is not None
 
-    # -- analysis ----------------------------------------------------------
-    def vulnerability_map(self, job_id: str, workbench=None):
-        """Build the job's per-instruction
-        :class:`~repro.analysis.vulnmap.VulnerabilityMap` from its stored
-        result — compile (cached) + one golden run, zero trial
-        re-executions.  See :func:`repro.analysis.map_from_store`."""
-        from repro.analysis.vulnmap import map_from_store
-
-        return map_from_store(self, job_id, workbench=workbench)
-
-    def scheme_diff(self, job_a: str, job_b: str, workbench=None):
-        """Residual-vulnerability diff of two stored campaigns over the
-        same workload (see :func:`repro.analysis.diff_from_store`)."""
-        from repro.analysis.diff import diff_from_store
-
-        return diff_from_store(self, job_a, job_b, workbench=workbench)
-
     # -- fleet shards ------------------------------------------------------
     def store_shard(
         self,
@@ -402,19 +385,12 @@ class ResultStore:
         attack_index: int,
         scheme_revision: int,
         payload: dict[str, Any],
-    ) -> bool:
-        """Persist one completed fleet shard; returns ``True`` when the
-        row is new, ``False`` for a duplicate completion (the row is
-        refreshed either way — shard ids are content hashes, so two
-        honest writers carry byte-identical payloads and a stale row
-        from a superseded scheme revision is safely replaced)."""
+    ) -> None:
+        """Persist one completed fleet shard.  A duplicate completion
+        refreshes the row: shard ids are content hashes, so two honest
+        writers carry byte-identical payloads, and a stale row from a
+        superseded scheme revision is safely replaced."""
         with self.transaction():
-            existed = (
-                self._conn.execute(
-                    "SELECT 1 FROM shards WHERE shard_id = ?", (shard_id,)
-                ).fetchone()
-                is not None
-            )
             self._conn.execute(
                 """
                 INSERT OR REPLACE INTO shards
@@ -431,7 +407,6 @@ class ResultStore:
                     time.time(),
                 ),
             )
-        return not existed
 
     def shard_payloads(
         self, job_id: str

@@ -63,8 +63,7 @@ def render_top(
     fleet = status.get("fleet") or {}
     jobs = status.get("jobs") or {}
     cache = status.get("compile_cache") or {}
-    obs = status.get("observability") or {}
-    engine = obs.get("engine") or {}
+    engine = (status.get("observability") or {}).get("engine") or {}
 
     inflight = queue.get("submitted", 0) - (
         queue.get("executed", 0)
@@ -73,8 +72,7 @@ def render_top(
     )
     lines = [
         f"repro.service {status.get('version', '?')} — "
-        f"{status.get('service', 'repro.service')}"
-        + ("" if obs.get("enabled", True) else "  [observability off]"),
+        f"{status.get('service', 'repro.service')}",
         "",
         f"jobs      submitted {queue.get('submitted', 0):>6}   "
         f"executed {queue.get('executed', 0):>6}   "

@@ -34,6 +34,10 @@ from typing import Callable, Optional
 
 from repro.faults.isa_campaign import AttackResult
 
+#: An attack is cut into this many batches per worker process, so a slow
+#: batch leaves the other workers something to do.
+BATCHES_PER_WORKER = 4
+
 
 class CampaignExecutorError(RuntimeError):
     """A worker process died (or the pool broke) mid-campaign.
@@ -69,10 +73,7 @@ def _run_batch(
     from repro.faults.isa_campaign import fire_index_of
     from repro.faults.scheduler import TrialScheduler
 
-    spec_kwargs = {} if spec is None else {"spec": spec}
-    scheduler = TrialScheduler.for_program(
-        _WORKER_PROGRAM, function, args, **spec_kwargs
-    )
+    scheduler = TrialScheduler.for_program(_WORKER_PROGRAM, function, args, spec=spec)
     golden = scheduler.golden
     cycles_before = scheduler.stats.simulated_cycles
     stats_before = started = None
@@ -127,12 +128,10 @@ class CampaignExecutor:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        batches_per_worker: int = 4,
         max_batch_retries: int = 0,
         metrics=None,
     ):
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self.batches_per_worker = batches_per_worker
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`.  When set,
         #: workers count their engine activity (trials, forked trials,
         #: simulated cycles, per-batch wall seconds) into a throwaway
@@ -217,7 +216,7 @@ class CampaignExecutor:
         if not models:
             return result
         pool = self._pool_for(program)
-        target_batches = max(1, self.max_workers * self.batches_per_worker)
+        target_batches = max(1, self.max_workers * BATCHES_PER_WORKER)
         batch_size = max(1, -(-len(models) // target_batches))
         batches = [models[i : i + batch_size] for i in range(0, len(models), batch_size)]
         collect_metrics = self.metrics is not None

@@ -1,12 +1,11 @@
-"""Batch-compile service with caching and a fluent campaign builder.
+"""Cached compilation and a fluent campaign builder.
 
 The fault-evaluation loop compiles the same few programs under many
 configurations (schemes x policies x parameter sweeps) over and over; the
 ``Workbench`` makes the repeats free:
 
-* an LRU cache keyed on ``(sha256(source), config.cache_key())``,
-* ``compile_many()`` over (source, config) pairs, deduplicating identical
-  jobs and optionally fanning the distinct ones out to a thread pool,
+* an LRU cache keyed on ``(sha256(source), config.cache_key())``, so a
+  repeated (source, config) pair compiles once and counts as a hit,
 * ``campaign()`` — a fluent builder chaining the stock attack suites of
   :mod:`repro.faults.isa_campaign` against one compiled program::
 
@@ -23,8 +22,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.backend.driver import CompiledProgram
 from repro.faults.isa_campaign import AttackResult, CampaignReport
@@ -85,11 +83,10 @@ def _compile_with_initializers(
 class Workbench:
     """Compile MiniC programs through the Figure 3 pipeline, memoized."""
 
-    def __init__(self, cache_size: int = 128, max_workers: Optional[int] = None):
+    def __init__(self, cache_size: int = 128):
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.cache_size = cache_size
-        self.max_workers = max_workers
         self._cache: OrderedDict[CacheKey, CompiledProgram] = OrderedDict()
         self._lock = threading.Lock()
         #: Cache hits / real compilations performed, for tests and benches.
@@ -162,53 +159,6 @@ class Workbench:
                 program = compile_source(source, config=config)
             self._insert(key, program)
         return program
-
-    def compile_many(
-        self,
-        jobs: Iterable[tuple[str, Optional[CompileConfig]]],
-        parallel: bool = False,
-    ) -> list[CompiledProgram]:
-        """Compile every (source, config) pair, in order.
-
-        Identical pairs — and pairs already cached — are compiled exactly
-        once.  With ``parallel=True`` the distinct cache misses are built
-        on a thread pool (``max_workers`` from the constructor).
-        """
-        jobs = [
-            (source, config if config is not None else CompileConfig())
-            for source, config in jobs
-        ]
-        keyed = [(self.cache_key(source, config), source, config) for source, config in jobs]
-        # Deduplicate while preserving first-seen order: repeats of a key
-        # within the batch are cache hits (the caller asked N times and
-        # pays for one compilation).
-        pending: OrderedDict[CacheKey, tuple[str, CompileConfig]] = OrderedDict()
-        results: dict[CacheKey, CompiledProgram] = {}
-        for key, source, config in keyed:
-            if key in results or key in pending:
-                with self._lock:
-                    self.hits += 1
-                continue
-            program = self._lookup(key)  # counts the hit itself
-            if program is not None:
-                results[key] = program
-            else:
-                pending[key] = (source, config)
-
-        def build(
-            item: tuple[CacheKey, tuple[str, CompileConfig]]
-        ) -> tuple[CacheKey, CompiledProgram]:
-            key, (source, config) = item
-            program = compile_source(source, config=config)
-            self._insert(key, program)  # counts the miss
-            return key, program
-
-        if parallel and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                results.update(pool.map(build, pending.items()))
-        else:
-            results.update(build(item) for item in pending.items())
-        return [results[key] for key, _, _ in keyed]
 
     # -- campaigns --------------------------------------------------------
     def campaign(

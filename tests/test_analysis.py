@@ -293,7 +293,7 @@ class TestMapFromStore:
         ).to_job(title=f"{program_name}/{scheme}")
         if store.get_job(job.job_id()) is None:
             _store_with([job], workbench, store)
-        from_store = store.vulnerability_map(job.job_id(), workbench)
+        from_store = map_from_store(store, job.job_id(), workbench)
         assert from_store.to_json() == live.to_json()
 
     def test_store_diff_matches_direct(self, workbench, store):
@@ -306,8 +306,8 @@ class TestMapFromStore:
         for job in jobs.values():
             if store.get_job(job.job_id()) is None:
                 _store_with([job], workbench, store)
-        via_store = store.scheme_diff(
-            jobs["none"].job_id(), jobs["ancode"].job_id(), workbench
+        via_store = diff_from_store(
+            store, jobs["none"].job_id(), jobs["ancode"].job_id(), workbench
         )
         direct = SchemeDiff.build(
             map_from_store(store, jobs["none"].job_id(), workbench),
@@ -315,19 +315,6 @@ class TestMapFromStore:
         )
         assert via_store.to_json() == direct.to_json()
         assert "branch-flip" in via_store.closed
-
-    def test_pinned_program_object_is_used(self, workbench, store):
-        """The service tier locks on a specific compiled program; the map
-        must be buildable from exactly that object (no cache re-lookup)."""
-        job = quick_builder(
-            workbench, "integer_compare", "integer_compare", (7, 8), "ancode"
-        ).to_job()
-        if store.get_job(job.job_id()) is None:
-            _store_with([job], workbench, store)
-        program = workbench.compile(job.source, job.config)
-        pinned = map_from_store(store, job.job_id(), program=program)
-        via_cache = map_from_store(store, job.job_id(), workbench)
-        assert pinned.to_json() == via_cache.to_json()
 
     def test_diff_rejects_different_program_inputs(self, workbench, store):
         """Same function name but different args (or source/initializers)
@@ -353,7 +340,7 @@ class TestMapFromStore:
         store.record_job(job.job_id(), job.kind, job.to_dict(), force=True)
         store.store_result(job.job_id(), payload)
         with pytest.raises(AnalysisError, match="per-trial records"):
-            store.vulnerability_map(job.job_id(), workbench)
+            map_from_store(store, job.job_id(), workbench)
 
     def test_unknown_job(self, store, workbench):
         with pytest.raises(AnalysisError, match="unknown job"):

@@ -356,10 +356,11 @@ class TestTrialEquivalence:
         # ladder-thinning path; trials must stay exact.
         budget = 8 * PAGE_SIZE
         monkeypatch.setattr(scheduler_module, "LADDER_BYTES", budget)
+        monkeypatch.setattr(scheduler_module, "DEFAULT_INTERVAL", 16)
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="duplication")
         )
-        scheduler = TrialScheduler(program, "run_memcmp", [32], interval=16)
+        scheduler = TrialScheduler(program, "run_memcmp", [32])
         charged = sum((len(snap.pages) + 1) * PAGE_SIZE for snap in scheduler.checkpoints)
         assert charged <= budget
         assert scheduler.stats.interval > 16  # thinning doubled the spacing

@@ -89,7 +89,7 @@ def test_close_is_idempotent(program):
 def test_on_batch_progress_callback(program):
     models = [InstructionSkip(i) for i in range(1, 17)]
     seen = []
-    with CampaignExecutor(max_workers=2, batches_per_worker=2) as executor:
+    with CampaignExecutor(max_workers=2) as executor:
         executor.on_batch = lambda done, total, trials, trial_count: seen.append(
             (done, total, trials, trial_count)
         )

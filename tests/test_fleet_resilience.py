@@ -16,10 +16,12 @@ The acceptance contract:
   ``Retry-After``.
 """
 
+import gc
 import socket
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -31,8 +33,8 @@ from repro.service.chaos import (
     ChaosProxy,
     ChaosSchedule,
     CrashingStore,
+    DyingRunner,
     SimulatedCrash,
-    WorkerChaos,
 )
 from repro.service.client import NO_RETRY, RetryPolicy, ServiceClient
 from repro.service.fleet import FleetCoordinator, FleetRunner
@@ -45,6 +47,11 @@ from repro.service.jobs import (
 )
 from repro.service.store import ResultStore
 from repro.toolchain import CompileConfig, Workbench, table3_schemes
+
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 #: The quick suite: every device micro-program x Table III scheme.
 QUICK_SUITE = [
@@ -165,12 +172,13 @@ class TestCoordinatorProtocol:
             workbench, "integer_compare", "integer_compare", (7, 7), "none"
         )
 
-    def test_lost_lease_response_is_handed_back(self, workbench):
+    def test_lost_lease_response_is_handed_back(self, workbench, monkeypatch):
         # Retries of one lease request whose response was lost (dropped
         # or duplicated on the wire) get the same lease back, and no
         # steal counts against the shard; a new request is new work.
+        monkeypatch.setattr("repro.service.fleet.MAX_SHARD_ATTEMPTS", 1)
         job = quick_job("integer_compare", "integer_compare", (4, 4), "none")
-        coordinator = FleetCoordinator(lease_ttl=30.0, max_shard_attempts=1)
+        coordinator = FleetCoordinator(lease_ttl=30.0)
         assert coordinator.lease("w1") is None  # register before the job
         box = queue_job(coordinator, job)
         lost = coordinator.lease("w1", request="w1-1")
@@ -260,9 +268,10 @@ class TestCoordinatorProtocol:
             workbench, "integer_compare", "integer_compare", (3, 3), "none"
         )
 
-    def test_repeatedly_failing_shard_fails_the_job(self, workbench):
+    def test_repeatedly_failing_shard_fails_the_job(self, workbench, monkeypatch):
+        monkeypatch.setattr("repro.service.fleet.MAX_SHARD_ATTEMPTS", 3)
         job = quick_job("integer_compare", "integer_compare", (5, 6), "none")
-        coordinator = FleetCoordinator(lease_ttl=30.0, max_shard_attempts=3)
+        coordinator = FleetCoordinator(lease_ttl=30.0)
         assert coordinator.lease("w1") is None  # register before the job
         box = queue_job(coordinator, job)
         for _ in range(3):
@@ -366,8 +375,10 @@ class TestCoordinatorProtocol:
             quick_job("integer_compare", "integer_compare", (n, n + 1), "none")
             for n in range(20, 24)
         ]
-        with BackgroundService(runners=1, lease_ttl=30.0) as svc:
-            client = svc.client(retry=TEST_RETRY)
+        with (
+            BackgroundService(runners=1, lease_ttl=30.0) as svc,
+            svc.client(retry=TEST_RETRY) as client,
+        ):
             client.fleet_lease("w1")  # register: runner threads stay idle
             for job in jobs:
                 client.submit(job)
@@ -393,11 +404,10 @@ class TestFleetEndToEnd:
     @pytest.fixture(scope="class")
     def runner(self, service):
         with FleetRunner(
-            service.address_str,
+            service.client(retry=TEST_RETRY, timeout=30.0),
             worker_id="it-worker",
             ttl=0.5,
             poll=0.05,
-            client_kwargs={"retry": TEST_RETRY, "timeout": 30.0},
         ) as fleet_runner:
             wait_for_worker(service, "it-worker")
             yield fleet_runner
@@ -408,10 +418,8 @@ class TestFleetEndToEnd:
         self, service, runner, workbench, scheme, program_name, function, args
     ):
         job = quick_job(program_name, function, args, scheme)
-        client = service.client(retry=TEST_RETRY)
-        client.submit(job)
-        client.wait(job.job_id())
-        result = client.results(job.job_id())
+        with service.client(retry=TEST_RETRY) as client:
+            result = client.run(job)
         assert result["report"] == direct_report(
             workbench, program_name, function, args, scheme
         )
@@ -424,20 +432,17 @@ class TestFleetEndToEnd:
     def test_killed_worker_is_stolen_and_report_identical(self, workbench):
         job = quick_job("integer_compare", "integer_compare", (9, 4), "ancode")
         with BackgroundService(runners=1, lease_ttl=0.3) as svc:
-            doomed = FleetRunner(
-                svc.address_str,
+            doomed = DyingRunner(
+                svc.client(retry=TEST_RETRY, timeout=30.0),
+                die_on_lease={1},
                 worker_id="doomed",
                 ttl=0.3,
                 poll=0.05,
-                chaos=WorkerChaos(die_on_lease={1}),
-                client_kwargs={"retry": TEST_RETRY, "timeout": 30.0},
             ).start()
             wait_for_worker(svc, "doomed")
-            client = svc.client(retry=TEST_RETRY)
-            client.submit(job)
-            client.wait(job.job_id())
-            result = client.results(job.job_id())
-            status = client.service_status()
+            with svc.client(retry=TEST_RETRY) as client:
+                result = client.run(job)
+                status = client.service_status()
             doomed.stop()
             assert doomed.died is True
             # The /status counter block names the steal.
@@ -445,6 +450,24 @@ class TestFleetEndToEnd:
         assert result["report"] == direct_report(
             workbench, "integer_compare", "integer_compare", (9, 4), "ancode"
         )
+
+    def test_a_stopped_runner_leaves_no_socket_open(self):
+        job = quick_job("integer_compare", "integer_compare", (3, 9), "none")
+        with BackgroundService(runners=1, lease_ttl=5.0) as svc:
+            runner = FleetRunner(
+                svc.address_str, worker_id="tidy", ttl=5.0, poll=0.05
+            ).start()
+            wait_for_worker(svc, "tidy")
+            with svc.client(retry=TEST_RETRY) as client:
+                client.run(job)
+            runner.stop()
+            assert runner.shards_done >= 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                del runner
+                gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert [str(w.message) for w in leaks] == []
 
     def test_executor_error_crosses_network_boundary(self, monkeypatch, workbench):
         """A worker-side CampaignExecutorError is reported with its
@@ -469,19 +492,18 @@ class TestFleetEndToEnd:
         job = quick_job("integer_compare", "integer_compare", (6, 1), "none")
         with BackgroundService(runners=1, lease_ttl=5.0) as svc:
             with FleetRunner(
-                svc.address_str,
+                svc.client(retry=TEST_RETRY, timeout=30.0),
                 worker_id="crashy",
                 ttl=5.0,
                 poll=0.05,
-                client_kwargs={"retry": TEST_RETRY, "timeout": 30.0},
             ):
                 wait_for_worker(svc, "crashy")
-                client = svc.client(retry=TEST_RETRY)
-                client.submit(job)
-                client.wait(job.job_id())
-                events = list(client.stream(job.job_id()))
-                result = client.results(job.job_id())
-                status = client.service_status()
+                with svc.client(retry=TEST_RETRY) as client:
+                    client.submit(job)
+                    client.wait(job.job_id())
+                    events = list(client.stream(job.job_id()))
+                    result = client.results(job.job_id())
+                    status = client.service_status()
         retried = [e for e in events if e["event"] == "shard-retried"]
         assert retried, [e["event"] for e in events]
         # The runner repr()s each in-flight model before shipping it.
@@ -512,16 +534,17 @@ class TestNetworkChaos:
             with ChaosProxy(svc.host, svc.port, worker_weather) as worker_proxy, \
                     ChaosProxy(svc.host, svc.port, client_weather) as client_proxy:
                 with FleetRunner(
-                    worker_proxy.address,
+                    ServiceClient(
+                        worker_proxy.host,
+                        worker_proxy.port,
+                        timeout=15.0,
+                        retry=RetryPolicy(
+                            attempts=8, base_delay=0.02, max_delay=0.3, seed=11
+                        ),
+                    ),
                     worker_id="storm-rider",
                     ttl=0.5,
                     poll=0.05,
-                    client_kwargs={
-                        "retry": RetryPolicy(
-                            attempts=8, base_delay=0.02, max_delay=0.3, seed=11
-                        ),
-                        "timeout": 15.0,
-                    },
                 ):
                     # Submitted before the worker registers, the job runs
                     # on the runner thread and the worker's weather goes
@@ -529,17 +552,17 @@ class TestNetworkChaos:
                     wait_for_worker(svc, "storm-rider")
                     # The submitting client rides bad weather too: its
                     # first submission's response is dropped.
-                    client = ServiceClient(
+                    with ServiceClient(
                         client_proxy.host,
                         client_proxy.port,
                         timeout=15.0,
                         retry=RetryPolicy(
                             attempts=8, base_delay=0.02, max_delay=0.3, seed=12
                         ),
-                    )
-                    client.submit(job)
-                    client.wait(job.job_id())
-                    result = client.results(job.job_id())
+                    ) as client:
+                        client.submit(job)
+                        client.wait(job.job_id())
+                        result = client.results(job.job_id())
         # The schedules must actually have misbehaved for this to mean much.
         for weather in (worker_weather, client_weather):
             assert weather.counts["drop"] + weather.counts["duplicate"] > 0
@@ -641,7 +664,8 @@ class TestStoreRecovery:
         with BackgroundService(db_path=str(db), resume=False) as svc:
             assert svc.recovered_jobs == 1
             assert svc.resumed_jobs == 0
-            status = svc.client().status(job.job_id())
+            with svc.client() as client:
+                status = client.status(job.job_id())
             assert status["state"] == "queued"  # pending, not phantom-running
 
     def test_v1_database_migrates_in_place(self, tmp_path):
@@ -678,19 +702,19 @@ class TestClientHardening:
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
         try:
-            client = ServiceClient(
+            with ServiceClient(
                 "127.0.0.1",
                 port,
                 timeout=0.2,
                 connect_timeout=0.2,
                 retry=RetryPolicy(attempts=2, base_delay=0.01, seed=0),
-            )
-            start = time.monotonic()
-            with pytest.raises(ServiceError):
-                client.service_status()
-            with pytest.raises(ServiceError):
-                list(client.stream("cj-whatever"))
-            assert time.monotonic() - start < 10
+            ) as client:
+                start = time.monotonic()
+                with pytest.raises(ServiceError):
+                    client.service_status()
+                with pytest.raises(ServiceError):
+                    list(client.stream("cj-whatever"))
+                assert time.monotonic() - start < 10
         finally:
             listener.close()
 
@@ -706,8 +730,7 @@ class TestClientHardening:
 
     def test_shutdown_returns_503_with_retry_after(self):
         job = quick_job("integer_compare", "integer_compare", (0, 0), "none")
-        with BackgroundService(runners=1) as svc:
-            client = svc.client(retry=NO_RETRY)
+        with BackgroundService(runners=1) as svc, svc.client(retry=NO_RETRY) as client:
             svc.scheduler._closed = True
             try:
                 with pytest.raises(ServiceError) as excinfo:
@@ -722,8 +745,10 @@ class TestClientHardening:
 
     def test_stream_resumes_after_midstream_break(self):
         job = quick_job("integer_compare", "integer_compare", (5, 2), "none")
-        with BackgroundService(runners=1) as svc:
-            client = svc.client(retry=TEST_RETRY)
+        with (
+            BackgroundService(runners=1) as svc,
+            svc.client(retry=TEST_RETRY) as client,
+        ):
             client.submit(job)
             client.wait(job.job_id())
             baseline = list(client.stream(job.job_id()))
@@ -740,24 +765,36 @@ class TestClientHardening:
                         # status=None == transport failure == reconnect.
                         raise ServiceError("connection reset mid-read")
 
-            flaky_client = svc.client(retry=TEST_RETRY)
-            flaky_client._stream_once = flaky.__get__(flaky_client)
-            resumed = list(flaky_client.stream(job.job_id()))
+            with svc.client(retry=TEST_RETRY) as flaky_client:
+                flaky_client._stream_once = flaky.__get__(flaky_client)
+                resumed = list(flaky_client.stream(job.job_id()))
         assert state["broken"] is True
         assert resumed == baseline  # no gaps, no duplicates
 
     def test_retry_policy_backoff_is_bounded_and_jittered(self):
         import random
 
-        policy = RetryPolicy(
-            attempts=5, base_delay=0.1, max_delay=1.0, multiplier=2.0, jitter=0.5
-        )
+        policy = RetryPolicy(attempts=5, base_delay=0.1, max_delay=1.0)
         rng = random.Random(3)
         delays = [policy.delay(n, rng) for n in range(5)]
-        assert all(d <= 1.5 for d in delays)  # cap * (1 + jitter)
+        assert all(d <= 1.5 for d in delays)  # cap * (1 + BACKOFF_JITTER)
         assert all(
             d >= min(0.1 * 2**n, 1.0) for n, d in enumerate(delays)
         )
         assert policy.should_retry(ServiceError("transport", status=None))
         assert policy.should_retry(ServiceError("busy", status=503))
         assert not policy.should_retry(ServiceError("nope", status=404))
+
+    def test_retry_policy_reads_its_constants_when_it_runs(self, monkeypatch):
+        import random
+
+        policy = RetryPolicy(attempts=4, base_delay=0.1, max_delay=1.0)
+        monkeypatch.setattr("repro.service.client.BACKOFF_MULTIPLIER", 3.0)
+        monkeypatch.setattr("repro.service.client.BACKOFF_JITTER", 0.0)
+        monkeypatch.setattr("repro.service.client.RETRY_STATUSES", frozenset({502}))
+        rng = random.Random(0)
+        delays = [policy.delay(n, rng) for n in range(4)]
+        assert delays == pytest.approx([0.1, 0.3, 0.9, 1.0])
+        assert policy.should_retry(ServiceError("gateway", status=502))
+        assert not policy.should_retry(ServiceError("busy", status=503))
+        assert policy.should_retry(ServiceError("transport", status=None))

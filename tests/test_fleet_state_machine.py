@@ -43,6 +43,11 @@ from repro.service.jobs import AttackSpec, CampaignJob
 from repro.service.store import ResultStore
 from repro.toolchain import CompileConfig, Workbench
 
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 LEASE_TTL = 10.0
 WORKERS = ("w1", "w2")
 
@@ -126,9 +131,7 @@ class FleetMachine(RuleBasedStateMachine):
             store.close()
 
     def _coordinator(self):
-        return FleetCoordinator(
-            store=self.store, lease_ttl=LEASE_TTL, max_shard_attempts=2
-        )
+        return FleetCoordinator(store=self.store, lease_ttl=LEASE_TTL)
 
     def _queue(self, job):
         queued = Queued(job)
@@ -301,6 +304,7 @@ class FleetMachine(RuleBasedStateMachine):
 def test_fleet_state_machine(oracle, tmp_path, monkeypatch):
     clock = FakeTime()
     monkeypatch.setattr(fleet_module, "time", clock)
+    monkeypatch.setattr(fleet_module, "MAX_SHARD_ATTEMPTS", 2)
     shards, merged = oracle
 
     class Machine(FleetMachine):

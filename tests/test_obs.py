@@ -11,7 +11,8 @@ The observability contract (ISSUE 8):
 * traces fold the existing job event stream into a span tree, round-trip
   through NDJSON and the result store (schema v3, migrated in place from
   v2), and are served on ``GET /jobs/<id>/trace``;
-* campaign reports stay **byte-identical** with observability on vs off;
+* a traced served report stays **byte-identical** to the same campaign
+  run in-process;
 * ``/status`` counters and ``/metrics`` series share storage
   (:class:`RegistryStats`), so the two surfaces can never disagree.
 """
@@ -51,6 +52,11 @@ from repro.service.top import render_top, run_top
 from repro.toolchain import CampaignExecutor, CompileConfig, Workbench
 
 import random
+
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +350,10 @@ class TestRejoinCounters:
             config=CompileConfig(scheme="ancode"),
             attacks=(AttackSpec.make("skip-sweep"),),
         )
-        with BackgroundService(runners=1, trial_workers=0) as svc:
-            client = svc.client()
+        with (
+            BackgroundService(runners=1, trial_workers=0) as svc,
+            svc.client() as client,
+        ):
             client.run(job)
             scrape = client.metrics()
         for name in REJOIN_SERIES:
@@ -554,7 +562,8 @@ class TestServiceObservability:
 
     @pytest.fixture(scope="class")
     def client(self, service):
-        return service.client()
+        with service.client() as client:
+            yield client
 
     @pytest.fixture(scope="class")
     def finished_job(self, client):
@@ -650,20 +659,12 @@ class TestServiceObservability:
             client.cancel("cj-" + "1" * 32)
         assert excinfo.value.body is not None
 
-    def test_report_byte_identical_with_observability_off(self, client, finished_job):
+    def test_traced_report_equals_in_process_execution(self, client, finished_job):
+        """Tracing does not change reports: the served job, traced, has
+        the report ``CampaignJob.execute`` computes in-process."""
+        assert client.trace(finished_job.job_id())
         traced = client.results(finished_job.job_id())["report"]
-        with BackgroundService(
-            runners=1, trial_workers=0, observability=False
-        ) as dark:
-            dark_client = dark.client()
-            plain = dark_client.run(obs_job())["report"]
-            assert (
-                dark_client.service_status()["observability"]["enabled"] is False
-            )
-            # No trace is recorded when observability is off: 409.
-            with pytest.raises(ServiceError) as excinfo:
-                dark_client.trace(obs_job().job_id())
-            assert excinfo.value.status == 409
+        plain = finished_job.execute(Workbench())["report"]
         assert json.dumps(plain, sort_keys=True) == json.dumps(
             traced, sort_keys=True
         )
@@ -689,8 +690,7 @@ class TestServiceObservability:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(5.0)  # no forced switch during a shard
         try:
-            with BackgroundService(runners=1) as svc:
-                client = svc.client()
+            with BackgroundService(runners=1) as svc, svc.client() as client:
                 client.run(job)
                 spans = client.trace(job.job_id())
         finally:
@@ -742,11 +742,6 @@ class TestTop:
         frame = render_top(current, previous=previous, interval=2.0)
         assert "1.0k trials/s" in frame
         assert "50.0k cycles/s" in frame
-
-    def test_render_top_flags_observability_off(self):
-        status = fake_status(0, 0)
-        status["observability"] = {"enabled": False}
-        assert "[observability off]" in render_top(status)
 
     def test_run_top_polls_and_survives_errors(self):
         class FlakyClient:

@@ -263,9 +263,10 @@ class TestVerdictRule:
         # each one, a difference in one monitor frame (or none) must give
         # the verdict that simulating on from the same state gives.
         monkeypatch.setattr(scheduler_module, "LADDER_BYTES", 64 << 20)
+        monkeypatch.setattr(scheduler_module, "DEFAULT_INTERVAL", 3)
         config = CompileConfig(scheme="ancode", target=target)
         program = compile_source(CALL_LOOP, config=config)
-        scheduler = TrialScheduler(program, "run_calls", [12], interval=3)
+        scheduler = TrialScheduler(program, "run_calls", [12])
         assert scheduler.stats.interval == 3, "the ladder thinned"
         violations = 0
         for probe in scheduler.checkpoints[1:]:

@@ -28,6 +28,11 @@ from repro.service.jobs import (
 )
 from repro.toolchain import CompileConfig, Workbench, table3_schemes
 
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 #: The quick suite: every device micro-program x Table III scheme.
 QUICK_SUITE = [
     ("integer_compare", "integer_compare", (7, 7)),
@@ -59,7 +64,8 @@ def service():
 
 @pytest.fixture(scope="module")
 def client(service):
-    return service.client()
+    with service.client() as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -196,8 +202,10 @@ class TestResultIdentity:
             .attack(repeated_branch_flip)
             .run(engine="fork")
         )
-        with BackgroundService(runners=1, trial_workers=2) as svc:
-            client = svc.client()
+        with (
+            BackgroundService(runners=1, trial_workers=2) as svc,
+            svc.client() as client,
+        ):
             job = quick_job("memcmp", "run_memcmp", (16,), "ancode")
             submitted = client.submit(job)
             events = list(client.stream(submitted["job_id"]))
@@ -230,8 +238,7 @@ class TestDeduplication:
         db = tmp_path / "campaigns.sqlite"
         job = quick_job("integer_compare", "integer_compare", (2, 4), "duplication")
 
-        with BackgroundService(db_path=str(db)) as first:
-            client = first.client()
+        with BackgroundService(db_path=str(db)) as first, first.client() as client:
             submitted = client.submit(job)
             assert submitted["deduplicated"] is False
             client.wait(submitted["job_id"])
@@ -239,8 +246,7 @@ class TestDeduplication:
             assert first.scheduler.stats.executed == 1
 
         # A brand-new process (fresh scheduler, same database file).
-        with BackgroundService(db_path=str(db)) as second:
-            client = second.client()
+        with BackgroundService(db_path=str(db)) as second, second.client() as client:
             resubmitted = client.submit(job)
             assert resubmitted["job_id"] == submitted["job_id"]
             assert resubmitted["deduplicated"] is True
@@ -256,8 +262,7 @@ class TestDeduplication:
         job = quick_job("integer_compare", "integer_compare", (9, 9), "none")
         with ResultStore(db) as store:  # a service that died pre-execution
             store.record_job(job.job_id(), job.kind, job.to_dict())
-        with BackgroundService(db_path=str(db)) as svc:
-            client = svc.client()
+        with BackgroundService(db_path=str(db)) as svc, svc.client() as client:
             assert svc.resumed_jobs == 1
             client.wait(job.job_id())
             result = client.results(job.job_id())
@@ -314,8 +319,10 @@ class TestDeduplication:
                 config=CompileConfig(scheme="svc-rev-scheme"),
                 attacks=(AttackSpec.make("branch-flip", max_branches=2),),
             )
-            with BackgroundService(db_path=str(tmp_path / "c.sqlite")) as svc:
-                client = svc.client()
+            with (
+                BackgroundService(db_path=str(tmp_path / "c.sqlite")) as svc,
+                svc.client() as client,
+            ):
                 client.submit(job)
                 client.wait(job.job_id())
                 assert svc.scheduler.stats.executed == 1
@@ -344,8 +351,7 @@ class TestCancellation:
             attacks=(AttackSpec.make("skip-sweep"),),  # full dynamic sweep
         )
         victim = quick_job("integer_compare", "integer_compare", (1, 2), "none")
-        with BackgroundService(runners=1) as svc:
-            client = svc.client()
+        with BackgroundService(runners=1) as svc, svc.client() as client:
             client.submit(slow)
             submitted = client.submit(victim)
             outcome = client.cancel(submitted["job_id"])
@@ -356,8 +362,10 @@ class TestCancellation:
 
     def test_cancel_running_job_takes_effect_at_once(self):
         job = quick_job("integer_compare", "integer_compare", (6, 6), "none")
-        with BackgroundService(runners=1, lease_ttl=30.0) as svc:
-            client = svc.client()
+        with (
+            BackgroundService(runners=1, lease_ttl=30.0) as svc,
+            svc.client() as client,
+        ):
             client.fleet_lease("w1")  # an active worker: runner threads idle
             client.submit(job)
             shard = client.fleet_lease("w1")["shard"]
@@ -390,8 +398,10 @@ class TestPriority:
             quick_job("integer_compare", "integer_compare", (n, n), "none")
             for n in (30, 31)
         )
-        with BackgroundService(runners=1, lease_ttl=30.0) as svc:
-            client = svc.client()
+        with (
+            BackgroundService(runners=1, lease_ttl=30.0) as svc,
+            svc.client() as client,
+        ):
             client.fleet_lease("w1")  # an active worker: runner threads idle
             client.submit(low, priority=10)
             client.submit(high, priority=1)
@@ -403,8 +413,7 @@ class TestPriority:
             quick_job("integer_compare", "integer_compare", (n, n + 2), "none")
             for n in (32, 33)
         )
-        with BackgroundService(runners=1, lease_ttl=0.5) as svc:
-            client = svc.client()
+        with BackgroundService(runners=1, lease_ttl=0.5) as svc, svc.client() as client:
             # A worker that falls silent holds the runner thread back
             # until both jobs are queued.
             client.fleet_lease("w1")

@@ -27,6 +27,11 @@ from repro.service.jobs import AttackSpec, CampaignJob
 from repro.service.queue import PERSISTED_EVENTS
 from repro.toolchain import CompileConfig
 
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 TERMINAL = {"finished": "done", "failed": "failed", "cancelled": "cancelled"}
 
 
@@ -177,11 +182,16 @@ SHARD_PAYLOAD = {
 }
 
 
+def assert_service_answers(service):
+    with service.client() as client:
+        assert client.service_status()["service"] == "repro.service"
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("request_bytes", MALFORMED.values(), ids=MALFORMED)
     def test_answers_structured_400(self, service, request_bytes):
         assert assert_json_4xx(raw_exchange(service.address, request_bytes)) == 400
-        assert service.client().service_status()["service"] == "repro.service"
+        assert_service_answers(service)
 
 
 def status_request(header_lines):
@@ -397,7 +407,7 @@ class TestGeneratedBodies:
     def test_every_malformed_body_gets_a_structured_4xx(self, service, request_bytes):
         for second in (False, True):
             assert_json_4xx(raw_exchange(service.address, request_bytes, second=second))
-        assert service.client().service_status()["service"] == "repro.service"
+        assert_service_answers(service)
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +578,20 @@ class TestCommitThread:
         with BackgroundService(runners=2) as svc:
 
             def client_thread(plan):
-                client = svc.client(timeout=120.0)
                 try:
-                    for job, cancel in plan:
-                        job_id = client.submit(job)["job_id"]
-                        if cancel:
-                            client.cancel(job_id)
-                        seen[job_id] = read_stream(
-                            svc.address,
-                            job_id,
-                            lambda: (
-                                svc.scheduler.store.events(job_id),
-                                client.status(job_id)["state"],
-                            ),
-                        )
+                    with svc.client(timeout=120.0) as client:
+                        for job, cancel in plan:
+                            job_id = client.submit(job)["job_id"]
+                            if cancel:
+                                client.cancel(job_id)
+                            seen[job_id] = read_stream(
+                                svc.address,
+                                job_id,
+                                lambda: (
+                                    svc.scheduler.store.events(job_id),
+                                    client.status(job_id)["state"],
+                                ),
+                            )
                 except Exception as exc:  # noqa: BLE001 — reported below
                     errors.append(exc)
 
@@ -613,6 +623,7 @@ class TestCommitThread:
         before = service_threads()
         streamed, outcome = [], {}
         with BackgroundService(runners=1, lease_ttl=30.0) as svc:
+            # Closed after the service: the readers block on it meanwhile.
             client = svc.client(retry=NO_RETRY)
             client.fleet_lease("w1")  # an active worker: runner threads idle
             client.submit(job)  # ... and it never leases the job
@@ -649,6 +660,7 @@ class TestCommitThread:
             time.sleep(0.5)  # both requests are blocked on the job now
         for reader in readers:
             reader.join(timeout=30)
+        client.close()
         assert not [reader for reader in readers if reader.is_alive()]
         assert streamed == ["queued"]
         assert outcome == {"result": 503, "wait": 503}

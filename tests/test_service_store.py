@@ -14,6 +14,11 @@ from repro.service.store import (
     StoreError,
 )
 
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 SPEC = {"kind": "campaign", "title": "t", "source": "u32 f() { return 1; }"}
 RESULT = {
     "kind": "campaign",
@@ -255,6 +260,29 @@ class TestTransactions:
             assert store.get_result("cj-t") == RESULT
             assert store.get_trace("cj-t") == [{"name": "job"}]
             assert store.events("cj-t") == [{"event": "finished"}]
+
+
+class TestShards:
+    def test_a_shard_write_runs_no_query(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.record_job("cj-t", "campaign", SPEC)
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            assert store.store_shard("sh-1", "cj-t", 0, 1, {"n": 1}) is None
+            store._conn.set_trace_callback(None)
+            assert [s for s in statements if "SELECT" in s.upper()] == []
+            assert store.shard_payloads("cj-t") == {"sh-1": (0, 1, {"n": 1})}
+
+    def test_a_repeated_shard_replaces_its_row(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.record_job("cj-t", "campaign", SPEC)
+            store.store_shard("sh-1", "cj-t", 0, 1, {"n": 1})
+            store.store_shard("sh-1", "cj-t", 0, 2, {"n": 2})
+            store.store_shard("sh-2", "cj-t", 1, 2, {"n": 3})
+            assert store.shard_payloads("cj-t") == {
+                "sh-1": (0, 2, {"n": 2}),
+                "sh-2": (1, 2, {"n": 3}),
+            }
 
 
 def lifecycle_job(attacks):

@@ -25,6 +25,11 @@ from repro.service.http import _Handler
 from repro.service.jobs import AttackSpec, CampaignJob
 from repro.toolchain import CompileConfig
 
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 #: Header names the generated heads draw from: few enough to repeat.
 NAMES = ("Content-Length", "Content-Type", "Connection", "Retry-After", "X-Job")
 

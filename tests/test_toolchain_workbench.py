@@ -1,4 +1,4 @@
-"""Workbench caching, batch compiles, compile argument checks, CampaignBuilder."""
+"""Workbench caching, compile argument checks, CampaignBuilder."""
 
 import pytest
 
@@ -30,16 +30,14 @@ class TestCache:
         assert first is again
         assert (wb.hits, wb.misses) == (1, 1)
 
-    def test_compile_many_dedupes(self):
+    def test_repeats_in_a_loop_are_cache_hits(self):
         wb = Workbench()
-        jobs = [(COMPARE_SRC, CompileConfig.paper())] * 5
-        programs = wb.compile_many(jobs)
-        assert len(programs) == 5
+        programs = [wb.compile(COMPARE_SRC, CompileConfig.paper()) for _ in range(5)]
         assert all(p is programs[0] for p in programs)
         assert wb.misses == 1  # exactly one real compilation
         assert wb.hits == 4
 
-    def test_compile_many_mixed_jobs(self):
+    def test_mixed_jobs_compile_each_distinct_pair_once(self):
         wb = Workbench()
         jobs = [
             (COMPARE_SRC, CompileConfig.paper()),
@@ -47,22 +45,13 @@ class TestCache:
             (OTHER_SRC, CompileConfig.paper()),
             (COMPARE_SRC, CompileConfig.paper()),
         ]
-        programs = wb.compile_many(jobs)
+        programs = [wb.compile(source, config) for source, config in jobs]
         assert programs[0] is programs[3]
         assert programs[0] is not programs[1]
         assert wb.misses == 3 and wb.hits == 1
         schemes = [p.scheme for p in programs]
         assert schemes == ["ancode", "none", "ancode", "ancode"]
-
-    def test_compile_many_parallel(self):
-        wb = Workbench(max_workers=2)
-        configs = [CompileConfig.paper(), CompileConfig.baseline(), CompileConfig.duplication()]
-        jobs = [(COMPARE_SRC, c) for c in configs] * 2
-        programs = wb.compile_many(jobs, parallel=True)
-        assert wb.misses == 3 and wb.hits == 3
-        for program, config in zip(programs, configs * 2):
-            assert program.scheme == config.scheme
-            assert program.run("cmp", [7, 7]).exit_code == 100
+        assert programs[1].run("cmp", [7, 7]).exit_code == 100
 
     def test_lru_eviction(self):
         wb = Workbench(cache_size=1)
