@@ -22,8 +22,7 @@ from repro.ir.cfg import split_critical_edges
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.isa.assembler import AsmBlock, AsmFunction, CodeImage, DataSegment, assemble
-from repro.isa.cpu import PAGE_BITS, PAGE_SIZE, CPU, CpuSnapshot, ExecutionResult
-from repro.isa.cycles import CycleModel
+from repro.isa.cpu import CPU, CpuSnapshot, ExecutionResult
 from repro.cfi.monitor import CfiMonitor
 from repro.passes.lower_select import lower_selects
 from repro.passes.lower_switch import lower_switches
@@ -52,8 +51,8 @@ class CompiledProgram:
     #: (function, args) -> the lock of :meth:`workload_lock`.
     _workload_locks: dict = field(default_factory=dict, repr=False, compare=False)
     #: (function, spec) -> (start snapshot, free list of trial CPUs): the
-    #: page-tracking CPUs every scheduler of that function borrows for its
-    #: golden capture and its trials (see :meth:`take_trial_cpu`).
+    #: CPUs every scheduler of that function borrows for its golden
+    #: capture and its trials (see :meth:`take_trial_cpu`).
     _trial_cpus: dict = field(default_factory=dict, repr=False, compare=False)
 
     def size_of(self, function: str) -> int:
@@ -73,60 +72,26 @@ class CompiledProgram:
         function: str,
         args: list[int] | None = None,
         max_cycles: int = 10_000_000,
-        cycle_model: Optional[CycleModel] = None,
-        setup=None,
         dispatch: str = "superblock",
         spec=None,
     ) -> ExecutionResult:
-        cpu, result = self.run_cpu(
-            function, args, max_cycles, cycle_model, setup, dispatch=dispatch,
-            spec=spec,
-        )
-        return result
-
-    def run_cpu(
-        self,
-        function: str,
-        args: list[int] | None = None,
-        max_cycles: int = 10_000_000,
-        cycle_model: Optional[CycleModel] = None,
-        setup=None,
-        pre_hooks=None,
-        dispatch: str = "superblock",
-        spec=None,
-    ):
-        """Run and return (cpu, result) for tests that inspect state."""
-        cpu = self.prepare_cpu(
-            function, args, cycle_model, setup, pre_hooks, dispatch=dispatch,
-            spec=spec,
-        )
-        return cpu, cpu.run(max_cycles)
+        cpu = self.prepare_cpu(function, args, dispatch=dispatch, spec=spec)
+        return cpu.run(max_cycles)
 
     def prepare_cpu(
         self,
         function: str,
         args: list[int] | None = None,
-        cycle_model: Optional[CycleModel] = None,
-        setup=None,
         pre_hooks=None,
         dispatch: str = "superblock",
-        track_pages: bool = False,
         spec=None,
     ) -> CPU:
         """``spec`` (a :class:`repro.spec.SpecConfig`) attaches the
         speculative front end — predictor, bounded transient window, and
         observable-trace digest (see :mod:`repro.spec`)."""
-        cpu = CPU(
-            self.image,
-            cycle_model,
-            dispatch=dispatch,
-            track_pages=track_pages,
-            spec=spec,
-        )
+        cpu = CPU(self.image, dispatch=dispatch, spec=spec)
         if self.cfi:
             CfiMonitor(cpu, function)
-        if setup is not None:
-            setup(cpu)
         if pre_hooks:
             cpu.pre_hooks.extend(pre_hooks)
         cpu.call(function, list(args or []))
@@ -152,35 +117,24 @@ class CompiledProgram:
         )
 
     def take_trial_cpu(self, function: str, spec=None) -> tuple[CPU, CpuSnapshot]:
-        """A page-tracking CPU for ``function`` (speculating under
-        ``spec``) with the image's pristine memory, and the start
-        snapshot: the state ``prepare_cpu(function)`` leaves, with no
-        arguments.  The caller restores a snapshot onto the CPU and hands
-        it back with :meth:`give_trial_cpu`; until then no other caller
-        gets it, so concurrent schedulers run on separate CPUs.  Only a
-        caller that finds the free list empty allocates one."""
+        """A CPU for ``function`` (speculating under ``spec``), in whatever
+        state its previous user left it, and the start snapshot: the state
+        ``prepare_cpu(function)`` leaves, with no arguments.  The caller
+        restores a snapshot onto the CPU and hands it back with
+        :meth:`give_trial_cpu`; until then no other caller gets it, so
+        concurrent schedulers run on separate CPUs.  Only a caller that
+        finds the free list empty allocates one."""
         key = (function, spec)
         pool = self._trial_cpus.get(key)
         if pool is None:
-            cpu = self.prepare_cpu(function, track_pages=True, spec=spec)
-            # prepare_cpu puts arguments in registers only, so every CPU
-            # of the image starts from, and scrubs back to, one copy.
-            if self.image._pristine is None:
-                self.image._pristine = bytes(cpu.memory)
+            cpu = self.prepare_cpu(function, spec=spec)
             pool = self._trial_cpus.setdefault(key, (cpu.snapshot(), []))
             return cpu, pool[0]
         start, free = pool
         try:
             cpu = free.pop()
         except IndexError:  # every CPU of the pool is out: one more
-            return self.prepare_cpu(function, track_pages=True, spec=spec), start
-        # Scrub the previous user's pages back to the pristine image;
-        # restore() lays a snapshot's pages on top.
-        memory, pristine = cpu.memory, self.image._pristine
-        for page in cpu._dirty_pages:
-            offset = page << PAGE_BITS
-            memory[offset : offset + PAGE_SIZE] = pristine[offset : offset + PAGE_SIZE]
-        cpu._dirty_pages.clear()
+            return self.prepare_cpu(function, spec=spec), start
         cpu.pre_hooks.clear()
         return cpu, start
 

@@ -78,6 +78,13 @@ class AttackResult:
             self.records = []
         self.records.append([int(fire_index or 0), outcome.value, exit_code])
 
+    def add_rows(self, rows) -> None:
+        """Record the rows of :func:`run_trials`, in order."""
+        for outcome, exit_code, *fire_index in rows:
+            self.record(outcome, exit_code)
+            if fire_index:
+                self.record_trial(fire_index[0], outcome, exit_code)
+
     def rate(self, outcome: Outcome) -> float:
         return self.outcomes.get(outcome, 0) / self.trials if self.trials else 0.0
 
@@ -114,6 +121,27 @@ def fire_index_of(model, trace) -> int:
     if first_fire_index is None:
         return 0
     return first_fire_index(trace) or 0
+
+
+def run_trials(
+    scheduler: TrialScheduler, models, max_cycles: int, record_trials: bool
+) -> tuple[list[tuple], int]:
+    """Run one trial per model on ``scheduler`` and classify it against
+    the golden run: one ``(outcome, exit_code)`` row per model, in order,
+    with the fault's fire index appended when ``record_trials`` (see
+    :meth:`AttackResult.add_rows`), and the cycles the trials simulated.
+    The fire index resolves against the scheduler's golden trace, which
+    is deterministic, so every process computes the same rows."""
+    golden, trace = scheduler.golden, scheduler.trace
+    cycles_before = scheduler.stats.simulated_cycles
+    rows = []
+    for model in models:
+        faulted = scheduler.run_trial(model, max_cycles)
+        row = (classify(golden, faulted), faulted.exit_code)
+        if record_trials:
+            row += (fire_index_of(model, trace),)
+        rows.append(row)
+    return rows, scheduler.stats.simulated_cycles - cycles_before
 
 
 def run_attack(
@@ -165,18 +193,10 @@ def run_attack(
         result.records = []
     if engine == "fork":
         scheduler = TrialScheduler.for_program(program, function, list(args), spec=spec)
-        golden = scheduler.golden
-        trace = scheduler.trace
-        cycles_before = scheduler.stats.simulated_cycles
-        for model in fault_models:
-            faulted = scheduler.run_trial(model, max_cycles)
-            outcome = classify(golden, faulted)
-            result.record(outcome, faulted.exit_code)
-            if record_trials:
-                result.record_trial(
-                    fire_index_of(model, trace), outcome, faulted.exit_code
-                )
-        result.simulated_cycles = scheduler.stats.simulated_cycles - cycles_before
+        rows, result.simulated_cycles = run_trials(
+            scheduler, fault_models, max_cycles, record_trials
+        )
+        result.add_rows(rows)
     else:
         golden = program.run(function, args, dispatch="reference", spec=spec)
         trace = (

@@ -134,10 +134,9 @@ class MemoryBitFlip(FaultModel):
         def pre(cpu: CPU, instr) -> bool:
             if cpu.dyn_index == self.occurrence and self.addr < len(cpu.memory):
                 cpu.memory[self.addr] ^= 1 << self.bit
-                if cpu._dirty_pages is not None:
-                    # Direct pokes bypass store(); keep page tracking (and
-                    # therefore trial-CPU reuse) sound.
-                    cpu._dirty_pages.add(self.addr >> PAGE_BITS)
+                # A direct poke bypasses store(): mark the page, so
+                # snapshots and restores see it.
+                cpu._dirty_pages.add(self.addr >> PAGE_BITS)
             return False
 
         pre.fire_window = (self.occurrence, self.occurrence)

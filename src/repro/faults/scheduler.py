@@ -62,15 +62,15 @@ for the whole trial, which :meth:`CPU.run` steps on the reference path.
 
 Trial CPUs belong to the program, not to the scheduler.  For each
 (function, spec) the :class:`~repro.backend.driver.CompiledProgram`
-keeps a free list of page-tracking CPUs and one start snapshot, the
-state of a CPU prepared with no arguments.  Golden capture takes a CPU,
-restores the start snapshot and calls the function with the workload's
-arguments; every trial takes a CPU (scrubbed back to the pristine image
-on the way out of the free list) and restores its checkpoint.  Both
-hand it back when done.  So a fresh workload of a warm program
-allocates no CPU, the schedulers of one program hold one CPU between
-them while they take turns, and concurrent schedulers still run on
-separate CPUs.
+keeps a free list of CPUs and one start snapshot, the state of a CPU
+prepared with no arguments.  Golden capture takes a CPU, restores the
+start snapshot and calls the function with the workload's arguments;
+every trial takes a CPU and restores its checkpoint, which puts the CPU
+into exactly the checkpoint's state whatever the previous trial left
+(:meth:`CPU.restore <repro.isa.cpu.CPU.restore>`).  Both hand it back
+when done.  So a fresh workload of a warm program allocates no CPU, the
+schedulers of one program hold one CPU between them while they take
+turns, and concurrent schedulers still run on separate CPUs.
 
 Fault models participate through two optional methods (see
 :mod:`repro.faults.models`):
@@ -262,19 +262,17 @@ class TrialScheduler:
 
         The scheduler owns no CPU: golden capture and every trial borrow
         one from the program
-        (:meth:`~repro.backend.driver.CompiledProgram.take_trial_cpu`).
-        Scrubbing a borrowed CPU back to the pristine image is safe for
-        hooks that go through CPU.store()/the bundled fault models; a
-        third-party hook that pokes ``cpu.memory`` directly must mark the
-        page in ``cpu._dirty_pages`` (as MemoryBitFlip does)."""
+        (:meth:`~repro.backend.driver.CompiledProgram.take_trial_cpu`) and
+        restore a checkpoint onto it.  Restoring is exact for hooks that
+        go through ``CPU.store()`` and for the bundled fault models; a
+        hook that pokes ``cpu.memory`` directly must mark the page in
+        ``cpu._dirty_pages``, as ``MemoryBitFlip`` does (every CPU tracks
+        its dirty pages)."""
         self.program = program
         self.function = function
         self.args = list(args)
         self.spec = spec
         self.stats = SchedulerStats()
-        #: the image's pristine memory, which rejoin verdicts compare
-        #: pages the trial left clean against
-        self._pristine: bytes | None = None
         #: Final ``cpu.dyn_index`` of the most recent trial — where its
         #: execution actually ended, including skipped instructions (which
         #: ``ExecutionResult.instructions`` excludes).  The multi-fault
@@ -288,8 +286,8 @@ class TrialScheduler:
 
     #: Workloads memoized per program; the LRU bound keeps argument sweeps
     #: (thousands of distinct (function, args) pairs, each scheduler
-    #: holding its golden PC log and checkpoint ladder; CPUs and the
-    #: pristine image belong to the program) from accumulating
+    #: holding its golden PC log and checkpoint ladder; CPUs belong to
+    #: the program, the pristine memory to its image) from accumulating
     #: unboundedly.
     MEMO_SIZE = 8
 
@@ -395,7 +393,6 @@ class TrialScheduler:
                         break
         result = cpu.result()
         program.give_trial_cpu(self.function, self.spec, cpu)
-        self._pristine = image._pristine
         self.golden = result
         self.trace = GoldenTrace(result, pcs, image, branch_mnemonic=branch_mn)
         self.checkpoints = checkpoints
@@ -527,7 +524,7 @@ class TrialScheduler:
             or cpu.console_chars != probe.console
         ):
             return None
-        memory, pristine, pages = cpu.memory, self._pristine, probe.pages
+        memory, pristine, pages = cpu.memory, cpu._pristine, probe.pages
         for page in cpu._dirty_pages | pages.keys():
             offset = page << PAGE_BITS
             expected = pages.get(page)

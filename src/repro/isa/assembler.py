@@ -67,16 +67,16 @@ class CodeImage:
         default=None, repr=False, compare=False
     )
     #: lazily-built superblock tables (trace partition + trace functions
-    #: compiled one at a time per cycle-model/monitor/spec variant),
+    #: compiled one at a time per monitor/spec variant),
     #: keyed inside repro.isa.superblock.  Like the decode cache, shared
     #: by every CPU running this image and dropped on pickle.
     _superblock_cache: Optional[dict] = field(
         default=None, repr=False, compare=False
     )
-    #: the memory a CPU of this image starts with (zeroes plus the data
-    #: image), which the program's pooled trial CPUs scrub back to (see
-    #: ``CompiledProgram.take_trial_cpu``); one copy per image, dropped on
-    #: pickle.
+    #: the memory every CPU of this image starts with (``MEM_SIZE`` zero
+    #: bytes plus the data image), built by the image's first CPU; each
+    #: CPU keeps a reference, and ``CPU.restore`` puts pages back from it.
+    #: One copy per image, dropped on pickle.
     _pristine: Optional[bytes] = field(default=None, repr=False, compare=False)
     #: lazily-built mnemonic numbering (see :meth:`mnemonic_numbers`),
     #: shared by every golden trace of this image and dropped on pickle.

@@ -2,7 +2,7 @@
 
 Executes a :class:`~repro.isa.assembler.CodeImage` with:
 
-* cycle accounting via a pluggable :class:`~repro.isa.cycles.CycleModel`,
+* cycle accounting via the target's :class:`~repro.isa.cycles.CycleModel`,
 * MMIO (exit/console/fault report/CFI unit),
 * retire hooks (the CFI monitor observes every retired instruction and the
   CFI-unit writes it caused),
@@ -32,12 +32,17 @@ Two execution paths share identical semantics:
 
 Checkpointing
 -------------
-:meth:`CPU.snapshot` / :meth:`CPU.restore` capture and reinstate the full
-architectural state (registers, flags, counters, console, memory, and the
-attached CFI monitor).  With ``track_pages=True`` the CPU records which
-1 KiB pages stores touched, so snapshots copy only dirty pages instead of
-the whole address space — the fault-campaign trial scheduler forks
-thousands of trials from mid-run checkpoints this way.
+Every CPU of an image starts with a copy of the image's pristine memory
+(:data:`MEM_SIZE` zero bytes plus the data image, built by the image's
+first CPU) and records in ``_dirty_pages`` each 1 KiB page it writes, so
+a page outside that set holds its pristine bytes.
+:meth:`CPU.snapshot` captures the full state (registers, flags, counters,
+console, the dirty pages' bytes, and the attached CFI monitor), and
+:meth:`CPU.restore` puts any CPU of the same image into exactly that
+state, whatever it ran since: dirty pages the snapshot lacks go back to
+pristine, and the snapshot's pages are laid down.  The fault-campaign
+trial scheduler forks thousands of trials from mid-run checkpoints this
+way, onto CPUs the previous trials left dirty.
 
 Division semantics
 ------------------
@@ -56,7 +61,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.isa import instructions as ins
 from repro.isa.assembler import CodeImage
-from repro.isa.cycles import CycleModel
 from repro.isa.mmio import MMIO
 from repro.isa.registers import LR, PC, SP
 
@@ -79,7 +83,8 @@ PAGE_SIZE = 1 << PAGE_BITS
 #:
 #: v1: architectural state + CFI monitor.
 #: v2: + speculation state (predictor, counters, transient-trace hash).
-SNAPSHOT_VERSION = 2
+#: v3: memory as dirty pages only.
+SNAPSHOT_VERSION = 3
 
 
 class Status(enum.Enum):
@@ -124,10 +129,9 @@ class CpuSnapshot:
     """A resumable copy of the full simulator state at an instruction
     boundary (plus the CFI monitor's, when one is attached).
 
-    ``pages`` holds only the 1 KiB pages dirtied since the CPU was
-    prepared (page-tracking mode); ``memory`` is the full image otherwise.
-    Restoring onto a freshly prepared CPU for the same program
-    re-establishes the exact mid-run state either way.
+    ``pages`` holds the bytes of the 1 KiB pages the CPU had dirtied; every
+    other page held the image's pristine bytes.  Restoring onto any CPU of
+    the same image re-establishes the exact state.
     """
 
     regs: list[int]
@@ -142,8 +146,7 @@ class CpuSnapshot:
     retired: int
     dyn_index: int
     console: list[str]
-    pages: Optional[dict[int, bytes]]
-    memory: Optional[bytes]
+    pages: dict[int, bytes]
     monitor: Optional[tuple]
     #: schema guard — restore() refuses snapshots from another schema.
     version: int = SNAPSHOT_VERSION
@@ -156,10 +159,7 @@ class CPU:
     def __init__(
         self,
         image: CodeImage,
-        cycle_model: Optional[CycleModel] = None,
-        memory_size: int = MEM_SIZE,
         dispatch: str = "superblock",
-        track_pages: bool = False,
         spec: Optional["SpecConfig"] = None,
     ):
         if dispatch not in ("superblock", "reference"):
@@ -168,16 +168,26 @@ class CPU:
         from repro.target import get_target  # late: avoids import cycle
 
         target = get_target(getattr(image, "target", "baseline"))
-        if cycle_model is None:
-            cycle_model = target.cycle_model()
-        self.cycles_model = cycle_model
+        self.cycles_model = target.cycle_model()
         #: whether this target's conditional branches read NZCV flags;
         #: False on fused register-compare targets (rv32).  Fault models
         #: consult it when a glitch is timed away from any branch.
         self.flag_branches = target.flag_branches
-        self.memory = bytearray(memory_size)
-        for addr, payload in image.data_image:
-            self.memory[addr : addr + len(payload)] = payload
+        pristine = image._pristine
+        if pristine is None:
+            memory = bytearray(MEM_SIZE)
+            for addr, payload in image.data_image:
+                memory[addr : addr + len(payload)] = payload
+            pristine = image._pristine = bytes(memory)
+        else:
+            memory = bytearray(pristine)
+        self.memory = memory
+        #: the image's pristine memory, which :meth:`restore` puts clean
+        #: pages back from
+        self._pristine = pristine
+        #: pages whose bytes may differ from ``_pristine``: every write to
+        #: ``memory`` (stores, compiled traces, fault hooks) marks its page
+        self._dirty_pages: set[int] = set()
         #: ``memory`` as 32-bit words, aliasing it for the CPU's lifetime
         #: (nothing rebinds ``memory``): compiled traces serve aligned word
         #: accesses through it (see repro.isa.superblock)
@@ -215,7 +225,6 @@ class CPU:
         self._sb_variant = None
         #: addr -> (instr, width); shared per image.
         self._decode = image.decode_cache()
-        self._dirty_pages: Optional[set[int]] = set() if track_pages else None
         # Snapshot the cycle model's constant costs once: compiled traces
         # bake them in, and the speculative branch retire charges them.
         model = self.cycles_model
@@ -353,16 +362,11 @@ class CPU:
     # ------------------------------------------------------------------
     def snapshot(self) -> CpuSnapshot:
         """Capture the state at the current instruction boundary."""
-        if self._dirty_pages is not None:
-            mem = self.memory
-            pages = {}
-            for page in self._dirty_pages:
-                offset = page << PAGE_BITS
-                pages[page] = bytes(mem[offset : offset + PAGE_SIZE])
-            full = None
-        else:
-            pages = None
-            full = bytes(self.memory)
+        mem = self.memory
+        pages = {
+            page: bytes(mem[page << PAGE_BITS : (page + 1) << PAGE_BITS])
+            for page in self._dirty_pages
+        }
         return CpuSnapshot(
             regs=list(self.regs),
             n=self.n,
@@ -377,19 +381,17 @@ class CPU:
             dyn_index=self.dyn_index,
             console=list(self.console_chars),
             pages=pages,
-            memory=full,
             monitor=self.monitor.snapshot_state() if self.monitor else None,
             version=SNAPSHOT_VERSION,
             spec=self.spec.snapshot_state() if self.spec is not None else None,
         )
 
     def restore(self, snap: CpuSnapshot) -> None:
-        """Reinstate a snapshot onto this CPU.
-
-        Page-delta snapshots assume this CPU was freshly prepared for the
-        same program (its memory equals the pre-run state the deltas are
-        relative to).
-        """
+        """Put this CPU into the snapshot's exact state.  The snapshot may
+        come from any CPU of the same image, and this CPU may be in any
+        state: its dirty pages the snapshot lacks go back to pristine, the
+        snapshot's pages are laid down, and its dirty set becomes the
+        snapshot's."""
         if snap.version != SNAPSHOT_VERSION:
             raise ValueError(
                 f"cannot restore CpuSnapshot schema v{snap.version} onto a "
@@ -413,15 +415,16 @@ class CPU:
         self.retired = snap.retired
         self.dyn_index = snap.dyn_index
         self.console_chars[:] = snap.console
-        if snap.pages is not None:
-            mem = self.memory
-            for page, data in snap.pages.items():
+        memory, pristine, pages = self.memory, self._pristine, snap.pages
+        for page in self._dirty_pages:
+            if page not in pages:
                 offset = page << PAGE_BITS
-                mem[offset : offset + len(data)] = data
-            if self._dirty_pages is not None:
-                self._dirty_pages = set(snap.pages)
-        elif snap.memory is not None:
-            self.memory[:] = snap.memory
+                end = offset + PAGE_SIZE
+                memory[offset:end] = pristine[offset:end]
+        for page, data in pages.items():
+            offset = page << PAGE_BITS
+            memory[offset : offset + len(data)] = data
+        self._dirty_pages = set(pages)
         if snap.monitor is not None and self.monitor is not None:
             self.monitor.restore_state(snap.monitor)
         if snap.spec is not None:
@@ -452,12 +455,9 @@ class CPU:
             self.status = Status.MEM_ERROR
             return
         self.memory[addr : addr + size] = value.to_bytes(size, "little")
-        if self._dirty_pages is not None:
-            first = addr >> PAGE_BITS
-            self._dirty_pages.add(first)
-            last = (addr + size - 1) >> PAGE_BITS
-            if last != first:
-                self._dirty_pages.add(last)
+        dirty = self._dirty_pages
+        dirty.add(addr >> PAGE_BITS)
+        dirty.add((addr + size - 1) >> PAGE_BITS)
 
     def _mmio_store(self, addr: int, value: int) -> None:
         if addr == MMIO.EXIT:

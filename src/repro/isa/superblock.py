@@ -40,12 +40,12 @@ whose body inlines the semantics of each instruction with
 
 **Word-granular RAM.**  Every CPU keeps ``cpu._words``, one
 ``memoryview(cpu.memory).cast("I")`` made in ``CPU.__init__``; it aliases
-``memory`` for the CPU's lifetime, because ``restore()`` and the trial
-scheduler's scrub write ``memory`` in place and nothing rebinds it.  A
-trace serves an aligned 4-byte load, store, ``push`` or ``pop`` with one
-index into the view (``not _ad & 3 and _ad < _fast``), bytes and
-halfwords from ``cpu.memory``, and an aligned word store marks its one
-dirty page.  Unaligned words, MMIO and out-of-range addresses take
+``memory`` for the CPU's lifetime, because ``restore()`` writes
+``memory`` in place and nothing rebinds it.  A trace serves an aligned
+4-byte load, store, ``push`` or ``pop`` with one index into the view
+(``not _ad & 3 and _ad < _fast``), bytes and halfwords from
+``cpu.memory``, and an aligned word store marks its one dirty page.
+Unaligned words, MMIO and out-of-range addresses take
 ``cpu.load``/``cpu.store``.  Where the view cannot be built (a
 big-endian host, a memory size that is not a multiple of 4, RAM
 reaching the MMIO window) it is empty, the limit ``_fast`` is 0, and
@@ -118,9 +118,9 @@ builds it to place its ladder checkpoints on the partition's entries,
 which suffixes do not change, and compiles nothing.  Nothing is
 compiled while a fault window is open, so a trial that halts inside its
 window compiles nothing either.  Compiled traces live on the image, one
-table per *variant* (cycle model x CFI monitor x speculation window)
-shared by every CPU of that variant; the table never holds a CPU, and
-each CPU looks its variant up once.
+table per *variant* (CFI monitor x speculation window; the image's
+target fixes the cycle model) shared by every CPU of that variant; the
+table never holds a CPU, and each CPU looks its variant up once.
 
 Deoptimisation contract
 -----------------------
@@ -568,32 +568,6 @@ def _div_bound(model) -> int:
         (0xFFFFFFFF, 0xFFFFFFFF),
     )
     return max(12, max(model.div(a, b) for a, b in probes))
-
-
-def _cycle_key(cpu) -> tuple:
-    """Everything the generated code bakes in from the cycle model."""
-    push_counts = {
-        len(instr.regs)
-        for instr in cpu.image.instructions
-        if type(instr) in (ins.Push, ins.Pop)
-    }
-    return (
-        cpu._c_alu,
-        cpu._c_mul,
-        cpu._c_mla,
-        cpu._c_umull,
-        cpu._c_umod,
-        cpu._c_load,
-        cpu._c_store,
-        cpu._c_branch_taken,
-        cpu._c_branch_not_taken,
-        cpu._c_call,
-        cpu._c_ret,
-        cpu._c_nop,
-        tuple(sorted((n, cpu.cycles_model.push_pop(n)) for n in push_counts)),
-        _div_bound(cpu.cycles_model),
-        type(cpu.cycles_model).div is CycleModel.div,  # div inlined?
-    )
 
 
 def static_cost(instr: ins.Instr, cpu) -> int | None:
@@ -1138,7 +1112,7 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
 
     The fast path writes RAM directly — an aligned word through the word
     view (off a fixed base without an address test) — and keeps the
-    dirty-page set current (the trial scheduler scrubs via it); a store
+    dirty-page set current (``CPU.restore`` scrubs via it); a store
     off a fixed CFI base merges or checks through its prologue flags;
     MMIO, out-of-range and unaligned word stores take ``cpu.store`` and
     then drain CFI events and check for halts, exactly like the
@@ -1665,7 +1639,6 @@ _TRACE_GLOBALS = {
     "_RUNNING": Status.RUNNING,
     "_EXIT": Status.EXIT,
     "_FAULT": Status.FAULT_DETECTED,
-    "_ND": set(),  # dirty-page sink for CPUs that do not track pages
     # default-model div cycles of a nonzero divisor, by the operands'
     # bit-length difference + 32 (see CycleModel.div: 2-cycle setup, ~3
     # quotient bits per cycle, cap 12)
@@ -1774,8 +1747,6 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
         prologue.append("    _mem = cpu.memory")
     if "dirty" in e.needs:
         prologue.append("    _dirty = cpu._dirty_pages")
-        prologue.append("    if _dirty is None:")
-        prologue.append("        _dirty = _ND")
     if "load" in e.needs:
         prologue.append("    _load = cpu.load")
     if "store" in e.needs:
@@ -1804,7 +1775,7 @@ def _compile_trace(block: _Block, cpu, monitor: bool, inline: bool,
 
 
 class _Variant:
-    """The traces of one image under one cycle model, CFI monitor and
+    """The traces of one image with or without a CFI monitor, under one
     speculation window, compiled one at a time and shared by every CPU
     of that variant."""
 
@@ -1856,7 +1827,7 @@ def _variant(cpu) -> _Variant:
         cache = _image_cache(cpu.image)
         inline = _inline(cpu)
         monitor = cpu.monitor is not None
-        key = (_cycle_key(cpu), monitor, inline)
+        key = (monitor, inline)
         variant = cache.get(key)
         if variant is None:
             variant = cache[key] = _Variant(

@@ -185,39 +185,39 @@ def _print_tally(result: dict[str, Any], out=sys.stdout) -> None:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.host, args.port)
-    job = _build_job(args)
-    submitted = client.submit(job, priority=args.priority)
-    job_id = submitted["job_id"]
-    if args.json and not args.wait:
-        print(json.dumps(submitted))
-        return 0
-    if not args.wait:
-        print(
-            f"submitted {job_id} "
-            f"({'deduplicated' if submitted['deduplicated'] else 'queued'})"
-        )
-        return 0
-    for event in client.stream(job_id):
-        kind = event.get("event")
-        if kind == "attack-finished" and not args.json:
-            attack = event["result"]
+    with ServiceClient(args.host, args.port) as client:
+        job = _build_job(args)
+        submitted = client.submit(job, priority=args.priority)
+        job_id = submitted["job_id"]
+        if args.json and not args.wait:
+            print(json.dumps(submitted))
+            return 0
+        if not args.wait:
             print(
-                f"[{job_id[:12]}] {attack['attack']}: "
-                f"trials={attack['trials']} outcomes={attack['outcomes']}"
+                f"submitted {job_id} "
+                f"({'deduplicated' if submitted['deduplicated'] else 'queued'})"
             )
-        elif kind in ("failed", "cancelled") and not args.json:
-            print(f"[{job_id[:12]}] {kind}: {event.get('error', '')}")
-    status = client.status(job_id)
-    if status["state"] != "done":
-        print(f"job {job_id} ended {status['state']}: {status.get('error')}")
-        return 1
-    result = client.results(job_id)
-    if args.json:
-        print(json.dumps({"job_id": job_id, "result": result}))
-    else:
-        _print_tally(result)
-    return 0
+            return 0
+        for event in client.stream(job_id):
+            kind = event.get("event")
+            if kind == "attack-finished" and not args.json:
+                attack = event["result"]
+                print(
+                    f"[{job_id[:12]}] {attack['attack']}: "
+                    f"trials={attack['trials']} outcomes={attack['outcomes']}"
+                )
+            elif kind in ("failed", "cancelled") and not args.json:
+                print(f"[{job_id[:12]}] {kind}: {event.get('error', '')}")
+        status = client.status(job_id)
+        if status["state"] != "done":
+            print(f"job {job_id} ended {status['state']}: {status.get('error')}")
+            return 1
+        result = client.results(job_id)
+        if args.json:
+            print(json.dumps({"job_id": job_id, "result": result}))
+        else:
+            _print_tally(result)
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +226,31 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.service.top import run_top
 
-    client = ServiceClient(args.host, args.port)
-    iterations = 1 if args.once else args.iterations
-    return run_top(
-        client,
-        interval=args.interval,
-        iterations=iterations,
-        clear=not args.once and not args.no_clear,
-    )
+    with ServiceClient(args.host, args.port) as client:
+        iterations = 1 if args.once else args.iterations
+        return run_top(
+            client,
+            interval=args.interval,
+            iterations=iterations,
+            clear=not args.once and not args.no_clear,
+        )
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.host, args.port)
-    if args.job_id:
-        payload: Any = client.status(args.job_id)
-    elif args.list:
-        payload = client.jobs(state=args.state)
-    else:
-        payload = client.service_status()
+    with ServiceClient(args.host, args.port) as client:
+        if args.job_id:
+            payload: Any = client.status(args.job_id)
+        elif args.list:
+            payload = client.jobs(state=args.state)
+        else:
+            payload = client.service_status()
     print(json.dumps(payload, indent=None if args.json else 2))
     return 0
 
 
 def _cmd_results(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.host, args.port)
-    result = client.results(args.job_id, wait=args.wait)
+    with ServiceClient(args.host, args.port) as client:
+        result = client.results(args.job_id, wait=args.wait)
     if args.json:
         print(json.dumps(result))
     elif result.get("kind") == "campaign":
@@ -261,8 +261,8 @@ def _cmd_results(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.host, args.port)
-    payload = client.map(args.job_id)
+    with ServiceClient(args.host, args.port) as client:
+        payload = client.map(args.job_id)
     if args.json:
         print(json.dumps(payload))
         return 0
@@ -274,8 +274,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.host, args.port)
-    payload = client.diff(args.job_a, args.job_b)
+    with ServiceClient(args.host, args.port) as client:
+        payload = client.diff(args.job_a, args.job_b)
     if args.json:
         print(json.dumps(payload))
         return 0

@@ -78,7 +78,7 @@ class Target:
     #: bundled targets share the engine-wide schema
     #: (:data:`repro.isa.cpu.SNAPSHOT_VERSION`); a target that extends
     #: architectural state must bump this and extend ``CpuSnapshot``.
-    snapshot_version: int = 2
+    snapshot_version: int = 3
 
     # ------------------------------------------------------------------
     def cycle_model(self) -> CycleModel:

@@ -18,7 +18,8 @@ Checks (one function each, composable):
   ``golden.cycles`` completes, and within one instruction charge below
   it every budget either reproduces the golden run exactly or times out.
 * :func:`check_snapshot_restore` — a mid-block snapshot restored onto a
-  fresh CPU replays the suffix to the identical final result.
+  fresh CPU, or back onto the CPU that ran on past it, replays the
+  suffix to the identical final result.
 * :func:`check_dispatch_parity` — the reference interpreter and
   trace-compiled runs agree on golden runs.
 * :func:`check_cfi_retire_order` — a trace-compiled protected run ends
@@ -186,11 +187,12 @@ def check_cycle_model(target: Target) -> None:
 
 # ---------------------------------------------------------------------------
 def check_snapshot_restore(target: Target) -> None:
-    """Mid-block snapshot/restore identity."""
+    """Mid-block snapshot/restore identity, onto a fresh CPU and onto the
+    CPU the snapshot came from."""
     from repro.isa.cpu import CpuSnapshot
 
     program = _compiled(target)
-    cpu = program.prepare_cpu("f", _ARGS, track_pages=True)
+    cpu = program.prepare_cpu("f", _ARGS)
     partial = cpu.run(10_000_000, stop_at_instruction=40)
     if partial.instructions != 40:
         _fail(
@@ -209,15 +211,16 @@ def check_snapshot_restore(target: Target) -> None:
             f"v{target.snapshot_version}",
         )
     final = cpu.run(10_000_000)
-    clone = program.prepare_cpu("f", _ARGS)
-    clone.restore(snap)
-    resumed = clone.run(10_000_000)
-    if resumed != final:
-        _fail(
-            target,
-            "snapshot",
-            f"restored suffix diverged: {resumed} != {final}",
-        )
+    # Onto a fresh CPU, and back onto the CPU that ran on past the snapshot.
+    for onto in (program.prepare_cpu("f", _ARGS), cpu):
+        onto.restore(snap)
+        resumed = onto.run(10_000_000)
+        if resumed != final:
+            _fail(
+                target,
+                "snapshot",
+                f"restored suffix diverged: {resumed} != {final}",
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -69,52 +69,31 @@ def _run_batch(
     spec=None,
     collect_metrics=False,
 ):
-    from repro.faults.classify import classify
-    from repro.faults.isa_campaign import fire_index_of
+    from repro.faults.isa_campaign import run_trials
     from repro.faults.scheduler import TrialScheduler
 
     scheduler = TrialScheduler.for_program(_WORKER_PROGRAM, function, args, spec=spec)
-    golden = scheduler.golden
-    cycles_before = scheduler.stats.simulated_cycles
-    stats_before = started = None
-    if collect_metrics:
-        import time
+    if not collect_metrics:
+        return (*run_trials(scheduler, models, max_cycles, record_trials), None)
+    import time
 
-        from repro.obs.profile import ENGINE_COUNTERS
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profile import ENGINE_COUNTERS
 
-        stats_before = {
-            field: int(getattr(scheduler.stats, field, 0))
-            for field in ENGINE_COUNTERS
-        }
-        started = time.perf_counter()
-    results = []
-    for model in models:
-        faulted = scheduler.run_trial(model, max_cycles)
-        outcome = classify(golden, faulted)
-        if record_trials:
-            # The fire index resolves against the worker's own golden
-            # trace, which is deterministic and therefore identical in
-            # every worker and in the single-process engine.
-            results.append(
-                (outcome, faulted.exit_code, fire_index_of(model, scheduler.trace))
-            )
-        else:
-            results.append((outcome, faulted.exit_code))
-    metrics = None
-    if collect_metrics:
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.profile import ENGINE_COUNTERS
-
-        registry = MetricsRegistry()
-        for field, series in ENGINE_COUNTERS.items():
-            delta = int(getattr(scheduler.stats, field, 0)) - stats_before[field]
-            if delta > 0:
-                registry.counter(series).inc(delta)
-        registry.histogram("repro_engine_batch_seconds").observe(
-            time.perf_counter() - started
-        )
-        metrics = registry.snapshot()
-    return results, scheduler.stats.simulated_cycles - cycles_before, metrics
+    stats_before = {
+        field: int(getattr(scheduler.stats, field, 0)) for field in ENGINE_COUNTERS
+    }
+    started = time.perf_counter()
+    rows, cycles = run_trials(scheduler, models, max_cycles, record_trials)
+    registry = MetricsRegistry()
+    for field, series in ENGINE_COUNTERS.items():
+        delta = int(getattr(scheduler.stats, field, 0)) - stats_before[field]
+        if delta > 0:
+            registry.counter(series).inc(delta)
+    registry.histogram("repro_engine_batch_seconds").observe(
+        time.perf_counter() - started
+    )
+    return rows, cycles, registry.snapshot()
 
 
 # -- parent side ------------------------------------------------------------
@@ -277,11 +256,7 @@ class CampaignExecutor:
                     f"models: {leads})",
                     fault_models=models_in_flight,
                 ) from exc
-            for row in outcomes:
-                outcome, exit_code = row[0], row[1]
-                result.record(outcome, exit_code)
-                if record_trials:
-                    result.record_trial(row[2], outcome, exit_code)
+            result.add_rows(outcomes)
             result.simulated_cycles += batch_cycles
             if batch_metrics is not None and self.metrics is not None:
                 self.metrics.merge(batch_metrics)

@@ -36,6 +36,11 @@ from repro.programs import load_source
 from repro.service.store import ResultStore
 from repro.toolchain import CompileConfig, Workbench, table3_schemes
 
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 #: Same quick suite as tests/test_service_api.py: the device workloads
 #: small enough to sweep under every scheme in tier-1 time.
 QUICK_SUITE = [
@@ -403,8 +408,7 @@ class TestServedAnalysis:
                 .attack(repeated_branch_flip)
                 .analyze()
             )
-        with BackgroundService(runners=1) as service:
-            client = service.client()
+        with BackgroundService(runners=1) as service, service.client() as client:
             for job in jobs.values():
                 client.run(job)
             yield {
@@ -475,8 +479,10 @@ class TestServedAnalysis:
         with ResultStore(db) as store:
             store.record_job(job.job_id(), job.kind, job.to_dict())
             store.store_result(job.job_id(), payload)
-        with BackgroundService(db_path=db, runners=1) as service:
-            client = service.client()
+        with (
+            BackgroundService(db_path=db, runners=1) as service,
+            service.client() as client,
+        ):
             submitted = client.submit(job)
             assert submitted["deduplicated"] is False  # stale row re-executes
             client.wait(submitted["job_id"])

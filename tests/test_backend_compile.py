@@ -274,7 +274,8 @@ class TestCFIRuntime:
             build_loop_sum_module(),
             config=CompileConfig(scheme="ancode"),
         )
-        cpu, result = program.run_cpu("sum", [5])
+        cpu = program.prepare_cpu("sum", [5])
+        result = cpu.run()
         assert result.status is Status.EXIT
         monitor = cpu.retire_hooks[0].__self__
         assert monitor.violations == 0
@@ -296,7 +297,8 @@ class TestCFIRuntime:
             build_memcmp_module(),
             config=CompileConfig(scheme="ancode"),
         )
-        cpu, result = program.run_cpu("memcmp32", [16])
+        cpu = program.prepare_cpu("memcmp32", [16])
+        result = cpu.run()
         assert result.status is Status.EXIT
 
     def test_calls_with_cfi(self):
@@ -304,7 +306,8 @@ class TestCFIRuntime:
             build_call_module(),
             config=CompileConfig(scheme="none", cfi=True),
         )
-        cpu, result = program.run_cpu("main", [2])
+        cpu = program.prepare_cpu("main", [2])
+        result = cpu.run()
         assert result.status is Status.EXIT
         monitor = cpu.retire_hooks[0].__self__
         assert monitor.violations == 0

@@ -122,7 +122,8 @@ class TestMonitorInternals:
     def test_monitor_counts_checks(self):
         source = "protect u32 f(u32 a) { if (a > 1) { return 2; } return 3; }"
         program = compile_source(source, config=CompileConfig(scheme="ancode"))
-        cpu, result = program.run_cpu("f", [5])
+        cpu = program.prepare_cpu("f", [5])
+        result = cpu.run()
         monitor = cpu.retire_hooks[0].__self__
         assert result.status is Status.EXIT
         assert monitor.checks_passed == 1
@@ -130,7 +131,8 @@ class TestMonitorInternals:
 
     def test_monitor_shadow_stack_depth(self):
         program = compile_ir(build_call_module(), config=CompileConfig(scheme="none"))
-        cpu, result = program.run_cpu("main", [1])
+        cpu = program.prepare_cpu("main", [1])
+        result = cpu.run()
         monitor = cpu.retire_hooks[0].__self__
         assert result.status is Status.EXIT
         assert monitor.call_stack == []

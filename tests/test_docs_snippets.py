@@ -8,12 +8,18 @@ reads as a single narrative).  Non-executable examples use other fence
 tags (``bash``, ``json``, ``text``, ``mermaid``).
 """
 
+import gc
 import re
 from pathlib import Path
 
 import pytest
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 _FENCE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 
@@ -40,6 +46,9 @@ def test_python_snippets_execute(page):
                 f"{page.name} snippet {index} raised "
                 f"{type(exc).__name__}: {exc}\n---\n{snippet.strip()}\n---"
             )
+    # A client a snippet left open is collected, and warns, inside the test.
+    namespace.clear()
+    gc.collect()
 
 
 def _all_fault_model_subclasses():

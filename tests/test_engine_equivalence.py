@@ -387,7 +387,7 @@ class TestTrialEquivalence:
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="ancode")
         )
-        cpu = program.prepare_cpu("run_memcmp", [64], track_pages=True)
+        cpu = program.prepare_cpu("run_memcmp", [64])
         partial = cpu.run(10_000_000, stop_at_instruction=500)
         assert partial.instructions == 500
         snap = cpu.snapshot()
@@ -405,9 +405,7 @@ class TestTrialEquivalence:
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="ancode")
         )
-        cpu = program.prepare_cpu(
-            "run_memcmp", [64], dispatch="superblock", track_pages=True
-        )
+        cpu = program.prepare_cpu("run_memcmp", [64], dispatch="superblock")
         partial = cpu.run(10_000_000, stop_at_instruction=500)
         assert partial.instructions == 500
         snap = cpu.snapshot()
@@ -547,7 +545,7 @@ class TestSpeculativeEquivalence:
             load_source("memcmp"), config=CompileConfig(scheme="ancode")
         )
         spec = SpecConfig(window=8)
-        cpu = program.prepare_cpu("run_memcmp", [16], track_pages=True, spec=spec)
+        cpu = program.prepare_cpu("run_memcmp", [16], spec=spec)
         cpu.run(10_000_000, stop_at_instruction=200)
         snap = cpu.snapshot()
         assert snap.version == SNAPSHOT_VERSION

@@ -208,7 +208,7 @@ class TestEqualityCheck:
         assert self._verdict(scheduler, probe, change) is None
 
     def test_byte_on_a_page_dirty_only_in_the_checkpoint(self, scheduler, probe):
-        pristine = scheduler._pristine
+        pristine = scheduler.program.image._pristine
 
         def differs(page):
             offset = page << PAGE_BITS
@@ -334,12 +334,13 @@ class TestRejoinedTrials:
             assert (scheduler.run_trial(model), scheduler.last_trial_end) == expected
 
     def test_schedulers_of_one_program_share_its_pristine_image(self):
-        # Every trial CPU of a program starts from the same memory, so
-        # its schedulers scrub back to one copy, which a pickled image
-        # leaves behind.  Interleaved trials of two workloads, some of
-        # them flipping bits in the compared buffers, still equal full
-        # runs: each scrub restores what the other's trials dirtied, and
-        # rejoin verdicts compare against the same bytes.
+        # Every CPU of an image starts from the same memory, so the
+        # trial CPUs its schedulers borrow restore pages from one copy,
+        # which a pickled image leaves behind.  Interleaved trials of two
+        # workloads, some of them flipping bits in the compared buffers,
+        # still equal full runs: each restore puts back what the other's
+        # trials dirtied, and rejoin verdicts compare against the same
+        # bytes.
         program = _program()
         buffers = [program.image.data_addrs[name] for name in ("cmp_a", "cmp_b")]
         work = []
@@ -358,7 +359,8 @@ class TestRejoinedTrials:
                     full = _full_run(program, args, model, "reference")
                     assert (result, scheduler.last_trial_end) == full, model
         (a, _, _), (b, _, _) = work
-        assert a._pristine is b._pristine is program.image._pristine
+        cpus = [cpu for _, free in program._trial_cpus.values() for cpu in free]
+        assert cpus and all(cpu._pristine is program.image._pristine for cpu in cpus)
         assert a.stats.rejoined and b.stats.rejoined
         assert pickle.loads(pickle.dumps(program.image))._pristine is None
 

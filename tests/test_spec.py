@@ -35,6 +35,11 @@ from repro.toolchain import CompileConfig
 
 EMPTY_DIGEST = hashlib.sha256().hexdigest()
 
+#: A socket left to the garbage collector fails the test that dropped it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 
 def _program(scheme="ancode", name="integer_compare"):
     return compile_source(load_source(name), config=CompileConfig(scheme=scheme))
@@ -416,8 +421,8 @@ class TestServiceWiring:
     def test_status_reports_speculation(self):
         from repro.service.http import BackgroundService
 
-        with BackgroundService(runners=1) as svc:
-            status = svc.client().service_status()
+        with BackgroundService(runners=1) as svc, svc.client() as client:
+            status = client.service_status()
         assert status["speculation"]["suite"] == "speculative"
         assert "gshare" in status["speculation"]["predictors"]
         assert status["speculation"]["defaults"]["window"] == 8
@@ -441,8 +446,7 @@ class TestServiceWiring:
                 ),
             )
 
-        with BackgroundService(runners=1) as svc:
-            client = svc.client()
+        with BackgroundService(runners=1) as svc, svc.client() as client:
             ids = {}
             for scheme in ("ancode", "none"):
                 submitted = client.submit(job(scheme))

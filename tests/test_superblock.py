@@ -13,12 +13,14 @@ for exactly that.
 
 import pickle
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_differential_fuzz import _cfg_args_for_seed, cfg_source_for_seed
 
+import repro.isa.cpu as cpu_module
 import repro.isa.superblock as superblock
 from repro.backend.driver import CompiledProgram
 from repro.cfi.gpsa import entry_state, update
@@ -146,18 +148,14 @@ class TestPartition:
             program.prepare_cpu("run_memcmp", [16], dispatch="superblock"),
             snap.regs[15],
         )
-        reference = program.prepare_cpu(
-            "run_memcmp", [16], dispatch="reference", track_pages=True
-        )
+        reference = program.prepare_cpu("run_memcmp", [16], dispatch="reference")
         reference.restore(snap)
         mid_pass = 0
         for stop in range(snap.dyn_index + 1, snap.dyn_index + passes):
             reference.run(2_000_000, stop_at_instruction=stop)
             if reference.status is not Status.RUNNING:
                 break
-            cpu = program.prepare_cpu(
-                "run_memcmp", [16], dispatch="superblock", track_pages=True
-            )
+            cpu = program.prepare_cpu("run_memcmp", [16], dispatch="superblock")
             cpu.restore(snap)
             cpu.run(2_000_000, stop_at_instruction=stop)
             assert _state(cpu) == _state(reference), stop
@@ -348,8 +346,7 @@ class TestStopExactness:
 
         def run(dispatch, budget):
             cpu = program.prepare_cpu(
-                function, list(args), pre_hooks=[model.hook()],
-                dispatch=dispatch, track_pages=True,
+                function, list(args), pre_hooks=[model.hook()], dispatch=dispatch
             )
             return cpu.run(budget, stop_at_instruction=stop), _state(cpu)
 
@@ -377,9 +374,7 @@ class TestStopExactness:
         fork = data.draw(st.integers(1, total - 1))
 
         def fresh(dispatch):
-            return program.prepare_cpu(
-                function, list(args), dispatch=dispatch, track_pages=True
-            )
+            return program.prepare_cpu(function, list(args), dispatch=dispatch)
 
         def forked(dispatch):
             cpu = fresh(dispatch)
@@ -406,14 +401,10 @@ class TestStopExactness:
         # pass of a trace with a dynamic-cost udiv; this sweep hits them
         # all.
         program, function, args, total = _stop_workload("memcmp", "ancode", target)
-        reference = program.prepare_cpu(
-            function, list(args), dispatch="reference", track_pages=True
-        )
+        reference = program.prepare_cpu(function, list(args), dispatch="reference")
         for stop in range(1, total + 1):
             reference.run(2_000_000, stop_at_instruction=stop)
-            cpu = program.prepare_cpu(
-                function, list(args), dispatch="superblock", track_pages=True
-            )
+            cpu = program.prepare_cpu(function, list(args), dispatch="superblock")
             cpu.run(2_000_000, stop_at_instruction=stop)
             assert _state(cpu) == _state(reference), stop
 
@@ -571,7 +562,11 @@ def _kernels(draw, kinds=tuple(_KINDS)):
 
 def _kernel_cpu(kernel, dispatch, monitor=False):
     image, ram, regs, nzcv = kernel
-    cpu = CPU(image, memory_size=ram, dispatch=dispatch, track_pages=True)
+    # RAM is MEM_SIZE bytes, read when the image's first CPU is built.
+    with mock.patch.object(cpu_module, "MEM_SIZE", ram):
+        cpu = CPU(image, dispatch=dispatch)
+    assert len(cpu.memory) == ram
+    assert len(cpu._words) == (0 if ram % 4 else ram >> 2)
     cpu.memory[PAGE_SIZE : PAGE_SIZE + len(_PATTERN)] = _PATTERN
     cpu.memory[:4], cpu.memory[ram - 4 :] = _ENDS[:4], _ENDS[4:]
     cpu.call("f")
@@ -781,19 +776,18 @@ class TestTraceKernels:
 
     def test_word_view_aliases_memory_across_restores_and_scrubs(self):
         # Compiled traces load words through a view of cpu.memory made
-        # once per CPU.  After a page-delta restore, a full restore and a
-        # trial scheduler's scrub, a bit poked into the loaded word shows
-        # in the loop trace's next load exactly as in the reference.
+        # once per CPU.  After a restore onto the CPU that ran on past the
+        # snapshot, onto a fresh CPU, and a trial scheduler's restores of
+        # its checkpoints, a bit poked into the loaded word shows in the
+        # loop trace's next load exactly as in the reference.
         program = _word_program()
         buf = program.image.data_addrs["buf"]
         budget = 100_000
-        for track_pages in (True, False):
-            cpu = program.prepare_cpu(
-                "f", dispatch="superblock", track_pages=track_pages
-            )
-            cpu.run(budget, stop_at_instruction=40)  # compiles the loop trace
-            snap = cpu.snapshot()
-            assert cpu.run(budget).ok
+        ran = program.prepare_cpu("f", dispatch="superblock")
+        ran.run(budget, stop_at_instruction=40)  # compiles the loop trace
+        snap = ran.snapshot()
+        assert ran.run(budget).ok
+        for cpu in (ran, program.prepare_cpu("f", dispatch="superblock")):
             cpu.restore(snap)
             model = MemoryBitFlip(buf + 1, 3, 61)
             cpu.pre_hooks.append(model.hook())

@@ -2,8 +2,8 @@
 
 A :class:`~repro.faults.scheduler.TrialScheduler` owns no CPU: golden
 capture and every trial borrow one from the program's free list for
-their (function, spec), scrubbed back to the pristine image, and hand it
-back.  The contract pinned here:
+their (function, spec), restore a snapshot onto it whatever state the
+previous user left, and hand it back.  The contract pinned here:
 
 * trials of several workloads of one program, interleaved in any order,
   each equal a reference-engine run, ``last_trial_end`` included, on
