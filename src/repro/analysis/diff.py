@@ -123,12 +123,10 @@ class SchemeDiff:
                 f"{a.function}{tuple(a.args)} vs {b.function}{tuple(b.args)}"
                 f" — a scheme diff needs the same program input on both sides"
             )
-        target_a = getattr(a, "target", "baseline")
-        target_b = getattr(b, "target", "baseline")
-        if target_a != target_b:
+        if a.target != b.target:
             raise AnalysisError(
-                f"maps cover different machine targets: {target_a!r} vs "
-                f"{target_b!r} — per-site addresses/mnemonics are target "
+                f"maps cover different machine targets: {a.target!r} vs "
+                f"{b.target!r} — per-site addresses/mnemonics are target "
                 f"vocabulary; compare cross-target rankings with "
                 f"reproduce_table3(target=...) instead"
             )
@@ -224,26 +222,11 @@ def diff_from_store(store, job_a: str, job_b: str, workbench=None) -> SchemeDiff
     — stored results only, no trial re-execution.  One workbench serves
     both compilations so a live service pays two cache hits.  The jobs
     must attack the same program input: identical (source, initializers)
-    content and (function, args) — only the scheme may differ.
+    content and (function, args) — only the scheme may differ.  The maps'
+    own (function, args) check cannot see the program content, so it is
+    verified here from the job specs.
     """
     from repro.analysis.vulnmap import map_from_store
-
-    require_same_program_input(store, job_a, job_b)
-    if workbench is None:
-        from repro.toolchain.workbench import Workbench
-
-        workbench = Workbench()
-    return SchemeDiff.build(
-        map_from_store(store, job_a, workbench),
-        map_from_store(store, job_b, workbench),
-    )
-
-
-def require_same_program_input(store, job_a: str, job_b: str) -> None:
-    """Two stored jobs diff meaningfully only when they compile the same
-    source + initializers and attack the same (function, args) — the
-    per-map (function, args) check cannot see the program content, so it
-    is verified here from the job specs."""
     from repro.service.jobs import _decode_initializers, job_from_dict
     from repro.toolchain.workbench import source_hash
 
@@ -268,3 +251,11 @@ def require_same_program_input(store, job_a: str, job_b: str) -> None:
             f"(source/initializers/function/args must match; only the "
             f"scheme may differ)"
         )
+    if workbench is None:
+        from repro.toolchain.workbench import Workbench
+
+        workbench = Workbench()
+    return SchemeDiff.build(
+        map_from_store(store, job_a, workbench),
+        map_from_store(store, job_b, workbench),
+    )

@@ -137,7 +137,7 @@ def render_table3(reproduction) -> str:
                 ),
             ]
         )
-    target = getattr(reproduction, "target", "baseline")
+    target = reproduction.target
     target_note = "" if target == "baseline" else f" [target: {target}]"
     return format_table(
         f"Table III reproduction — {reproduction.function}"

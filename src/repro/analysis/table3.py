@@ -11,7 +11,9 @@ precedence order:
    CampaignReport` the caller already holds;
 2. ``store`` — a :class:`~repro.service.store.ResultStore`: the canonical
    per-scheme jobs (:func:`table3_jobs`, stable content-hash ids) are
-   answered from persisted results without re-executing a trial;
+   answered from persisted results without re-executing a trial, while
+   they are current (:func:`repro.service.jobs.current_result`); a stale
+   row is re-run and overwritten;
 3. a :class:`~repro.toolchain.workbench.Workbench` — the campaigns run
    in-process (the default when neither of the above is given).
 
@@ -283,17 +285,12 @@ def reproduce_table3(
     jobs = table3_jobs(schemes, target=target)
     stored: dict[str, CampaignReport] = {}
     if store is not None:
-        from repro.service.jobs import _scheme_revision, report_from_dict
+        from repro.service.jobs import current_result
 
         for scheme, job in jobs.items():
-            payload = store.get_result(job.job_id())
-            # Same freshness rule as the service's store-dedup layer: a
-            # result computed before register_scheme(replace=True) swapped
-            # the scheme's builder is stale and must be re-run.
-            if payload is not None and payload.get(
-                "scheme_revision"
-            ) == _scheme_revision(job.config):
-                stored[scheme] = report_from_dict(payload["report"])
+            payload = current_result(store, job)
+            if payload is not None:
+                stored[scheme] = _report_of(payload)
         if require_stored and len(stored) < len(schemes):
             missing = sorted(set(schemes) - set(stored))
             raise AnalysisError(

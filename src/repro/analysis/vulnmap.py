@@ -141,7 +141,7 @@ class VulnerabilityMap:
             scheme=report.scheme,
             function=function,
             args=list(args),
-            target=getattr(image, "target", "baseline"),
+            target=image.target,
         )
         for label, result in report.attacks.items():
             if result.records is None:
@@ -301,11 +301,15 @@ class CampaignAnalysis:
         return SchemeDiff.build(self.map, other.map)
 
 
-def stored_campaign(store, job_id: str):
-    """A persisted campaign job and its stored report, each parsed once:
-    ``(CampaignJob, CampaignReport)``.  ``store`` is a
-    :class:`~repro.service.store.ResultStore`; the job must be ``done``
-    with a stored result."""
+def map_from_store(store, job_id: str, workbench=None) -> VulnerabilityMap:
+    """Build a :class:`VulnerabilityMap` from a persisted campaign job.
+
+    ``store`` is a :class:`~repro.service.store.ResultStore`; the job must
+    be ``done`` with a stored result whose attacks carry per-trial
+    records (service executions always record).  The job's program is
+    (re)compiled through ``workbench`` — a cache hit for a live service —
+    and only its golden run is consulted: no trial re-executes.
+    """
     from repro.service.jobs import job_from_dict, report_from_dict
 
     record = store.get_job(job_id)
@@ -321,19 +325,7 @@ def stored_campaign(store, job_id: str):
         raise AnalysisError(
             f"job {job_id!r} is {record.state} and has no stored result"
         )
-    return job, report_from_dict(payload["report"])
-
-
-def map_from_store(store, job_id: str, workbench=None) -> VulnerabilityMap:
-    """Build a :class:`VulnerabilityMap` from a persisted campaign job.
-
-    ``store`` is a :class:`~repro.service.store.ResultStore`; the job must
-    be ``done`` with a stored result whose attacks carry per-trial
-    records (service executions always record).  The job's program is
-    (re)compiled through ``workbench`` — a cache hit for a live service —
-    and only its golden run is consulted: no trial re-executes.
-    """
-    job, report = stored_campaign(store, job_id)
+    report = report_from_dict(payload["report"])
     if workbench is None:
         from repro.toolchain.workbench import Workbench
 

@@ -8,7 +8,6 @@ protect_module`; :func:`compile_ir` runs both halves.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +28,12 @@ from repro.passes.lower_switch import lower_switches
 from repro.toolchain.config import CompileConfig, require_config
 
 
+def _scheduler_memo():
+    from repro.faults.scheduler import SchedulerMemo  # late: import cycle
+
+    return SchedulerMemo()
+
+
 @dataclass
 class CompiledProgram:
     """Everything needed to simulate and measure a compiled module."""
@@ -45,11 +50,10 @@ class CompiledProgram:
     #: its effective knobs from these (e.g. ``duplication-hardened``
     #: builds its tree at twice ``duplication_order``).
     config: Optional[CompileConfig] = None
-    #: (function, args, spec) -> TrialScheduler; campaigns against one
-    #: workload share a single golden run + checkpoint set.
-    _schedulers: dict = field(default_factory=dict, repr=False, compare=False)
-    #: (function, args) -> the lock of :meth:`workload_lock`.
-    _workload_locks: dict = field(default_factory=dict, repr=False, compare=False)
+    #: (function, args, spec) -> TrialScheduler, a
+    #: :class:`~repro.faults.scheduler.SchedulerMemo`; campaigns against
+    #: one workload share a single golden run + checkpoint set.
+    _schedulers: dict = field(default_factory=_scheduler_memo, repr=False, compare=False)
     #: (function, spec) -> (start snapshot, free list of trial CPUs): the
     #: CPUs every scheduler of that function borrows for its golden
     #: capture and its trials (see :meth:`take_trial_cpu`).
@@ -61,7 +65,7 @@ class CompiledProgram:
     @property
     def target(self) -> str:
         """Name of the machine target the image was assembled for."""
-        return getattr(self.image, "target", "baseline")
+        return self.image.target
 
     @property
     def code_size(self) -> int:
@@ -107,15 +111,6 @@ class CompiledProgram:
 
         return TrialScheduler.for_program(self, function, list(args or []), spec=spec)
 
-    def workload_lock(self, function: str, args) -> threading.Lock:
-        """The lock that serialises attacks on one (function, args)
-        workload: its memoized scheduler is shared by every attack and is
-        not re-entrant.  A lock lives as long as the program and is never
-        replaced."""
-        return self._workload_locks.setdefault(
-            (function, tuple(args)), threading.Lock()
-        )
-
     def take_trial_cpu(self, function: str, spec=None) -> tuple[CPU, CpuSnapshot]:
         """A CPU for ``function`` (speculating under ``spec``), in whatever
         state its previous user left it, and the start snapshot: the state
@@ -146,13 +141,10 @@ class CompiledProgram:
             pool[1].append(cpu)
 
     def __getstate__(self):
-        # The scheduler cache, the trial CPUs and the workload locks are
-        # per process; workers rebuild their own (one golden run per
-        # worker).
+        # The trial CPUs are per process, and the scheduler memo pickles
+        # as an empty one: a copy captures its own golden runs.
         state = dict(self.__dict__)
-        state["_schedulers"] = {}
         state["_trial_cpus"] = {}
-        state["_workload_locks"] = {}
         return state
 
 

@@ -365,8 +365,9 @@ def compose_space(
             )
             end = None
             if prune_terminal:
-                result = scheduler.run_trial(trial_model, max_cycles)
-                end = scheduler.last_trial_end
+                with scheduler.lock:  # no other trial ends in between
+                    result = scheduler.run_trial(trial_model, max_cycles)
+                    end = scheduler.last_trial_end
                 stats.prepass_trials += 1
                 if depth == 2:
                     first_results[trial_model] = result

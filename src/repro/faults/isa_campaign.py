@@ -131,17 +131,19 @@ def run_trials(
     with the fault's fire index appended when ``record_trials`` (see
     :meth:`AttackResult.add_rows`), and the cycles the trials simulated.
     The fire index resolves against the scheduler's golden trace, which
-    is deterministic, so every process computes the same rows."""
+    is deterministic, so every process computes the same rows.  Holds
+    the scheduler's lock, so the cycles are this call's alone."""
     golden, trace = scheduler.golden, scheduler.trace
-    cycles_before = scheduler.stats.simulated_cycles
     rows = []
-    for model in models:
-        faulted = scheduler.run_trial(model, max_cycles)
-        row = (classify(golden, faulted), faulted.exit_code)
-        if record_trials:
-            row += (fire_index_of(model, trace),)
-        rows.append(row)
-    return rows, scheduler.stats.simulated_cycles - cycles_before
+    with scheduler.lock:
+        cycles_before = scheduler.stats.simulated_cycles
+        for model in models:
+            faulted = scheduler.run_trial(model, max_cycles)
+            row = (classify(golden, faulted), faulted.exit_code)
+            if record_trials:
+                row += (fire_index_of(model, trace),)
+            rows.append(row)
+        return rows, scheduler.stats.simulated_cycles - cycles_before
 
 
 def run_attack(
@@ -317,7 +319,7 @@ def encoded_window(program, function, args, after_encodes: bool = False) -> tupl
     """
     from repro.target import get_target
 
-    target = get_target(getattr(program.image, "target", "baseline"))
+    target = get_target(program.image.target)
     trace = golden_trace(program, function, args)
     muls = trace.indices(target.encode_mnemonic)
     branches = trace.indices(target.branch_mnemonic)

@@ -88,6 +88,9 @@ checkpoint, which is exactly the legacy full replay.
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -110,6 +113,40 @@ DEFAULT_INTERVAL = 64
 LADDER_BYTES = 4 << 20
 #: Cycle budget of the golden capture.
 GOLDEN_MAX_CYCLES = 10_000_000
+
+#: Every lock of this module.  A forked child (an executor worker, which
+#: keeps the parent's memo) releases them: a thread of the parent may
+#: have held one at the fork, and no thread of the child would release it.
+_LOCKS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _lock() -> threading.Lock:
+    lock = threading.Lock()
+    _LOCKS.add(lock)
+    return lock
+
+
+def _release_locks() -> None:
+    for lock in _LOCKS:
+        if lock.locked():
+            lock.release()
+
+
+if hasattr(os, "register_at_fork"):  # where processes can fork
+    os.register_at_fork(after_in_child=_release_locks)
+
+
+class SchedulerMemo(dict):
+    """A program's schedulers, (function, args, spec) -> TrialScheduler in
+    LRU order, and the ``lock`` :meth:`TrialScheduler.for_program` holds
+    over them.  It pickles as a new empty memo."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = _lock()
+
+    def __reduce__(self):
+        return SchedulerMemo, ()
 
 
 class GoldenTrace:
@@ -241,7 +278,14 @@ class _CheckTable:
 
 
 class TrialScheduler:
-    """Runs fault trials against one workload by checkpoint forking."""
+    """Runs fault trials against one workload by checkpoint forking.
+
+    Threads: ``golden``, ``trace`` and the ladder never change after
+    capture.  :meth:`run_trial` takes no lock and updates ``stats`` and
+    ``last_trial_end``, so a caller that shares the scheduler holds
+    ``lock`` around its trials and their reads, as
+    :func:`~repro.faults.isa_campaign.run_trials` and
+    :func:`~repro.faults.adversary.compose_space` do."""
 
     def __init__(
         self,
@@ -272,6 +316,7 @@ class TrialScheduler:
         self.function = function
         self.args = list(args)
         self.spec = spec
+        self.lock = _lock()  # serialises the callers that share it
         self.stats = SchedulerStats()
         #: Final ``cpu.dyn_index`` of the most recent trial — where its
         #: execution actually ended, including skipped instructions (which
@@ -296,16 +341,18 @@ class TrialScheduler:
     def for_program(cls, program, function, args, spec=None) -> "TrialScheduler":
         """The memoized scheduler for (program, function, args, spec):
         every attack suite against the same workload shares one golden
-        run."""
+        run.  Safe from any thread: it holds the program's memo lock
+        across lookup, golden capture and eviction, so threads that miss
+        one workload together capture it once and share the scheduler."""
         key = (function, tuple(args), spec)
-        cache = program._schedulers
-        scheduler = cache.get(key)
-        if scheduler is None:
-            scheduler = cache[key] = cls(program, function, list(args), spec=spec)
-        else:
-            cache[key] = cache.pop(key)  # refresh LRU position
-        while len(cache) > cls.MEMO_SIZE:
-            cache.pop(next(iter(cache)))
+        memo = program._schedulers
+        with memo.lock:
+            scheduler = memo.pop(key, None)
+            if scheduler is None:
+                scheduler = cls(program, function, list(args), spec=spec)
+            memo[key] = scheduler  # the most recently used comes last
+            while len(memo) > cls.MEMO_SIZE:
+                del memo[next(iter(memo))]
         return scheduler
 
     # ------------------------------------------------------------------
@@ -325,7 +372,7 @@ class TrialScheduler:
         # The conditional-branch mnemonic is target vocabulary, not a
         # baseline constant (fused rv32 branches share "bcc" by design,
         # but a third-party target need not).
-        branch_mn = get_target(getattr(image, "target", "baseline")).branch_mnemonic
+        branch_mn = get_target(image.target).branch_mnemonic
         cpu, start = program.take_trial_cpu(self.function, self.spec)
         cpu.restore(start)
         cpu.call(self.function, self.args)

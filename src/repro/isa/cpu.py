@@ -167,7 +167,7 @@ class CPU:
         self.image = image
         from repro.target import get_target  # late: avoids import cycle
 
-        target = get_target(getattr(image, "target", "baseline"))
+        target = get_target(image.target)
         self.cycles_model = target.cycle_model()
         #: whether this target's conditional branches read NZCV flags;
         #: False on fused register-compare targets (rv32).  Fault models

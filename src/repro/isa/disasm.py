@@ -14,7 +14,7 @@ def annotated_listing(image: CodeImage) -> str:
     """
     from repro.target import get_target
 
-    width = get_target(getattr(image, "target", "baseline")).width
+    width = get_target(image.target).width
     lines = []
     label_at: dict[int, list[str]] = {}
     for label, addr in image.labels.items():

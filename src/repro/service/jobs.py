@@ -374,9 +374,8 @@ class CampaignJob(_SourceJob):
         :class:`~repro.toolchain.executor.CampaignExecutor` owned by the
         caller (its ``on_batch`` hook is borrowed for the attack, feeding
         ``emit`` per-batch progress events).  ``program`` pins the
-        execution target for a caller that already compiled (e.g. to key
-        a workload lock on the exact program object); re-consulting the
-        cache here could return a *different* object for the same job.
+        execution target for a caller that already compiled; re-consulting
+        the cache here could return a *different* object for the same job.
         """
         emit = emit or (lambda payload: None)
         spec = self.attacks[index]
@@ -537,18 +536,31 @@ class CompileJob(_SourceJob):
 
 
 def _scheme_revision(config: CompileConfig) -> int:
-    """The current registration revision of the job's scheme.
-
-    Job ids must stay stable across processes, so the revision cannot be
-    part of the id (registration order is process-local); instead it is
-    stamped into result payloads, and the scheduler's store-dedup layer
-    re-executes when the stored revision no longer matches — mirroring
-    how the Workbench cache key invalidates after
-    ``register_scheme(replace=True)``.
-    """
+    """The current registration revision of the job's scheme.  Job ids
+    must stay stable across processes, so it is not part of the id
+    (registration order is process-local); it is stamped into result
+    payloads, and :func:`current_result` finds a payload of an older
+    revision stale, as the Workbench cache key invalidates after
+    ``register_scheme(replace=True)``."""
     from repro.toolchain.registry import get_scheme
 
     return get_scheme(config.scheme).revision
+
+
+def current_result(store, job) -> Optional[dict[str, Any]]:
+    """``job``'s result payload in a ResultStore, or None when there is
+    none or it is stale: computed under a scheme revision since replaced,
+    or with a campaign attack stored before per-trial records existed
+    (it cannot build a map).  Whoever finds it stale re-runs the job."""
+    payload = store.get_result(job.job_id())
+    if payload is None or payload.get("scheme_revision") != _scheme_revision(
+        job.config
+    ):
+        return None
+    attacks = (payload.get("report") or {}).get("attacks") or {}
+    if any("records" not in attack for attack in attacks.values()):
+        return None
+    return payload
 
 
 #: The JSON type of each job-envelope field.

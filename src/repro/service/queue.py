@@ -19,13 +19,9 @@ HTTP, in ``(priority, submission order)``; while no worker is active,
 zero is the single-host service.  Each runner thread owns a private
 :class:`~repro.toolchain.executor.CampaignExecutor` (``trial_workers``
 processes) to shard trials; with ``trial_workers=0`` trials run on the
-in-process fork engine.  Two runner threads attacking one workload are
-serialised by a per-(program, workload) lock — the checkpoint-forked
-trial scheduler is shared by every attack on its workload and is not
-re-entrant (its stats, ``last_trial_end`` and lazily built tables are
-per scheduler; its trial CPUs are borrowed from the program per
-trial).  Compile jobs have no shards: each runs on a thread of its
-own as soon as it is submitted.
+in-process fork engine, which serialises its own workloads.  Compile
+jobs have no shards: each runs on a thread of its own as soon as it is
+submitted.
 
 Publication: the submitting thread publishes a job's first events,
 before anything else can emit for it; every later event, the completion
@@ -56,7 +52,7 @@ from typing import Any, Iterator, Optional
 from repro.obs.metrics import MetricsRegistry, RegistryStats
 from repro.obs.profile import ENGINE_COUNTERS, EngineProfiler
 from repro.obs.trace import JobTraceRecorder
-from repro.service.jobs import JobError, job_from_dict
+from repro.service.jobs import JobError, current_result, job_from_dict
 from repro.service.store import ResultStore
 
 #: Default submission priority (lower number = served earlier).
@@ -111,8 +107,8 @@ class JobHandle:
         #: Follows this job's lifecycle as a span tree.
         self.trace = JobTraceRecorder(job_id)
         #: The program a runner thread compiled for this job's local
-        #: shards: every shard reuses it (one workload lock), and the
-        #: engine counters are sampled from it when the job completes.
+        #: shards: every shard reuses it, and the engine counters are
+        #: sampled from it when the job completes.
         self.program = None
         #: ``time.perf_counter()`` when the job started (first claim or
         #: lease; ``repro_job_seconds`` runs from here).
@@ -260,35 +256,15 @@ class JobScheduler:
                 self.stats.deduplicated_inflight += 1
                 return job_id, True
             record = self.store.get_job(job_id)
-            if record is not None and record.state == "done":
-                if self._stored_result_current(job_id, job):
-                    self.stats.deduplicated_store += 1
-                    return job_id, True
-                # The scheme builder was replaced since this result was
-                # computed (register_scheme(replace=True) bumps the
-                # revision, exactly like the Workbench compile cache):
-                # re-execute.
+            if (
+                record is not None
+                and record.state == "done"
+                and current_result(self.store, job) is not None
+            ):
+                self.stats.deduplicated_store += 1
+                return job_id, True
             self._enqueue(job, job_id, priority, requeue=False)
         return job_id, False
-
-    def _stored_result_current(self, job_id: str, job) -> bool:
-        from repro.service.jobs import _scheme_revision
-
-        payload = self.store.get_result(job_id)
-        if (
-            payload is None
-            or payload.get("scheme_revision") != _scheme_revision(job.config)
-        ):
-            return False
-        if job.kind == "campaign":
-            # Pre-analytics payloads (stored before per-trial recording
-            # existed) cannot build vulnerability maps; treat them as
-            # stale so a resubmission re-executes and upgrades the row —
-            # the one escape hatch a service client has.
-            attacks = (payload.get("report") or {}).get("attacks") or {}
-            if any("records" not in attack for attack in attacks.values()):
-                return False
-        return True
 
     def _enqueue(self, job, job_id: str, priority: int, requeue: bool) -> None:
         """Record the job, publish ``queued`` and hand the job on — to the
@@ -474,7 +450,9 @@ class JobScheduler:
         """The stored campaign's per-instruction vulnerability map, as a
         JSON payload (compile is a cache hit for jobs this process ran;
         the golden run is memoized per program)."""
-        vmap = self._locked_map(job_id)
+        from repro.analysis.vulnmap import map_from_store
+
+        vmap = map_from_store(self.store, job_id, self.workbench)
         return {"job_id": job_id, "kind": "vulnerability-map", "map": vmap.to_dict()}
 
     def scheme_diff(self, job_a: str, job_b: str) -> dict[str, Any]:
@@ -483,24 +461,10 @@ class JobScheduler:
         The two jobs must attack the *same program input* — identical
         (source, initializers) content and (function, args) workload —
         otherwise the verdicts would compare unrelated binaries."""
-        from repro.analysis.diff import SchemeDiff, require_same_program_input
+        from repro.analysis.diff import diff_from_store
 
-        require_same_program_input(self.store, job_a, job_b)
-        diff = SchemeDiff.build(self._locked_map(job_a), self._locked_map(job_b))
+        diff = diff_from_store(self.store, job_a, job_b, self.workbench)
         return {"a": job_a, "b": job_b, "kind": "scheme-diff", "diff": diff.to_dict()}
-
-    def _locked_map(self, job_id: str):
-        """Map a stored job under its workload lock — the golden-trace
-        scheduler is shared by every user of its workload and must not be
-        touched while a runner thread attacks the same workload.  The map
-        is built from the exact program object the lock belongs to
-        (re-consulting the LRU could return a different one)."""
-        from repro.analysis.vulnmap import VulnerabilityMap, stored_campaign
-
-        job, report = stored_campaign(self.store, job_id)
-        program = job.compile(self.workbench)
-        with program.workload_lock(job.function, job.args):
-            return VulnerabilityMap.build(program, job.function, list(job.args), report)
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         """Cancel a queued or running job at once: its shards leave the
@@ -548,9 +512,7 @@ class JobScheduler:
                 executor.close()
 
     def _run_shard(self, job, index: int, emit, executor) -> dict[str, Any]:
-        """One locally claimed shard, under the workload lock of the
-        exact compiled object (see
-        :meth:`~repro.backend.driver.CompiledProgram.workload_lock`)."""
+        """One locally claimed shard, on the program its job compiled."""
         # A cancelled job's handle may be gone (its result is dropped
         # anyway).
         handle = self._inflight.get(job.job_id())
@@ -571,10 +533,9 @@ class JobScheduler:
             )
             if handle is not None:
                 handle.program = program
-        with program.workload_lock(job.function, job.args):
-            payload = job.run_shard(
-                self.workbench, index, executor=executor, emit=emit, program=program
-            )
+        payload = job.run_shard(
+            self.workbench, index, executor=executor, emit=emit, program=program
+        )
         if executor is not None:
             self._profiler.sample_executor(executor)
         return payload

@@ -96,8 +96,8 @@ class TransientTrace:
 
     # Snapshot state holds a *copy* of the running hash object; hashlib
     # copies are cheap and deterministic but not picklable — snapshots
-    # never cross process boundaries (executor workers rebuild their
-    # schedulers from the pickled program instead).
+    # are never pickled (a forked executor worker inherits the parent's
+    # schedulers as they are; a pickled program carries none).
     def snapshot_state(self):
         frames = list(self.frames) if self.frames is not None else None
         return (self._hasher.copy(), frames)

@@ -4,13 +4,12 @@ A campaign is embarrassingly parallel: every trial is independent given
 the compiled program.  :class:`CampaignExecutor` shards a trial batch
 across a ``multiprocessing`` pool:
 
-* the :class:`~repro.backend.driver.CompiledProgram` is pickled **once per
-  worker** (pool initializer), not once per task — see
-  ``CodeImage.__getstate__`` for the decode-cache/instruction-identity
-  handling;
-* each worker builds its own :class:`~repro.faults.scheduler.
-  TrialScheduler` on first use (one golden run per worker, then
-  checkpoint-forked trials);
+* workers are forked where the platform can fork, and inherit the
+  parent's :class:`~repro.backend.driver.CompiledProgram` with its
+  memoized trial schedulers, so a pool forked after the parent captured
+  a workload's golden run reuses it.  Elsewhere the program is pickled
+  once per worker (pool initializer; see ``CodeImage.__getstate__``),
+  and each worker captures its own golden run on first use;
 * workers stream back compact ``(outcome, exit_code)`` pairs — plus the
   fault's golden fire index when ``record_trials`` is set — which the
   parent merges into an :class:`~repro.faults.isa_campaign.AttackResult`

@@ -568,6 +568,26 @@ class TestTable3:
             again = reproduce_table3(workbench, store=store)
             assert again.ranking == first.ranking
 
+    def test_recordless_row_is_rerun_and_overwritten(self, workbench):
+        """A stored row without per-trial records cannot build a map, so
+        Table III re-runs it and overwrites it, as a resubmission to the
+        service does."""
+        with ResultStore(":memory:") as store:
+            first = reproduce_table3(workbench, store=store)
+            job = table3_jobs()["ancode"]
+            payload = store.get_result(job.job_id())
+            for attack in payload["report"]["attacks"].values():
+                del attack["records"]  # a pre-analytics row
+            store.store_result(job.job_id(), payload)
+            with pytest.raises(AnalysisError, match="no result"):
+                reproduce_table3(workbench, store=store, require_stored=True)
+            again = reproduce_table3(workbench, store=store)
+            assert again.to_json() == first.to_json()
+            attacks = store.get_result(job.job_id())["report"]["attacks"]
+            assert all("records" in attack for attack in attacks.values())
+            stored = reproduce_table3(workbench, store=store, require_stored=True)
+            assert stored.source == "store"
+
     def test_jobs_are_canonical(self):
         jobs = table3_jobs()
         assert set(jobs) == set(SCHEMES)

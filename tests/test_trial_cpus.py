@@ -12,7 +12,8 @@ previous user left, and hand it back.  The contract pinned here:
   and all stay exact;
 * a warm program runs a fresh-argument Table III job without preparing
   a CPU;
-* a pickled program carries no pooled CPU, and its copy runs exactly.
+* a pickled program carries no pooled CPU, memoized scheduler or lock,
+  and its copy runs exactly.
 """
 
 import pickle
@@ -202,18 +203,6 @@ class TestAllocation:
         assert prepared == []
         assert all(a["trials"] for a in fresh["report"]["attacks"].values())
 
-    def test_one_lock_per_workload_for_the_program_s_life(self):
-        program = compile_source(
-            load_source("memcmp"), config=CompileConfig(scheme="ancode")
-        )
-        lock = program.workload_lock("run_memcmp", [8])
-        assert program.workload_lock("run_memcmp", (8,)) is lock
-        assert program.workload_lock("run_memcmp", [9]) is not lock
-        other = compile_source(
-            load_source("memcmp"), config=CompileConfig(scheme="ancode")
-        )
-        assert other.workload_lock("run_memcmp", [8]) is not lock
-
     def test_a_pickled_program_carries_no_pooled_cpu(self):
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="ancode")
@@ -224,10 +213,10 @@ class TestAllocation:
         # A speculative pool holds hash objects that cannot be pickled.
         program.trial_scheduler("run_memcmp", [8], spec=SpecConfig(window=2))
         assert len(program._trial_cpus) == 2
-        program.workload_lock("run_memcmp", [8])  # a lock cannot be pickled
-        copy = pickle.loads(pickle.dumps(program))
+        with program._schedulers.lock:  # held or not, no lock is pickled
+            copy = pickle.loads(pickle.dumps(program))
         assert copy._trial_cpus == {} and copy._schedulers == {}
-        assert copy._workload_locks == {}
+        assert not copy._schedulers.lock.locked()
         assert copy.image._pristine is None
         assert copy.trial_scheduler("run_memcmp", [8]).run_trial(model) == expected
         assert len(program._trial_cpus) == 2
